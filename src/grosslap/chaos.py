@@ -9,6 +9,7 @@ case dim2 = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Sequence, Tuple
@@ -334,6 +335,9 @@ def expansion_from_json(obj: dict) -> Expansion2:
         (tuple(t["alpha"]), tuple(t["beta"])): complex(t["re"], t.get("im", 0.0))
         for t in obj.get("terms", [])
     }
+    # Overflowed literals such as 1e999 parse to inf.
+    if not all(cmath.isfinite(v) for v in coeffs.values()):
+        raise ValueError("expansion coefficients must be finite")
     return Expansion2(int(obj["dim1"]), int(obj["dim2"]),
                       int(obj["cutoff1"]), int(obj["cutoff2"]),
                       coeffs, role=obj.get("role", TEST))

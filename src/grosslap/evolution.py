@@ -1,9 +1,11 @@
 """Closed-form and numeric solvers for linear kernel evolution equations.
 
 The closed form composes convolution exponentials of the integrated driving
-process.  Two independent oracles exist: a Runge-Kutta integration of the
-scalar symbol ODE with kernel reconstruction by linear fit, and (for the heat
-flow on function-convention kernels) exact Gaussian-moment smoothing.
+process and integrates the source term exactly with the phi-functions of
+exponential integrators.  Two independent oracles exist: a Runge-Kutta
+integration of the scalar symbol ODE with kernel reconstruction by linear
+fit, and (for the heat flow on function-convention kernels) exact
+Gaussian-moment smoothing.
 
 A propagator, being a distribution, can act on the kernel two ways and both
 appear in the theory: "distribution" convolves kernels as distributions, so
@@ -17,9 +19,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import expm
 
 from .chaos import (
     DISTRIBUTION,
@@ -28,6 +31,7 @@ from .chaos import (
     Key,
     Point2,
     RoleError,
+    _monomial,
     coefficient_polynomial,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
@@ -38,8 +42,8 @@ ACTION_FUNCTION = "function"
 ACTION_DISTRIBUTION = "distribution"
 
 
-class QuadratureError(RuntimeError):
-    """Simpson refinement failed to converge within the panel cap."""
+class RankDeficientError(RuntimeError):
+    """The symbol-ODE design matrix cannot determine every coefficient."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,22 +92,62 @@ def conv_exp(Phi: Expansion2) -> Expansion2:
     """
     if Phi.role != DISTRIBUTION:
         raise RoleError("conv_exp needs a distribution")
-    zero_key = ((0,) * Phi.dim1, (0,) * Phi.dim2)
-    c0 = Phi.coeffs.get(zero_key, 0j)
-    plus = replace(Phi, coeffs={k: v for k, v in Phi.coeffs.items()
-                                if k != zero_key})
-    result = replace(Phi, coeffs={zero_key: 1 + 0j}, truncated=False)
-    power = result
+    c0, N = _split_constant(Phi)
+    e0 = np.exp(c0)
+    return _power_series(N, [e0 / math.factorial(j)
+                             for j in range(Phi.cutoff1 + Phi.cutoff2 + 1)])
+
+
+def _conv_exp_integral(Phi: Expansion2, h: float) -> Expansion2:
+    """The integral of e^{*u Phi} over u in [0, h], in closed form.
+
+    With Phi = c0 delta_0 + N, the coefficient of N^{*j} is
+    int_0^h u^j e^{u c0} du / j! = h^{j+1} e^{h c0} phi_{j+1}(-h c0).
+    """
+    c0, N = _split_constant(Phi)
     kmax = Phi.cutoff1 + Phi.cutoff2
-    truncated = Phi.truncated
-    for k in range(1, kmax + 1):
-        power = convolve_dist_dist(power, plus)
+    phi = _phi_functions(-h * c0, kmax + 1)
+    e0 = h * np.exp(h * c0)
+    return _power_series(N, [e0 * h ** j * phi[j] for j in range(kmax + 1)])
+
+
+def _phi_functions(z: complex, k: int) -> np.ndarray:
+    """phi_1(z), ..., phi_k(z) of exponential integrators.
+
+    They follow e^z in the first row of the exponential of the
+    (k+1)x(k+1) matrix with z at [0, 0] and ones on the superdiagonal, which
+    avoids the cancellation of the closed forms at small z.
+    """
+    A = np.diag(np.ones(k, dtype=complex), 1)
+    A[0, 0] = z
+    return expm(A)[0, 1:]
+
+
+def _split_constant(Phi: Expansion2) -> Tuple[complex, Expansion2]:
+    """(c0, N) with Phi = c0 delta_0 + N."""
+    zero_key = ((0,) * Phi.dim1, (0,) * Phi.dim2)
+    N = replace(Phi, coeffs={k: v for k, v in Phi.coeffs.items()
+                             if k != zero_key})
+    return Phi.coeffs.get(zero_key, 0j), N
+
+
+def _power_series(N: Expansion2, weights: Sequence[complex]) -> Expansion2:
+    """sum_j weights[j] N^{*j} for N without a constant term.
+
+    N has positive minimal degree, so N^{*j} vanishes once j exceeds
+    cutoff1 + cutoff2 and the series is exact with that many weights.
+    """
+    zero_key = ((0,) * N.dim1, (0,) * N.dim2)
+    power = replace(N, coeffs={zero_key: 1 + 0j}, truncated=False)
+    result = power.scale(weights[0])
+    truncated = N.truncated
+    for w in weights[1:]:
+        power = convolve_dist_dist(power, N)
         truncated = truncated or power.truncated
         if not power.coeffs:
             break
-        result = result.add(power.scale(1.0 / math.factorial(k)))
-    scaled = result.scale(np.exp(c0))
-    return replace(scaled, truncated=truncated)
+        result = result.add(power.scale(w))
+    return replace(result, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -201,46 +245,6 @@ def apply_propagator(G: Expansion2, K: Expansion2, action: str) -> Expansion2:
     raise ValueError(f"unknown action {action!r}")
 
 
-def _simpson_kernels(f: Callable[[float], Expansion2], a: float, b: float,
-                     tol: float, max_panels: int) -> Expansion2:
-    """Composite Simpson quadrature for kernel-valued integrands.
-
-    Doubles the panel count until the coefficients move by at most tol.
-    """
-    cache: Dict[float, Expansion2] = {}
-
-    def ev(s: float) -> Expansion2:
-        if s not in cache:
-            cache[s] = f(s)
-        return cache[s]
-
-    def composite(n: int) -> Expansion2:
-        h = (b - a) / n
-        acc = ev(a).scale(1.0)
-        acc = acc.add(ev(b))
-        for i in range(1, n):
-            wgt = 4.0 if i % 2 else 2.0
-            acc = acc.add(ev(a + i * h).scale(wgt))
-        return acc.scale(h / 3.0)
-
-    n = 2
-    prev = composite(n)
-    while n < max_panels:
-        n *= 2
-        cur = composite(n)
-        if _max_coeff_diff(cur, prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"Simpson quadrature did not reach {tol} within {max_panels} panels")
-
-
-def _max_coeff_diff(a: Expansion2, b: Expansion2) -> float:
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeffs.get(k, 0j) - b.coeffs.get(k, 0j)) for k in keys),
-               default=0.0)
-
-
 def _segment_points(Z: ProcessSpec, Theta: ProcessSpec, t: float) -> List[float]:
     pts = {0.0, t}
     for g in list(Z.grid) + list(Theta.grid):
@@ -250,14 +254,19 @@ def _segment_points(Z: ProcessSpec, Theta: ProcessSpec, t: float) -> List[float]
 
 
 def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
-               times: Sequence[float], action: str = ACTION_FUNCTION,
-               quad_tol: float = 1e-10,
-               max_panels: int = 2 ** 14) -> EvolutionSolution:
+               times: Sequence[float],
+               action: str = ACTION_FUNCTION) -> EvolutionSolution:
     """Closed-form solution of d Xi/dt = Z(t) * Xi(t) + Theta(t).
 
     Xi(t) is the convolution exponential of the integrated Z applied to the
-    initial kernel, plus a Simpson-refined integral of propagated source
-    terms.  The propagator action is selected by ``action``.
+    initial kernel, plus the exact integral of propagated source terms.  The
+    propagator action is selected by ``action``.
+
+    Z and Theta are constant on each segment [a, b] between grid points, so
+    the source integral over it is e^{*W} * (int_0^{b-a} e^{*u Z} du) applied
+    to Theta, with W the integral of Z over [b, t]: the action is linear in
+    the propagator, and e^{*(A+B)} = e^{*A} * e^{*B} holds in the truncated
+    ring.
     """
     _check_processes(Z, Theta, xi0)
     kernels: List[OperatorKernel] = []
@@ -270,17 +279,14 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
         state = apply_propagator(G, xi0.kernel, action)
         if not theta_zero and t > 0:
             for a, b in zip(seg := _segment_points(Z, Theta, t), seg[1:]):
-                # The source is constant on each segment; bind it at the
-                # midpoint so endpoint samples don't read the next interval.
-                th = Theta.value_at((a + b) / 2).kernel
-
-                def integrand(s: float, _t: float = t,
-                              _th: Expansion2 = th) -> Expansion2:
-                    Gs = conv_exp(integrate_between(Z, s, _t).kernel)
-                    return apply_propagator(Gs, _th, action)
-
-                state = state.add(
-                    _simpson_kernels(integrand, a, b, quad_tol, max_panels))
+                # Both processes are constant on the segment; read them at
+                # the midpoint so endpoints don't pick the next interval.
+                mid = (a + b) / 2
+                S = _conv_exp_integral(Z.value_at(mid).kernel, b - a)
+                W = conv_exp(integrate_between(Z, b, t).kernel)
+                state = state.add(apply_propagator(
+                    convolve_dist_dist(W, S), Theta.value_at(mid).kernel,
+                    action))
         truncated = truncated or state.truncated
         kernels.append(OperatorKernel(state, label="solution"))
     return EvolutionSolution(tuple(float(t) for t in times), tuple(kernels),
@@ -374,7 +380,7 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
 
     design = np.array(
         [[multinomial_weight(a) * multinomial_weight(b)
-          * _mono(p[0], a) * _mono(p[1], b) for (a, b) in keys]
+          * _monomial(p[0], a) * _monomial(p[1], b) for (a, b) in keys]
          for p in points], dtype=complex)
     scale = np.linalg.norm(design, axis=0)
     scale[scale == 0] = 1.0
@@ -406,7 +412,12 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     out_values = []
     for t in times:
         values = snapshots[float(t)]
-        coef, *_ = np.linalg.lstsq(design / scale, values, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(design / scale, values, rcond=None)
+        if rank < len(keys):
+            raise RankDeficientError(
+                f"symbol-ODE design matrix has rank {rank} for {len(keys)} "
+                "coefficients; the symbol points must be distinct and "
+                "generic")
         coef = coef / scale
         coeffs = {k: complex(c) for k, c in zip(keys, coef)
                   if abs(c) > 1e-300}
@@ -423,14 +434,6 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                              symbol_values=tuple(out_values))
 
 
-def _mono(point: Sequence[complex], alpha: MultiIndex) -> complex:
-    v = 1 + 0j
-    for x, a in zip(point, alpha):
-        if a:
-            v *= complex(x) ** a
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Heat equation
 
@@ -444,7 +447,6 @@ def half_trace_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
 
 def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
                times: Sequence[float], action: str = ACTION_FUNCTION,
-               quad_tol: float = 1e-10, max_panels: int = 2 ** 14,
                check_points: int = 5, seed: int = 42) -> EvolutionSolution:
     """Heat flow driven by half the trace distribution.
 
@@ -458,8 +460,7 @@ def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
     if Theta is None:
         Theta = zero_process(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2,
                              t_end)
-    sol = solve_qsde(Z, Theta, xi0, times, action=action,
-                     quad_tol=quad_tol, max_panels=max_panels)
+    sol = solve_qsde(Z, Theta, xi0, times, action=action)
     checks = dict(sol.checks)
     if Theta.is_zero() and action == ACTION_FUNCTION:
         rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from .chaos import (
     _check_compatible,
     sym_convolve_coeffs,
 )
-from .tensor_core import multinomial_weight, weight
+from .tensor_core import _sub_indices, multinomial_weight, weight
 
 
 def trace_distribution(dim1: int, dim2: int, cutoff1: int,
@@ -120,10 +120,10 @@ def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
         n, m = weight(mu), weight(nu)
         w_orbit = multinomial_weight(mu) * multinomial_weight(nu)
         for (kappa, lam), b in phi.coeffs.items():
-            gamma = _sub(kappa, mu)
+            gamma = _sub_indices(kappa, mu)
             if gamma is None:
                 continue
-            delta = _sub(lam, nu)
+            delta = _sub_indices(lam, nu)
             if delta is None:
                 continue
             k, l = weight(gamma), weight(delta)
@@ -134,15 +134,6 @@ def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
     coeffs = {k: v for k, v in coeffs.items() if v != 0}
     return replace(phi, coeffs=coeffs,
                    truncated=Phi.truncated or phi.truncated)
-
-
-def _sub(a, b):
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 
 def convolve_dist_dist(Phi: Expansion2, Psi: Expansion2) -> Expansion2:

@@ -18,6 +18,7 @@ from .chaos import (
     Expansion2,
     Key,
     RoleError,
+    _sub_occupations,
     laplace,
 )
 from .gross import convolve_dist_dist, gross_distribution, trace_distribution
@@ -146,24 +147,13 @@ def multiplication_operator(Phi: Expansion2) -> OperatorKernel:
     d, cutoff = Phi.dim1, Phi.cutoff1
     coeffs: Dict[Key, complex] = {}
     for (gamma, _), c in Phi.coeffs.items():
-        for alpha in _splits(gamma):
+        for alpha in _sub_occupations(gamma):
             beta = tuple(g - a for g, a in zip(gamma, alpha))
             n, m = weight(alpha), weight(beta)
             coeffs[(alpha, beta)] = math.comb(n + m, n) * c
     return OperatorKernel(
         Expansion2(d, d, cutoff, cutoff, coeffs, role=DISTRIBUTION),
         label="mult")
-
-
-def _splits(gamma):
-    """All componentwise splittings alpha <= gamma."""
-    if not gamma:
-        yield ()
-        return
-    head, tail = gamma[0], gamma[1:]
-    for h in range(head + 1):
-        for rest in _splits(tail):
-            yield (h,) + rest
 
 
 def classical_quantum_bridge(Phi: Expansion2) -> Tuple[Expansion2, Expansion2]:

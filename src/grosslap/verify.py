@@ -305,7 +305,7 @@ def check_heat_triangle(max_degree: int = 4, cutoff: int = 8,
     return CheckResult("heat-oracle-triangle",
                        "closed-form heat kernels agree with Gaussian-moment "
                        "smoothing and with Runge-Kutta symbol integration",
-                       gauss_gap <= gauss_tol and ode_gap <= ode_tol,
+                       bool(gauss_gap <= gauss_tol and ode_gap <= ode_tol),
                        worst, 1.0, len(times))
 
 
@@ -347,7 +347,7 @@ def check_evolution_residual(samples: int = 10, cutoff: int = 8,
     return CheckResult("evolution-symbol-residual",
                        "solver output satisfies the first-order symbol "
                        "evolution law",
-                       worst <= tol, worst, tol, samples)
+                       bool(worst <= tol), worst, tol, samples)
 
 
 def check_young_diagnostics(grid_points: int = 100,
@@ -365,7 +365,7 @@ def check_young_diagnostics(grid_points: int = 100,
         for x in xs[::5]:
             if t * x > th + conjugate_eval(gauss, float(x)) + 1e-9:
                 violations += 1
-    passed = worst <= tol and violations == 0
+    passed = bool(worst <= tol) and violations == 0
     return CheckResult("young-conjugate-diagnostics",
                        "quadratic conjugate is x^2/4; the degree-2 weight "
                        "equals e; no Fenchel-Young violations",

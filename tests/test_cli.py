@@ -39,10 +39,12 @@ def test_verify_is_byte_deterministic(runner):
     assert a.output == b.output
 
 
-def test_verify_rejects_low_cutoff_for_gross_suites(runner):
-    res = runner.invoke(main, ["verify", "--cutoff1", "1",
-                               "--suite", "exponential-eigenvalue"])
-    assert res.exit_code == 2
+def test_verify_heat_triangle_writes_report(runner):
+    res = runner.invoke(main, ["verify", "--suite", "heat-oracle-triangle"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["passed"] is True
+    assert report["checks"][0]["passed"] is True
 
 
 def test_verify_rejects_unknown_suite(runner):
@@ -147,24 +149,29 @@ def test_solve_missing_file_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_solve_nonconvergence_exits_3(runner, tmp_path):
-    from grosslap.chaos import Expansion2
-    xi0 = OperatorKernel(
-        Expansion2(1, 1, 6, 6, {((0,), (0,)): 1 + 0j}, role=DISTRIBUTION))
-    Zk = OperatorKernel(
-        Expansion2(1, 1, 6, 6, {((1,), (0,)): 1 + 0j}, role=DISTRIBUTION))
-    Tk = OperatorKernel(
-        Expansion2(1, 1, 6, 6, {((0,), (1,)): 1 + 0j}, role=DISTRIBUTION))
-    payload = {
-        "xi0": kernel_to_json(xi0),
-        "Z": {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Zk)]},
-        "Theta": {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Tk)]},
-        "times": [1.0],
-    }
+def test_solve_rank_deficient_fit_exits_3(runner, tmp_path, monkeypatch):
+    import grosslap.evolution
+
+    def repeated(dim1, dim2, count, radius, seed):
+        return [((1 + 0j,) * dim1, (1 + 0j,) * dim2)] * count
+
+    monkeypatch.setattr(grosslap.evolution, "default_symbol_points", repeated)
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(payload))
-    res = runner.invoke(main, ["solve", "--in", str(path), "--tol=-1"])
+    path.write_text(json.dumps(_heat_input([0.5])))
+    res = runner.invoke(main, ["solve", "--in", str(path),
+                               "--method", "symbol_ode", "--ode-step", "0.1"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+def test_solve_non_finite_input_exits_2(runner, tmp_path, literal):
+    text = json.dumps(_heat_input([0.5])).replace('"re": 1.0',
+                                                  f'"re": {literal}')
+    assert literal in text
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["solve", "--in", str(path)])
+    assert res.exit_code == 2, res.output
 
 
 def test_solve_deterministic_output(runner, tmp_path):

@@ -19,7 +19,8 @@ from grosslap.evolution import (
     ACTION_FUNCTION,
     EvolutionSolution,
     ProcessSpec,
-    QuadratureError,
+    RankDeficientError,
+    apply_propagator,
     conv_exp,
     gaussian_heat_kernel,
     gaussian_moment,
@@ -191,12 +192,87 @@ def test_out_of_range_time_rejected():
         solve_qsde(Z, Theta, xi0, [1.5])
 
 
-def test_quadrature_cap_raises(rng):
+def simpson_source(Z, Theta, t, action, panels):
+    """Fixed-panel composite Simpson rule for the source integral.
+
+    Integrates s -> e^{*int_s^t Z} acting on Theta(s) over each segment
+    between grid points, where both processes are constant.
+    """
+    grid = sorted({0.0, t} | {g for g in Z.grid + Theta.grid if 0 < g < t})
+    total = None
+    for a, b in zip(grid, grid[1:]):
+        th = Theta.value_at((a + b) / 2).kernel
+        h = (b - a) / panels
+        for i in range(panels + 1):
+            s = a + i * h
+            w = 1 if i in (0, panels) else (4 if i % 2 else 2)
+            G = conv_exp(integrate_between(Z, s, t).kernel)
+            term = apply_propagator(G, th, action).scale(w * h / 3)
+            total = term if total is None else total.add(term)
+    return total
+
+
+def source_term(Z, Theta, t, action):
+    """The closed-form solution from a zero initial kernel."""
+    ref = Z.kernels[0].kernel
+    xi0 = OperatorKernel(ref.scale(0))
+    return solve_qsde(Z, Theta, xi0, [t], action=action).kernels[0].kernel
+
+
+@pytest.mark.parametrize("action", [ACTION_DISTRIBUTION, ACTION_FUNCTION])
+def test_source_term_matches_simpson(rng, action):
+    def small():
+        return OperatorKernel(random_expansion(rng, 1, 1, 4, 4, 2, 2,
+                                               role=DISTRIBUTION, scale=0.3))
+    grid = (0.0, 1.0, 2.0)
+    Z = ProcessSpec(grid, (small(), small()))
+    Theta = ProcessSpec(grid, (small(), small()))
+    for t in (0.6, 1.7):
+        exact = source_term(Z, Theta, t, action)
+        oracle = simpson_source(Z, Theta, t, action, panels=32)
+        assert exact.add(oracle.scale(-1)).norm_inf() <= 1e-9
+
+
+def test_source_term_matches_simpson_for_stiff_constant():
+    # h * c0 = -16 + 6j: the source decays fast, where cancelling closed
+    # forms of the phi-functions lose accuracy.
+    c0 = -16 + 6j
+    Zk = kernel_of({((0,), (0,)): c0, ((1,), (0,)): 0.5 + 0j,
+                    ((1,), (1,)): 0.3j}, c1=3, c2=3)
+    Tk = kernel_of({((0,), (0,)): 1 + 0j, ((0,), (1,)): -0.5 + 0j},
+                   c1=3, c2=3)
+    Z = ProcessSpec.constant(Zk, 1.0)
+    Theta = ProcessSpec.constant(Tk, 1.0)
+    exact = source_term(Z, Theta, 1.0, ACTION_DISTRIBUTION)
+    oracle = simpson_source(Z, Theta, 1.0, ACTION_DISTRIBUTION, panels=1024)
+    assert exact.add(oracle.scale(-1)).norm_inf() <= 1e-9
+
+
+@pytest.mark.parametrize("action", [ACTION_DISTRIBUTION, ACTION_FUNCTION])
+def test_semigroup_property_with_source(rng, action):
+    xi0 = kernel_of(dict(random_expansion(rng, 1, 1, 8, 8, 2, 2,
+                                          role=DISTRIBUTION).coeffs))
+    Z = ProcessSpec.constant(kernel_of({((0,), (0,)): -0.4 + 0.2j,
+                                        ((1,), (0,)): 0.3 + 0.1j,
+                                        ((0,), (2,)): 0.2 + 0j}), 2.0)
+    Theta = ProcessSpec.constant(kernel_of({((0,), (0,)): 0.5 + 0j,
+                                            ((1,), (1,)): 0.7 - 0.2j}), 2.0)
+    full = solve_qsde(Z, Theta, xi0, [1.3], action=action)
+    part = solve_qsde(Z, Theta, xi0, [0.5], action=action)
+    restart = solve_qsde(Z, Theta, part.kernels[0], [0.8], action=action)
+    diff = restart.kernels[0].kernel.add(
+        full.kernels[0].kernel.scale(-1)).norm_inf()
+    assert diff <= 1e-12
+
+
+def test_rank_deficient_fit_raises():
     xi0 = kernel_of({((0,), (0,)): 1 + 0j})
-    Z = ProcessSpec.constant(kernel_of({((1,), (0,)): 1 + 0j}), 1.0)
-    Theta = ProcessSpec.constant(kernel_of({((0,), (1,)): 1 + 0j}), 1.0)
-    with pytest.raises(QuadratureError):
-        solve_qsde(Z, Theta, xi0, [1.0], quad_tol=-1.0, max_panels=8)
+    Z = half_trace_process(1, 1, 8, 8, 1.0)
+    Theta = zero_process(1, 1, 8, 8, 1.0)
+    # 90 copies of one point determine one combination of 81 coefficients.
+    pts = [((1 + 0j,), (1 + 0j,))] * 90
+    with pytest.raises(RankDeficientError):
+        solve_symbol_ode(Z, Theta, xi0, [1.0], step=1e-2, points=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +363,9 @@ def test_symbol_ode_heat_exponential():
     xi0 = kernel_of({((0,), (0,)): 1 + 0j})
     Z = half_trace_process(1, 1, 8, 8, 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
-    pts = [((1 + 0j,), (1 + 0j,))] * 90
+    from grosslap.evolution import default_symbol_points
+    pts = [((1 + 0j,), (1 + 0j,))] + default_symbol_points(1, 1, 89,
+                                                            radius=0.5, seed=7)
     sol = solve_symbol_ode(Z, Theta, xi0, [1.0], step=1e-3, points=pts)
     assert sol.symbol_values[0][0] == pytest.approx(math.e, abs=1e-9)
 
