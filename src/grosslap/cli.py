@@ -2,8 +2,8 @@
 
 All reports are JSON with sorted keys, so a fixed seed yields byte-identical
 output.  Exit codes: 0 success, 1 a verification suite failed, 2 input or
-configuration error (including NaN or infinite numbers), 3 rank-deficient
-symbol-ODE reconstruction.
+configuration error (including NaN or infinite numbers in the input, or a
+result that overflows to them), 3 rank-deficient symbol-ODE reconstruction.
 """
 
 from __future__ import annotations
@@ -50,8 +50,12 @@ def _load_json(path: str):
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        _fail(2, "the result holds NaN or infinite numbers; the input "
+                 "overflows double precision")
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -106,20 +106,20 @@ def _conv_exp_integral(Phi: Expansion2, h: float) -> Expansion2:
     """
     c0, N = _split_constant(Phi)
     kmax = Phi.cutoff1 + Phi.cutoff2
-    phi = _phi_functions(-h * c0, kmax + 1)
-    e0 = h * np.exp(h * c0)
-    return _power_series(N, [e0 * h ** j * phi[j] for j in range(kmax + 1)])
+    dd = _exp_divided_differences(h * c0, kmax + 1)
+    return _power_series(N, [h ** (j + 1) * dd[j] for j in range(kmax + 1)])
 
 
-def _phi_functions(z: complex, k: int) -> np.ndarray:
-    """phi_1(z), ..., phi_k(z) of exponential integrators.
+def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
+    """e^z phi_j(-z) for j = 1..k, the divided differences exp[0, z, .., z].
 
-    They follow e^z in the first row of the exponential of the
-    (k+1)x(k+1) matrix with z at [0, 0] and ones on the superdiagonal, which
-    avoids the cancellation of the closed forms at small z.
+    They follow 1 in the first row of the exponential of the (k+1)x(k+1)
+    bidiagonal matrix with 0, z, .., z on the diagonal and ones above it.
+    The product is formed in one piece, so a strongly decaying z cannot
+    give 0 * inf, and there is no cancellation at small z.
     """
-    A = np.diag(np.ones(k, dtype=complex), 1)
-    A[0, 0] = z
+    A = np.diag(np.full(k + 1, z, dtype=complex)) + np.diag(np.ones(k), 1)
+    A[0, 0] = 0
     return expm(A)[0, 1:]
 
 

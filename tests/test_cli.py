@@ -181,3 +181,19 @@ def test_solve_deterministic_output(runner, tmp_path):
     b = runner.invoke(main, ["solve", "--in", str(path), "--seed", "42"])
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
+
+
+def test_solve_overflowing_result_exits_2(runner, tmp_path):
+    # Finite input, but e^{800} overflows double precision.
+    from grosslap.chaos import Expansion2
+    Z = OperatorKernel(Expansion2(1, 1, 2, 2, {((0,), (0,)): 800 + 0j},
+                                  role=DISTRIBUTION), "Z")
+    xi0 = OperatorKernel(Expansion2(1, 1, 2, 2, {((0,), (0,)): 1 + 0j},
+                                    role=DISTRIBUTION), "init")
+    spec = {"xi0": kernel_to_json(xi0), "times": [1.0],
+            "Z": {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["solve", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "overflows" in res.output

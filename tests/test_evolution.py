@@ -32,7 +32,7 @@ from grosslap.evolution import (
     solve_symbol_ode,
     zero_process,
 )
-from grosslap.gross import trace_distribution
+from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import OperatorKernel, symbol
 from conftest import random_expansion, rng_complex
 
@@ -246,6 +246,30 @@ def test_source_term_matches_simpson_for_stiff_constant():
     exact = source_term(Z, Theta, 1.0, ACTION_DISTRIBUTION)
     oracle = simpson_source(Z, Theta, 1.0, ACTION_DISTRIBUTION, panels=1024)
     assert exact.add(oracle.scale(-1)).norm_inf() <= 1e-9
+
+
+@pytest.mark.parametrize("c0, t", [(-800.0, 1.0), (-10.0, 100.0),
+                                   (-800.0 + 30j, 1.0)])
+def test_source_term_for_strongly_decaying_segment(c0, t):
+    # h * c0 far below -709: e^{h c0} underflows, so the weights must not
+    # be formed as e^{h c0} times phi_{j+1}(-h c0), which overflows.
+    scalar = source_term(ProcessSpec.constant(kernel_of({((0,), (0,)): c0}), t),
+                         ProcessSpec.constant(kernel_of({((0,), (0,)): 1 + 0j}),
+                                              t), t, ACTION_DISTRIBUTION)
+    assert scalar.coeffs == {((0,), (0,)): pytest.approx((1 - np.exp(c0 * t))
+                                                         / -c0, rel=1e-13)}
+    # With N != 0 the source X solves Z * X = e^{*tZ} * Theta - Theta.
+    Zk = kernel_of({((0,), (0,)): c0, ((1,), (0,)): 0.5 + 0j,
+                    ((1,), (1,)): 0.3j}, c1=3, c2=3).kernel
+    Tk = kernel_of({((0,), (0,)): 1 + 0j, ((0,), (1,)): -0.5 + 0j},
+                   c1=3, c2=3).kernel
+    X = source_term(ProcessSpec.constant(OperatorKernel(Zk), t),
+                    ProcessSpec.constant(OperatorKernel(Tk), t), t,
+                    ACTION_DISTRIBUTION)
+    assert all(np.isfinite(v) for v in X.coeffs.values())
+    lhs = convolve_dist_dist(Zk, X)
+    rhs = convolve_dist_dist(conv_exp(Zk.scale(t)), Tk).add(Tk.scale(-1))
+    assert lhs.add(rhs.scale(-1)).norm_inf() <= 1e-12
 
 
 @pytest.mark.parametrize("action", [ACTION_DISTRIBUTION, ACTION_FUNCTION])
