@@ -18,9 +18,10 @@ from grosslap.evolution import (
     half_trace_process,
     solve_heat,
     solve_symbol_ode,
+    symbol_gap,
     zero_process,
 )
-from grosslap.quantum_op import OperatorKernel, symbol
+from grosslap.quantum_op import OperatorKernel
 
 
 def main() -> None:
@@ -63,10 +64,7 @@ def main() -> None:
     numeric = solve_symbol_ode(Z, Theta, xi0, args.times, step=1e-3,
                                points=pts)
     closed = solve_heat(xi0, None, args.times, action="distribution")
-    gap = 0.0
-    for kern, values in zip(closed.kernels, numeric.symbol_values):
-        for p, v in zip(pts, values):
-            gap = max(gap, abs(symbol(kern, p[0], p[1]) - v))
+    gap = symbol_gap(closed, numeric)
     print(f"\nsymbol evolution (distribution action) vs Runge-Kutta: "
           f"max gap {gap:.3e} over {len(pts)} points")
 

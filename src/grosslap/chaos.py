@@ -19,6 +19,7 @@ from .tensor_core import (
     MultiIndex,
     multinomial_weight,
     iter_occupations,
+    nan_max,
     weight,
 )
 
@@ -94,7 +95,10 @@ class Expansion2:
         return n, m
 
     def norm_inf(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        out = 0.0
+        for v in self.coeffs.values():
+            out = nan_max(out, abs(v))
+        return out
 
     def is_one_variable(self) -> bool:
         return self.dim2 == 0
@@ -141,19 +145,100 @@ def _monomial(point: Sequence[complex], alpha: MultiIndex) -> complex:
     return v
 
 
+# The largest evaluation an input may ask for, in complex cells of a
+# points x (keys + coordinates) array: 2^22 cells, 64 MiB.  A heat solve at
+# dims (2,2), cutoff 6 fits its symbol-ODE design, 1176 points x
+# (784 keys + 4 coordinates), in 926,688.
+MAX_EVALUATION_CELLS = 1 << 22
+
+
+def coefficient_count(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> int:
+    """C(cutoff1+dim1, dim1) C(cutoff2+dim2, dim2), the keys up to the cutoffs.
+
+    Counts above MAX_EVALUATION_CELLS read as MAX_EVALUATION_CELLS + 1: the
+    binomials are built factor by factor and stop there, so absurd sizes
+    from an input file cost nothing to reject.
+    """
+    limit = MAX_EVALUATION_CELLS
+    count = _binomial_up_to(cutoff1 + dim1, dim1, limit)
+    count *= _binomial_up_to(cutoff2 + dim2, dim2, limit)
+    return min(count, limit + 1)
+
+
+def _binomial_up_to(n: int, k: int, limit: int) -> int:
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        # out is C(n - k + i, i), which grows with i.
+        out = out * (n - k + i) // i
+        if out > limit:
+            return limit + 1
+    return out
+
+
+def check_evaluation_size(points: int, keys: int, dim1: int,
+                          dim2: int) -> None:
+    """Reject evaluating `keys` coefficients at `points` points over budget."""
+    cells = points * (keys + dim1 + dim2)
+    if cells > MAX_EVALUATION_CELLS:
+        raise ValueError(
+            f"evaluation at {points} points of {keys} coefficients in "
+            f"{dim1}+{dim2} coordinates needs {cells} cells, over the budget "
+            f"of {MAX_EVALUATION_CELLS}")
+
+
+def monomial_matrix(keys: Sequence[Key], x):
+    """The points x keys matrix of mult(alpha) mult(beta) z^alpha t^beta.
+
+    x holds one row per point: its z coordinates, then its t coordinates.
+    The powers of every coordinate, up to the largest exponent among the
+    keys, come from one cumulative product over all points (so 0^0 = 1),
+    and the matrix gathers its factors from that table.  An expansion's
+    values at the points are this matrix times its coefficient vector.
+    """
+    import numpy as np
+    npoints, ncoords = x.shape
+    exponents = np.array([a + b for a, b in keys],
+                         dtype=np.intp).reshape(len(keys), ncoords)
+    powers = np.ones((ncoords, npoints, int(exponents.max(initial=0)) + 1),
+                     dtype=complex)
+    powers[:, :, 1:] = x.T[:, :, None]
+    np.cumprod(powers, axis=2, out=powers)
+    out = np.empty((npoints, len(keys)), dtype=complex)
+    out[:] = [float(multinomial_weight(a) * multinomial_weight(b))
+              for a, b in keys]
+    for i in range(ncoords):
+        out *= powers[i][:, exponents[:, i]]
+    return out
+
+
+def coefficient_matrix(phis: Sequence[Expansion2], keys: Sequence[Key]):
+    """The keys x len(phis) matrix of the expansions' coefficients."""
+    import numpy as np
+    return np.array([[phi.coeffs.get(k, 0j) for k in keys] for phi in phis],
+                    dtype=complex).reshape(len(phis), len(keys)).T
+
+
+def coefficient_polynomials(phis: Sequence[Expansion2], x):
+    """Values of expansions of one shape at many points, (points, len(phis)).
+
+    x holds one row of coordinates per point, as in `monomial_matrix`.
+    """
+    keys = list(dict.fromkeys(k for phi in phis for k in phi.coeffs))
+    return monomial_matrix(keys, x) @ coefficient_matrix(phis, keys)
+
+
 def coefficient_polynomial(phi: Expansion2, p: Point2) -> complex:
     """Sum mult(alpha) mult(beta) c_{alpha,beta} z^alpha t^beta.
 
     This is plain evaluation for a test expansion and, with the same formula,
     the Laplace transform for a distribution; the role check lives in the
-    public wrappers.
+    public wrappers.  It is the one-point case of `coefficient_polynomials`.
     """
+    import numpy as np
     _check_point(phi, p)
-    total = 0j
-    for (alpha, beta), c in phi.coeffs.items():
-        total += (multinomial_weight(alpha) * multinomial_weight(beta)
-                  * c * _monomial(p.z, alpha) * _monomial(p.t, beta))
-    return total
+    x = np.array([p.z + p.t], dtype=complex)
+    return complex(coefficient_polynomials([phi], x)[0, 0])
 
 
 def evaluate(phi: Expansion2, p: Point2) -> complex:

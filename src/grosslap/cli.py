@@ -18,6 +18,8 @@ import click
 from .chaos import (
     Point2,
     RoleError,
+    check_evaluation_size,
+    coefficient_count,
     evaluate,
     expansion_from_json,
     laplace,
@@ -30,6 +32,8 @@ from .evolution import (
     solve_heat,
     solve_qsde,
     solve_symbol_ode,
+    symbol_gap,
+    symbol_point_count,
     zero_process,
 )
 from .quantum_op import OperatorKernel, kernel_from_json, kernel_to_json, symbol
@@ -119,7 +123,11 @@ def verify(suites: Sequence[str], seed: int, tol: Optional[float],
             "name": res.name,
             "identity": res.identity,
             "passed": res.passed,
-            "max_error": res.max_error,
+            # A NaN or infinite error (a failed suite) is written as text,
+            # since strict JSON has no number for it.
+            "max_error": (res.max_error
+                          if abs(res.max_error) <= sys.float_info.max
+                          else str(res.max_error)),
             "tolerance": res.tolerance,
             "samples": res.samples,
         })
@@ -155,6 +163,9 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         spec = _load_json(in_path)
         xi0 = kernel_from_json(spec["xi0"])
         ref = xi0.kernel
+        keys = coefficient_count(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
+        check_evaluation_size(symbol_point_count(keys), keys, ref.dim1,
+                              ref.dim2)
         times = [float(t) for t in spec["times"]]
         method = method or spec.get("method", "closed_form")
         step = ode_step if ode_step is not None else float(
@@ -194,14 +205,10 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
                                       action=ACTION_DISTRIBUTION) if heat else
                            solve_qsde(Z, Theta, xi0, times,
                                       action=ACTION_DISTRIBUTION)))
-                gap = 0.0
-                for kern, values in zip(closed.kernels,
-                                        numeric.symbol_values):
-                    for p, v in zip(numeric.symbol_points, values):
-                        gap = max(gap, abs(symbol(kern, p[0], p[1]) - v))
-                checks["residual_max"] = gap
+                checks["residual_max"] = symbol_gap(closed, numeric)
             else:
                 sol = numeric
+            checks.update(numeric.checks)
     except RankDeficientError as exc:
         _fail(3, str(exc))
     except INPUT_ERRORS as exc:
@@ -235,10 +242,14 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
         values = []
         if op == "symbol":
             kern = kernel_from_json(spec["kernel"])
+            check_evaluation_size(len(points), len(kern.kernel.coeffs),
+                                  kern.dim1, kern.dim2)
             for p in points:
                 values.append(symbol(kern, p.z, p.t))
         elif op in ("evaluate", "laplace"):
             phi = expansion_from_json(spec["expansion"])
+            check_evaluation_size(len(points), len(phi.coeffs), phi.dim1,
+                                  phi.dim2)
             for p in points:
                 if op == "evaluate":
                     values.append(evaluate(phi, p))

@@ -9,6 +9,7 @@ alongside as a brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,16 +33,27 @@ def weight(alpha: MultiIndex) -> int:
     return sum(alpha)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def multinomial_weight(alpha: MultiIndex) -> int:
     """Number of distinct index arrangements with occupation ``alpha``.
 
-    Equals n! / prod(alpha_i!) with n = sum(alpha).
+    Equals n! / prod(alpha_i!) with n = sum(alpha).  Cached: evaluation asks
+    for the same few weights at every call.
     """
     n = sum(alpha)
     out = math.factorial(n)
     for a in alpha:
         out //= math.factorial(a)
     return out
+
+
+def nan_max(a: float, b: float) -> float:
+    """The larger of two errors, or NaN if either is NaN.
+
+    The builtin max(worst, nan) returns worst, so an error accumulator built
+    on it would let a NaN sample pass its tolerance check.
+    """
+    return a if a != a or a >= b else b
 
 
 def _check_index(alpha: MultiIndex, dim: int, degree: int) -> None:
@@ -88,7 +100,10 @@ class SymTensor:
         return SymTensor(self.dim, self.degree, _drop_zeros(out))
 
     def norm_inf(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
+        out = 0.0
+        for v in self.entries.values():
+            out = nan_max(out, abs(v))
+        return out
 
     def as_scalar(self) -> complex:
         if self.degree != 0:

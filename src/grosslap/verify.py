@@ -32,6 +32,7 @@ from .evolution import (
     solve_heat,
     solve_qsde,
     solve_symbol_ode,
+    symbol_gap,
     zero_process,
 )
 from .gross import (
@@ -47,6 +48,7 @@ from .tensor_core import (
     contract_full,
     dense_contract_full,
     iter_occupations,
+    nan_max,
     symmetrize,
     to_dense,
     weight,
@@ -120,7 +122,7 @@ def check_contraction_oracle(pairs: int = 200, tol: float = 1e-12,
         dense = symmetrize(dense_contract_full(to_dense(A), to_dense(B)))
         diff = sparse.add(dense.scale(-1)).norm_inf()
         ref = max(1.0, dense.norm_inf())
-        worst = max(worst, diff / ref)
+        worst = nan_max(worst, diff / ref)
     return CheckResult("contraction-dense-oracle",
                        "full contraction in occupation storage matches the "
                        "dense-array oracle",
@@ -171,7 +173,7 @@ def check_exponential_eigenvalue(points: int = 50, cutoff: int = 8,
             if weight(alpha) + weight(beta) > max_degree:
                 continue
             diff = abs(lhs[(alpha, beta)] - rhs[(alpha, beta)])
-            worst = max(worst, diff)
+            worst = nan_max(worst, diff)
     return CheckResult("exponential-eigenvalue",
                        "Gross Laplacian of an exponential vector scales it by "
                        "the bilinear square of its parameter",
@@ -195,7 +197,7 @@ def check_laplace_homomorphism(pairs: int = 50, points: int = 20,
             eta = (_rng_complex(rng, d2) / 2).tolist() if d2 else ()
             lhs = laplace(C, xi, eta)
             rhs = laplace(A, xi, eta) * laplace(B, xi, eta)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+            worst = nan_max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return CheckResult("laplace-convolution-homomorphism",
                        "Laplace transform of a convolution equals the product "
                        "of Laplace transforms",
@@ -216,7 +218,7 @@ def check_gross_adjointness(pairs: int = 50, tol: float = 1e-11,
         phi = _random_expansion(rng, d1, d2, c1, c2, c1, c2, TEST)
         lhs = dual_pair(gross_distribution(Phi), phi)
         rhs = dual_pair(Phi, gross_test(phi))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst = nan_max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return CheckResult("gross-adjointness",
                        "distribution-side Gross Laplacian is the dual of the "
                        "test-side one",
@@ -240,7 +242,7 @@ def check_symbol_multiplier(kernels: int = 20, points: int = 20,
             eta = (_rng_complex(rng, d2) / 2).tolist()
             lhs = symbol(L, xi, eta)
             rhs = (_bilinear(xi) + _bilinear(eta)) * symbol(K, xi, eta)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+            worst = nan_max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return CheckResult("quantum-symbol-multiplier",
                        "symbol of the operator Gross Laplacian is the "
                        "quadratic form times the original symbol",
@@ -264,7 +266,7 @@ def check_multiplication_bridge(samples: int = 50, max_degree: int = 4,
                                 DISTRIBUTION)
         quantum_route, classical_route = classical_quantum_bridge(Phi)
         diff = quantum_route.add(classical_route.scale(-1)).norm_inf()
-        worst = max(worst, diff / max(1.0, classical_route.norm_inf()))
+        worst = nan_max(worst, diff / max(1.0, classical_route.norm_inf()))
     return CheckResult("multiplication-operator-bridge",
                        "operator Laplacian of a multiplication operator, "
                        "applied to the vacuum, equals the scalar Laplacian",
@@ -296,12 +298,9 @@ def check_heat_triangle(max_degree: int = 4, cutoff: int = 8,
     numeric = solve_symbol_ode(Z, Theta, xi0, times, step=ode_step,
                                points=pts)
     closed = solve_heat(xi0, None, times, action=ACTION_DISTRIBUTION)
-    ode_gap = 0.0
-    for kern, values in zip(closed.kernels, numeric.symbol_values):
-        for p, v in zip(pts, values):
-            ode_gap = max(ode_gap, abs(symbol(kern, p[0], p[1]) - v))
+    ode_gap = symbol_gap(closed, numeric)
 
-    worst = max(gauss_gap / gauss_tol, ode_gap / ode_tol)
+    worst = nan_max(gauss_gap / gauss_tol, ode_gap / ode_tol)
     return CheckResult("heat-oracle-triangle",
                        "closed-form heat kernels agree with Gaussian-moment "
                        "smoothing and with Runge-Kutta symbol integration",
@@ -343,7 +342,7 @@ def check_evolution_residual(samples: int = 10, cutoff: int = 8,
             deriv = (s_p - s_m) / (2 * fd_step)
             rhs = (symbol(Z.value_at(t), xi, eta) * s_0
                    + symbol(Theta.value_at(t), xi, eta))
-            worst = max(worst, abs(deriv - rhs))
+            worst = nan_max(worst, abs(deriv - rhs))
     return CheckResult("evolution-symbol-residual",
                        "solver output satisfies the first-order symbol "
                        "evolution law",
@@ -357,8 +356,9 @@ def check_young_diagnostics(grid_points: int = 100,
     worst = 0.0
     xs = np.linspace(0.0, 10.0, grid_points)
     for x in xs:
-        worst = max(worst, abs(conjugate_eval(gauss, float(x)) - x * x / 4))
-    worst = max(worst, abs(theta_n(gauss, 2) - math.e))
+        worst = nan_max(worst,
+                        abs(conjugate_eval(gauss, float(x)) - x * x / 4))
+    worst = nan_max(worst, abs(theta_n(gauss, 2) - math.e))
     violations = 0
     for t in np.linspace(0.0, 5.0, 26):
         th = gauss.theta(float(t))
@@ -369,7 +369,7 @@ def check_young_diagnostics(grid_points: int = 100,
     return CheckResult("young-conjugate-diagnostics",
                        "quadratic conjugate is x^2/4; the degree-2 weight "
                        "equals e; no Fenchel-Young violations",
-                       passed, max(worst, float(violations)), tol,
+                       passed, nan_max(worst, float(violations)), tol,
                        grid_points)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -45,6 +46,29 @@ def test_verify_heat_triangle_writes_report(runner):
     report = json.loads(res.output)
     assert report["passed"] is True
     assert report["checks"][0]["passed"] is True
+
+
+def test_verify_fails_closed_on_nan_sample(runner, monkeypatch):
+    import grosslap.verify
+    real = grosslap.verify.conjugate_eval
+    calls = []
+
+    def nan_first(spec, x):
+        calls.append(x)
+        return math.nan if len(calls) == 1 else real(spec, x)
+
+    monkeypatch.setattr(grosslap.verify, "conjugate_eval", nan_first)
+    res = grosslap.verify.check_young_diagnostics()
+    assert res.passed is False
+    assert math.isnan(res.max_error)
+
+    calls.clear()
+    out = runner.invoke(main, ["verify", "--suite",
+                               "young-conjugate-diagnostics"])
+    assert out.exit_code == 1, out.output
+    report = json.loads(out.output)
+    assert report["passed"] is False
+    assert report["checks"][0]["max_error"] == "nan"
 
 
 def test_verify_rejects_unknown_suite(runner):
@@ -161,6 +185,35 @@ def test_solve_rank_deficient_fit_exits_3(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["solve", "--in", str(path),
                                "--method", "symbol_ode", "--ode-step", "0.1"])
     assert res.exit_code == 3
+
+
+def test_solve_and_eval_over_size_budget_exit_2(runner, tmp_path,
+                                                monkeypatch):
+    import grosslap.chaos
+    import grosslap.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the size check must come before any solve")
+
+    # dims (1,1), cutoff 8: 81 keys and 122 points, 10,126 cells.
+    monkeypatch.setattr(grosslap.chaos, "MAX_EVALUATION_CELLS", 10_000)
+    monkeypatch.setattr(grosslap.cli, "solve_heat", no_work)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_heat_input([0.5])))
+    res = runner.invoke(main, ["solve", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "budget" in res.output
+
+    # 100 points of the 2-term trace symbol in 2 coordinates: 400 cells.
+    T = OperatorKernel(trace_distribution(1, 1, 4, 4), "trace")
+    assert len(T.kernel.coeffs) == 2
+    monkeypatch.setattr(grosslap.chaos, "MAX_EVALUATION_CELLS", 399)
+    spec = {"op": "symbol", "kernel": kernel_to_json(T),
+            "points": [{"z": [0.1], "t": [0.2]}] * 100}
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["eval", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "budget" in res.output
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])

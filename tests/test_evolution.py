@@ -392,6 +392,29 @@ def test_symbol_ode_heat_exponential():
                                                             radius=0.5, seed=7)
     sol = solve_symbol_ode(Z, Theta, xi0, [1.0], step=1e-3, points=pts)
     assert sol.symbol_values[0][0] == pytest.approx(math.e, abs=1e-9)
+    assert sol.checks["fit_rank"] == 81
+    assert math.isfinite(sol.checks["fit_condition"])
+    assert sol.checks["fit_condition"] >= 1.0
+    assert 0.0 <= sol.checks["fit_residual"] < 1e-6
+
+
+def test_symbol_ode_factorises_once(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    xi0 = kernel_of({((1,), (1,)): 1 + 0j}, c1=3, c2=3)
+    Z = half_trace_process(1, 1, 3, 3, 1.0)
+    Theta = zero_process(1, 1, 3, 3, 1.0)
+    times = [0.25, 0.5, 0.75, 1.0]
+    sol = solve_symbol_ode(Z, Theta, xi0, times, step=1e-2)
+    assert len(calls) == 1
+    assert calls[0] == (24, 4)
+    assert len(sol.kernels) == len(sol.symbol_values) == 4
 
 
 def test_symbol_ode_matches_closed_form(rng):

@@ -16,6 +16,7 @@ from grosslap.tensor_core import (
     dense_contract_full,
     iter_occupations,
     multinomial_weight,
+    nan_max,
     pair,
     sym_product,
     sym_tensor_from_json,
@@ -140,3 +141,10 @@ def test_json_roundtrip(rng):
     T = random_tensor(rng, 3, 4)
     back = sym_tensor_from_json(sym_tensor_to_json(T))
     assert back == T
+
+
+def test_nan_max_propagates_nan():
+    assert nan_max(1.0, 2.0) == 2.0
+    assert nan_max(2.0, 1.0) == 2.0
+    assert math.isnan(nan_max(0.0, math.nan))
+    assert math.isnan(nan_max(math.nan, 1.0))
