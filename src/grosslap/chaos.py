@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Dict, Sequence, Tuple
 
 from .tensor_core import (
@@ -228,6 +229,17 @@ def coefficient_polynomials(phis: Sequence[Expansion2], x):
     return monomial_matrix(keys, x) @ coefficient_matrix(phis, keys)
 
 
+def point_coordinates(points: Sequence, dim1: int, dim2: int):
+    """One row per (z, t) point: its z coordinates, then its t coordinates."""
+    import numpy as np
+    for z, t in points:
+        if len(z) != dim1 or len(t) != dim2:
+            raise DimensionMismatchError(
+                f"point dims ({len(z)},{len(t)}) vs expansion ({dim1},{dim2})")
+    return np.array([tuple(z) + tuple(t) for z, t in points],
+                    dtype=complex).reshape(len(points), dim1 + dim2)
+
+
 def coefficient_polynomial(phi: Expansion2, p: Point2) -> complex:
     """Sum mult(alpha) mult(beta) c_{alpha,beta} z^alpha t^beta.
 
@@ -366,26 +378,165 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Tuple[Dict[Key, complex
     pointwise product of test functions and the convolution of distributions.
     """
     _check_compatible(f, g)
-    acc: Dict[Key, complex] = {}
-    dropped = False
-    for (a1, b1), c1 in f.coeffs.items():
-        w11 = multinomial_weight(a1)
-        w12 = multinomial_weight(b1)
-        for (a2, b2), c2 in g.coeffs.items():
-            alpha = tuple(x + y for x, y in zip(a1, a2))
-            beta = tuple(x + y for x, y in zip(b1, b2))
-            if weight(alpha) > f.cutoff1 or weight(beta) > f.cutoff2:
-                dropped = True
-                continue
-            w = (w11 * w12 * multinomial_weight(a2) * multinomial_weight(b2))
-            key = (alpha, beta)
-            acc[key] = acc.get(key, 0j) + w * c1 * c2
-    coeffs = {}
-    for (alpha, beta), v in acc.items():
-        v /= multinomial_weight(alpha) * multinomial_weight(beta)
-        if v != 0:
-            coeffs[(alpha, beta)] = v
-    return coeffs, dropped
+    return pair_products(f, g, contract=False)
+
+
+# Pairs examined at once by `pair_products`: a block of terms of the smaller
+# operand against every term of the larger, so small products take one step.
+PAIR_BLOCK = 4096
+
+
+def pair_products(left: Expansion2, right: Expansion2,
+                  contract: bool) -> Tuple[Dict[Key, complex], bool]:
+    """Sum of W c_l c_r over pairs of stored terms: the one product kernel.
+
+    Without `contract` the pair of keys (l, r) lands on l + r when that is
+    within the cutoffs, W = mult(l) mult(r), and each sum is then divided
+    by mult(l + r): the symmetrized product of `sym_convolve_coeffs`.  With
+    `contract` it lands on r - l when no component is negative, and
+    W = mult(l) (|r1|!/|r1 - l1|!) (|r2|!/|r2 - l2|!) over the two
+    variables: the distribution-test contraction of
+    `gross.convolve_dist_test`.  Each W is an exact integer rounded to a
+    float once; each term is (W c_l) c_r, and the terms of one output are
+    added in the order of the smaller operand's terms.  Sums that come out
+    zero are dropped.  The flag says whether some pair did not land.
+
+    Keys are coded in mixed radix, cutoff + 1 per component, so a shift by
+    a term of the smaller operand is an integer add (or subtract) on the
+    larger operand's code vector, a mask and a lookup in the sorted output
+    codes.  Terms of the smaller operand are taken PAIR_BLOCK / (terms of
+    the larger) at a time, at least one, so transient arrays hold at most
+    max(PAIR_BLOCK, terms of the larger operand) pairs, never one entry
+    per pair of a large product.
+    """
+    import numpy as np
+    if not left.coeffs or not right.coeffs:
+        return {}, False
+    d1, c1, c2 = left.dim1, left.cutoff1, left.cutoff2
+    radix = [c1 + 1] * d1 + [c2 + 1] * left.dim2
+    place = [math.prod(radix[:i]) for i in range(len(radix))]
+    # Codes stay below prod(radix); past int64 they are Python integers.
+    ctype = np.int64 if math.prod(radix) < 1 << 63 else object
+    rows_l, code_l, deg_l, c_l = _term_arrays(left, place, ctype)
+    rows_r, code_r, deg_r, c_r = _term_arrays(right, place, ctype)
+    w_l = [multinomial_weight(a) * multinomial_weight(b)
+           for a, b in left.coeffs]
+    if contract:
+        # falling[n, K] = K!/(K - n)!, the factor of an r of degree K.
+        falling = [[[math.perm(K, n) for K in range(c + 1)]
+                    for n in range(c + 1)] for c in (c1, c2)]
+        bound = max(w_l) * math.factorial(c1) * math.factorial(c2)
+    else:
+        w_r = [multinomial_weight(a) * multinomial_weight(b)
+               for a, b in right.coeffs]
+        bound = max(w_l) * max(w_r)
+    # A float product of exact float factors is exact below 2^53; above it
+    # the products are taken in Python integers and rounded once.
+    wtype = float if bound < 1 << 53 else object
+    w_l = np.array(w_l, dtype=wtype)
+    if contract:
+        falling = [np.array(table, dtype=wtype) for table in falling]
+    else:
+        w_r = np.array(w_r, dtype=wtype)
+
+    out_codes = np.empty(0, dtype=ctype)
+    out_vals = np.empty(0, dtype=complex)
+    landed_all = True
+    n_l, n_r = len(c_l), len(c_r)
+    walk_left = n_l <= n_r
+    outer, inner = (n_l, n_r) if walk_left else (n_r, n_l)
+    step = max(1, PAIR_BLOCK // inner)
+    for start in range(0, outer, step):
+        # A block of the smaller operand's terms (rows) against all terms
+        # of the larger (columns); np.nonzero lists the kept pairs row by
+        # row, so in the order of the smaller operand's terms.
+        block = np.arange(start, min(start + step, outer))[:, None]
+        il, ir = ((block, np.arange(n_r)) if walk_left else
+                  (np.arange(n_l), block))
+        if contract:
+            keep = np.all(rows_r[ir] >= rows_l[il], axis=-1)
+        else:
+            keep = ((deg_l[il, 0] + deg_r[ir, 0] <= c1)
+                    & (deg_l[il, 1] + deg_r[ir, 1] <= c2))
+        rows, cols = np.nonzero(keep)
+        landed_all = landed_all and len(rows) == keep.size
+        if not len(rows):
+            continue
+        il, ir = (rows + start, cols) if walk_left else (cols, rows + start)
+        if contract:
+            w = (w_l[il] * falling[0][deg_l[il, 0], deg_r[ir, 0]]
+                 * falling[1][deg_l[il, 1], deg_r[ir, 1]])
+            target = code_r[ir] - code_l[il]
+        else:
+            w = w_l[il] * w_r[ir]
+            target = code_l[il] + code_r[ir]
+        terms = (w.astype(float) * c_l[il]) * c_r[ir]
+        pos = np.searchsorted(out_codes, target)
+        present = pos < len(out_codes)
+        present[present] = out_codes[pos[present]] == target[present]
+        if not present.all():
+            # out_codes holds no new code, so only new ones can repeat.
+            merged = np.sort(np.concatenate([out_codes, target[~present]]))
+            first = np.concatenate(([True], merged[1:] != merged[:-1]))
+            merged = merged[first]
+            vals = np.zeros(len(merged), dtype=complex)
+            vals[np.searchsorted(merged, out_codes)] = out_vals
+            out_codes, out_vals = merged, vals
+            pos = np.searchsorted(out_codes, target)
+        np.add.at(out_vals, pos, terms)
+
+    nonzero = out_vals != 0
+    out_codes, out_vals = out_codes[nonzero], out_vals[nonzero]
+    keys = _decode_keys(out_codes, radix, d1)
+    if not contract:
+        mult = np.array([float(multinomial_weight(a) * multinomial_weight(b))
+                         for a, b in keys])
+        quotient = np.empty_like(out_vals)
+        quotient.real = out_vals.real / mult
+        quotient.imag = out_vals.imag / mult
+        out_vals = quotient
+    return dict(zip(keys, out_vals.tolist())), not landed_all
+
+
+def _decode_keys(codes, radix: Sequence[int], dim1: int) -> list:
+    """The (alpha, beta) keys of mixed-radix codes.
+
+    Each variable's part is decoded once per distinct value, so outputs
+    that share an alpha or a beta share its tuple.
+    """
+    import numpy as np
+    box1 = math.prod(radix[:dim1])
+    parts = []
+    for half, digits in ((codes % box1, radix[:dim1]),
+                         (codes // box1, radix[dim1:])):
+        half = half.tolist()
+        distinct = list(set(half))
+        place = [math.prod(digits[:i]) for i in range(len(digits))]
+        rows = (np.array(distinct, dtype=codes.dtype)[:, None]
+                // np.array(place, dtype=codes.dtype)
+                % np.array(digits, dtype=codes.dtype))
+        table = dict(zip(distinct, map(tuple, rows.tolist())))
+        parts.append(map(table.__getitem__, half))
+    return list(zip(*parts))
+
+
+def _term_arrays(phi: Expansion2, place: Sequence[int], ctype):
+    """An expansion's stored terms as arrays, in the order of its dict.
+
+    Returns the exponent rows, their mixed-radix codes, the (n, m) degree
+    pair of each key and the coefficients.
+    """
+    import numpy as np
+    n, d = len(phi.coeffs), len(place)
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(phi.coeffs)),
+                       dtype=np.int64, count=n * d).reshape(n, d)
+    codes = rows.astype(ctype) @ np.array(place, dtype=ctype)
+    # Column 0 sums the first variable's exponents, column 1 the second's.
+    by_variable = np.zeros((d, 2), dtype=np.int64)
+    by_variable[:phi.dim1, 0] = 1
+    by_variable[phi.dim1:, 1] = 1
+    coeffs = np.fromiter(phi.coeffs.values(), dtype=complex, count=n)
+    return rows, codes, rows @ by_variable, coeffs
 
 
 def pointwise_product(f: Expansion2, g: Expansion2) -> Expansion2:

@@ -16,13 +16,15 @@ from typing import Optional, Sequence
 import click
 
 from .chaos import (
+    DISTRIBUTION,
+    TEST,
     Point2,
     RoleError,
     check_evaluation_size,
     coefficient_count,
-    evaluate,
+    coefficient_polynomials,
     expansion_from_json,
-    laplace,
+    point_coordinates,
 )
 from .evolution import (
     ACTION_DISTRIBUTION,
@@ -36,10 +38,13 @@ from .evolution import (
     symbol_point_count,
     zero_process,
 )
-from .quantum_op import OperatorKernel, kernel_from_json, kernel_to_json, symbol
+from .quantum_op import OperatorKernel, kernel_from_json, kernel_to_json
 from .tensor_core import DegreeError, DimensionMismatchError
 from .verify import ALL_CHECKS
 from .young import YoungFunctionSpec, check_growth_condition, conjugate_eval, theta_n
+
+# The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
+ROLE_OF_OP = {"evaluate": TEST, "laplace": DISTRIBUTION}
 
 INPUT_ERRORS = (RoleError, DimensionMismatchError, DegreeError, ValueError,
                 KeyError, TypeError, json.JSONDecodeError)
@@ -156,8 +161,9 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     """Solve a linear kernel evolution problem described by a JSON file.
 
     Without a "Z" process the heat flow (half the trace distribution) is
-    assumed.  method "both" additionally runs the Runge-Kutta symbol oracle
-    and reports the worst symbol gap as residual_max.
+    assumed.  method "symbol_ode" runs only the Runge-Kutta symbol oracle;
+    "both" runs it after the closed form and reports the worst symbol gap as
+    residual_max.
     """
     try:
         spec = _load_json(in_path)
@@ -188,11 +194,13 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         _fail(2, f"bad solver input: {exc}")
 
     try:
-        if heat:
-            sol = solve_heat(xi0, Theta, times, action=action, seed=seed)
-        else:
-            sol = solve_qsde(Z, Theta, xi0, times, action=action)
-        checks = dict(sol.checks)
+        checks = {}
+        if method != "symbol_ode":
+            if heat:
+                sol = solve_heat(xi0, Theta, times, action=action, seed=seed)
+            else:
+                sol = solve_qsde(Z, Theta, xi0, times, action=action)
+            checks.update(sol.checks)
         if method in ("symbol_ode", "both"):
             from .evolution import half_trace_process
             Zn = Z if Z is not None else half_trace_process(
@@ -233,30 +241,27 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
 
     Input JSON: {"op": "evaluate"|"laplace"|"symbol", "expansion": ... or
     "kernel": ..., "points": [{"z": [..], "t": [..]}, ..]}.  Complex numbers
-    are written as numbers, [re, im] pairs, or {"re": .., "im": ..}.
+    are written as numbers, [re, im] pairs, or {"re": .., "im": ..}.  All
+    three ops sum mult(alpha) mult(beta) c z^alpha t^beta, for every point
+    at once; they differ in the role the input must have.
     """
     try:
         spec = _load_json(in_path)
         op = spec["op"]
         points = [_as_point(p) for p in spec["points"]]
-        values = []
         if op == "symbol":
-            kern = kernel_from_json(spec["kernel"])
-            check_evaluation_size(len(points), len(kern.kernel.coeffs),
-                                  kern.dim1, kern.dim2)
-            for p in points:
-                values.append(symbol(kern, p.z, p.t))
-        elif op in ("evaluate", "laplace"):
+            phi = kernel_from_json(spec["kernel"]).kernel
+        elif op in ROLE_OF_OP:
             phi = expansion_from_json(spec["expansion"])
-            check_evaluation_size(len(points), len(phi.coeffs), phi.dim1,
-                                  phi.dim2)
-            for p in points:
-                if op == "evaluate":
-                    values.append(evaluate(phi, p))
-                else:
-                    values.append(laplace(phi, p.z, p.t))
+            if phi.role != ROLE_OF_OP[op]:
+                raise RoleError(f"{op} needs a {ROLE_OF_OP[op]} expansion")
         else:
             raise ValueError(f"unknown op {op!r}")
+        check_evaluation_size(len(points), len(phi.coeffs), phi.dim1,
+                              phi.dim2)
+        x = point_coordinates([(p.z, p.t) for p in points], phi.dim1,
+                              phi.dim2)
+        values = coefficient_polynomials([phi], x)[:, 0].tolist()
     except FileNotFoundError as exc:
         _fail(2, str(exc))
     except INPUT_ERRORS as exc:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chaos import (
     DISTRIBUTION,
@@ -34,6 +33,7 @@ from .chaos import (
     coefficient_matrix,
     coefficient_polynomials,
     monomial_matrix,
+    point_coordinates,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
@@ -120,6 +120,9 @@ def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
     The product is formed in one piece, so a strongly decaying z cannot
     give 0 * inf, and there is no cancellation at small z.
     """
+    # Imported here: only a solve with a source term needs scipy, and
+    # loading it costs more than a small solve.
+    from scipy.linalg import expm
     A = np.diag(np.full(k + 1, z, dtype=complex)) + np.diag(np.ones(k), 1)
     A[0, 0] = 0
     return expm(A)[0, 1:]
@@ -339,12 +342,6 @@ def symbol_point_count(keys: int, oversample: float = 1.5) -> int:
     return max(keys, int(math.ceil(oversample * keys)))
 
 
-def _coordinates(points: Sequence, dim1: int, dim2: int) -> np.ndarray:
-    """One row per (z, t) point: its z coordinates, then its t coordinates."""
-    return np.array([tuple(p[0]) + tuple(p[1]) for p in points],
-                    dtype=complex).reshape(len(points), dim1 + dim2)
-
-
 def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                      times: Sequence[float], step: float,
                      points: Optional[Sequence] = None,
@@ -376,7 +373,8 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     if len(points) < len(keys):
         raise ValueError("point set smaller than the coefficient count")
 
-    design = monomial_matrix(keys, _coordinates(points, ref.dim1, ref.dim2))
+    design = monomial_matrix(keys,
+                             point_coordinates(points, ref.dim1, ref.dim2))
     # Every kernel's symbol at the points is the design times its
     # coefficients: one column for xi0, then one per piece of Z and Theta.
     pieces = (xi0, *Z.kernels, *Theta.kernels)
@@ -461,7 +459,7 @@ def symbol_gap(closed: EvolutionSolution,
     if not closed.kernels:
         return 0.0
     ref = closed.kernels[0].kernel
-    x = _coordinates(numeric.symbol_points, ref.dim1, ref.dim2)
+    x = point_coordinates(numeric.symbol_points, ref.dim1, ref.dim2)
     values = coefficient_polynomials([k.kernel for k in closed.kernels], x)
     expected = np.array(numeric.symbol_values, dtype=complex).T
     return float(np.max(np.abs(values - expected), initial=0.0))
@@ -504,7 +502,8 @@ def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
                   for _ in range(check_points)]
             direct = coefficient_polynomials(
                 [kern.kernel],
-                _coordinates([(y.z, y.t) for y in ys], ref.dim1, ref.dim2))
+                point_coordinates([(y.z, y.t) for y in ys], ref.dim1,
+                                  ref.dim2))
             for y, value in zip(ys, direct[:, 0]):
                 oracle = gaussian_heat_kernel(xi0, t, y)
                 gap = nan_max(gap, abs(value - oracle))

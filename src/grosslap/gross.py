@@ -9,7 +9,6 @@ distribution side it raises degrees, and the Laplace transform multiplies by
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Dict, Tuple
 
@@ -20,9 +19,9 @@ from .chaos import (
     Key,
     RoleError,
     _check_compatible,
+    pair_products,
     sym_convolve_coeffs,
 )
-from .tensor_core import _sub_indices, multinomial_weight, weight
 
 
 def trace_distribution(dim1: int, dim2: int, cutoff1: int,
@@ -47,60 +46,36 @@ def trace_distribution(dim1: int, dim2: int, cutoff1: int,
     return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=DISTRIBUTION)
 
 
-def _gross_var1(phi: Expansion2,
-                out: Dict[Key, complex] | None = None) -> Dict[Key, complex]:
-    # Contract tau against the first-variable factor: pick out entries with a
-    # doubled index.  The tau-outer iteration order matches the convolution
-    # route so the two paths accumulate identically.
-    if out is None:
-        out = {}
-    for j in range(phi.dim1):
-        for (alpha, beta), c in phi.coeffs.items():
-            if alpha[j] < 2:
-                continue
-            n = weight(alpha)
-            gamma = tuple(x - 2 if i == j else x for i, x in enumerate(alpha))
-            key = (gamma, beta)
-            out[key] = out.get(key, 0j) + (n * (n - 1)) * c
-    return out
-
-
-def _gross_var2(phi: Expansion2,
-                out: Dict[Key, complex] | None = None) -> Dict[Key, complex]:
-    if out is None:
-        out = {}
-    for j in range(phi.dim2):
-        for (alpha, beta), c in phi.coeffs.items():
-            if beta[j] < 2:
-                continue
-            m = weight(beta)
-            delta = tuple(x - 2 if i == j else x for i, x in enumerate(beta))
-            key = (alpha, delta)
-            out[key] = out.get(key, 0j) + (m * (m - 1)) * c
-    return out
-
-
 def gross_split(phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
-    """Per-variable parts of the Gross Laplacian; their sum is gross_test."""
+    """Per-variable parts of the Gross Laplacian; their sum is gross_test.
+
+    Each part is the contraction of phi with the trace distribution's terms
+    over one variable.
+    """
     if phi.role != TEST:
         raise RoleError("gross_split needs a test expansion")
-    part1 = replace(phi, coeffs=_gross_var1(phi))
-    part2 = replace(phi, coeffs=_gross_var2(phi))
-    return part1, part2
+    T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
+    parts = []
+    for first in (True, False):
+        part = replace(T, coeffs={(a, b): c for (a, b), c in T.coeffs.items()
+                                  if any(a) == first})
+        coeffs, _ = pair_products(part, phi, contract=True)
+        parts.append(replace(phi, coeffs=coeffs))
+    return parts[0], parts[1]
 
 
 def gross_test(phi: Expansion2) -> Expansion2:
-    """Gross Laplacian on a test expansion.
+    """Gross Laplacian on a test expansion: the contraction with the trace.
 
     Coefficient rule: (n+2)(n+1) <tau1, phi_{n+2,m}> plus the mirror term in
     the second variable.  Output degrees above cutoff - 2 depend on truncated
-    input degrees; identities should be asserted below that line.
+    input degrees; identities should be asserted below that line.  This is
+    the computation of convolve_dist_test with the trace distribution.
     """
     if phi.role != TEST:
         raise RoleError("gross_test needs a test expansion")
-    coeffs = _gross_var2(phi, _gross_var1(phi))
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return replace(phi, coeffs=coeffs)
+    T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
+    return replace(phi, coeffs=pair_products(T, phi, contract=True)[0])
 
 
 def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
@@ -115,24 +90,7 @@ def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("convolve_dist_test needs a test function on the right")
     _check_compatible(Phi, phi)
-    coeffs: Dict[Key, complex] = {}
-    for (mu, nu), a in Phi.coeffs.items():
-        n, m = weight(mu), weight(nu)
-        w_orbit = multinomial_weight(mu) * multinomial_weight(nu)
-        for (kappa, lam), b in phi.coeffs.items():
-            gamma = _sub_indices(kappa, mu)
-            if gamma is None:
-                continue
-            delta = _sub_indices(lam, nu)
-            if delta is None:
-                continue
-            k, l = weight(gamma), weight(delta)
-            w = (math.factorial(n + k) // math.factorial(k)
-                 * (math.factorial(m + l) // math.factorial(l)))
-            key = (gamma, delta)
-            coeffs[key] = coeffs.get(key, 0j) + w * w_orbit * a * b
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return replace(phi, coeffs=coeffs,
+    return replace(phi, coeffs=pair_products(Phi, phi, contract=True)[0],
                    truncated=Phi.truncated or phi.truncated)
 
 

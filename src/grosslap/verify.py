@@ -18,10 +18,10 @@ from .chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Point2,
+    coefficient_polynomials,
     dual_pair,
     exponential_vector,
-    laplace,
+    point_coordinates,
 )
 from .evolution import (
     ACTION_DISTRIBUTION,
@@ -42,7 +42,7 @@ from .gross import (
     gross_test,
     trace_distribution,
 )
-from .quantum_op import OperatorKernel, classical_quantum_bridge, quantum_gross, symbol
+from .quantum_op import OperatorKernel, classical_quantum_bridge, quantum_gross
 from .tensor_core import (
     SymTensor,
     contract_full,
@@ -101,6 +101,11 @@ def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
 
 def _bilinear(v: Sequence[complex]) -> complex:
     return sum(complex(x) * complex(x) for x in v)
+
+
+def _worst_relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest |lhs - rhs| / max(1, |rhs|), NaN if any sample is NaN."""
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +197,12 @@ def check_laplace_homomorphism(pairs: int = 50, points: int = 20,
         A = _random_expansion(rng, d1, d2, c1, c2, 3, 3, DISTRIBUTION)
         B = _random_expansion(rng, d1, d2, c1, c2, 3, 3, DISTRIBUTION)
         C = convolve_dist_dist(A, B)
-        for _ in range(points):
-            xi = (_rng_complex(rng, d1) / 2).tolist()
-            eta = (_rng_complex(rng, d2) / 2).tolist() if d2 else ()
-            lhs = laplace(C, xi, eta)
-            rhs = laplace(A, xi, eta) * laplace(B, xi, eta)
-            worst = nan_max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        pts = [((_rng_complex(rng, d1) / 2).tolist(),
+                (_rng_complex(rng, d2) / 2).tolist() if d2 else ())
+               for _ in range(points)]
+        lhs, a, b = coefficient_polynomials(
+            [C, A, B], point_coordinates(pts, d1, d2)).T
+        worst = nan_max(worst, _worst_relative(lhs, a * b))
     return CheckResult("laplace-convolution-homomorphism",
                        "Laplace transform of a convolution equals the product "
                        "of Laplace transforms",
@@ -237,12 +242,12 @@ def check_symbol_multiplier(kernels: int = 20, points: int = 20,
         K = OperatorKernel(_random_expansion(rng, d1, d2, c, c, c - 2, c - 2,
                                              DISTRIBUTION))
         L = quantum_gross(K)
-        for _ in range(points):
-            xi = (_rng_complex(rng, d1) / 2).tolist()
-            eta = (_rng_complex(rng, d2) / 2).tolist()
-            lhs = symbol(L, xi, eta)
-            rhs = (_bilinear(xi) + _bilinear(eta)) * symbol(K, xi, eta)
-            worst = nan_max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        pts = [((_rng_complex(rng, d1) / 2).tolist(),
+                (_rng_complex(rng, d2) / 2).tolist()) for _ in range(points)]
+        lhs, k = coefficient_polynomials(
+            [L.kernel, K.kernel], point_coordinates(pts, d1, d2)).T
+        form = np.array([_bilinear(xi) + _bilinear(eta) for xi, eta in pts])
+        worst = nan_max(worst, _worst_relative(lhs, form * k))
     return CheckResult("quantum-symbol-multiplier",
                        "symbol of the operator Gross Laplacian is the "
                        "quadratic form times the original symbol",
@@ -335,14 +340,16 @@ def check_evolution_residual(samples: int = 10, cutoff: int = 8,
         t = float(rng.uniform(0.2, 0.8) + rng.integers(0, 2))
         sol = solve_qsde(Z, Theta, xi0, (t - fd_step, t, t + fd_step),
                          action=ACTION_DISTRIBUTION)
-        for _ in range(points_per_time):
-            xi = (_rng_complex(rng, d) * 0.1).tolist()
-            eta = (_rng_complex(rng, d) * 0.1).tolist()
-            s_m, s_0, s_p = (symbol(k, xi, eta) for k in sol.kernels)
-            deriv = (s_p - s_m) / (2 * fd_step)
-            rhs = (symbol(Z.value_at(t), xi, eta) * s_0
-                   + symbol(Theta.value_at(t), xi, eta))
-            worst = nan_max(worst, abs(deriv - rhs))
+        pts = [((_rng_complex(rng, d) * 0.1).tolist(),
+                (_rng_complex(rng, d) * 0.1).tolist())
+               for _ in range(points_per_time)]
+        kernels = [k.kernel for k in sol.kernels] + [
+            Z.value_at(t).kernel, Theta.value_at(t).kernel]
+        s_m, s_0, s_p, s_Z, s_Theta = coefficient_polynomials(
+            kernels, point_coordinates(pts, d, d)).T
+        deriv = (s_p - s_m) / (2 * fd_step)
+        rhs = s_Z * s_0 + s_Theta
+        worst = nan_max(worst, float(np.max(np.abs(deriv - rhs))))
     return CheckResult("evolution-symbol-residual",
                        "solver output satisfies the first-order symbol "
                        "evolution law",

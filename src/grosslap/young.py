@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chaos import Expansion2, Point2, RoleError, TEST, evaluate
 
@@ -52,6 +51,9 @@ def conjugate_eval(spec: YoungFunctionSpec, x: float) -> float:
         raise ValueError("conjugate_eval needs x >= 0")
     if x == 0:
         return 0.0
+    # scipy is imported by the functions that use it, so that importing the
+    # command line (which imports this module) does not load it.
+    from scipy.optimize import minimize_scalar
     # The objective is concave; expand the bracket until it is decreasing,
     # then refine with bounded golden-section/Brent search.
     hi = 1.0
@@ -68,6 +70,7 @@ def theta_n(spec: YoungFunctionSpec, n: int) -> float:
     """inf over r > 0 of e^{theta(r)} / r^n, via log-domain minimization."""
     if n < 1:
         raise ValueError("theta_n needs n >= 1")
+    from scipy.optimize import minimize_scalar
     def obj(logr: float) -> float:
         r = math.exp(logr)
         return spec.theta(r) - n * logr

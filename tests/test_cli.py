@@ -2,14 +2,27 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from grosslap.chaos import DISTRIBUTION, expansion_to_json
+from grosslap.chaos import (
+    DISTRIBUTION,
+    TEST,
+    Point2,
+    evaluate,
+    expansion_to_json,
+    laplace,
+)
 from grosslap.cli import main
 from grosslap.gross import trace_distribution
-from grosslap.quantum_op import OperatorKernel, kernel_to_json
+from grosslap.quantum_op import OperatorKernel, kernel_to_json, symbol
+from conftest import random_expansion, rng_complex
 
 
 @pytest.fixture
@@ -250,3 +263,99 @@ def test_solve_overflowing_result_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["solve", "--in", str(path)])
     assert res.exit_code == 2, res.output
     assert "overflows" in res.output
+
+
+def test_cli_start_up_and_heat_solve_load_no_scipy(tmp_path):
+    # scipy serves only the young command and a driven solve with a source.
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_heat_input([0.5])))
+    code = "\n".join([
+        "import sys",
+        "import grosslap.cli",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] == 'scipy')",
+        "print(loaded())",
+        "grosslap.cli.main(['solve', '--in', sys.argv[1], '--out',",
+        "                   sys.argv[2], '--method', 'both'],",
+        "                  standalone_mode=False)",
+        "print(loaded())",
+    ])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(path), str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "[]"]
+    assert json.loads((tmp_path / "out.json").read_text())["kernels"]
+
+
+@pytest.mark.parametrize("count", [0, 6])
+@pytest.mark.parametrize("op", ["evaluate", "laplace", "symbol"])
+def test_eval_matches_per_point_functions(runner, tmp_path, op, count):
+    rng = np.random.default_rng(11)
+    role = TEST if op == "evaluate" else DISTRIBUTION
+    phi = random_expansion(rng, 2, 1, 5, 4, 5, 4, role=role)
+    points = [(rng_complex(rng, 2).tolist(), rng_complex(rng, 1).tolist())
+              for _ in range(count)]
+    payload = {"op": op, "points": [
+        {"z": [[v.real, v.imag] for v in z],
+         "t": [[v.real, v.imag] for v in t]} for z, t in points]}
+    if op == "symbol":
+        payload["kernel"] = kernel_to_json(OperatorKernel(phi))
+    else:
+        payload["expansion"] = expansion_to_json(phi)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["eval", "--in", str(path)])
+    assert res.exit_code == 0, res.output
+    values = [complex(v["re"], v["im"])
+              for v in json.loads(res.output)["values"]]
+    per_point = {
+        "evaluate": lambda z, t: evaluate(phi, Point2.of(z, t)),
+        "laplace": lambda z, t: laplace(phi, z, t),
+        "symbol": lambda z, t: symbol(OperatorKernel(phi), z, t),
+    }[op]
+    assert len(values) == count
+    for value, (z, t) in zip(values, points):
+        assert value == pytest.approx(per_point(z, t), rel=1e-12)
+
+
+def test_eval_point_dims_mismatch_exits_2(runner, tmp_path):
+    T = OperatorKernel(trace_distribution(1, 1, 4, 4), "trace")
+    payload = {"op": "symbol", "kernel": kernel_to_json(T),
+               "points": [{"z": [0.1, 0.2], "t": []}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["eval", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_solve_symbol_ode_runs_no_closed_form(runner, tmp_path, monkeypatch,
+                                              driven):
+    import grosslap.cli
+    from grosslap.chaos import Expansion2
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("method symbol_ode ran the closed form")
+
+    monkeypatch.setattr(grosslap.cli, "solve_heat", closed_form)
+    monkeypatch.setattr(grosslap.cli, "solve_qsde", closed_form)
+    spec = _heat_input([0.5])
+    if driven:
+        Z = OperatorKernel(Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j},
+                                      role=DISTRIBUTION), "Z")
+        spec["Z"] = {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["solve", "--in", str(path), "--method",
+                               "symbol_ode", "--ode-step", "0.01"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["method"] == "symbol_ode_numeric"
+    assert "gaussian_gap" not in report["checks"]
+    assert report["checks"]["fit_rank"] == 81
