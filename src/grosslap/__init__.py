@@ -11,9 +11,6 @@ from .tensor_core import (
     DimensionMismatchError,
     SymTensor,
     contract_full,
-    pair,
-    sym_product,
-    trace_tensor,
 )
 from .chaos import (
     DISTRIBUTION,

@@ -90,11 +90,6 @@ class Expansion2:
     def with_role(self, role: str) -> "Expansion2":
         return replace(self, role=role)
 
-    def max_degrees(self) -> Tuple[int, int]:
-        n = max((weight(a) for a, _ in self.coeffs), default=0)
-        m = max((weight(b) for _, b in self.coeffs), default=0)
-        return n, m
-
     def norm_inf(self) -> float:
         out = 0.0
         for v in self.coeffs.values():
@@ -312,32 +307,15 @@ def translate(phi: Expansion2, shift: Point2) -> Expansion2:
 
     Coefficients follow the binomial rule: the (gamma, delta) coefficient
     picks up C(n+i, i) C(m+j, j) times the contraction of s^i (x) s^j against
-    phi_{n+i, m+j}.
+    phi_{n+i, m+j}.  That is the convolution of phi with the exponential
+    vector e_s read as a distribution, which the product kernel computes.
     """
+    from .gross import convolve_dist_test
     if phi.role != TEST:
         raise RoleError("translate needs a test expansion")
     _check_point(phi, shift)
-    coeffs: Dict[Key, complex] = {}
-    for (kappa, lam), c in phi.coeffs.items():
-        # Split kappa = mu + gamma over all sub-occupations mu absorbed by the
-        # shift; likewise for lam.  The binomial factor C(|gamma|+|mu|, |mu|)
-        # combines with the orbit counts of mu and nu.
-        for mu in _sub_occupations(kappa):
-            zmu = _monomial(shift.z, mu)
-            if zmu == 0 and weight(mu) > 0:
-                continue
-            gamma = tuple(k - m for k, m in zip(kappa, mu))
-            wf1 = math.comb(weight(kappa), weight(mu)) * multinomial_weight(mu)
-            for nu in _sub_occupations(lam):
-                tnu = _monomial(shift.t, nu)
-                if tnu == 0 and weight(nu) > 0:
-                    continue
-                delta = tuple(l - n for l, n in zip(lam, nu))
-                wf2 = math.comb(weight(lam), weight(nu)) * multinomial_weight(nu)
-                key = (gamma, delta)
-                coeffs[key] = coeffs.get(key, 0j) + wf1 * wf2 * zmu * tnu * c
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return replace(phi, coeffs=coeffs)
+    e = exponential_vector(shift.z, shift.t, phi.cutoff1, phi.cutoff2)
+    return convolve_dist_test(e.with_role(DISTRIBUTION), phi)
 
 
 def _sub_occupations(alpha: MultiIndex):

@@ -337,16 +337,19 @@ def default_symbol_points(dim1: int, dim2: int, count: int, radius: float,
     return pts
 
 
-def symbol_point_count(keys: int, oversample: float = 1.5) -> int:
+# Default symbol points per fitted coefficient.
+SYMBOL_OVERSAMPLE = 1.5
+
+
+def symbol_point_count(keys: int) -> int:
     """Number of default symbol points for a fit of `keys` coefficients."""
-    return max(keys, int(math.ceil(oversample * keys)))
+    return max(keys, int(math.ceil(SYMBOL_OVERSAMPLE * keys)))
 
 
 def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                      times: Sequence[float], step: float,
                      points: Optional[Sequence] = None,
-                     radius: float = 0.5, oversample: float = 1.5,
-                     seed: int = 42) -> EvolutionSolution:
+                     radius: float = 0.5, seed: int = 42) -> EvolutionSolution:
     """RK4 integration of the scalar symbol ODE, then kernel reconstruction.
 
     d sigma/dt = sigma(Z) sigma + sigma(Theta) holds pointwise for the
@@ -367,7 +370,7 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     keys = _coefficient_keys(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
     if points is None:
         points = default_symbol_points(
-            ref.dim1, ref.dim2, symbol_point_count(len(keys), oversample),
+            ref.dim1, ref.dim2, symbol_point_count(len(keys)),
             radius, seed)
     points = list(points)
     if len(points) < len(keys):
@@ -476,9 +479,14 @@ def half_trace_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
                                 t_end)
 
 
+# Random points per time at which a source-free function-action heat solve
+# is compared with the Gaussian-moment oracle.
+GAUSSIAN_CHECK_POINTS = 5
+
+
 def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
                times: Sequence[float], action: str = ACTION_FUNCTION,
-               check_points: int = 5, seed: int = 42) -> EvolutionSolution:
+               seed: int = 42) -> EvolutionSolution:
     """Heat flow driven by half the trace distribution.
 
     With no source and the function action, the solution kernel is the
@@ -499,7 +507,7 @@ def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
         for t, kern in zip(sol.times, sol.kernels):
             ys = [Point2.of(rng.uniform(-1, 1, ref.dim1).tolist(),
                             rng.uniform(-1, 1, ref.dim2).tolist())
-                  for _ in range(check_points)]
+                  for _ in range(GAUSSIAN_CHECK_POINTS)]
             direct = coefficient_polynomials(
                 [kern.kernel],
                 point_coordinates([(y.z, y.t) for y in ys], ref.dim1,

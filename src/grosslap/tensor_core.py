@@ -1,10 +1,11 @@
-"""Sparse symmetric tensors over C^d with occupation-number storage.
+"""Occupation-number indexing and the dense oracle for full contraction.
 
 A symmetric tensor of degree n over C^d is constant on permutation orbits of
 its index tuples, so we store one complex value per occupation vector alpha
-(alpha_i = how many slots carry index i).  All combinatorial weights are
-carried explicitly by the operations.  A dense ndarray representation is kept
-alongside as a brute-force oracle.
+(alpha_i = how many slots carry index i).  Besides the index helpers every
+module uses, this holds `SymTensor`, `contract_full` (the product kernel
+read on one homogeneous degree) and the dense ndarray representation that
+certifies it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class SymTensor:
     entries: Dict[MultiIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dim must be >= 0")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         for alpha in self.entries:
@@ -97,51 +98,14 @@ class SymTensor:
         out = dict(self.entries)
         for a, v in other.entries.items():
             out[a] = out.get(a, 0j) + v
-        return SymTensor(self.dim, self.degree, _drop_zeros(out))
+        return SymTensor(self.dim, self.degree,
+                         {a: v for a, v in out.items() if v != 0})
 
     def norm_inf(self) -> float:
         out = 0.0
         for v in self.entries.values():
             out = nan_max(out, abs(v))
         return out
-
-    def as_scalar(self) -> complex:
-        if self.degree != 0:
-            raise DegreeError("only degree-0 tensors are scalars")
-        return self.entries.get((0,) * self.dim if self.dim else (), 0j) \
-            if self.dim else self.entries.get((), 0j)
-
-
-def _drop_zeros(entries: Dict[MultiIndex, complex],
-                prune: float = 0.0) -> Dict[MultiIndex, complex]:
-    return {a: v for a, v in entries.items() if abs(v) > prune or (prune == 0.0 and v != 0)}
-
-
-def zero_tensor(dim: int, degree: int) -> SymTensor:
-    return SymTensor(dim, degree, {})
-
-
-def scalar_tensor(dim: int, value: complex) -> SymTensor:
-    if value == 0:
-        return SymTensor(dim, 0, {})
-    return SymTensor(dim, 0, {(0,) * dim: complex(value)})
-
-
-def basis_tensor(dim: int, j: int) -> SymTensor:
-    """Degree-1 tensor e_j."""
-    occ = tuple(1 if i == j else 0 for i in range(dim))
-    return SymTensor(dim, 1, {occ: 1 + 0j})
-
-
-def vector_tensor(xi: Sequence[complex]) -> SymTensor:
-    """Degree-1 tensor with components xi."""
-    d = len(xi)
-    entries = {}
-    for j, v in enumerate(xi):
-        if v != 0:
-            occ = tuple(1 if i == j else 0 for i in range(d))
-            entries[occ] = complex(v)
-    return SymTensor(d, 1, entries)
 
 
 def iter_occupations(dim: int, degree: int) -> Iterable[MultiIndex]:
@@ -158,91 +122,29 @@ def iter_occupations(dim: int, degree: int) -> Iterable[MultiIndex]:
             yield (first,) + rest
 
 
-def tensor_power(xi: Sequence[complex], n: int) -> SymTensor:
-    """xi^{tensor n}; the orbit value at alpha is prod xi_i^{alpha_i}."""
-    d = len(xi)
-    if n == 0:
-        return scalar_tensor(d, 1)
-    entries = {}
-    for alpha in iter_occupations(d, n):
-        v = 1 + 0j
-        for x, a in zip(xi, alpha):
-            if a:
-                v *= complex(x) ** a
-        if v != 0:
-            entries[alpha] = v
-    return SymTensor(d, n, entries)
-
-
-def trace_tensor(d: int) -> SymTensor:
-    """Degree-2 tensor tau with <tau, xi (x) eta> = <xi, eta> (bilinear)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    entries = {}
-    for j in range(d):
-        occ = tuple(2 if i == j else 0 for i in range(d))
-        entries[occ] = 1 + 0j
-    return SymTensor(d, 2, entries)
-
-
-def _add_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex | None:
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def sym_product(A: SymTensor, B: SymTensor, prune: float = 0.0) -> SymTensor:
-    """Symmetrized tensor product Sym(A (x) B).
-
-    In monomial form this is polynomial multiplication:
-    mult(gamma) * C_gamma = sum_{mu+nu=gamma} mult(mu) mult(nu) A_mu B_nu.
-    """
-    if A.dim != B.dim:
-        raise DimensionMismatchError("sym_product requires equal dims")
-    acc: Dict[MultiIndex, complex] = {}
-    for mu, a in A.entries.items():
-        wa = multinomial_weight(mu)
-        for nu, b in B.entries.items():
-            gamma = _add_indices(mu, nu)
-            acc[gamma] = acc.get(gamma, 0j) + wa * multinomial_weight(nu) * a * b
-    entries = {g: v / multinomial_weight(g) for g, v in acc.items()}
-    return SymTensor(A.dim, A.degree + B.degree, _drop_zeros(entries, prune))
-
-
-def contract_full(A: SymTensor, B: SymTensor, prune: float = 0.0) -> SymTensor:
+def contract_full(A: SymTensor, B: SymTensor) -> SymTensor:
     """Contract every slot of A against B (bilinear pairing, no conjugation).
 
     R_gamma = sum_{|mu| = deg A} mult(mu) A_mu B_{mu+gamma}.  When the degrees
-    match, the degree-0 result is the full bilinear pairing <A, B>.
+    match, the degree-0 result is the full bilinear pairing <A, B>.  This is
+    `chaos.pair_products` on the tensors read as one-variable expansions
+    with cutoff deg B, divided by the falling factor deg B!/(deg B - deg A)!
+    that the kernel's weight carries.
     """
+    from .chaos import Expansion2, pair_products
     if A.dim != B.dim:
         raise DimensionMismatchError("contract_full requires equal dims")
     if A.degree > B.degree:
         raise DegreeError("contract_full needs deg A <= deg B")
-    acc: Dict[MultiIndex, complex] = {}
-    for mu, a in A.entries.items():
-        w = multinomial_weight(mu)
-        for kappa, b in B.entries.items():
-            gamma = _sub_indices(kappa, mu)
-            if gamma is None:
-                continue
-            acc[gamma] = acc.get(gamma, 0j) + w * a * b
-    return SymTensor(A.dim, B.degree - A.degree, _drop_zeros(acc, prune))
 
+    def expansion(T: SymTensor) -> Expansion2:
+        return Expansion2(T.dim, 0, B.degree, 0,
+                          {(a, ()): v for a, v in T.entries.items()})
 
-def pair(A: SymTensor, B: SymTensor) -> complex:
-    """Full bilinear pairing of two tensors of equal degree."""
-    if A.degree != B.degree:
-        raise DegreeError("pairing needs equal degrees")
-    return sum((multinomial_weight(mu) * a * B.entries[mu]
-                for mu, a in A.entries.items() if mu in B.entries), 0j)
+    coeffs, _ = pair_products(expansion(A), expansion(B), contract=True)
+    falling = math.perm(B.degree, A.degree)
+    return SymTensor(A.dim, B.degree - A.degree,
+                     {a: v / falling for (a, _), v in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +168,7 @@ class DenseTensor:
 def to_dense(T: SymTensor) -> DenseTensor:
     data = np.zeros((T.dim,) * T.degree, dtype=complex)
     for alpha, v in T.entries.items():
-        word = []
-        for i, a in enumerate(alpha):
-            word.extend([i] * a)
+        word = [i for i, a in enumerate(alpha) for _ in range(a)]
         for perm in set(itertools.permutations(word)):
             data[perm] = v
     return DenseTensor(T.dim, T.degree, data)
@@ -281,9 +181,7 @@ def symmetrize(T: DenseTensor) -> SymTensor:
         v = complex(T.data[()])
         return SymTensor(T.dim, 0, {(0,) * T.dim: v} if v != 0 else {})
     for alpha in iter_occupations(T.dim, T.degree):
-        word = []
-        for i, a in enumerate(alpha):
-            word.extend([i] * a)
+        word = [i for i, a in enumerate(alpha) for _ in range(a)]
         perms = set(itertools.permutations(word))
         total = sum(complex(T.data[p]) for p in perms)
         # Orbit average uses the full n! permutation count; repeated indices
@@ -307,26 +205,3 @@ def dense_contract_full(A: DenseTensor, B: DenseTensor) -> DenseTensor:
     if A.degree == B.degree:
         data = np.asarray(data, dtype=complex).reshape(())
     return DenseTensor(A.dim, B.degree - A.degree, np.asarray(data, dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-
-def sym_tensor_to_json(T: SymTensor) -> dict:
-    return {
-        "dim": T.dim,
-        "degree": T.degree,
-        "entries": [
-            {"idx": list(a), "re": v.real, "im": v.imag}
-            for a, v in sorted(T.entries.items())
-        ],
-    }
-
-
-def sym_tensor_from_json(obj: dict) -> SymTensor:
-    entries = {
-        tuple(e["idx"]): complex(e["re"], e.get("im", 0.0))
-        for e in obj.get("entries", [])
-    }
-    return SymTensor(int(obj["dim"]), int(obj["degree"]), entries)

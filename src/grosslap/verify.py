@@ -9,8 +9,8 @@ default to the desk-scale sizes the suites are calibrated for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -85,15 +85,18 @@ def _random_sym_tensor(rng: np.random.Generator, dim: int, degree: int,
 
 def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
                       cutoff1: int, cutoff2: int, max_deg1: int,
-                      max_deg2: int, role: str, density: float = 0.6,
+                      max_deg2: int, role: str = TEST, density: float = 0.6,
                       scale: float = 1.0) -> Expansion2:
+    # Seeded data depends on the draw order: one keep draw per key, in key
+    # order, then two for each kept value.
+    betas = [beta for m in range(min(max_deg2, cutoff2) + 1)
+             for beta in iter_occupations(dim2, m)]
     coeffs = {}
     for n in range(min(max_deg1, cutoff1) + 1):
         for alpha in iter_occupations(dim1, n):
-            for m in range(min(max_deg2, cutoff2) + 1):
-                for beta in iter_occupations(dim2, m):
-                    if rng.uniform() < density:
-                        coeffs[(alpha, beta)] = scale * _rng_complex(rng)
+            for beta in betas:
+                if rng.uniform() < density:
+                    coeffs[(alpha, beta)] = scale * _rng_complex(rng)
     if not coeffs:
         coeffs[((0,) * dim1, (0,) * dim2)] = scale * _rng_complex(rng)
     return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=role)
@@ -392,7 +395,3 @@ ALL_CHECKS: Dict[str, Callable[..., CheckResult]] = {
     "evolution-symbol-residual": check_evolution_residual,
     "young-conjugate-diagnostics": check_young_diagnostics,
 }
-
-
-def run_all(seed: int = 42) -> List[CheckResult]:
-    return [fn(seed=seed) for fn in ALL_CHECKS.values()]

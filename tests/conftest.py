@@ -1,38 +1,13 @@
 import numpy as np
 import pytest
 
-from grosslap.chaos import DISTRIBUTION, TEST, Expansion2
-from grosslap.tensor_core import SymTensor, iter_occupations
-
-
-def rng_complex(rng, shape=None):
-    if shape is None:
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-
-
-def random_tensor(rng, dim, degree, density=0.8):
-    entries = {}
-    for alpha in iter_occupations(dim, degree):
-        if rng.uniform() < density:
-            entries[alpha] = rng_complex(rng)
-    if not entries:
-        entries[next(iter_occupations(dim, degree))] = rng_complex(rng)
-    return SymTensor(dim, degree, entries)
-
-
-def random_expansion(rng, dim1, dim2, cutoff1, cutoff2, max_deg1, max_deg2,
-                     role=TEST, density=0.6, scale=1.0):
-    coeffs = {}
-    for n in range(min(max_deg1, cutoff1) + 1):
-        for alpha in iter_occupations(dim1, n):
-            for m in range(min(max_deg2, cutoff2) + 1):
-                for beta in iter_occupations(dim2, m):
-                    if rng.uniform() < density:
-                        coeffs[(alpha, beta)] = scale * rng_complex(rng)
-    if not coeffs:
-        coeffs[((0,) * dim1, (0,) * dim2)] = scale * rng_complex(rng)
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=role)
+# One generator serves the suites and the tests, so a seed means the same
+# data in both.
+from grosslap.verify import (  # noqa: F401
+    _random_expansion as random_expansion,
+    _random_sym_tensor as random_tensor,
+    _rng_complex as rng_complex,
+)
 
 
 @pytest.fixture
