@@ -13,7 +13,6 @@ import numpy as np
 
 from grosslap.chaos import DISTRIBUTION, Expansion2, Point2, coefficient_polynomial
 from grosslap.evolution import (
-    default_symbol_points,
     gaussian_heat_kernel,
     half_trace_process,
     solve_heat,
@@ -60,13 +59,11 @@ def main() -> None:
     t_end = max(args.times)
     Z = half_trace_process(1, 1, args.cutoff, args.cutoff, max(t_end, 1e-9))
     Theta = zero_process(1, 1, args.cutoff, args.cutoff, max(t_end, 1e-9))
-    pts = default_symbol_points(1, 1, 130, radius=0.1, seed=args.seed)
-    numeric = solve_symbol_ode(Z, Theta, xi0, args.times, step=1e-3,
-                               points=pts)
+    numeric = solve_symbol_ode(Z, Theta, xi0, args.times, step=1e-3)
     closed = solve_heat(xi0, None, args.times, action="distribution")
     gap = symbol_gap(closed, numeric)
     print(f"\nsymbol evolution (distribution action) vs Runge-Kutta: "
-          f"max gap {gap:.3e} over {len(pts)} points")
+          f"max gap {gap:.3e} over {len(numeric.symbol_points)} grid points")
 
 
 if __name__ == "__main__":

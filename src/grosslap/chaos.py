@@ -143,8 +143,8 @@ def _monomial(point: Sequence[complex], alpha: MultiIndex) -> complex:
 
 # The largest evaluation an input may ask for, in complex cells of a
 # points x (keys + coordinates) array: 2^22 cells, 64 MiB.  A heat solve at
-# dims (2,2), cutoff 6 fits its symbol-ODE design, 1176 points x
-# (784 keys + 4 coordinates), in 926,688.
+# dims (2,2), cutoff 6 counts its symbol-ODE grid, 2401 points x
+# (784 keys + 4 coordinates), as 1,891,988.
 MAX_EVALUATION_CELLS = 1 << 22
 
 
@@ -159,6 +159,22 @@ def coefficient_count(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> int:
     count = _binomial_up_to(cutoff1 + dim1, dim1, limit)
     count *= _binomial_up_to(cutoff2 + dim2, dim2, limit)
     return min(count, limit + 1)
+
+
+def grid_point_count(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> int:
+    """(cutoff1+1)^dim1 (cutoff2+1)^dim2, the points of the symbol-ODE grid.
+
+    Stops past MAX_EVALUATION_CELLS as `coefficient_count` does.
+    """
+    limit = MAX_EVALUATION_CELLS
+    count = 1
+    for base, dim in ((cutoff1 + 1, dim1), (cutoff2 + 1, dim2)):
+        # A base of 2 or more passes the limit within 23 factors.
+        for _ in range(dim if base > 1 else min(dim, 1)):
+            count *= max(base, 0)
+            if count > limit:
+                return limit + 1
+    return count
 
 
 def _binomial_up_to(n: int, k: int, limit: int) -> int:

@@ -3,7 +3,7 @@
 All reports are JSON with sorted keys, so a fixed seed yields byte-identical
 output.  Exit codes: 0 success, 1 a verification suite failed, 2 input or
 configuration error (including NaN or infinite numbers in the input, or a
-result that overflows to them), 3 rank-deficient symbol-ODE reconstruction.
+result that overflows to them, or an input over the size budget).
 """
 
 from __future__ import annotations
@@ -24,21 +24,21 @@ from .chaos import (
     coefficient_count,
     coefficient_polynomials,
     expansion_from_json,
+    grid_point_count,
     point_coordinates,
 )
 from .evolution import (
     ACTION_DISTRIBUTION,
     ACTION_FUNCTION,
     ProcessSpec,
-    RankDeficientError,
+    half_trace_process,
     solve_heat,
     solve_qsde,
     solve_symbol_ode,
     symbol_gap,
-    symbol_point_count,
     zero_process,
 )
-from .quantum_op import OperatorKernel, kernel_from_json, kernel_to_json
+from .quantum_op import kernel_from_json, kernel_to_json
 from .tensor_core import DegreeError, DimensionMismatchError
 from .verify import ALL_CHECKS
 from .young import YoungFunctionSpec, check_growth_condition, conjugate_eval, theta_n
@@ -170,8 +170,9 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         xi0 = kernel_from_json(spec["xi0"])
         ref = xi0.kernel
         keys = coefficient_count(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
-        check_evaluation_size(symbol_point_count(keys), keys, ref.dim1,
-                              ref.dim2)
+        check_evaluation_size(
+            grid_point_count(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2),
+            keys, ref.dim1, ref.dim2)
         times = [float(t) for t in spec["times"]]
         method = method or spec.get("method", "closed_form")
         step = ode_step if ode_step is not None else float(
@@ -202,11 +203,9 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
                 sol = solve_qsde(Z, Theta, xi0, times, action=action)
             checks.update(sol.checks)
         if method in ("symbol_ode", "both"):
-            from .evolution import half_trace_process
             Zn = Z if Z is not None else half_trace_process(
                 ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2, t_end)
-            numeric = solve_symbol_ode(Zn, Theta, xi0, times, step=step,
-                                       seed=seed, radius=0.1)
+            numeric = solve_symbol_ode(Zn, Theta, xi0, times, step=step)
             if method == "both":
                 closed = (sol if action == ACTION_DISTRIBUTION else
                           (solve_heat(xi0, Theta, times,
@@ -217,8 +216,6 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
             else:
                 sol = numeric
             checks.update(numeric.checks)
-    except RankDeficientError as exc:
-        _fail(3, str(exc))
     except INPUT_ERRORS as exc:
         _fail(2, f"bad solver input: {exc}")
 

@@ -3,9 +3,9 @@
 The closed form composes convolution exponentials of the integrated driving
 process and integrates the source term exactly with the phi-functions of
 exponential integrators.  Two independent oracles exist: a Runge-Kutta
-integration of the scalar symbol ODE with kernel reconstruction by linear
-fit, and (for the heat flow on function-convention kernels) exact
-Gaussian-moment smoothing.
+integration of the scalar symbol ODE on a torus grid, with the kernel
+coefficients read back by one discrete Fourier transform, and (for the heat
+flow on function-convention kernels) exact Gaussian-moment smoothing.
 
 A propagator, being a distribution, can act on the kernel two ways and both
 appear in the theory: "distribution" convolves kernels as distributions, so
@@ -27,25 +27,18 @@ from .chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Key,
     Point2,
     RoleError,
     coefficient_matrix,
     coefficient_polynomials,
-    monomial_matrix,
     point_coordinates,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
-from .tensor_core import (MultiIndex, iter_occupations, multinomial_weight,
-                          nan_max)
+from .tensor_core import MultiIndex, multinomial_weight, nan_max
 
 ACTION_FUNCTION = "function"
 ACTION_DISTRIBUTION = "distribution"
-
-
-class RankDeficientError(RuntimeError):
-    """The symbol-ODE design matrix cannot determine every coefficient."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,74 +307,77 @@ def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
 # Symbol-ODE oracle
 
 
-def _coefficient_keys(dim1: int, dim2: int, cutoff1: int,
-                      cutoff2: int) -> List[Key]:
-    keys = []
-    for n in range(cutoff1 + 1):
-        for alpha in iter_occupations(dim1, n):
-            for m in range(cutoff2 + 1):
-                for beta in iter_occupations(dim2, m):
-                    keys.append((alpha, beta))
-    return keys
+# Radius of the torus on which symbols are sampled.  A power of two, so the
+# scaling of a coefficient by r^|gamma| is exact.
+SYMBOL_RADIUS = 0.125
 
 
-def default_symbol_points(dim1: int, dim2: int, count: int, radius: float,
-                          seed: int) -> List[Tuple[Tuple[complex, ...],
-                                                   Tuple[complex, ...]]]:
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        z = radius * (rng.uniform(-1, 1, dim1) + 1j * rng.uniform(-1, 1, dim1))
-        w = radius * (rng.uniform(-1, 1, dim2) + 1j * rng.uniform(-1, 1, dim2))
-        pts.append((tuple(z.tolist()), tuple(w.tolist())))
-    return pts
+def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
+    """The symbol grid of one kernel shape.
+
+    cutoff + 1 points per coordinate, equispaced on the circle of radius
+    SYMBOL_RADIUS, so the monomial of exponent gamma = alpha + beta is one
+    DFT bin.  Returns the grid's shape, its points in C order (one row of
+    coordinates each), the flat bins of the keys (|alpha| <= cutoff1,
+    |beta| <= cutoff2), those keys, and each key's factor from coefficient
+    to bin, mult(alpha) mult(beta) r^|gamma|.
+    """
+    shape = (cutoff1 + 1,) * dim1 + (cutoff2 + 1,) * dim2
+    exponents = np.indices(shape).reshape(len(shape), -1).T
+    points = SYMBOL_RADIUS * np.exp(2j * np.pi * exponents / np.array(shape))
+    bins = np.flatnonzero((exponents[:, :dim1].sum(axis=1) <= cutoff1)
+                          & (exponents[:, dim1:].sum(axis=1) <= cutoff2))
+    keys = [(tuple(row[:dim1]), tuple(row[dim1:]))
+            for row in exponents[bins].tolist()]
+    scale = np.array([float(multinomial_weight(a) * multinomial_weight(b))
+                      for a, b in keys])
+    scale *= SYMBOL_RADIUS ** exponents[bins].sum(axis=1)
+    return shape, points, bins, keys, scale
 
 
-# Default symbol points per fitted coefficient.
-SYMBOL_OVERSAMPLE = 1.5
+def torus_symbols(phis: Sequence[Expansion2]):
+    """The grid of expansions of one shape and their symbols on it.
 
-
-def symbol_point_count(keys: int) -> int:
-    """Number of default symbol points for a fit of `keys` coefficients."""
-    return max(keys, int(math.ceil(SYMBOL_OVERSAMPLE * keys)))
+    Returns the grid points and the (points, len(phis)) values.  The value
+    at grid index k is sum_gamma P_gamma e^{2 pi i gamma.k / (cutoff + 1)},
+    with P_gamma = mult c r^|gamma|: G ifftn(P) over the G points.
+    """
+    ref = phis[0]
+    shape, points, bins, keys, scale = _torus(ref.dim1, ref.dim2,
+                                              ref.cutoff1, ref.cutoff2)
+    P = np.zeros((len(phis), len(points)), dtype=complex)
+    P[:, bins] = coefficient_matrix(phis, keys).T * scale
+    axes = tuple(range(1, len(shape) + 1))
+    values = np.fft.ifftn(P.reshape((len(phis), *shape)), axes=axes)
+    return points, len(points) * values.reshape(P.shape).T
 
 
 def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
-                     times: Sequence[float], step: float,
-                     points: Optional[Sequence] = None,
-                     radius: float = 0.5, seed: int = 42) -> EvolutionSolution:
+                     times: Sequence[float],
+                     step: float) -> EvolutionSolution:
     """RK4 integration of the scalar symbol ODE, then kernel reconstruction.
 
     d sigma/dt = sigma(Z) sigma + sigma(Theta) holds pointwise for the
-    distribution-action flow; integrating it at a generic point set and
-    fitting coefficients gives an oracle independent of the convolution
-    calculus.  High reconstructed degrees absorb the truncation tail of the
-    closed form; comparisons belong on low degrees or on symbol values.
+    distribution-action flow; integrating it on the symbol grid of
+    `torus_symbols` and transforming back gives an oracle independent of the
+    convolution calculus.  One fftn over the grid, for every requested time,
+    yields mult c r^|gamma| in each key's bin; exponents past the cutoff in
+    some coordinate alias onto the keys, damped by r^(cutoff + 1).
 
-    One least-squares solve fits every requested time.  Its rank, the
-    condition number of the column-scaled design and the relative residual
-    norm are returned as the checks fit_rank, fit_condition and
-    fit_residual.
+    An error in the symbol values can grow by up to r^-|gamma| in the
+    coefficient of degree |gamma|; the largest such factor is returned as the
+    check fit_amplification.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     _check_processes(Z, Theta, xi0)
     ref = xi0.kernel
-    keys = _coefficient_keys(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
-    if points is None:
-        points = default_symbol_points(
-            ref.dim1, ref.dim2, symbol_point_count(len(keys)),
-            radius, seed)
-    points = list(points)
-    if len(points) < len(keys):
-        raise ValueError("point set smaller than the coefficient count")
-
-    design = monomial_matrix(keys,
-                             point_coordinates(points, ref.dim1, ref.dim2))
-    # Every kernel's symbol at the points is the design times its
-    # coefficients: one column for xi0, then one per piece of Z and Theta.
-    pieces = (xi0, *Z.kernels, *Theta.kernels)
-    symbols = design @ coefficient_matrix([k.kernel for k in pieces], keys)
+    shape, _, bins, keys, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
+                                         ref.cutoff2)
+    # Every kernel's symbol on the grid: one column for xi0, then one per
+    # piece of Z and Theta.
+    points, symbols = torus_symbols([k.kernel for k in (xi0, *Z.kernels,
+                                                        *Theta.kernels)])
     sigma = symbols[:, 0]
     sig_Z = symbols[:, 1:1 + len(Z.kernels)]
     sig_T = symbols[:, 1 + len(Z.kernels):]
@@ -390,10 +386,6 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
         i = min(bisect_right(Z.grid, s) - 1, len(Z.kernels) - 1)
         j = min(bisect_right(Theta.grid, s) - 1, len(Theta.kernels) - 1)
         return sig_Z[:, i] * y + sig_T[:, j]
-
-    scale = np.linalg.norm(design, axis=0)
-    scale[scale == 0] = 1.0
-    design /= scale
 
     sorted_times = sorted(set(float(t) for t in times))
     if any(t < 0 or t > min(Z.end, Theta.end) + 1e-12 for t in sorted_times):
@@ -419,23 +411,14 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
         snapshots[target] = sigma.copy()
 
     values = np.array([snapshots[float(t)] for t in times],
-                      dtype=complex).reshape(len(times), len(points)).T
-    coef, _, rank, sv = np.linalg.lstsq(design, values, rcond=None)
-    if rank < len(keys):
-        raise RankDeficientError(
-            f"symbol-ODE design matrix has rank {rank} for {len(keys)} "
-            "coefficients; the symbol points must be distinct and generic")
-    residual = float(np.linalg.norm(design @ coef - values))
-    norm = float(np.linalg.norm(values))
-    checks = {"fit_rank": int(rank),
-              "fit_condition": float(sv[0] / sv[-1]),
-              "fit_residual": residual / norm if norm else residual}
-    coef /= scale[:, None]
+                      dtype=complex).reshape(len(times), len(points))
+    spectrum = np.fft.fftn(values.reshape(len(times), *shape),
+                           axes=tuple(range(1, len(shape) + 1)))
+    coef = spectrum.reshape(values.shape)[:, bins] / (len(points) * scale)
 
     out_kernels = []
-    for column in coef.T:
-        coeffs = {k: complex(c) for k, c in zip(keys, column)
-                  if abs(c) > 1e-300}
+    for row in coef:
+        coeffs = {k: complex(c) for k, c in zip(keys, row) if abs(c) > 1e-300}
         kern = Expansion2(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2,
                           coeffs, role=DISTRIBUTION)
         out_kernels.append(OperatorKernel(kern, label="symbol-ode"))
@@ -443,11 +426,13 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                              tuple(out_kernels),
                              method="symbol_ode_numeric",
                              action=ACTION_DISTRIBUTION,
-                             checks=checks,
-                             symbol_points=tuple((tuple(p[0]), tuple(p[1]))
-                                                 for p in points),
-                             symbol_values=tuple(tuple(v.tolist())
-                                                 for v in values.T))
+                             checks={"fit_amplification": SYMBOL_RADIUS
+                                     ** -(ref.cutoff1 + ref.cutoff2)},
+                             symbol_points=tuple(
+                                 (tuple(p[:ref.dim1]), tuple(p[ref.dim1:]))
+                                 for p in points.tolist()),
+                             symbol_values=tuple(tuple(v) for v in
+                                                 values.tolist()))
 
 
 def symbol_gap(closed: EvolutionSolution,
@@ -455,15 +440,13 @@ def symbol_gap(closed: EvolutionSolution,
     """Largest |sigma(closed kernel) - numeric symbol| over points and times.
 
     `closed` holds distribution-action kernels at the times of the symbol-ODE
-    solution `numeric`; each kernel's symbol is taken at numeric's points.
-    This gap is what the command line reports as residual_max.  A NaN
-    anywhere makes it NaN.
+    solution `numeric`, of the shape numeric was solved for; each kernel's
+    symbol is taken on numeric's grid.  This gap is what the command line
+    reports as residual_max.  A NaN anywhere makes it NaN.
     """
     if not closed.kernels:
         return 0.0
-    ref = closed.kernels[0].kernel
-    x = point_coordinates(numeric.symbol_points, ref.dim1, ref.dim2)
-    values = coefficient_polynomials([k.kernel for k in closed.kernels], x)
+    _, values = torus_symbols([k.kernel for k in closed.kernels])
     expected = np.array(numeric.symbol_values, dtype=complex).T
     return float(np.max(np.abs(values - expected), initial=0.0))
 

@@ -9,7 +9,7 @@ trace distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from .chaos import (

@@ -1,0 +1,52 @@
+"""The benchmark's `heat` output checks pass on the program's own output.
+
+`bench/run.py` flags a `heat` operation as wrong when its kernels leave the
+heat semigroup or its gaussian_gap or residual_max pass a tolerance.  This
+test runs the same solve in-process on the benchmark's inputs and asserts the
+same three checks, so a change that would make the benchmark flag correct
+output, or let wrong output through, shows here first.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from grosslap.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    # run.py imports its siblings by plain name; load it without main().
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run",
+                                                      BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in ("inputs", "references", "tracing"):
+            sys.modules.pop(name, None)
+    return run
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_heat_solve_passes_the_benchmark_checks(bench_run, tmp_path, seed):
+    spec = bench_run.inputs.heat_input(seed)
+    path = tmp_path / "heat.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["solve", "--in", str(path),
+                                    "--method", "both"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["times"] == spec["times"]
+    errors = bench_run.references.heat_errors(spec, report["kernels"])
+    assert max(errors) <= bench_run.HEAT_REF_TOL
+    assert report["checks"]["gaussian_gap"] <= bench_run.GAUSSIAN_GAP_TOL
+    assert report["checks"]["residual_max"] <= bench_run.RESIDUAL_TOL

@@ -15,8 +15,8 @@ from grosslap.chaos import (
     coefficient_count,
     coefficient_polynomial,
     coefficient_polynomials,
+    grid_point_count,
 )
-from grosslap.evolution import symbol_point_count
 from grosslap.tensor_core import iter_occupations, multinomial_weight
 
 
@@ -118,14 +118,25 @@ def test_coefficient_count_stops_past_the_budget():
     assert coefficient_count(1, 0, 10 ** 12, 0) == limit + 1
 
 
+def test_grid_point_count_stops_past_the_budget():
+    assert grid_point_count(2, 2, 6, 6) == 7 ** 4
+    assert grid_point_count(1, 1, 8, 8) == 81
+    assert grid_point_count(3, 0, 4, 9) == 125
+    limit = chaos.MAX_EVALUATION_CELLS
+    assert grid_point_count(10 ** 12, 0, 1, 0) == limit + 1
+    assert grid_point_count(1, 10 ** 12, 1, 1) == limit + 1
+    assert grid_point_count(10 ** 12, 10 ** 12, 0, 0) == 1
+
+
 def test_evaluation_budget():
-    # The benchmark's heat solve: dims (2,2), cutoff 6.
+    # The benchmark's heat solve: dims (2,2), cutoff 6, 2401 x 788 cells.
     keys = coefficient_count(2, 2, 6, 6)
-    check_evaluation_size(symbol_point_count(keys), keys, 2, 2)
+    check_evaluation_size(grid_point_count(2, 2, 6, 6), keys, 2, 2)
     limit = chaos.MAX_EVALUATION_CELLS
     check_evaluation_size(limit // 4, 3, 1, 0)
     with pytest.raises(ValueError, match="budget"):
         check_evaluation_size(limit // 4 + 1, 3, 1, 0)
     # Huge dimensions at cutoff 0 have one key but cannot be held.
     with pytest.raises(ValueError, match="budget"):
-        check_evaluation_size(symbol_point_count(1), 1, 10 ** 9, 0)
+        check_evaluation_size(grid_point_count(10 ** 9, 0, 0, 0), 1,
+                              10 ** 9, 0)
