@@ -3,8 +3,8 @@
 
 Solves the trace-driven heat evolution for a small initial kernel, prints
 the kernel at each time, and cross-checks the closed-form answer against
-exact Gaussian-moment smoothing and a Runge-Kutta integration of the symbol
-evolution law.
+exact Gaussian-moment smoothing and the symbol evolution law solved exactly
+on the symbol grid.
 """
 
 import argparse
@@ -59,10 +59,10 @@ def main() -> None:
     t_end = max(args.times)
     Z = half_trace_process(1, 1, args.cutoff, args.cutoff, max(t_end, 1e-9))
     Theta = zero_process(1, 1, args.cutoff, args.cutoff, max(t_end, 1e-9))
-    numeric = solve_symbol_ode(Z, Theta, xi0, args.times, step=1e-3)
+    numeric = solve_symbol_ode(Z, Theta, xi0, args.times)
     closed = solve_heat(xi0, None, args.times, action="distribution")
     gap = symbol_gap(closed, numeric)
-    print(f"\nsymbol evolution (distribution action) vs Runge-Kutta: "
+    print(f"\nclosed form (distribution action) vs the exact symbol flow: "
           f"max gap {gap:.3e} over {len(numeric.symbol_points)} grid points")
 
 

@@ -72,6 +72,9 @@ class Expansion2:
     def __getitem__(self, key: Key) -> complex:
         return self.coeffs.get(key, 0j)
 
+    # Else `in` and iteration would probe phi[0], phi[1], ... forever.
+    __iter__ = None
+
     def scale(self, c: complex) -> "Expansion2":
         coeffs = {} if c == 0 else {k: c * v for k, v in self.coeffs.items()}
         return replace(self, coeffs=coeffs)
@@ -562,12 +565,24 @@ def expansion_to_json(phi: Expansion2) -> dict:
 
 def expansion_from_json(obj: dict) -> Expansion2:
     coeffs = {
-        (tuple(t["alpha"]), tuple(t["beta"])): complex(t["re"], t.get("im", 0.0))
+        (_occupations(t["alpha"]), _occupations(t["beta"])):
+            complex(t["re"], t.get("im", 0.0))
         for t in obj.get("terms", [])
     }
     # Overflowed literals such as 1e999 parse to inf.
     if not all(cmath.isfinite(v) for v in coeffs.values()):
         raise ValueError("expansion coefficients must be finite")
-    return Expansion2(int(obj["dim1"]), int(obj["dim2"]),
-                      int(obj["cutoff1"]), int(obj["cutoff2"]),
+    return Expansion2(*(_json_count(obj[k], k) for k in
+                        ("dim1", "dim2", "cutoff1", "cutoff2")),
                       coeffs, role=obj.get("role", TEST))
+
+
+def _json_count(value, what: str) -> int:
+    """A JSON integer >= 0; booleans, floats and strings are rejected."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, not {value!r}")
+    return value
+
+
+def _occupations(values) -> MultiIndex:
+    return tuple(_json_count(v, "an occupation") for v in values)

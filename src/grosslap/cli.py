@@ -154,14 +154,14 @@ def _process_from_json(obj) -> ProcessSpec:
 @click.option("--method", type=click.Choice(["closed_form", "symbol_ode",
                                              "both"]), default=None,
               help="Override the method named in the input file.")
-@click.option("--ode-step", type=float, default=None)
 @click.option("--seed", type=int, default=42, show_default=True)
 def solve(in_path: str, out: Optional[str], method: Optional[str],
-          ode_step: Optional[float], seed: int) -> None:
+          seed: int) -> None:
     """Solve a linear kernel evolution problem described by a JSON file.
 
     Without a "Z" process the heat flow (half the trace distribution) is
-    assumed.  method "symbol_ode" runs only the Runge-Kutta symbol oracle;
+    assumed.  method "symbol_ode" runs only the symbol oracle, which solves
+    the symbol ODE exactly on each piece where Z and Theta are constant;
     "both" runs it after the closed form and reports the worst symbol gap as
     residual_max.
     """
@@ -175,8 +175,6 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
             keys, ref.dim1, ref.dim2)
         times = [float(t) for t in spec["times"]]
         method = method or spec.get("method", "closed_form")
-        step = ode_step if ode_step is not None else float(
-            spec.get("ode_step", 1e-3))
         action = spec.get("action", ACTION_FUNCTION)
         t_end = max(times + [1e-9])
         heat = "Z" not in spec
@@ -205,7 +203,7 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         if method in ("symbol_ode", "both"):
             Zn = Z if Z is not None else half_trace_process(
                 ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2, t_end)
-            numeric = solve_symbol_ode(Zn, Theta, xi0, times, step=step)
+            numeric = solve_symbol_ode(Zn, Theta, xi0, times)
             if method == "both":
                 closed = (sol if action == ACTION_DISTRIBUTION else
                           (solve_heat(xi0, Theta, times,

@@ -1,9 +1,9 @@
 """Closed-form and numeric solvers for linear kernel evolution equations.
 
-The closed form composes convolution exponentials of the integrated driving
-process and integrates the source term exactly with the phi-functions of
-exponential integrators.  Two independent oracles exist: a Runge-Kutta
-integration of the scalar symbol ODE on a torus grid, with the kernel
+Both solvers step exactly over the pieces where the driving process and the
+source are constant; the closed form integrates the source term with the
+phi-functions of exponential integrators.  Two independent oracles exist: the
+same exact step for the scalar symbol ODE on a torus grid, with the kernel
 coefficients read back by one discrete Fourier transform, and (for the heat
 flow on function-convention kernels) exact Gaussian-moment smoothing.
 
@@ -243,12 +243,30 @@ def apply_propagator(G: Expansion2, K: Expansion2, action: str) -> Expansion2:
     raise ValueError(f"unknown action {action!r}")
 
 
-def _segment_points(Z: ProcessSpec, Theta: ProcessSpec, t: float) -> List[float]:
-    pts = {0.0, t}
-    for g in list(Z.grid) + list(Theta.grid):
-        if 0.0 < g < t:
-            pts.add(float(g))
-    return sorted(pts)
+def _segments(Z: ProcessSpec, Theta: ProcessSpec,
+              times: Sequence[float]) -> List[Tuple[float, float, int, int]]:
+    """Check the times, then cut [0, max t] at them and at the grid points.
+
+    Each piece [a, b] comes as (a, b, i, j) with Z.kernels[i] and
+    Theta.kernels[j] its values, read at the midpoint so an endpoint never
+    picks the next interval.
+    """
+    limit = min(Z.end, Theta.end) + 1e-12
+    bad = [t for t in times if not 0.0 <= t <= limit]
+    if bad:
+        raise ValueError(f"requested times {bad} outside the process grids")
+    t_max = max(times, default=0.0)
+    marks = sorted({0.0, *(float(t) for t in times),
+                    *(g for g in Z.grid + Theta.grid if 0.0 < g < t_max)})
+    pieces = []
+    for a, b in zip(marks, marks[1:]):
+        mid = (a + b) / 2
+        pieces.append((a, b, _piece_index(Z, mid), _piece_index(Theta, mid)))
+    return pieces
+
+
+def _piece_index(P: ProcessSpec, s: float) -> int:
+    return min(bisect_right(P.grid, s) - 1, len(P.kernels) - 1)
 
 
 def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
@@ -256,40 +274,28 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                action: str = ACTION_FUNCTION) -> EvolutionSolution:
     """Closed-form solution of d Xi/dt = Z(t) * Xi(t) + Theta(t).
 
-    Xi(t) is the convolution exponential of the integrated Z applied to the
-    initial kernel, plus the exact integral of propagated source terms.  The
-    propagator action is selected by ``action``.
-
-    Z and Theta are constant on each segment [a, b] between grid points, so
-    the source integral over it is e^{*W} * (int_0^{b-a} e^{*u Z} du) applied
-    to Theta, with W the integral of Z over [b, t]: the action is linear in
-    the propagator, and e^{*(A+B)} = e^{*A} * e^{*B} holds in the truncated
-    ring.
+    On each piece of `_segments`, of length h, the exact step is
+    Xi <- e^{*hZ} Xi + (int_0^h e^{*uZ} du) Theta.  The steps compose, as
+    e^{*(A+B)} = e^{*A} * e^{*B} in the truncated ring and both propagator
+    actions (selected by ``action``) are actions of that ring.
     """
     _check_processes(Z, Theta, xi0)
-    kernels: List[OperatorKernel] = []
-    truncated = False
-    theta_zero = Theta.is_zero()
-    for t in times:
-        if t < 0 or t > min(Z.end, Theta.end) + 1e-12:
-            raise ValueError(f"requested time {t} outside the process grids")
-        G = conv_exp(integrate_process(Z, t).kernel)
-        state = apply_propagator(G, xi0.kernel, action)
-        if not theta_zero and t > 0:
-            for a, b in zip(seg := _segment_points(Z, Theta, t), seg[1:]):
-                # Both processes are constant on the segment; read them at
-                # the midpoint so endpoints don't pick the next interval.
-                mid = (a + b) / 2
-                S = _conv_exp_integral(Z.value_at(mid).kernel, b - a)
-                W = conv_exp(integrate_between(Z, b, t).kernel)
-                state = state.add(apply_propagator(
-                    convolve_dist_dist(W, S), Theta.value_at(mid).kernel,
-                    action))
-        truncated = truncated or state.truncated
-        kernels.append(OperatorKernel(state, label="solution"))
-    return EvolutionSolution(tuple(float(t) for t in times), tuple(kernels),
+    state = xi0.kernel
+    states = {0.0: state}
+    for a, b, i, j in _segments(Z, Theta, times):
+        h = b - a
+        gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
+        state = apply_propagator(conv_exp(gen.scale(h)), state, action)
+        if source.coeffs:
+            state = state.add(apply_propagator(_conv_exp_integral(gen, h),
+                                               source, action))
+        states[b] = state
+    kernels = tuple(OperatorKernel(states[float(t)], label="solution")
+                    for t in times)
+    return EvolutionSolution(tuple(float(t) for t in times), kernels,
                              method="closed_form", action=action,
-                             truncated=truncated)
+                             truncated=any(k.kernel.truncated
+                                           for k in kernels))
 
 
 def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
@@ -353,23 +359,21 @@ def torus_symbols(phis: Sequence[Expansion2]):
 
 
 def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
-                     times: Sequence[float],
-                     step: float) -> EvolutionSolution:
-    """RK4 integration of the scalar symbol ODE, then kernel reconstruction.
+                     times: Sequence[float]) -> EvolutionSolution:
+    """The scalar symbol ODE solved exactly, then kernel reconstruction.
 
     d sigma/dt = sigma(Z) sigma + sigma(Theta) holds pointwise for the
-    distribution-action flow; integrating it on the symbol grid of
-    `torus_symbols` and transforming back gives an oracle independent of the
-    convolution calculus.  One fftn over the grid, for every requested time,
-    yields mult c r^|gamma| in each key's bin; exponents past the cutoff in
-    some coordinate alias onto the keys, damped by r^(cutoff + 1).
+    distribution-action flow; solving it on the symbol grid of
+    `torus_symbols`, exactly on each piece of `_segments`, and transforming
+    back gives an oracle independent of the convolution calculus.  One fftn
+    over the grid, for every requested time, yields mult c r^|gamma| in each
+    key's bin; exponents past the cutoff in some coordinate alias onto the
+    keys, damped by r^(cutoff + 1).
 
     An error in the symbol values can grow by up to r^-|gamma| in the
     coefficient of degree |gamma|; the largest such factor is returned as the
     check fit_amplification.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     _check_processes(Z, Theta, xi0)
     ref = xi0.kernel
     shape, _, bins, keys, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
@@ -378,39 +382,21 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     # piece of Z and Theta.
     points, symbols = torus_symbols([k.kernel for k in (xi0, *Z.kernels,
                                                         *Theta.kernels)])
-    sigma = symbols[:, 0]
     sig_Z = symbols[:, 1:1 + len(Z.kernels)]
     sig_T = symbols[:, 1 + len(Z.kernels):]
+    sigma = symbols[:, 0]
+    states = {0.0: sigma}
+    for a, b, i, j in _segments(Z, Theta, times):
+        h = b - a
+        rate = sig_Z[:, i]
+        z = h * rate
+        # h phi_1(z) = expm1(z)/a, which is h where z = 0.
+        gain = np.full_like(z, h)
+        np.divide(np.expm1(z), rate, out=gain, where=z != 0)
+        sigma = np.exp(z) * sigma + gain * sig_T[:, j]
+        states[b] = sigma
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        i = min(bisect_right(Z.grid, s) - 1, len(Z.kernels) - 1)
-        j = min(bisect_right(Theta.grid, s) - 1, len(Theta.kernels) - 1)
-        return sig_Z[:, i] * y + sig_T[:, j]
-
-    sorted_times = sorted(set(float(t) for t in times))
-    if any(t < 0 or t > min(Z.end, Theta.end) + 1e-12 for t in sorted_times):
-        raise ValueError("requested times outside the process grids")
-    # Integrate segment by segment so RK4 never steps across a process kink.
-    marks = sorted({0.0, *sorted_times,
-                    *[g for g in list(Z.grid) + list(Theta.grid)
-                      if 0.0 < g < max(sorted_times, default=0.0)]})
-    snapshots: Dict[float, np.ndarray] = {0.0: sigma.copy()}
-    s_cur = 0.0
-    for target in marks[1:]:
-        span = target - s_cur
-        nsteps = max(1, int(math.ceil(span / step)))
-        h = span / nsteps
-        for i in range(nsteps):
-            s = s_cur + i * h
-            k1 = rhs(s, sigma)
-            k2 = rhs(s + h / 2, sigma + h / 2 * k1)
-            k3 = rhs(s + h / 2, sigma + h / 2 * k2)
-            k4 = rhs(s + h, sigma + h * k3)
-            sigma = sigma + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        s_cur = target
-        snapshots[target] = sigma.copy()
-
-    values = np.array([snapshots[float(t)] for t in times],
+    values = np.array([states[float(t)] for t in times],
                       dtype=complex).reshape(len(times), len(points))
     spectrum = np.fft.fftn(values.reshape(len(times), *shape),
                            axes=tuple(range(1, len(shape) + 1)))

@@ -1,7 +1,7 @@
 """Named invariant suites exercised by the CLI and the acceptance tests.
 
 Each check pits a library computation against an independent route (dense
-tensors, Gaussian moments, Runge-Kutta symbol integration, closed-form
+tensors, Gaussian moments, the exact piecewise symbol flow, closed-form
 Legendre transforms) and reports the worst observed error.  Parameters
 default to the desk-scale sizes the suites are calibrated for.
 """
@@ -283,13 +283,12 @@ def check_multiplication_bridge(samples: int = 50, max_degree: int = 4,
 def check_heat_triangle(max_degree: int = 4, cutoff: int = 8,
                         times: Sequence[float] = (0.1, 0.5, 1.0, 2.0),
                         gauss_tol: float = 1e-10, ode_tol: float = 1e-6,
-                        ode_step: float = 1e-3,
                         seed: int = 42) -> CheckResult:
-    """Heat flow: closed form vs Gaussian moments vs Runge-Kutta symbols.
+    """Heat flow: closed form vs Gaussian moments vs the symbol flow.
 
-    The Gaussian oracle certifies the function-action kernel; the symbol ODE
-    certifies the distribution-action flow, probed on its symbol grid of
-    radius 1/8, where the cutoff tail stays far below the tolerance.
+    The Gaussian oracle certifies the function-action kernel; the exactly
+    solved symbol ODE certifies the distribution-action flow, probed on its
+    grid of radius 1/8, where the cutoff tail stays far below the tolerance.
     """
     rng = np.random.default_rng(seed)
     xi0 = OperatorKernel(_random_expansion(rng, 1, 1, cutoff, cutoff,
@@ -301,14 +300,14 @@ def check_heat_triangle(max_degree: int = 4, cutoff: int = 8,
     t_end = max(times)
     Z = half_trace_process(1, 1, cutoff, cutoff, t_end)
     Theta = zero_process(1, 1, cutoff, cutoff, t_end)
-    numeric = solve_symbol_ode(Z, Theta, xi0, times, step=ode_step)
+    numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_heat(xi0, None, times, action=ACTION_DISTRIBUTION)
     ode_gap = symbol_gap(closed, numeric)
 
     worst = nan_max(gauss_gap / gauss_tol, ode_gap / ode_tol)
     return CheckResult("heat-oracle-triangle",
                        "closed-form heat kernels agree with Gaussian-moment "
-                       "smoothing and with Runge-Kutta symbol integration",
+                       "smoothing and with the exact scalar symbol flow",
                        bool(gauss_gap <= gauss_tol and ode_gap <= ode_tol),
                        worst, 1.0, len(times))
 

@@ -1,10 +1,12 @@
-"""The benchmark's `heat` output checks pass on the program's own output.
+"""The benchmark's `heat` and `driven` output checks pass on the program's
+own output.
 
 `bench/run.py` flags a `heat` operation as wrong when its kernels leave the
-heat semigroup or its gaussian_gap or residual_max pass a tolerance.  This
-test runs the same solve in-process on the benchmark's inputs and asserts the
-same three checks, so a change that would make the benchmark flag correct
-output, or let wrong output through, shows here first.
+heat semigroup or its gaussian_gap or residual_max pass a tolerance, and a
+`driven` operation when its kernels leave the truncated-ring exponential.
+These tests run the same solves in-process on the benchmark's inputs and
+assert the same checks, so a change that would make the benchmark flag
+correct output, or let wrong output through, shows here first.
 """
 
 import importlib.util
@@ -50,3 +52,16 @@ def test_heat_solve_passes_the_benchmark_checks(bench_run, tmp_path, seed):
     assert max(errors) <= bench_run.HEAT_REF_TOL
     assert report["checks"]["gaussian_gap"] <= bench_run.GAUSSIAN_GAP_TOL
     assert report["checks"]["residual_max"] <= bench_run.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_driven_solve_passes_the_benchmark_check(bench_run, tmp_path, seed):
+    spec = bench_run.inputs.driven_input(seed)
+    path = tmp_path / "driven.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["solve", "--in", str(path)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["times"] == spec["times"]
+    errors = bench_run.references.driven_errors(spec, report["kernels"])
+    assert max(errors) <= bench_run.DRIVEN_REF_TOL

@@ -159,6 +159,16 @@ def test_evaluate_complex_step_derivative(rng):
     assert num == pytest.approx(sym, rel=1e-8, abs=1e-8)
 
 
+def test_expansion_is_not_iterable():
+    # __getitem__ answers every key, so without __iter__ = None the legacy
+    # protocol would probe phi[0], phi[1], ... forever.
+    phi = Expansion2(1, 0, 3, 0, {((1,), ()): 2 + 0j})
+    with pytest.raises(TypeError):
+        iter(phi)
+    with pytest.raises(TypeError):
+        ((1,), ()) in phi
+
+
 def test_json_roundtrip(rng):
     phi = random_expansion(rng, 2, 2, 4, 3, 4, 3, role=DISTRIBUTION)
     back = expansion_from_json(expansion_to_json(phi))

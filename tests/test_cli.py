@@ -215,6 +215,45 @@ def test_solve_and_eval_over_size_budget_exit_2(runner, tmp_path,
     assert "budget" in res.output
 
 
+def _add_term(**term):
+    return lambda e: e["terms"].append({"alpha": [0], "beta": [0], "re": 5.0,
+                                        **term})
+
+
+def _set(key, value):
+    return lambda e: e.update({key: value})
+
+
+@pytest.mark.parametrize("command, edit", [
+    pytest.param("solve", _add_term(alpha=[-2]), id="negative-occupation"),
+    pytest.param("solve", _add_term(beta=[1.5]), id="float-occupation"),
+    pytest.param("solve", _add_term(alpha=[True]), id="bool-occupation"),
+    pytest.param("solve", _set("dim1", 1.9), id="float-dim"),
+    pytest.param("solve", _set("dim2", True), id="bool-dim"),
+    pytest.param("solve", _set("cutoff2", 8.0), id="float-cutoff"),
+    pytest.param("eval", _set("cutoff1", "3"), id="string-cutoff"),
+    pytest.param("eval", _set("cutoff1", -1), id="negative-cutoff"),
+    pytest.param("eval", _add_term(alpha="1"), id="string-occupations"),
+])
+def test_bad_expansion_json_exits_2(runner, tmp_path, command, edit):
+    # Dims, cutoffs and occupations must be JSON integers, none negative.
+    from grosslap.chaos import delta0
+    if command == "solve":
+        spec = _heat_input([0.5])
+        expansion = spec["xi0"]["kernel"]
+        args = ["--method", "symbol_ode"]
+    else:
+        expansion = expansion_to_json(delta0(1, 1, 3, 3))
+        spec = {"op": "laplace", "expansion": expansion,
+                "points": [{"z": [0.5], "t": [0.1]}]}
+        args = []
+    edit(expansion)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, [command, "--in", str(path)] + args)
+    assert res.exit_code == 2, res.output
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
 def test_solve_non_finite_input_exits_2(runner, tmp_path, literal):
     text = json.dumps(_heat_input([0.5])).replace('"re": 1.0',
@@ -339,7 +378,7 @@ def test_solve_symbol_ode_runs_no_closed_form(runner, tmp_path, monkeypatch,
     path = tmp_path / "in.json"
     path.write_text(json.dumps(spec))
     res = runner.invoke(main, ["solve", "--in", str(path), "--method",
-                               "symbol_ode", "--ode-step", "0.01"])
+                               "symbol_ode"])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["method"] == "symbol_ode_numeric"

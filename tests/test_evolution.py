@@ -396,7 +396,7 @@ def test_symbol_ode_constant_without_drivers(rng):
                                           role=DISTRIBUTION))
     Z = zero_process(1, 1, 4, 4, 1.0)
     Theta = zero_process(1, 1, 4, 4, 1.0)
-    sol = solve_symbol_ode(Z, Theta, xi0, [0.0, 1.0], step=1e-2)
+    sol = solve_symbol_ode(Z, Theta, xi0, [0.0, 1.0])
     v0, v1 = sol.symbol_values
     assert np.allclose(v0, v1, atol=1e-12)
 
@@ -406,7 +406,7 @@ def test_symbol_ode_heat_exponential():
     xi0 = kernel_of({((0,), (0,)): 1 + 0j, ((1,), (1,)): 0.5j})
     Z = half_trace_process(1, 1, 8, 8, 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
-    sol = solve_symbol_ode(Z, Theta, xi0, [0.5, 1.0], step=1e-3)
+    sol = solve_symbol_ode(Z, Theta, xi0, [0.5, 1.0])
     assert len(sol.symbol_points) == 81
     for t, values in zip(sol.times, sol.symbol_values):
         for (z, w), v in zip(sol.symbol_points, values):
@@ -428,7 +428,7 @@ def test_symbol_ode_transforms_once(monkeypatch):
     Z = half_trace_process(1, 1, 3, 3, 1.0)
     Theta = zero_process(1, 1, 3, 3, 1.0)
     times = [0.25, 0.5, 0.75, 1.0]
-    sol = solve_symbol_ode(Z, Theta, xi0, times, step=1e-2)
+    sol = solve_symbol_ode(Z, Theta, xi0, times)
     # Every time at once, over the 4 x 4 grid of cutoff 3.
     assert calls == [(4, 4, 4)]
     assert len(sol.kernels) == len(sol.symbol_values) == 4
@@ -444,7 +444,7 @@ def test_symbol_ode_matches_closed_form(rng):
         OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 2, 2,
                                         role=DISTRIBUTION, scale=0.2)), 1.0)
     times = [0.5, 1.0]
-    numeric = solve_symbol_ode(Z, Theta, xi0, times, step=1e-3)
+    numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
     for kern, values in zip(closed.kernels, numeric.symbol_values):
         for (z, w), v in zip(numeric.symbol_points, values):
@@ -464,7 +464,7 @@ def test_symbol_ode_coefficients_match_closed_form(rng, dims, cutoff, degree,
                                           degree, role=DISTRIBUTION), "init")
     Z = half_trace_process(*dims, cutoff, cutoff, max(times))
     Theta = zero_process(*dims, cutoff, cutoff, max(times))
-    numeric = solve_symbol_ode(Z, Theta, xi0, times, step=1e-3)
+    numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_heat(xi0, None, times, action=ACTION_DISTRIBUTION)
     for ode, exact in zip(numeric.kernels, closed.kernels):
         for key in set(ode.kernel.coeffs) | set(exact.kernel.coeffs):
@@ -490,8 +490,68 @@ def test_torus_symbols_match_direct_evaluation(rng, dims, cutoffs):
     assert np.max(np.abs(grid - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def test_symbol_ode_rejects_bad_step(rng):
-    xi0 = kernel_of({((0,), (0,)): 1 + 0j})
-    Z = zero_process(1, 1, 8, 8, 1.0)
-    with pytest.raises(ValueError):
-        solve_symbol_ode(Z, Z, xi0, [1.0], step=0.0)
+def test_symbol_ode_is_exact_across_a_kink(rng):
+    # Z changes at t = 0.6 and there is no source, so at every grid point
+    # sigma(t) = exp(0.6 sigma(Z1) + (t - 0.6) sigma(Z2)) sigma(Xi0).
+    def kernel(scale):
+        return OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 2, 2,
+                                               role=DISTRIBUTION, scale=scale))
+    xi0, Z1, Z2 = kernel(1.0), kernel(0.5), kernel(0.5)
+    Z = ProcessSpec((0.0, 0.6, 1.0), (Z1, Z2))
+    Theta = zero_process(1, 1, 8, 8, 1.0)
+    sol = solve_symbol_ode(Z, Theta, xi0, [0.3, 1.0])
+    _, values = torus_symbols([xi0.kernel, Z1.kernel, Z2.kernel])
+    s0, s1, s2 = values.T
+    for values, exponent in zip(sol.symbol_values,
+                                [0.3 * s1, 0.6 * s1 + 0.4 * s2]):
+        exact = np.exp(exponent) * s0
+        assert np.max(np.abs(np.array(values) - exact)) <= \
+            1e-12 * np.max(np.abs(exact))
+
+
+def scalar_process(grid, values):
+    return ProcessSpec(grid, tuple(kernel_of({((0,), (0,)): complex(v)},
+                                             c1=3, c2=3) for v in values))
+
+
+def scalar_flow(Z, Theta, sigma, t):
+    """The scalar ODE by hand, one grid interval after another."""
+    cuts = sorted({0.0, t} | {g for g in Z.grid + Theta.grid if 0 < g < t})
+    for a, b in zip(cuts, cuts[1:]):
+        z = Z.value_at((a + b) / 2).kernel[((0,), (0,))]
+        th = Theta.value_at((a + b) / 2).kernel[((0,), (0,))]
+        decay = np.exp(z * (b - a))
+        sigma = decay * sigma + (decay - 1) / z * th
+    return sigma
+
+
+@pytest.mark.parametrize("times", [[0.2, 0.7, 1.0, 1.6, 2.0], [0.7], [1.5],
+                                   [0.4, 0.4], [0.0], [], [2.0, 0.0, 1.2]])
+def test_both_solvers_walk_the_same_pieces(times):
+    # Kinks in Z and Theta, then times on a grid point of either process,
+    # repeated, zero, none and out of order.  Constant-only kernels have no
+    # cutoff tail, so the two solvers may differ only by rounding.
+    Z = scalar_process((0.0, 0.7, 1.5, 2.0), (-0.5 + 0.3j, 0.8j, 0.4))
+    Theta = scalar_process((0.0, 0.4, 1.2, 2.0), (1.0, -2 + 1j, 0.5j))
+    xi0 = kernel_of({((0,), (0,)): 0.3 - 1j}, c1=3, c2=3)
+    numeric = solve_symbol_ode(Z, Theta, xi0, times)
+    closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
+    assert closed.times == numeric.times == tuple(times)
+    for t, ode, exact in zip(times, numeric.kernels, closed.kernels):
+        expected = scalar_flow(Z, Theta, 0.3 - 1j, t)
+        assert exact.kernel[((0,), (0,))] == pytest.approx(expected,
+                                                           rel=1e-13)
+        assert ode.kernel[((0,), (0,))] == pytest.approx(expected, rel=1e-13)
+    assert symbol_gap(closed, numeric) <= 1e-12
+
+
+@pytest.mark.parametrize("times", [[-0.1], [0.5, 2.5], [float("nan")]])
+def test_both_solvers_reject_the_same_times(times):
+    Z = scalar_process((0.0, 1.0, 2.0), (0.1, 0.2))
+    Theta = scalar_process((0.0, 3.0), (1.0,))
+    xi0 = kernel_of({((0,), (0,)): 1 + 0j}, c1=3, c2=3)
+    with pytest.raises(ValueError) as closed:
+        solve_qsde(Z, Theta, xi0, times)
+    with pytest.raises(ValueError) as numeric:
+        solve_symbol_ode(Z, Theta, xi0, times)
+    assert str(closed.value) == str(numeric.value)
