@@ -5,23 +5,32 @@ vectors (alpha over the first variable, beta over the second).  The same
 storage serves test functions and distributions; a role flag guards operations
 that only make sense for one side.  The one-variable theory is the degenerate
 case dim2 = 0.
+
+The terms are two arrays: `codes`, sorted and unique, and complex `values`.
+A key's code is the C-order flat index of alpha + beta (the two joined) in
+the box of cutoff1 + 1 values per first-variable component and cutoff2 + 1
+per second-variable one, so code order is the order of sorted (alpha, beta)
+keys and of the bins of the symbol grid.  `_encode` and `_decode` convert;
+dicts of keys appear only in the constructor, JSON and the `coeffs` view.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain
+import operator
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate, chain
 from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from .tensor_core import (
     DimensionMismatchError,
     MultiIndex,
-    multinomial_weight,
     iter_occupations,
-    nan_max,
-    weight,
 )
 
 TEST = "test"
@@ -34,70 +43,187 @@ class RoleError(ValueError):
     """Operation applied to an expansion with the wrong role."""
 
 
-@dataclass(frozen=True)
+# The largest table of place values a shape may need, in bits: per component
+# one value of a word plus up to log2(box size) bits.  2^27 bits (16 MiB)
+# admits 10,000 components of cutoff 1 or two million of cutoff 0; larger
+# shapes are refused before any table exists.
+MAX_PLACE_BITS = 1 << 27
+
+
+@functools.lru_cache(maxsize=256)
+def _box(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
+    """Radix and C-order place value of each component of alpha + beta.
+
+    Codes past 2^63 are Python integers (object arrays).
+    """
+    bits = sum(dim * math.log2(max(cutoff + 1, 1))
+               for dim, cutoff in ((dim1, cutoff1), (dim2, cutoff2)))
+    if (dim1 + dim2) * (bits + 64) > MAX_PLACE_BITS:
+        raise ValueError(f"dims ({dim1}, {dim2}) with cutoffs ({cutoff1}, "
+                         f"{cutoff2}) are too large to code")
+    radix = (cutoff1 + 1,) * dim1 + (cutoff2 + 1,) * dim2
+    place = list(accumulate(reversed(radix[1:]), operator.mul,
+                            initial=1))[::-1]
+    ctype = np.int64 if place[0] * radix[0] < 1 << 63 else object
+    box = np.array(radix, dtype=ctype), np.array(place, dtype=ctype)
+    for table in box:
+        table.flags.writeable = False
+    return box
+
+
+def _decode(codes, phi: "Expansion2"):
+    """The exponent rows alpha + beta of codes of phi's shape.
+
+    The inverse of `_encode`.
+    """
+    radix, place = _box(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
+    return (codes[:, None] // place % radix).astype(np.int64)
+
+
+def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
+            cutoff2: int):
+    """Sorted codes and values of a mapping (alpha, beta) -> coefficient.
+
+    Every key is checked: its lengths, then, for all keys at once, the
+    signs and each variable's degree against its cutoff (summed in floats,
+    which cannot wrap).
+    """
+    keys = list(coeffs)
+    bad = [k for k in keys
+           if len(k) != 2 or len(k[0]) != dim1 or len(k[1]) != dim2]
+    if bad:
+        raise DimensionMismatchError(f"key {bad[0]} incompatible with dims "
+                                     f"({dim1}, {dim2})")
+    n, d = len(keys), dim1 + dim2
+    try:
+        rows = np.fromiter(chain.from_iterable(chain.from_iterable(keys)),
+                           dtype=np.int64, count=n * d).reshape(n, d)
+    except OverflowError:
+        raise ValueError("occupations exceed the cutoffs") from None
+    bad = ((rows < 0).any(axis=1)
+           | (rows[:, :dim1].sum(axis=1, dtype=float) > cutoff1)
+           | (rows[:, dim1:].sum(axis=1, dtype=float) > cutoff2))
+    if bad.any():
+        raise ValueError(f"key {keys[bad.argmax()]} has a negative "
+                         "occupation or exceeds cutoffs")
+    place = _box(dim1, dim2, cutoff1, cutoff2)[1]
+    codes = rows.astype(place.dtype) @ place
+    order = np.argsort(codes, kind="stable")
+    values = np.fromiter(coeffs.values(), dtype=complex, count=n)
+    return codes[order], values[order]
+
+
+class _Coefficients(Mapping):
+    """Read-only view (alpha, beta) -> complex of an expansion's terms.
+
+    len() reads the code array; anything else reads the expansion's keys,
+    decoded on first use.
+    """
+
+    def __init__(self, phi: "Expansion2"):
+        self._phi = phi
+
+    def __len__(self) -> int:
+        return len(self._phi.codes)
+
+    def __getitem__(self, key: Key) -> complex:
+        return self._phi._by_key[key]
+
+    def __iter__(self):
+        return iter(self._phi._by_key)
+
+
 class Expansion2:
     """Truncated chaos expansion in two variables.
 
-    coeffs maps (alpha, beta) -> complex; alpha indexes the first variable
-    (dimension dim1), beta the second (dimension dim2, possibly 0).  Degrees
-    above (cutoff1, cutoff2) are never stored; ``truncated`` records that some
-    operation had to drop a produced degree.
+    Built from a mapping (alpha, beta) -> complex, kept as given (zeros
+    included); alpha indexes the first variable (dimension dim1), beta the
+    second (dimension dim2, possibly 0).  Degrees above (cutoff1, cutoff2)
+    are never stored; ``truncated`` records that some operation had to drop
+    a produced degree.  The library's own operations pass a (codes, values)
+    pair in the stored layout instead of the mapping.  Immutable: `codes`
+    and `values` are read-only arrays, `coeffs` a read-only mapping view.
     """
 
-    dim1: int
-    dim2: int
-    cutoff1: int
-    cutoff2: int
-    coeffs: Dict[Key, complex] = field(default_factory=dict)
-    role: str = TEST
-    truncated: bool = False
-
-    def __post_init__(self):
-        if self.dim1 < 1:
+    def __init__(self, dim1: int, dim2: int, cutoff1: int, cutoff2: int,
+                 coeffs=None, role: str = TEST, truncated: bool = False):
+        if dim1 < 1:
             raise ValueError("dim1 must be >= 1")
-        if self.dim2 < 0:
+        if dim2 < 0:
             raise ValueError("dim2 must be >= 0")
-        if self.role not in (TEST, DISTRIBUTION):
-            raise ValueError(f"unknown role {self.role!r}")
-        for (alpha, beta) in self.coeffs:
-            if len(alpha) != self.dim1 or len(beta) != self.dim2:
-                raise DimensionMismatchError(
-                    f"key {(alpha, beta)} incompatible with dims "
-                    f"({self.dim1}, {self.dim2})")
-            if weight(alpha) > self.cutoff1 or weight(beta) > self.cutoff2:
-                raise ValueError(f"key {(alpha, beta)} exceeds cutoffs")
+        if role not in (TEST, DISTRIBUTION):
+            raise ValueError(f"unknown role {role!r}")
+        codes, values = (coeffs if isinstance(coeffs, tuple) else
+                         _encode(coeffs or {}, dim1, dim2, cutoff1, cutoff2))
+        codes.flags.writeable = values.flags.writeable = False
+        vars(self).update(dim1=dim1, dim2=dim2, cutoff1=cutoff1,
+                          cutoff2=cutoff2, role=role, truncated=truncated,
+                          codes=codes, values=values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"Expansion2({self.dim1}, {self.dim2}, {self.cutoff1}, "
+                f"{self.cutoff2}, {dict(self.coeffs)!r}, role={self.role!r}, "
+                f"truncated={self.truncated})")
+
+    @property
+    def coeffs(self) -> Mapping:
+        return _Coefficients(self)
+
+    @functools.cached_property
+    def _by_key(self) -> Dict[Key, complex]:
+        d1 = self.dim1
+        return {(tuple(e[:d1]), tuple(e[d1:])): v for e, v in
+                zip(self.exponents.tolist(), self.values.tolist())}
+
+    @functools.cached_property
+    def exponents(self):
+        """One read-only row alpha + beta per stored term."""
+        rows = _decode(self.codes, self)
+        rows.flags.writeable = False
+        return rows
+
+    def with_terms(self, codes, values, role: str = None,
+                   truncated: bool = None) -> "Expansion2":
+        """This shape with other terms; role and flag kept unless given."""
+        return Expansion2(self.dim1, self.dim2, self.cutoff1, self.cutoff2,
+                          (codes, values), role=role or self.role,
+                          truncated=(self.truncated if truncated is None
+                                     else truncated))
 
     # -- basic algebra ------------------------------------------------------
 
     def __getitem__(self, key: Key) -> complex:
-        return self.coeffs.get(key, 0j)
+        return self._by_key.get(key, 0j)
 
     # Else `in` and iteration would probe phi[0], phi[1], ... forever.
     __iter__ = None
 
     def scale(self, c: complex) -> "Expansion2":
-        coeffs = {} if c == 0 else {k: c * v for k, v in self.coeffs.items()}
-        return replace(self, coeffs=coeffs)
+        if c == 0:
+            return self.with_terms(self.codes[:0], self.values[:0])
+        return self.with_terms(self.codes, c * self.values)
 
     def add(self, other: "Expansion2") -> "Expansion2":
         _check_compatible(self, other)
         if other.role != self.role:
             raise RoleError("can only add expansions with equal roles")
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0j) + v
-        coeffs = {k: v for k, v in coeffs.items() if v != 0}
-        return replace(self, coeffs=coeffs,
-                       truncated=self.truncated or other.truncated)
+        codes = np.union1d(self.codes, other.codes)
+        values = np.zeros(len(codes), dtype=complex)
+        values[np.searchsorted(codes, self.codes)] = self.values
+        values[np.searchsorted(codes, other.codes)] += other.values
+        kept = values != 0
+        return self.with_terms(codes[kept], values[kept],
+                               truncated=self.truncated or other.truncated)
 
     def with_role(self, role: str) -> "Expansion2":
-        return replace(self, role=role)
+        return self.with_terms(self.codes, self.values, role=role)
 
     def norm_inf(self) -> float:
-        out = 0.0
-        for v in self.coeffs.values():
-            out = nan_max(out, abs(v))
-        return out
+        """The largest coefficient modulus, NaN if a coefficient is NaN."""
+        return float(np.max(np.abs(self.values), initial=0.0))
 
     def is_one_variable(self) -> bool:
         return self.dim2 == 0
@@ -142,6 +268,25 @@ def _monomial(point: Sequence[complex], alpha: MultiIndex) -> complex:
         if a:
             v *= complex(x) ** a
     return v
+
+
+def multiplicities(exponents, dim1: int):
+    """Per-variable degrees (|alpha|, |beta|) and mult(alpha) mult(beta).
+
+    `exponents` holds one row alpha + beta per key.  The multiplicities are
+    exact integers: int64 while the factorials of the largest degrees
+    multiply below 2^63, Python integers past that.
+    """
+    degrees = np.stack((exponents[:, :dim1].sum(axis=1),
+                        exponents[:, dim1:].sum(axis=1)), axis=1)
+    top = degrees.max(axis=0, initial=0).tolist()
+    exact = math.factorial(top[0]) * math.factorial(top[1]) < 1 << 63
+    fact = np.array([math.factorial(k) for k in range(max(top) + 1)],
+                    dtype=np.int64 if exact else object)
+    mult = fact[degrees[:, 0]] * fact[degrees[:, 1]]
+    for column in exponents.T:
+        mult //= fact[column]
+    return degrees, mult
 
 
 # The largest evaluation an input may ask for, in complex cells of a
@@ -202,50 +347,44 @@ def check_evaluation_size(points: int, keys: int, dim1: int,
             f"of {MAX_EVALUATION_CELLS}")
 
 
-def monomial_matrix(keys: Sequence[Key], x):
+def monomial_matrix(exponents, dim1: int, x):
     """The points x keys matrix of mult(alpha) mult(beta) z^alpha t^beta.
 
-    x holds one row per point: its z coordinates, then its t coordinates.
-    The powers of every coordinate, up to the largest exponent among the
-    keys, come from one cumulative product over all points (so 0^0 = 1),
-    and the matrix gathers its factors from that table.  An expansion's
-    values at the points are this matrix times its coefficient vector.
+    `exponents` holds one row alpha + beta per key, x one row per point:
+    its z coordinates, then its t coordinates.  The powers of every
+    coordinate, up to the largest exponent among the keys, come from one
+    cumulative product over all points (so 0^0 = 1), and the matrix gathers
+    its factors from that table.  An expansion's values at the points are
+    this matrix times its coefficient vector.
     """
-    import numpy as np
     npoints, ncoords = x.shape
-    exponents = np.array([a + b for a, b in keys],
-                         dtype=np.intp).reshape(len(keys), ncoords)
     powers = np.ones((ncoords, npoints, int(exponents.max(initial=0)) + 1),
                      dtype=complex)
     powers[:, :, 1:] = x.T[:, :, None]
     np.cumprod(powers, axis=2, out=powers)
-    out = np.empty((npoints, len(keys)), dtype=complex)
-    out[:] = [float(multinomial_weight(a) * multinomial_weight(b))
-              for a, b in keys]
+    out = np.empty((npoints, len(exponents)), dtype=complex)
+    out[:] = multiplicities(exponents, dim1)[1].astype(float)
     for i in range(ncoords):
         out *= powers[i][:, exponents[:, i]]
     return out
 
 
-def coefficient_matrix(phis: Sequence[Expansion2], keys: Sequence[Key]):
-    """The keys x len(phis) matrix of the expansions' coefficients."""
-    import numpy as np
-    return np.array([[phi.coeffs.get(k, 0j) for k in keys] for phi in phis],
-                    dtype=complex).reshape(len(phis), len(keys)).T
-
-
 def coefficient_polynomials(phis: Sequence[Expansion2], x):
     """Values of expansions of one shape at many points, (points, len(phis)).
 
-    x holds one row of coordinates per point, as in `monomial_matrix`.
+    x holds one row of coordinates per point, as in `monomial_matrix`; the
+    keys are the union of the expansions' codes.
     """
-    keys = list(dict.fromkeys(k for phi in phis for k in phi.coeffs))
-    return monomial_matrix(keys, x) @ coefficient_matrix(phis, keys)
+    ref = phis[0]
+    codes = np.unique(np.concatenate([phi.codes for phi in phis]))
+    coef = np.zeros((len(codes), len(phis)), dtype=complex)
+    for j, phi in enumerate(phis):
+        coef[np.searchsorted(codes, phi.codes), j] = phi.values
+    return monomial_matrix(_decode(codes, ref), ref.dim1, x) @ coef
 
 
 def point_coordinates(points: Sequence, dim1: int, dim2: int):
     """One row per (z, t) point: its z coordinates, then its t coordinates."""
-    import numpy as np
     for z, t in points:
         if len(z) != dim1 or len(t) != dim2:
             raise DimensionMismatchError(
@@ -261,7 +400,6 @@ def coefficient_polynomial(phi: Expansion2, p: Point2) -> complex:
     the Laplace transform for a distribution; the role check lives in the
     public wrappers.  It is the one-point case of `coefficient_polynomials`.
     """
-    import numpy as np
     _check_point(phi, p)
     x = np.array([p.z + p.t], dtype=complex)
     return complex(coefficient_polynomials([phi], x)[0, 0])
@@ -355,27 +493,29 @@ def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     if phi.role != TEST:
         raise RoleError("dual_pair needs a test expansion on the right")
     _check_compatible(Phi, phi)
-    total = 0j
-    for key, c in Phi.coeffs.items():
-        d = phi.coeffs.get(key)
-        if d is None:
-            continue
-        alpha, beta = key
-        w = (math.factorial(weight(alpha)) * math.factorial(weight(beta))
-             * multinomial_weight(alpha) * multinomial_weight(beta))
-        total += w * c * d
-    return total
+    _, i, j = np.intersect1d(Phi.codes, phi.codes, assume_unique=True,
+                             return_indices=True)
+    degrees, mult = multiplicities(Phi.exponents[i], Phi.dim1)
+    w = [math.factorial(n) * math.factorial(m) * k for (n, m), k in
+         zip(degrees.tolist(), mult.tolist())]
+    return complex(np.sum(np.array(w, dtype=float) * Phi.values[i]
+                          * phi.values[j]))
 
 
-def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Tuple[Dict[Key, complex], bool]:
+def sym_convolve_coeffs(f: Expansion2,
+                        g: Expansion2) -> Tuple[Expansion2, bool]:
     """Per-variable symmetrized-product convolution of coefficient families.
 
-    Returns the coefficient dict truncated at the shared cutoffs plus a flag
-    saying whether anything was dropped.  This is the engine behind both the
-    pointwise product of test functions and the convolution of distributions.
+    Returns the product, truncated at the shared cutoffs, with f's role and
+    flagged truncated if f, g or the product dropped something, plus a flag
+    saying whether the product itself dropped a produced degree.  This is
+    the engine behind both the pointwise product of test functions and the
+    convolution of distributions.
     """
     _check_compatible(f, g)
-    return pair_products(f, g, contract=False)
+    codes, values, dropped = pair_products(f, g, contract=False)
+    truncated = f.truncated or g.truncated or dropped
+    return f.with_terms(codes, values, truncated=truncated), dropped
 
 
 # Pairs examined at once by `pair_products`: a block of terms of the smaller
@@ -383,8 +523,7 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Tuple[Dict[Key, complex
 PAIR_BLOCK = 4096
 
 
-def pair_products(left: Expansion2, right: Expansion2,
-                  contract: bool) -> Tuple[Dict[Key, complex], bool]:
+def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     """Sum of W c_l c_r over pairs of stored terms: the one product kernel.
 
     Without `contract` the pair of keys (l, r) lands on l + r when that is
@@ -396,47 +535,41 @@ def pair_products(left: Expansion2, right: Expansion2,
     `gross.convolve_dist_test`.  Each W is an exact integer rounded to a
     float once; each term is (W c_l) c_r, and the terms of one output are
     added in the order of the smaller operand's terms.  Sums that come out
-    zero are dropped.  The flag says whether some pair did not land.
+    zero are dropped.  Returns the result's codes and values, in the
+    expansion layout, and whether some pair did not land.
 
-    Keys are coded in mixed radix, cutoff + 1 per component, so a shift by
-    a term of the smaller operand is an integer add (or subtract) on the
-    larger operand's code vector, a mask and a lookup in the sorted output
-    codes.  Terms of the smaller operand are taken PAIR_BLOCK / (terms of
-    the larger) at a time, at least one, so transient arrays hold at most
-    max(PAIR_BLOCK, terms of the larger operand) pairs, never one entry
-    per pair of a large product.
+    The operands' codes are read as they are stored: a shift by a term of
+    the smaller operand is an integer add (or subtract) on the larger
+    operand's code array, a mask and a lookup in the sorted output codes.
+    Terms of the smaller operand are taken PAIR_BLOCK / (terms of the
+    larger) at a time, at least one, so transient arrays hold at most
+    max(PAIR_BLOCK, terms of the larger operand) pairs, never one entry per
+    pair of a large product.
     """
-    import numpy as np
-    if not left.coeffs or not right.coeffs:
-        return {}, False
-    d1, c1, c2 = left.dim1, left.cutoff1, left.cutoff2
-    radix = [c1 + 1] * d1 + [c2 + 1] * left.dim2
-    place = [math.prod(radix[:i]) for i in range(len(radix))]
-    # Codes stay below prod(radix); past int64 they are Python integers.
-    ctype = np.int64 if math.prod(radix) < 1 << 63 else object
-    rows_l, code_l, deg_l, c_l = _term_arrays(left, place, ctype)
-    rows_r, code_r, deg_r, c_r = _term_arrays(right, place, ctype)
-    w_l = [multinomial_weight(a) * multinomial_weight(b)
-           for a, b in left.coeffs]
+    if not len(left.codes) or not len(right.codes):
+        return left.codes[:0], np.zeros(0, dtype=complex), False
+    c1, c2 = left.cutoff1, left.cutoff2
+    code_l, rows_l, c_l = left.codes, left.exponents, left.values
+    code_r, rows_r, c_r = right.codes, right.exponents, right.values
+    deg_l, w_l = multiplicities(rows_l, left.dim1)
+    deg_r, w_r = multiplicities(rows_r, left.dim1)
     if contract:
         # falling[n, K] = K!/(K - n)!, the factor of an r of degree K.
         falling = [[[math.perm(K, n) for K in range(c + 1)]
                     for n in range(c + 1)] for c in (c1, c2)]
-        bound = max(w_l) * math.factorial(c1) * math.factorial(c2)
+        bound = int(w_l.max()) * math.factorial(c1) * math.factorial(c2)
     else:
-        w_r = [multinomial_weight(a) * multinomial_weight(b)
-               for a, b in right.coeffs]
-        bound = max(w_l) * max(w_r)
+        bound = int(w_l.max()) * int(w_r.max())
     # A float product of exact float factors is exact below 2^53; above it
     # the products are taken in Python integers and rounded once.
     wtype = float if bound < 1 << 53 else object
-    w_l = np.array(w_l, dtype=wtype)
+    w_l = w_l.astype(wtype)
     if contract:
         falling = [np.array(table, dtype=wtype) for table in falling]
     else:
-        w_r = np.array(w_r, dtype=wtype)
+        w_r = w_r.astype(wtype)
 
-    out_codes = np.empty(0, dtype=ctype)
+    out_codes = code_l[:0]
     out_vals = np.empty(0, dtype=complex)
     landed_all = True
     n_l, n_r = len(c_l), len(c_r)
@@ -484,65 +617,21 @@ def pair_products(left: Expansion2, right: Expansion2,
 
     nonzero = out_vals != 0
     out_codes, out_vals = out_codes[nonzero], out_vals[nonzero]
-    keys = _decode_keys(out_codes, radix, d1)
     if not contract:
-        mult = np.array([float(multinomial_weight(a) * multinomial_weight(b))
-                         for a, b in keys])
+        _, mult = multiplicities(_decode(out_codes, left), left.dim1)
+        mult = mult.astype(float)
         quotient = np.empty_like(out_vals)
         quotient.real = out_vals.real / mult
         quotient.imag = out_vals.imag / mult
         out_vals = quotient
-    return dict(zip(keys, out_vals.tolist())), not landed_all
-
-
-def _decode_keys(codes, radix: Sequence[int], dim1: int) -> list:
-    """The (alpha, beta) keys of mixed-radix codes.
-
-    Each variable's part is decoded once per distinct value, so outputs
-    that share an alpha or a beta share its tuple.
-    """
-    import numpy as np
-    box1 = math.prod(radix[:dim1])
-    parts = []
-    for half, digits in ((codes % box1, radix[:dim1]),
-                         (codes // box1, radix[dim1:])):
-        half = half.tolist()
-        distinct = list(set(half))
-        place = [math.prod(digits[:i]) for i in range(len(digits))]
-        rows = (np.array(distinct, dtype=codes.dtype)[:, None]
-                // np.array(place, dtype=codes.dtype)
-                % np.array(digits, dtype=codes.dtype))
-        table = dict(zip(distinct, map(tuple, rows.tolist())))
-        parts.append(map(table.__getitem__, half))
-    return list(zip(*parts))
-
-
-def _term_arrays(phi: Expansion2, place: Sequence[int], ctype):
-    """An expansion's stored terms as arrays, in the order of its dict.
-
-    Returns the exponent rows, their mixed-radix codes, the (n, m) degree
-    pair of each key and the coefficients.
-    """
-    import numpy as np
-    n, d = len(phi.coeffs), len(place)
-    rows = np.fromiter(chain.from_iterable(chain.from_iterable(phi.coeffs)),
-                       dtype=np.int64, count=n * d).reshape(n, d)
-    codes = rows.astype(ctype) @ np.array(place, dtype=ctype)
-    # Column 0 sums the first variable's exponents, column 1 the second's.
-    by_variable = np.zeros((d, 2), dtype=np.int64)
-    by_variable[:phi.dim1, 0] = 1
-    by_variable[phi.dim1:, 1] = 1
-    coeffs = np.fromiter(phi.coeffs.values(), dtype=complex, count=n)
-    return rows, codes, rows @ by_variable, coeffs
+    return out_codes, out_vals, not landed_all
 
 
 def pointwise_product(f: Expansion2, g: Expansion2) -> Expansion2:
     """Product of two test functions, truncated at the shared cutoffs."""
     if f.role != TEST or g.role != TEST:
         raise RoleError("pointwise_product needs two test expansions")
-    coeffs, dropped = sym_convolve_coeffs(f, g)
-    return replace(f, coeffs=coeffs,
-                   truncated=f.truncated or g.truncated or dropped)
+    return sym_convolve_coeffs(f, g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +639,7 @@ def pointwise_product(f: Expansion2, g: Expansion2) -> Expansion2:
 
 
 def expansion_to_json(phi: Expansion2) -> dict:
+    d1 = phi.dim1
     return {
         "dim1": phi.dim1,
         "dim2": phi.dim2,
@@ -557,8 +647,8 @@ def expansion_to_json(phi: Expansion2) -> dict:
         "cutoff2": phi.cutoff2,
         "role": phi.role,
         "terms": [
-            {"alpha": list(a), "beta": list(b), "re": v.real, "im": v.imag}
-            for (a, b), v in sorted(phi.coeffs.items())
+            {"alpha": e[:d1], "beta": e[d1:], "re": v.real, "im": v.imag}
+            for e, v in zip(phi.exponents.tolist(), phi.values.tolist())
         ],
     }
 

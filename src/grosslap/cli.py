@@ -14,6 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 import click
+import numpy as np
 
 from .chaos import (
     DISTRIBUTION,
@@ -45,9 +46,10 @@ from .young import YoungFunctionSpec, check_growth_condition, conjugate_eval, th
 
 # The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
 ROLE_OF_OP = {"evaluate": TEST, "laplace": DISTRIBUTION}
+METHODS = ("closed_form", "symbol_ode", "both")
 
 INPUT_ERRORS = (RoleError, DimensionMismatchError, DegreeError, ValueError,
-                KeyError, TypeError, json.JSONDecodeError)
+                KeyError, TypeError, OverflowError, json.JSONDecodeError)
 
 
 def _load_json(path: str):
@@ -75,6 +77,13 @@ def _emit(report: dict, out: Optional[str]) -> None:
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; booleans and strings are rejected."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return float(value)
 
 
 def _as_complex(obj) -> complex:
@@ -143,7 +152,7 @@ def verify(suites: Sequence[str], seed: int, tol: Optional[float],
 
 
 def _process_from_json(obj) -> ProcessSpec:
-    grid = tuple(float(g) for g in obj["grid"])
+    grid = tuple(_json_number(g, "a grid point") for g in obj["grid"])
     kernels = tuple(kernel_from_json(k) for k in obj["kernels"])
     return ProcessSpec(grid, kernels)
 
@@ -151,8 +160,7 @@ def _process_from_json(obj) -> ProcessSpec:
 @main.command()
 @click.option("--in", "in_path", type=click.Path(exists=False), required=True)
 @click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
-@click.option("--method", type=click.Choice(["closed_form", "symbol_ode",
-                                             "both"]), default=None,
+@click.option("--method", type=click.Choice(METHODS), default=None,
               help="Override the method named in the input file.")
 @click.option("--seed", type=int, default=42, show_default=True)
 def solve(in_path: str, out: Optional[str], method: Optional[str],
@@ -173,8 +181,11 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         check_evaluation_size(
             grid_point_count(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2),
             keys, ref.dim1, ref.dim2)
-        times = [float(t) for t in spec["times"]]
+        times = [_json_number(t, "a time") for t in spec["times"]]
         method = method or spec.get("method", "closed_form")
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, "
+                             f"not {method!r}")
         action = spec.get("action", ACTION_FUNCTION)
         t_end = max(times + [1e-9])
         heat = "Z" not in spec
@@ -192,28 +203,32 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     except INPUT_ERRORS as exc:
         _fail(2, f"bad solver input: {exc}")
 
+    # An overflow shows as inf or NaN in the report, which _emit rejects.
     try:
-        checks = {}
-        if method != "symbol_ode":
-            if heat:
-                sol = solve_heat(xi0, Theta, times, action=action, seed=seed)
-            else:
-                sol = solve_qsde(Z, Theta, xi0, times, action=action)
-            checks.update(sol.checks)
-        if method in ("symbol_ode", "both"):
-            Zn = Z if Z is not None else half_trace_process(
-                ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2, t_end)
-            numeric = solve_symbol_ode(Zn, Theta, xi0, times)
-            if method == "both":
-                closed = (sol if action == ACTION_DISTRIBUTION else
-                          (solve_heat(xi0, Theta, times,
-                                      action=ACTION_DISTRIBUTION) if heat else
-                           solve_qsde(Z, Theta, xi0, times,
-                                      action=ACTION_DISTRIBUTION)))
-                checks["residual_max"] = symbol_gap(closed, numeric)
-            else:
-                sol = numeric
-            checks.update(numeric.checks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = {}
+            if method != "symbol_ode":
+                if heat:
+                    sol = solve_heat(xi0, Theta, times, action=action,
+                                     seed=seed)
+                else:
+                    sol = solve_qsde(Z, Theta, xi0, times, action=action)
+                checks.update(sol.checks)
+            if method in ("symbol_ode", "both"):
+                Zn = Z if Z is not None else half_trace_process(
+                    ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2, t_end)
+                numeric = solve_symbol_ode(Zn, Theta, xi0, times)
+                if method == "both":
+                    closed = (
+                        sol if action == ACTION_DISTRIBUTION else
+                        (solve_heat(xi0, Theta, times,
+                                    action=ACTION_DISTRIBUTION) if heat else
+                         solve_qsde(Z, Theta, xi0, times,
+                                    action=ACTION_DISTRIBUTION)))
+                    checks["residual_max"] = symbol_gap(closed, numeric)
+                else:
+                    sol = numeric
+                checks.update(numeric.checks)
     except INPUT_ERRORS as exc:
         _fail(2, f"bad solver input: {exc}")
 
@@ -252,7 +267,7 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
                 raise RoleError(f"{op} needs a {ROLE_OF_OP[op]} expansion")
         else:
             raise ValueError(f"unknown op {op!r}")
-        check_evaluation_size(len(points), len(phi.coeffs), phi.dim1,
+        check_evaluation_size(len(points), len(phi.codes), phi.dim1,
                               phi.dim2)
         x = point_coordinates([(p.z, p.t) for p in points], phi.dim1,
                               phi.dim2)

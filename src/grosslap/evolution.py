@@ -29,13 +29,13 @@ from .chaos import (
     Expansion2,
     Point2,
     RoleError,
-    coefficient_matrix,
     coefficient_polynomials,
+    multiplicities,
     point_coordinates,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
-from .tensor_core import MultiIndex, multinomial_weight, nan_max
+from .tensor_core import MultiIndex, nan_max
 
 ACTION_FUNCTION = "function"
 ACTION_DISTRIBUTION = "distribution"
@@ -122,11 +122,14 @@ def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
 
 
 def _split_constant(Phi: Expansion2) -> Tuple[complex, Expansion2]:
-    """(c0, N) with Phi = c0 delta_0 + N."""
-    zero_key = ((0,) * Phi.dim1, (0,) * Phi.dim2)
-    N = replace(Phi, coeffs={k: v for k, v in Phi.coeffs.items()
-                             if k != zero_key})
-    return Phi.coeffs.get(zero_key, 0j), N
+    """(c0, N) with Phi = c0 delta_0 + N.
+
+    The zero key has code 0, so it is the first term when present.
+    """
+    if len(Phi.codes) and Phi.codes[0] == 0:
+        return (complex(Phi.values[0]),
+                Phi.with_terms(Phi.codes[1:], Phi.values[1:]))
+    return 0j, Phi
 
 
 def _power_series(N: Expansion2, weights: Sequence[complex]) -> Expansion2:
@@ -135,17 +138,17 @@ def _power_series(N: Expansion2, weights: Sequence[complex]) -> Expansion2:
     N has positive minimal degree, so N^{*j} vanishes once j exceeds
     cutoff1 + cutoff2 and the series is exact with that many weights.
     """
-    zero_key = ((0,) * N.dim1, (0,) * N.dim2)
-    power = replace(N, coeffs={zero_key: 1 + 0j}, truncated=False)
+    power = N.with_terms(np.zeros(1, dtype=N.codes.dtype),
+                         np.ones(1, dtype=complex), truncated=False)
     result = power.scale(weights[0])
     truncated = N.truncated
     for w in weights[1:]:
         power = convolve_dist_dist(power, N)
         truncated = truncated or power.truncated
-        if not power.coeffs:
+        if not len(power.codes):
             break
         result = result.add(power.scale(w))
-    return replace(result, truncated=truncated)
+    return result.with_terms(result.codes, result.values, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,7 @@ class ProcessSpec:
         return self.kernels[i]
 
     def is_zero(self) -> bool:
-        return all(not k.kernel.coeffs for k in self.kernels)
+        return all(not len(k.kernel.codes) for k in self.kernels)
 
     @staticmethod
     def constant(kernel: OperatorKernel, t_end: float) -> "ProcessSpec":
@@ -205,7 +208,7 @@ def integrate_between(P: ProcessSpec, s: float, t: float) -> OperatorKernel:
     if not (0.0 <= s <= t <= P.end + 1e-12):
         raise ValueError(f"integration range [{s}, {t}] outside grid")
     ref = P.kernels[0].kernel
-    total = replace(ref, coeffs={}, truncated=False)
+    total = ref.with_terms(ref.codes[:0], ref.values[:0], truncated=False)
     for i, kern in enumerate(P.kernels):
         a, b = P.grid[i], P.grid[i + 1]
         length = min(b, t) - max(a, s)
@@ -286,7 +289,7 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
         h = b - a
         gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
         state = apply_propagator(conv_exp(gen.scale(h)), state, action)
-        if source.coeffs:
+        if len(source.codes):
             state = state.add(apply_propagator(_conv_exp_integral(gen, h),
                                                source, action))
         states[b] = state
@@ -323,22 +326,21 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
 
     cutoff + 1 points per coordinate, equispaced on the circle of radius
     SYMBOL_RADIUS, so the monomial of exponent gamma = alpha + beta is one
-    DFT bin.  Returns the grid's shape, its points in C order (one row of
-    coordinates each), the flat bins of the keys (|alpha| <= cutoff1,
-    |beta| <= cutoff2), those keys, and each key's factor from coefficient
-    to bin, mult(alpha) mult(beta) r^|gamma|.
+    DFT bin.  The grid is the box of the expansions' codes, so a key's flat
+    bin is its code.  Returns the grid's shape, its points in C order (one
+    row of coordinates each), the bins of the keys (|alpha| <= cutoff1,
+    |beta| <= cutoff2), and per bin the factor from coefficient to bin,
+    mult(alpha) mult(beta) r^|gamma| (zero off the keys).
     """
     shape = (cutoff1 + 1,) * dim1 + (cutoff2 + 1,) * dim2
     exponents = np.indices(shape).reshape(len(shape), -1).T
     points = SYMBOL_RADIUS * np.exp(2j * np.pi * exponents / np.array(shape))
     bins = np.flatnonzero((exponents[:, :dim1].sum(axis=1) <= cutoff1)
                           & (exponents[:, dim1:].sum(axis=1) <= cutoff2))
-    keys = [(tuple(row[:dim1]), tuple(row[dim1:]))
-            for row in exponents[bins].tolist()]
-    scale = np.array([float(multinomial_weight(a) * multinomial_weight(b))
-                      for a, b in keys])
-    scale *= SYMBOL_RADIUS ** exponents[bins].sum(axis=1)
-    return shape, points, bins, keys, scale
+    scale = np.zeros(len(points))
+    scale[bins] = multiplicities(exponents[bins], dim1)[1].astype(float)
+    scale[bins] *= SYMBOL_RADIUS ** exponents[bins].sum(axis=1)
+    return shape, points, bins, scale
 
 
 def torus_symbols(phis: Sequence[Expansion2]):
@@ -349,10 +351,11 @@ def torus_symbols(phis: Sequence[Expansion2]):
     with P_gamma = mult c r^|gamma|: G ifftn(P) over the G points.
     """
     ref = phis[0]
-    shape, points, bins, keys, scale = _torus(ref.dim1, ref.dim2,
-                                              ref.cutoff1, ref.cutoff2)
+    shape, points, _, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
+                                     ref.cutoff2)
     P = np.zeros((len(phis), len(points)), dtype=complex)
-    P[:, bins] = coefficient_matrix(phis, keys).T * scale
+    for row, phi in zip(P, phis):
+        row[phi.codes] = phi.values * scale[phi.codes]
     axes = tuple(range(1, len(shape) + 1))
     values = np.fft.ifftn(P.reshape((len(phis), *shape)), axes=axes)
     return points, len(points) * values.reshape(P.shape).T
@@ -376,8 +379,8 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     """
     _check_processes(Z, Theta, xi0)
     ref = xi0.kernel
-    shape, _, bins, keys, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
-                                         ref.cutoff2)
+    shape, _, bins, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
+                                   ref.cutoff2)
     # Every kernel's symbol on the grid: one column for xi0, then one per
     # piece of Z and Theta.
     points, symbols = torus_symbols([k.kernel for k in (xi0, *Z.kernels,
@@ -400,13 +403,14 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                       dtype=complex).reshape(len(times), len(points))
     spectrum = np.fft.fftn(values.reshape(len(times), *shape),
                            axes=tuple(range(1, len(shape) + 1)))
-    coef = spectrum.reshape(values.shape)[:, bins] / (len(points) * scale)
+    coef = (spectrum.reshape(values.shape)[:, bins]
+            / (len(points) * scale[bins]))
 
     out_kernels = []
     for row in coef:
-        coeffs = {k: complex(c) for k, c in zip(keys, row) if abs(c) > 1e-300}
+        kept = np.abs(row) > 1e-300
         kern = Expansion2(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2,
-                          coeffs, role=DISTRIBUTION)
+                          (bins[kept], row[kept]), role=DISTRIBUTION)
         out_kernels.append(OperatorKernel(kern, label="symbol-ode"))
     return EvolutionSolution(tuple(float(t) for t in times),
                              tuple(out_kernels),
@@ -498,14 +502,10 @@ def gaussian_heat_kernel(xi0: OperatorKernel, t: float, y: Point2) -> complex:
         raise ValueError("t must be >= 0")
     if len(y.z) != xi0.dim1 or len(y.t) != xi0.dim2:
         raise ValueError("evaluation point does not match kernel dims")
-    total = 0j
-    for (alpha, beta), c in xi0.kernel.coeffs.items():
-        term = multinomial_weight(alpha) * multinomial_weight(beta) * c
-        for a, k in zip(y.z, alpha):
-            if k:
-                term *= _shifted_gauss_moment(a, t, k)
-        for a, k in zip(y.t, beta):
-            if k:
-                term *= _shifted_gauss_moment(a, t, k)
-        total += term
-    return total
+    K = xi0.kernel
+    terms = multiplicities(K.exponents, K.dim1)[1].astype(float) * K.values
+    for a, column in zip(y.z + y.t, K.exponents.T):
+        moments = np.array([_shifted_gauss_moment(a, t, k)
+                            for k in range(column.max(initial=0) + 1)])
+        terms = terms * moments[column]
+    return complex(np.sum(terms))

@@ -9,7 +9,6 @@ distribution side it raises degrees, and the Laplace transform multiplies by
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Tuple
 
 from .chaos import (
@@ -55,12 +54,12 @@ def gross_split(phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
     if phi.role != TEST:
         raise RoleError("gross_split needs a test expansion")
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
+    first = T.exponents[:, :T.dim1].any(axis=1)
     parts = []
-    for first in (True, False):
-        part = replace(T, coeffs={(a, b): c for (a, b), c in T.coeffs.items()
-                                  if any(a) == first})
-        coeffs, _ = pair_products(part, phi, contract=True)
-        parts.append(replace(phi, coeffs=coeffs))
+    for mask in (first, ~first):
+        part = T.with_terms(T.codes[mask], T.values[mask])
+        parts.append(phi.with_terms(
+            *pair_products(part, phi, contract=True)[:2]))
     return parts[0], parts[1]
 
 
@@ -75,7 +74,7 @@ def gross_test(phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("gross_test needs a test expansion")
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    return replace(phi, coeffs=pair_products(T, phi, contract=True)[0])
+    return phi.with_terms(*pair_products(T, phi, contract=True)[:2])
 
 
 def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
@@ -90,17 +89,16 @@ def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("convolve_dist_test needs a test function on the right")
     _check_compatible(Phi, phi)
-    return replace(phi, coeffs=pair_products(Phi, phi, contract=True)[0],
-                   truncated=Phi.truncated or phi.truncated)
+    codes, values, _ = pair_products(Phi, phi, contract=True)
+    return phi.with_terms(codes, values,
+                          truncated=Phi.truncated or phi.truncated)
 
 
 def convolve_dist_dist(Phi: Expansion2, Psi: Expansion2) -> Expansion2:
     """Convolution of two distributions; Laplace transforms multiply."""
     if Phi.role != DISTRIBUTION or Psi.role != DISTRIBUTION:
         raise RoleError("convolve_dist_dist needs two distributions")
-    coeffs, dropped = sym_convolve_coeffs(Phi, Psi)
-    return replace(Phi, coeffs=coeffs,
-                   truncated=Phi.truncated or Psi.truncated or dropped)
+    return sym_convolve_coeffs(Phi, Psi)[0]
 
 
 def gross_distribution(Phi: Expansion2) -> Expansion2:

@@ -19,7 +19,11 @@ from .chaos import (
     Key,
     RoleError,
     _sub_occupations,
+    delta0,
+    expansion_from_json,
+    expansion_to_json,
     laplace,
+    vacuum,
 )
 from .gross import convolve_dist_dist, gross_distribution, trace_distribution
 from .tensor_core import DimensionMismatchError, multinomial_weight, weight
@@ -54,7 +58,6 @@ class OperatorKernel:
 def identity_kernel(dim1: int, dim2: int, cutoff1: int,
                     cutoff2: int) -> OperatorKernel:
     """The convolution unit: kernel delta_0."""
-    from .chaos import delta0
     return OperatorKernel(delta0(dim1, dim2, cutoff1, cutoff2), "identity")
 
 
@@ -163,7 +166,6 @@ def classical_quantum_bridge(Phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
     Laplacian of the multiplication operator to the vacuum, and the
     distribution-side Gross Laplacian of Phi.  They agree on retained degrees.
     """
-    from .chaos import vacuum
     op = quantum_gross(multiplication_operator(Phi))
     e0 = vacuum(Phi.dim1, 0, Phi.cutoff1, 0)
     quantum_route = apply_operator(op, e0)
@@ -181,11 +183,9 @@ def _join(a: str, b: str) -> str:
 
 
 def kernel_to_json(op: OperatorKernel) -> dict:
-    from .chaos import expansion_to_json
     return {"label": op.label, "kernel": expansion_to_json(op.kernel)}
 
 
 def kernel_from_json(obj: dict) -> OperatorKernel:
-    from .chaos import expansion_from_json
     return OperatorKernel(expansion_from_json(obj["kernel"]),
                           obj.get("label", ""))

@@ -38,8 +38,8 @@ def weight(alpha: MultiIndex) -> int:
 def multinomial_weight(alpha: MultiIndex) -> int:
     """Number of distinct index arrangements with occupation ``alpha``.
 
-    Equals n! / prod(alpha_i!) with n = sum(alpha).  Cached: evaluation asks
-    for the same few weights at every call.
+    Equals n! / prod(alpha_i!) with n = sum(alpha).  Cached: the dict loops
+    ask for the same few weights again and again.
     """
     n = sum(alpha)
     out = math.factorial(n)
@@ -141,10 +141,12 @@ def contract_full(A: SymTensor, B: SymTensor) -> SymTensor:
         return Expansion2(T.dim, 0, B.degree, 0,
                           {(a, ()): v for a, v in T.entries.items()})
 
-    coeffs, _ = pair_products(expansion(A), expansion(B), contract=True)
+    left = expansion(A)
+    codes, values, _ = pair_products(left, expansion(B), contract=True)
     falling = math.perm(B.degree, A.degree)
+    result = left.with_terms(codes, values / falling)
     return SymTensor(A.dim, B.degree - A.degree,
-                     {a: v / falling for (a, _), v in coeffs.items()})
+                     {a: v for (a, _), v in result.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,20 @@ def test_expansion_is_not_iterable():
         ((1,), ()) in phi
 
 
+@pytest.mark.parametrize("key, error", [
+    pytest.param(((1,), ()), DimensionMismatchError, id="short-alpha"),
+    pytest.param(((1, 0), (0,)), DimensionMismatchError, id="long-beta"),
+    pytest.param(((-1, 3), ()), ValueError, id="negative-occupation"),
+    pytest.param(((0, -1), ()), ValueError, id="negative-below-cutoff"),
+    pytest.param(((2, 2), ()), ValueError, id="degree-over-cutoff"),
+    pytest.param(((2 ** 70, 0), ()), ValueError, id="huge-occupation"),
+])
+def test_constructor_rejects_bad_keys(key, error):
+    # A negative digit would also alias another key's code.
+    with pytest.raises(error):
+        Expansion2(2, 0, 3, 0, {((0, 1), ()): 1 + 0j, key: 1 + 0j})
+
+
 def test_json_roundtrip(rng):
     phi = random_expansion(rng, 2, 2, 4, 3, 4, 3, role=DISTRIBUTION)
     back = expansion_from_json(expansion_to_json(phi))

@@ -384,3 +384,51 @@ def test_solve_symbol_ode_runs_no_closed_form(runner, tmp_path, monkeypatch,
     assert report["method"] == "symbol_ode_numeric"
     assert "gaussian_gap" not in report["checks"]
     assert report["checks"]["fit_amplification"] == 8.0 ** 16
+
+
+def _driven_input():
+    from grosslap.chaos import Expansion2
+    Z = OperatorKernel(Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j},
+                                  role=DISTRIBUTION), "Z")
+    spec = _heat_input([0.5])
+    spec["Z"] = {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}
+    return spec
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("times", ["0.5"], id="string-time"),
+    pytest.param("times", [True], id="bool-time"),
+    pytest.param("times", [None], id="null-time"),
+    pytest.param("times", [10 ** 400], id="huge-integer-time"),
+    pytest.param("grid", ["0", "1"], id="string-grid"),
+    pytest.param("grid", [False, 1.0], id="bool-grid"),
+    pytest.param("method", "symbol-ode", id="method-typo"),
+    pytest.param("method", "bogus", id="unknown-method"),
+    pytest.param("method", 3, id="numeric-method"),
+])
+def test_solve_rejects_non_numbers_and_unknown_methods(runner, tmp_path,
+                                                       field, value):
+    # Times and grid points must be JSON numbers; the file's method must be
+    # one of the --method choices.
+    spec = _driven_input()
+    if field == "grid":
+        spec["Z"]["grid"] = value
+    else:
+        spec[field] = value
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["solve", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "bad solver input" in res.output
+
+
+def test_solve_accepts_integer_times_and_named_methods(runner, tmp_path):
+    spec = _driven_input()
+    spec["times"] = [0, 1]
+    for method in ("closed_form", "symbol_ode", "both"):
+        spec["method"] = method
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        res = runner.invoke(main, ["solve", "--in", str(path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["times"] == [0.0, 1.0]

@@ -163,10 +163,11 @@ def operand_pairs(draw, left_role, right_role):
 def test_sym_convolve_matches_pair_loop(pair):
     # Both operand orders: the kernel walks whichever operand is smaller.
     for f, g in (pair, pair[::-1]):
-        coeffs, dropped = sym_convolve_coeffs(f, g)
+        product, dropped = sym_convolve_coeffs(f, g)
         want, want_dropped = loop_sym_convolve(f, g)
         assert dropped == want_dropped
-        assert_close(coeffs, want, loop_sym_convolve(f, g, modulus=True)[0])
+        assert_close(product.coeffs, want,
+                     loop_sym_convolve(f, g, modulus=True)[0])
         out = convolve_dist_dist(f, g)
         assert out.truncated == (f.truncated or g.truncated or want_dropped)
 
@@ -217,11 +218,12 @@ def test_codes_past_int64_use_python_integers():
                                        (e[-1], ()): -1j}, role=DISTRIBUTION)
     g = Expansion2(dim, 0, cutoff, 0, {(e[-1], ()): 3 + 0j, (far, ()): 1j},
                    role=DISTRIBUTION)
-    coeffs, dropped = sym_convolve_coeffs(f, g)
+    product, dropped = sym_convolve_coeffs(f, g)
     want, want_dropped = loop_sym_convolve(f, g)
     assert dropped == want_dropped
-    assert_close(coeffs, want, loop_sym_convolve(f, g, modulus=True)[0])
-    assert (tuple(a + b for a, b in zip(far, e[-1])), ()) in coeffs
+    assert_close(product.coeffs, want,
+                 loop_sym_convolve(f, g, modulus=True)[0])
+    assert (tuple(a + b for a, b in zip(far, e[-1])), ()) in product.coeffs
     contracted = convolve_dist_test(g, f.with_role(TEST))
     assert_close(contracted.coeffs,
                  loop_convolve_dist_test(g, f.with_role(TEST)),
@@ -237,8 +239,10 @@ def test_weights_past_2_to_53_are_rounded_once():
     g = Expansion2(2, 0, 70, 0, {((1, 6), ()): 1 + 0j}, role=DISTRIBUTION)
     w = math.comb(63, 28) * math.comb(7, 1)
     assert float(w) != float(math.comb(63, 28)) * 7
-    assert sym_convolve_coeffs(f, g) == (
-        {((29, 41), ()): float(w) / float(math.comb(70, 29)) + 0j}, False)
+    product, dropped = sym_convolve_coeffs(f, g)
+    assert product.coeffs == {
+        ((29, 41), ()): float(w) / float(math.comb(70, 29)) + 0j}
+    assert not dropped
     Phi = Expansion2(2, 1, 40, 0, {((15, 16), (0,)): 1 + 0j},
                      role=DISTRIBUTION)
     phi = Expansion2(2, 1, 40, 0, {((20, 20), (0,)): 1 + 0j})
