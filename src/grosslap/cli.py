@@ -87,13 +87,16 @@ def _json_number(value, what: str) -> float:
 
 
 def _as_complex(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+    """A number, an [re, im] pair or {"re": .., "im": ..}; each part is read
+    with `_json_number`."""
     if isinstance(obj, list) and len(obj) == 2:
-        return complex(obj[0], obj[1])
-    if isinstance(obj, dict):
-        return complex(obj.get("re", 0.0), obj.get("im", 0.0))
-    raise ValueError(f"cannot read {obj!r} as a complex number")
+        re, im = obj
+    elif isinstance(obj, dict):
+        re, im = obj.get("re", 0.0), obj.get("im", 0.0)
+    else:
+        re, im = obj, 0.0
+    return complex(_json_number(re, "a real part"),
+                   _json_number(im, "an imaginary part"))
 
 
 def _as_point(obj) -> Point2:

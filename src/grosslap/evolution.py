@@ -108,17 +108,39 @@ def _conv_exp_integral(Phi: Expansion2, h: float) -> Expansion2:
 def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
     """e^z phi_j(-z) for j = 1..k, the divided differences exp[0, z, .., z].
 
-    They follow 1 in the first row of the exponential of the (k+1)x(k+1)
-    bidiagonal matrix with 0, z, .., z on the diagonal and ones above it.
-    The product is formed in one piece, so a strongly decaying z cannot
-    give 0 * inf, and there is no cancellation at small z.
+    They are f_j = int_0^1 e^{zu} u^{j-1}/(j-1)! du; integrating by parts
+    gives f_1 = (e^z - 1) / z and f_j = (e^z/(j-1)! - f_{j-1}) / z.  For
+    |z| >= k that recurrence is used, as each step divides the error it
+    carries by |z|.  Below, the f_j follow 1 in the first row of exp(A), A
+    the (k+1)x(k+1) bidiagonal matrix with 0, z, .., z on the diagonal and
+    ones above it, by scaling and squaring (Higham, 2005): A / 2^s has
+    1-norm at most 1/2, and entry (0, j) of (A / 2^s)^m is
+    2^{-sj} C(m-1, j-1) (z / 2^s)^{m-j}, so after j + q Taylor terms that
+    entry's tail is below 2^{-q}/q! of its leading term, and k + 17 terms
+    give every entry to rounding.  (The squarings lose relative accuracy
+    in the small f_j once |z| is large off the real axis, which is why the
+    recurrence takes over.)  Each f_j is formed in one piece, so a strongly
+    decaying z cannot give 0 * inf, and there is no cancellation at small z.
     """
-    # Imported here: only a solve with a source term needs scipy, and
-    # loading it costs more than a small solve.
-    from scipy.linalg import expm
+    if abs(z) >= k:
+        out = np.empty(k, dtype=complex)
+        term = np.exp(z)
+        out[0] = (term - 1) / z
+        for j in range(1, k):
+            term /= j
+            out[j] = (term - out[j - 1]) / z
+        return out
     A = np.diag(np.full(k + 1, z, dtype=complex)) + np.diag(np.ones(k), 1)
     A[0, 0] = 0
-    return expm(A)[0, 1:]
+    s = math.ceil(math.log2(2 * (1 + abs(z))))
+    A /= 2.0 ** s
+    term = E = np.eye(k + 1, dtype=complex)
+    for m in range(1, k + 18):
+        term = term @ A / m
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E[0, 1:]
 
 
 def _split_constant(Phi: Expansion2) -> Tuple[complex, Expansion2]:

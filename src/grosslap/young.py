@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .chaos import Expansion2, Point2, RoleError, TEST, evaluate
+
+_INV_PHI = (math.sqrt(5) - 1) / 2
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -51,32 +54,49 @@ def conjugate_eval(spec: YoungFunctionSpec, x: float) -> float:
         raise ValueError("conjugate_eval needs x >= 0")
     if x == 0:
         return 0.0
-    # scipy is imported by the functions that use it, so that importing the
-    # command line (which imports this module) does not load it.
-    from scipy.optimize import minimize_scalar
     # The objective is concave; expand the bracket until it is decreasing,
-    # then refine with bounded golden-section/Brent search.
+    # then refine with golden-section search.
     hi = 1.0
     def neg(t: float) -> float:
         return spec.theta(t) - t * x
     while neg(hi * 2) < neg(hi) and hi < 1e12:
         hi *= 2
-    res = minimize_scalar(neg, bounds=(0.0, 2 * hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return max(0.0, -res.fun)
+    return max(0.0, -_golden_min(neg, 0.0, 2 * hi, 1e-12))
 
 
 def theta_n(spec: YoungFunctionSpec, n: int) -> float:
     """inf over r > 0 of e^{theta(r)} / r^n, via log-domain minimization."""
     if n < 1:
         raise ValueError("theta_n needs n >= 1")
-    from scipy.optimize import minimize_scalar
     def obj(logr: float) -> float:
         r = math.exp(logr)
         return spec.theta(r) - n * logr
-    res = minimize_scalar(obj, bounds=(-40.0, 40.0), method="bounded",
-                          options={"xatol": 1e-13})
-    return math.exp(res.fun)
+    return math.exp(_golden_min(obj, -40.0, 40.0, 1e-13))
+
+
+def _golden_min(f: Callable[[float], float], a: float, b: float,
+                xatol: float) -> float:
+    """The least value of f on [a, b], for f unimodal there.
+
+    Golden-section search (Kiefer, 1953): each step keeps the part of the
+    bracket around the smaller of its two inner values, shrinking it by
+    1/phi with one new evaluation.  It stops once the bracket is narrower
+    than xatol + sqrt(eps) |x|, x the best point so far: the sqrt(eps)
+    term ends the search where xatol is below the spacing of floats near x,
+    and there f is flat to rounding anyway.
+    """
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol + _SQRT_EPS * abs(c if fc <= fd else d):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return min(fc, fd)
 
 
 def check_growth_condition(spec: YoungFunctionSpec) -> bool:

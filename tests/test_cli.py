@@ -291,31 +291,69 @@ def test_solve_overflowing_result_exits_2(runner, tmp_path):
 
 
 def test_cli_start_up_and_heat_solve_load_no_scipy(tmp_path):
-    # scipy serves only the young command and a driven solve with a source.
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(_heat_input([0.5])))
+    # No command loads scipy: start-up, a heat solve, a driven solve with a
+    # source, the young queries and every verify suite.
+    heat = tmp_path / "heat.json"
+    heat.write_text(json.dumps(_heat_input([0.5])))
+    driven = tmp_path / "driven.json"
+    spec = _driven_input()
+    spec["Theta"] = spec["Z"]
+    driven.write_text(json.dumps(spec))
+    runs = [
+        ["solve", "--in", str(heat), "--method", "both"],
+        ["solve", "--in", str(driven)],
+        ["young", "--family", "expm1", "--op", "conjugate", "--x", "2.0"],
+        ["young", "--family", "gaussian", "--op", "theta-n", "--n", "3"],
+        ["verify", "--seed", "42"],
+    ]
+    runs = [args + ["--out", str(tmp_path / f"out{i}.json")]
+            for i, args in enumerate(runs)]
     code = "\n".join([
-        "import sys",
+        "import json, sys",
         "import grosslap.cli",
         "def loaded():",
         "    return sorted(m for m in sys.modules",
         "                  if m.split('.')[0] == 'scipy')",
         "print(loaded())",
-        "grosslap.cli.main(['solve', '--in', sys.argv[1], '--out',",
-        "                   sys.argv[2], '--method', 'both'],",
-        "                  standalone_mode=False)",
-        "print(loaded())",
+        "for args in json.loads(sys.argv[1]):",
+        "    try:",
+        "        grosslap.cli.main(args, standalone_mode=False)",
+        "    except SystemExit as exc:",
+        "        assert not exc.code, (args, exc.code)",
+        "    print(loaded())",
     ])
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    res = subprocess.run(
-        [sys.executable, "-c", code, str(path), str(tmp_path / "out.json")],
-        env=env, capture_output=True, text=True, timeout=300)
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "[]"]
-    assert json.loads((tmp_path / "out.json").read_text())["kernels"]
+    assert res.stdout.splitlines() == ["[]"] * (len(runs) + 1)
+    outputs = [json.loads((tmp_path / f"out{i}.json").read_text())
+               for i in range(len(runs))]
+    assert outputs[0]["kernels"] and outputs[1]["kernels"]
+    assert outputs[4]["passed"] is True
+
+
+@pytest.mark.parametrize("z", [
+    pytest.param([True], id="bool"),
+    pytest.param([[True, False]], id="bool-pair"),
+    pytest.param([{"re": True}], id="bool-re"),
+    pytest.param(["1"], id="string"),
+    pytest.param([[0.5, "1"]], id="string-pair"),
+    pytest.param([{"re": 0.5, "im": "1"}], id="string-im"),
+])
+def test_eval_rejects_non_number_parts(runner, tmp_path, z):
+    from grosslap.chaos import delta0
+    payload = {"op": "laplace",
+               "expansion": expansion_to_json(delta0(1, 0, 4, 0)),
+               "points": [{"z": z, "t": []}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["eval", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "must be a number" in res.output
 
 
 @pytest.mark.parametrize("count", [0, 6])

@@ -1,6 +1,8 @@
 """Tests for convolution exponentials and the evolution solvers."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from grosslap.evolution import (
     symbol_gap,
     torus_symbols,
     zero_process,
+    _exp_divided_differences,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import OperatorKernel, symbol
@@ -299,6 +302,35 @@ def test_source_term_for_strongly_decaying_segment(c0, t):
     lhs = convolve_dist_dist(Zk, X)
     rhs = convolve_dist_dist(conv_exp(Zk.scale(t)), Tk).add(Tk.scale(-1))
     assert lhs.add(rhs.scale(-1)).norm_inf() <= 1e-12
+
+
+# |z| from 1e-8 to 1e3 in eight directions with Re z <= 50, and strongly
+# decaying z, where e^z underflows, off the real axis.
+DIVIDED_DIFFERENCE_POINTS = [
+    z for r in np.geomspace(1e-8, 1e3, 12) for q in range(8)
+    if (z := r * cmath.exp(1j * (0.3 + q * math.pi / 4))).real <= 50
+] + [complex(re, im) for re in (-709.5, -750.0, -1000.0)
+     for im in (0.5, -30.0, 700.0)]
+
+
+def test_exp_divided_differences_are_relatively_exact():
+    # exp[0, z, .., z] with z j times is int_0^1 e^{zu} u^{j-1}/(j-1)! du
+    # = 1F1(j; j+1; z) / j!, taken from mpmath at 50 digits.
+    import mpmath
+    worst = (0.0, None)
+    with mpmath.workdps(50), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in DIVIDED_DIFFERENCE_POINTS:
+            exact = [mpmath.hyp1f1(j, j + 1, z) / mpmath.factorial(j)
+                     for j in range(1, 18)]
+            for k in (1, 5, 17):
+                got = _exp_divided_differences(z, k)
+                assert got.shape == (k,) and np.all(np.isfinite(got))
+                for j in range(k):
+                    err = float(abs(got[j] - exact[j]) / abs(exact[j]))
+                    if err > worst[0]:
+                        worst = (err, (z, k, j + 1))
+    assert worst[0] <= 1e-12, worst
 
 
 @pytest.mark.parametrize("action", [ACTION_DISTRIBUTION, ACTION_FUNCTION])

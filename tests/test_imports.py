@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and no
+library module imports scipy."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,32 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "path")]
+
+
+def _scipy_imports(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names
+                  if n.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert _scipy_imports(ast.parse(path.read_text())) == []
+
+
+def test_scipy_import_is_found():
+    tree = ast.parse("import os, scipy.linalg\n"
+                     "def f():\n"
+                     "    from scipy.optimize import minimize_scalar\n"
+                     "from .scipy import x\n")
+    assert _scipy_imports(tree) == [(1, "scipy.linalg"),
+                                    (3, "scipy.optimize")]

@@ -48,6 +48,24 @@ def test_power_conjugate_closed_form():
         assert conjugate_eval(spec, x) == pytest.approx(x ** q / q, rel=1e-8)
 
 
+def test_expm1_conjugate_closed_form():
+    # conjugate of e^t - 1 - t is (1 + x) log(1 + x) - x
+    spec = YoungFunctionSpec("expm1")
+    for x in [0.1, 1.0, 10.0, 1e3]:
+        assert conjugate_eval(spec, x) == pytest.approx(
+            (1 + x) * math.log1p(x) - x, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_power_conjugate_closed_form_far_out(p):
+    # At x = 1e3 the maximiser x^{1/(p-1)} is 1e6 for p = 1.5, so the
+    # bracket doubles twenty times before the search.
+    q = p / (p - 1)
+    x = 1e3
+    assert conjugate_eval(YoungFunctionSpec("power", p), x) == pytest.approx(
+        x ** q / q, rel=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 8.0), st.floats(0.0, 8.0))
 def test_fenchel_young_inequality(t, x):
