@@ -10,8 +10,9 @@ The terms are two arrays: `codes`, sorted and unique, and complex `values`.
 A key's code is the C-order flat index of alpha + beta (the two joined) in
 the box of cutoff1 + 1 values per first-variable component and cutoff2 + 1
 per second-variable one, so code order is the order of sorted (alpha, beta)
-keys and of the bins of the symbol grid.  `_encode` and `_decode` convert;
-dicts of keys appear only in the constructor, JSON and the `coeffs` view.
+keys and of the bins of the symbol grid.  The layout stays in this module:
+other modules build exponent rows, and `key_codes` turns them into codes.
+Dicts of keys appear only in the constructor, JSON and the `coeffs` view.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .tensor_core import (
-    DimensionMismatchError,
-    MultiIndex,
-    iter_occupations,
-)
+from .tensor_core import DimensionMismatchError, MultiIndex
 
 TEST = "test"
 DISTRIBUTION = "distribution"
@@ -74,10 +71,48 @@ def _box(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
 def _decode(codes, phi: "Expansion2"):
     """The exponent rows alpha + beta of codes of phi's shape.
 
-    The inverse of `_encode`.
+    The inverse of `key_codes`.
     """
     radix, place = _box(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
     return (codes[:, None] // place % radix).astype(np.int64)
+
+
+def key_codes(rows, dim1: int, dim2: int, cutoff1: int, cutoff2: int):
+    """The codes of exponent rows alpha + beta, keys of the given shape."""
+    place = _box(dim1, dim2, cutoff1, cutoff2)[1]
+    return rows.astype(place.dtype) @ place
+
+
+def occupations_below(bounds, cutoff: int):
+    """Every occupation vector r <= b of degree <= cutoff, for each row b of
+    bounds: the index of b and r, one pair per row, in increasing order.
+
+    Built one component at a time: each row so far repeats once per value
+    its next component can still take, so no row is built and then dropped.
+    """
+    owner = np.arange(len(bounds))
+    rows = np.zeros((len(bounds), 0), dtype=np.int64)
+    for column in np.asarray(bounds).T:
+        counts = np.minimum(column[owner], cutoff - rows.sum(axis=1)) + 1
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        owner = np.repeat(owner, counts)
+        rows = np.column_stack((np.repeat(rows, counts, axis=0),
+                                np.arange(len(first)) - first))
+    return owner, rows
+
+
+def join_rows(rows1, rows2):
+    """Every row of rows1 joined to every row of rows2, in code order when
+    both are in increasing order."""
+    return np.concatenate((np.repeat(rows1, len(rows2), axis=0),
+                           np.tile(rows2, (len(rows1), 1))), axis=1)
+
+
+def key_rows(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
+    """The exponent rows of every key of a shape, in code order: each
+    variable's occupation vectors, joined."""
+    return join_rows(*(occupations_below(np.full((1, dim), cutoff), cutoff)[1]
+                       for dim, cutoff in ((dim1, cutoff1), (dim2, cutoff2))))
 
 
 def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
@@ -106,8 +141,7 @@ def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
     if bad.any():
         raise ValueError(f"key {keys[bad.argmax()]} has a negative "
                          "occupation or exceeds cutoffs")
-    place = _box(dim1, dim2, cutoff1, cutoff2)[1]
-    codes = rows.astype(place.dtype) @ place
+    codes = key_codes(rows, dim1, dim2, cutoff1, cutoff2)
     order = np.argsort(codes, kind="stable")
     values = np.fromiter(coeffs.values(), dtype=complex, count=n)
     return codes[order], values[order]
@@ -262,12 +296,14 @@ def _check_point(phi: Expansion2, p: Point2) -> None:
             f"expansion ({phi.dim1},{phi.dim2})")
 
 
-def _monomial(point: Sequence[complex], alpha: MultiIndex) -> complex:
-    v = 1 + 0j
-    for x, a in zip(point, alpha):
-        if a:
-            v *= complex(x) ** a
-    return v
+def complex_product(a, b):
+    """Elementwise a * b of complex arrays, rounded as Python rounds a
+    complex product: numpy's own product may fuse a multiply into an add,
+    which moves the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def multiplicities(exponents, dim1: int):
@@ -287,6 +323,14 @@ def multiplicities(exponents, dim1: int):
     for column in exponents.T:
         mult //= fact[column]
     return degrees, mult
+
+
+def pairing_weights(exponents, dim1: int):
+    """n! m! mult(alpha) mult(beta) per row alpha + beta, the weight of the
+    canonical pairing: exact integers, each rounded to a float once."""
+    degrees, mult = multiplicities(exponents, dim1)
+    return np.array([math.factorial(n) * math.factorial(m) * k for (n, m), k
+                     in zip(degrees.tolist(), mult.tolist())], dtype=float)
 
 
 # The largest evaluation an input may ask for, in complex cells of a
@@ -427,23 +471,30 @@ def laplace(Phi: Expansion2, xi: Sequence[complex],
 
 def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
                        cutoff1: int, cutoff2: int) -> Expansion2:
-    """e_{(xi,eta)}: coefficient at (n,m) is xi^n / n! (x) eta^m / m!."""
-    dim1, dim2 = len(xi), len(eta)
-    coeffs: Dict[Key, complex] = {}
-    for n in range(cutoff1 + 1):
-        fn = math.factorial(n)
-        for alpha in iter_occupations(dim1, n):
-            va = _monomial(xi, alpha)
-            if va == 0 and n > 0:
-                continue
-            for m in range(cutoff2 + 1):
-                fm = math.factorial(m)
-                for beta in iter_occupations(dim2, m):
-                    vb = _monomial(eta, beta)
-                    if vb == 0 and m > 0:
-                        continue
-                    coeffs[(alpha, beta)] = va * vb / (fn * fm)
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=TEST)
+    """e_{(xi,eta)}: coefficient at (n,m) is xi^n / n! (x) eta^m / m!; keys
+    whose monomial in a variable of positive degree is zero are left out."""
+    parts = []
+    for point, cutoff in ((xi, cutoff1), (eta, cutoff2)):
+        rows = key_rows(len(point), 0, cutoff, 0)
+        monomial = np.ones(len(rows), dtype=complex)
+        for x, column in zip(point, rows.T):
+            hit = column > 0
+            monomial[hit] = complex_product(monomial[hit],
+                                            np.power(complex(x), column[hit]))
+        kept = (monomial != 0) | ~rows.any(axis=1)
+        parts.append((rows[kept], monomial[kept]))
+    (rows1, mono1), (rows2, mono2) = parts
+    # n! m!, exact in Python integers and rounded once.
+    fact = np.array([math.factorial(k) for k in
+                     range(max(cutoff1, cutoff2, 0) + 1)], dtype=object)
+    n, m = rows1.sum(axis=1), rows2.sum(axis=1)
+    denominator = np.multiply.outer(fact[n], fact[m]).ravel().astype(float)
+    values = complex_product(mono1[:, None], mono2[None, :]).ravel()
+    values.real /= denominator
+    values.imag /= denominator
+    shape = (len(xi), len(eta), cutoff1, cutoff2)
+    return Expansion2(*shape, (key_codes(join_rows(rows1, rows2), *shape),
+                               values), role=TEST)
 
 
 def vacuum(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> Expansion2:
@@ -475,17 +526,6 @@ def translate(phi: Expansion2, shift: Point2) -> Expansion2:
     return convolve_dist_test(e.with_role(DISTRIBUTION), phi)
 
 
-def _sub_occupations(alpha: MultiIndex):
-    """All occupation vectors mu with mu <= alpha componentwise."""
-    if not alpha:
-        yield ()
-        return
-    head, tail = alpha[0], alpha[1:]
-    for h in range(head + 1):
-        for rest in _sub_occupations(tail):
-            yield (h,) + rest
-
-
 def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     """Canonical pairing <<Phi, phi>> = sum n! m! <Phi_{n,m}, phi_{n,m}>."""
     if Phi.role != DISTRIBUTION:
@@ -495,11 +535,8 @@ def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     _check_compatible(Phi, phi)
     _, i, j = np.intersect1d(Phi.codes, phi.codes, assume_unique=True,
                              return_indices=True)
-    degrees, mult = multiplicities(Phi.exponents[i], Phi.dim1)
-    w = [math.factorial(n) * math.factorial(m) * k for (n, m), k in
-         zip(degrees.tolist(), mult.tolist())]
-    return complex(np.sum(np.array(w, dtype=float) * Phi.values[i]
-                          * phi.values[j]))
+    w = pairing_weights(Phi.exponents[i], Phi.dim1)
+    return complex(np.sum(w * Phi.values[i] * phi.values[j]))
 
 
 def sym_convolve_coeffs(f: Expansion2,

@@ -30,6 +30,8 @@ from .chaos import (
     Point2,
     RoleError,
     coefficient_polynomials,
+    key_codes,
+    key_rows,
     multiplicities,
     point_coordinates,
 )
@@ -203,8 +205,7 @@ class ProcessSpec:
     def value_at(self, s: float) -> OperatorKernel:
         if s < 0 or s > self.end:
             raise ValueError(f"time {s} outside process grid")
-        i = min(bisect_right(self.grid, s) - 1, len(self.kernels) - 1)
-        return self.kernels[i]
+        return self.kernels[_piece_index(self, s)]
 
     def is_zero(self) -> bool:
         return all(not len(k.kernel.codes) for k in self.kernels)
@@ -357,11 +358,11 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     shape = (cutoff1 + 1,) * dim1 + (cutoff2 + 1,) * dim2
     exponents = np.indices(shape).reshape(len(shape), -1).T
     points = SYMBOL_RADIUS * np.exp(2j * np.pi * exponents / np.array(shape))
-    bins = np.flatnonzero((exponents[:, :dim1].sum(axis=1) <= cutoff1)
-                          & (exponents[:, dim1:].sum(axis=1) <= cutoff2))
+    keys = key_rows(dim1, dim2, cutoff1, cutoff2)
+    bins = key_codes(keys, dim1, dim2, cutoff1, cutoff2)
     scale = np.zeros(len(points))
-    scale[bins] = multiplicities(exponents[bins], dim1)[1].astype(float)
-    scale[bins] *= SYMBOL_RADIUS ** exponents[bins].sum(axis=1)
+    scale[bins] = multiplicities(keys, dim1)[1].astype(float)
+    scale[bins] *= SYMBOL_RADIUS ** keys.sum(axis=1)
     return shape, points, bins, scale
 
 

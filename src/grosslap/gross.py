@@ -9,15 +9,17 @@ distribution side it raises degrees, and the Laplace transform multiplies by
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from .chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Key,
     RoleError,
     _check_compatible,
+    key_codes,
     pair_products,
     sym_convolve_coeffs,
 )
@@ -31,18 +33,13 @@ def trace_distribution(dim1: int, dim2: int, cutoff1: int,
     variable is present, tau over the second at (0,2).  With dim2 = 0 this is
     the one-variable trace distribution.
     """
-    coeffs: Dict[Key, complex] = {}
-    if cutoff1 >= 2:
-        zero2 = (0,) * dim2
-        for j in range(dim1):
-            alpha = tuple(2 if i == j else 0 for i in range(dim1))
-            coeffs[(alpha, zero2)] = 1 + 0j
-    if dim2 >= 1 and cutoff2 >= 2:
-        zero1 = (0,) * dim1
-        for j in range(dim2):
-            beta = tuple(2 if i == j else 0 for i in range(dim2))
-            coeffs[(zero1, beta)] = 1 + 0j
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=DISTRIBUTION)
+    # One row 2 e_j per coordinate j of a variable whose cutoff reaches 2.
+    reach = [cutoff1 >= 2] * dim1 + [cutoff2 >= 2] * dim2
+    rows = 2 * np.eye(dim1 + dim2, dtype=np.int64)[reach]
+    codes = np.sort(key_codes(rows, dim1, dim2, cutoff1, cutoff2))
+    return Expansion2(dim1, dim2, cutoff1, cutoff2,
+                      (codes, np.ones(len(codes), dtype=complex)),
+                      role=DISTRIBUTION)
 
 
 def gross_split(phi: Expansion2) -> Tuple[Expansion2, Expansion2]:

@@ -8,25 +8,30 @@ trace distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from .chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Key,
     RoleError,
-    _sub_occupations,
+    complex_product,
     delta0,
     expansion_from_json,
     expansion_to_json,
+    join_rows,
+    key_codes,
     laplace,
+    multiplicities,
+    occupations_below,
+    pairing_weights,
     vacuum,
 )
 from .gross import convolve_dist_dist, gross_distribution, trace_distribution
-from .tensor_core import DimensionMismatchError, multinomial_weight, weight
+from .tensor_core import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -93,19 +98,21 @@ def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
     if f.dim1 != op.dim1 or f.cutoff1 != op.kernel.cutoff1:
         raise DimensionMismatchError("input does not match the kernel's "
                                      "first variable")
-    coeffs: Dict[Key, complex] = {}
-    empty = ()
-    for (alpha, beta), kv in op.kernel.coeffs.items():
-        fv = f.coeffs.get((alpha, empty))
-        if fv is None:
-            continue
-        w = math.factorial(weight(alpha)) * multinomial_weight(alpha)
-        key = (beta, empty)
-        coeffs[key] = coeffs.get(key, 0j) + w * fv * kv
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return Expansion2(op.dim2, 0, op.kernel.cutoff2, 0, coeffs,
-                      role=DISTRIBUTION,
-                      truncated=op.kernel.truncated or f.truncated)
+    K = op.kernel
+    d1, rows = K.dim1, K.exponents
+    # The kernel terms whose alpha is a key of f, and that key's position.
+    alpha = key_codes(rows[:, :d1], d1, 0, K.cutoff1, 0)
+    hit = np.isin(alpha, f.codes)
+    at = np.searchsorted(f.codes, alpha[hit])
+    weighted = pairing_weights(f.exponents, d1) * f.values
+    # Summed per beta in the kernel's term order.
+    codes, slot = np.unique(key_codes(rows[hit, d1:], K.dim2, 0, K.cutoff2, 0),
+                            return_inverse=True)
+    values = np.zeros(len(codes), dtype=complex)
+    np.add.at(values, slot, complex_product(weighted[at], K.values[hit]))
+    kept = values != 0
+    return Expansion2(K.dim2, 0, K.cutoff2, 0, (codes[kept], values[kept]),
+                      role=DISTRIBUTION, truncated=K.truncated or f.truncated)
 
 
 def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
@@ -114,12 +121,11 @@ def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
         raise DimensionMismatchError("tensor_expansion needs one-variable inputs")
     if f.role != g.role:
         raise RoleError("tensor_expansion needs matching roles")
-    coeffs: Dict[Key, complex] = {}
-    for (alpha, _), a in f.coeffs.items():
-        for (beta, _), b in g.coeffs.items():
-            coeffs[(alpha, beta)] = a * b
-    return Expansion2(f.dim1, g.dim1, f.cutoff1, g.cutoff1, coeffs,
-                      role=f.role, truncated=f.truncated or g.truncated)
+    shape = (f.dim1, g.dim1, f.cutoff1, g.cutoff1)
+    codes = key_codes(join_rows(f.exponents, g.exponents), *shape)
+    values = complex_product(f.values[:, None], g.values[None, :]).ravel()
+    return Expansion2(*shape, (codes, values), role=f.role,
+                      truncated=f.truncated or g.truncated)
 
 
 def op_convolve(op1: OperatorKernel, op2: OperatorKernel) -> OperatorKernel:
@@ -148,15 +154,16 @@ def multiplication_operator(Phi: Expansion2) -> OperatorKernel:
         raise DimensionMismatchError("multiplication_operator needs a "
                                      "one-variable distribution")
     d, cutoff = Phi.dim1, Phi.cutoff1
-    coeffs: Dict[Key, complex] = {}
-    for (gamma, _), c in Phi.coeffs.items():
-        for alpha in _sub_occupations(gamma):
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            n, m = weight(alpha), weight(beta)
-            coeffs[(alpha, beta)] = math.comb(n + m, n) * c
-    return OperatorKernel(
-        Expansion2(d, d, cutoff, cutoff, coeffs, role=DISTRIBUTION),
-        label="mult")
+    # Every split gamma = alpha + beta of every term of Phi.
+    g, alpha = occupations_below(Phi.exponents, cutoff)
+    rows = np.concatenate((alpha, Phi.exponents[g] - alpha), axis=1)
+    # C(n + m, n) is mult((n, m)), the degrees read as one occupation vector.
+    binomial = multiplicities(multiplicities(rows, d)[0], 2)[1].astype(float)
+    codes = key_codes(rows, d, d, cutoff, cutoff)
+    order = np.argsort(codes)
+    values = binomial * Phi.values[g]
+    return OperatorKernel(Expansion2(d, d, cutoff, cutoff, (
+        codes[order], values[order]), role=DISTRIBUTION), label="mult")
 
 
 def classical_quantum_bridge(Phi: Expansion2) -> Tuple[Expansion2, Expansion2]:

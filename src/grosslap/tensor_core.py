@@ -2,10 +2,10 @@
 
 A symmetric tensor of degree n over C^d is constant on permutation orbits of
 its index tuples, so we store one complex value per occupation vector alpha
-(alpha_i = how many slots carry index i).  Besides the index helpers every
-module uses, this holds `SymTensor`, `contract_full` (the product kernel
-read on one homogeneous degree) and the dense ndarray representation that
-certifies it.
+(alpha_i = how many slots carry index i).  It holds the index helpers,
+whose scalar weights the tests use as oracles, `SymTensor`, `contract_full`
+(the product kernel read on one homogeneous degree) and the dense ndarray
+representation that certifies it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def weight(alpha: MultiIndex) -> int:
 def multinomial_weight(alpha: MultiIndex) -> int:
     """Number of distinct index arrangements with occupation ``alpha``.
 
-    Equals n! / prod(alpha_i!) with n = sum(alpha).  Cached: the dict loops
-    ask for the same few weights again and again.
+    Equals n! / prod(alpha_i!) with n = sum(alpha).  Cached: loops over
+    keys ask for the same few weights again and again.
     """
     n = sum(alpha)
     out = math.factorial(n)

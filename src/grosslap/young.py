@@ -39,28 +39,35 @@ class YoungFunctionSpec:
                 raise ValueError("power family needs exponent k >= 1")
 
     def theta(self, x: float) -> float:
+        """theta(x), math.inf where that overflows."""
         if x < 0:
             raise ValueError("Young functions are defined on x >= 0")
-        if self.family == "gaussian":
-            return x * x
-        if self.family == "power":
-            return x ** self.k / self.k
-        return math.expm1(x) - x
+        try:
+            if self.family == "gaussian":
+                return x * x
+            if self.family == "power":
+                return x ** self.k / self.k
+            return math.expm1(x) - x
+        except OverflowError:
+            return math.inf
 
 
 def conjugate_eval(spec: YoungFunctionSpec, x: float) -> float:
-    """Legendre conjugate theta*(x) = sup_{t>=0} (t x - theta(t))."""
+    """theta*(x) = sup_{t>=0} (t x - theta(t)); inf past the float range."""
     if x < 0:
         raise ValueError("conjugate_eval needs x >= 0")
     if x == 0:
         return 0.0
-    # The objective is concave; expand the bracket until it is decreasing,
+    # The objective is concave; expand the bracket while it still falls,
     # then refine with golden-section search.
     hi = 1.0
     def neg(t: float) -> float:
-        return spec.theta(t) - t * x
-    while neg(hi * 2) < neg(hi) and hi < 1e12:
+        value = spec.theta(t)
+        return value if value == math.inf else value - t * x
+    while neg(hi * 2) < neg(hi):
         hi *= 2
+        if hi * 2 == math.inf:
+            return math.inf
     return max(0.0, -_golden_min(neg, 0.0, 2 * hi, 1e-12))
 
 
@@ -102,10 +109,7 @@ def _golden_min(f: Callable[[float], float], a: float, b: float,
 def check_growth_condition(spec: YoungFunctionSpec) -> bool:
     """True iff theta(x) / x^2 stabilizes on a geometric grid up to 1e6."""
     xs = np.geomspace(1.0, 1e6, 121)
-    try:
-        ratios = np.array([spec.theta(float(x)) / float(x) ** 2 for x in xs])
-    except OverflowError:
-        return False
+    ratios = np.array([spec.theta(float(x)) / float(x) ** 2 for x in xs])
     running_max = np.maximum.accumulate(ratios)
     # Compare the max over the last decade against the one a decade before.
     last = running_max[-1]

@@ -96,6 +96,23 @@ def test_young_conjugate_gaussian(runner):
     assert json.loads(res.output)["value"] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "expm1", "--op", "theta-n", "--n", "3"],
+    ["--family", "power", "--k", "80", "--op", "theta-n", "--n", "3"],
+])
+def test_young_theta_n_where_theta_overflows(runner, args):
+    res = runner.invoke(main, ["young", *args])
+    assert res.exit_code == 0, res.output
+    assert math.isfinite(json.loads(res.output)["value"])
+
+
+def test_young_infinite_conjugate_exits_2(runner):
+    res = runner.invoke(main, ["young", "--family", "power", "--k", "1",
+                               "--op", "conjugate", "--x", "2.0"])
+    assert res.exit_code == 2
+    assert "infinite" in res.output
+
+
 def test_young_missing_argument(runner):
     res = runner.invoke(main, ["young", "--family", "gaussian",
                                "--op", "conjugate"])

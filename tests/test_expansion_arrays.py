@@ -1,4 +1,5 @@
-"""The code/value storage of expansions against the dict loops it replaced."""
+"""The code/value storage of expansions, and the constructors that build
+on it, against the dict loops they replaced."""
 
 import json
 import math
@@ -12,10 +13,19 @@ from grosslap.chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
+    _box,
     coefficient_polynomials,
     dual_pair,
     expansion_from_json,
     expansion_to_json,
+    exponential_vector,
+)
+from grosslap.gross import trace_distribution
+from grosslap.quantum_op import (
+    OperatorKernel,
+    apply_operator,
+    multiplication_operator,
+    tensor_expansion,
 )
 from grosslap.tensor_core import (
     iter_occupations,
@@ -62,6 +72,87 @@ def loop_polynomial(coeffs, point, modulus=False):
             term *= complex(x) ** k
         total += abs(term) if modulus else term
     return total
+
+
+# The constructors' loops.  Each returns the coefficient dict and, per key,
+# the sum of the moduli of the terms that make up the coefficient.
+
+
+def _monomial(point, alpha):
+    v = 1 + 0j
+    for x, a in zip(point, alpha):
+        if a:
+            v *= complex(x) ** a
+    return v
+
+
+def _sub_occupations(alpha):
+    if not alpha:
+        yield ()
+        return
+    for h in range(alpha[0] + 1):
+        for rest in _sub_occupations(alpha[1:]):
+            yield (h,) + rest
+
+
+def loop_exponential_vector(xi, eta, cutoff1, cutoff2):
+    coeffs = {}
+    for n in range(cutoff1 + 1):
+        for alpha in iter_occupations(len(xi), n):
+            va = _monomial(xi, alpha)
+            if va == 0 and n > 0:
+                continue
+            for m in range(cutoff2 + 1):
+                for beta in iter_occupations(len(eta), m):
+                    vb = _monomial(eta, beta)
+                    if vb == 0 and m > 0:
+                        continue
+                    coeffs[(alpha, beta)] = va * vb / (math.factorial(n)
+                                                       * math.factorial(m))
+    return coeffs, {k: abs(v) for k, v in coeffs.items()}
+
+
+def loop_trace_distribution(dim1, dim2, cutoff1, cutoff2):
+    coeffs = {}
+    if cutoff1 >= 2:
+        for j in range(dim1):
+            alpha = tuple(2 if i == j else 0 for i in range(dim1))
+            coeffs[(alpha, (0,) * dim2)] = 1 + 0j
+    if dim2 >= 1 and cutoff2 >= 2:
+        for j in range(dim2):
+            beta = tuple(2 if i == j else 0 for i in range(dim2))
+            coeffs[((0,) * dim1, beta)] = 1 + 0j
+    return coeffs, {k: 1.0 for k in coeffs}
+
+
+def loop_apply_operator(kernel, f):
+    coeffs, moduli = {}, {}
+    for (alpha, beta), kv in kernel.items():
+        fv = f.get((alpha, ()))
+        if fv is None:
+            continue
+        term = (math.factorial(weight(alpha)) * multinomial_weight(alpha)
+                * fv * kv)
+        coeffs[(beta, ())] = coeffs.get((beta, ()), 0j) + term
+        moduli[(beta, ())] = moduli.get((beta, ()), 0.0) + abs(term)
+    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    return coeffs, moduli
+
+
+def loop_tensor_expansion(f, g):
+    coeffs = {(alpha, beta): a * b for (alpha, _), a in f.items()
+              for (beta, _), b in g.items()}
+    return coeffs, {k: abs(v) for k, v in coeffs.items()}
+
+
+def loop_multiplication_operator(Phi):
+    coeffs = {}
+    for (gamma, _), c in Phi.items():
+        for alpha in _sub_occupations(gamma):
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            n, m = weight(alpha), weight(beta)
+            coeffs[(alpha, beta)] = math.comb(n + m, n) * c
+    return coeffs, {k: abs(v) for k, v in coeffs.items()}
 
 
 def old_json_layout(dim1, dim2, cutoff1, cutoff2, role, coeffs):
@@ -255,3 +346,137 @@ def test_shapes_too_large_to_code_are_refused(dims, cutoffs):
     # file costs nothing.
     with pytest.raises(ValueError, match="too large to code"):
         Expansion2(*dims, *cutoffs, {})
+
+
+# ---------------------------------------------------------------------------
+# The constructors against their loops
+
+
+def assert_matches_loop(phi, loop, role, truncated):
+    """phi holds the loop's keys in strictly increasing codes of the shape's
+    code type, and each value within 4e-16 of the sum of its term moduli."""
+    want, moduli = loop
+    assert phi.role == role and phi.truncated == truncated
+    assert set(phi.coeffs) == set(want)
+    place = _box(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)[1]
+    assert phi.codes.dtype == place.dtype
+    assert all(a < b for a, b in zip(phi.codes, phi.codes[1:]))
+    for key, v in want.items():
+        assert abs(phi[key] - v) <= 4e-16 * moduli[key]
+
+
+@st.composite
+def points(draw, dim):
+    """Complex points of `dim` components, some of them zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    return [0j if z else complex(*rng.uniform(-2, 2, 2)) for z in zero]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exponential_vector_matches_dict_loop(data):
+    dim1, dim2, cutoff1, cutoff2 = data.draw(shapes())
+    xi, eta = data.draw(points(dim1)), data.draw(points(dim2))
+    e = exponential_vector(xi, eta, cutoff1, cutoff2)
+    assert_matches_loop(e, loop_exponential_vector(xi, eta, cutoff1, cutoff2),
+                        TEST, False)
+
+
+def test_exponential_vector_drops_keys_of_zero_components():
+    e = exponential_vector([0j, 0.5], [0j], 4, 3)
+    assert set(e.coeffs) == {((0, n), (0,)) for n in range(5)}
+    assert_matches_loop(e, loop_exponential_vector([0j, 0.5], [0j], 4, 3),
+                        TEST, False)
+
+
+def test_trace_distribution_matches_dict_loop():
+    for dim1 in range(1, 4):
+        for dim2 in range(4):
+            for cutoff1 in range(9):
+                for cutoff2 in range(9 if dim2 else 1):
+                    shape = (dim1, dim2, cutoff1, cutoff2)
+                    assert_matches_loop(trace_distribution(*shape),
+                                        loop_trace_distribution(*shape),
+                                        DISTRIBUTION, False)
+
+
+@st.composite
+def kernels_and_inputs(draw):
+    dim1, dim2, cutoff1, cutoff2 = draw(shapes().filter(lambda s: s[1]))
+    kernel = draw(coefficient_dicts((dim1, dim2, cutoff1, cutoff2)))
+    f = draw(coefficient_dicts((dim1, 0, cutoff1, 0)))
+    flags = draw(st.tuples(st.booleans(), st.booleans()))
+    return (dim1, dim2, cutoff1, cutoff2), kernel, f, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernels_and_inputs())
+def test_apply_operator_matches_dict_loop(case):
+    (dim1, dim2, cutoff1, cutoff2), kernel, f, (kflag, fflag) = case
+    op = OperatorKernel(Expansion2(dim1, dim2, cutoff1, cutoff2, kernel,
+                                   role=DISTRIBUTION, truncated=kflag))
+    psi = apply_operator(op, Expansion2(dim1, 0, cutoff1, 0, f,
+                                        truncated=fflag))
+    assert (psi.dim1, psi.dim2, psi.cutoff1) == (dim2, 0, cutoff2)
+    assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION,
+                        kflag or fflag)
+
+
+def test_apply_operator_drops_sums_that_cancel():
+    # |alpha|! mult(alpha) is 1 for both alphas, so the beta = (1,) terms
+    # cancel exactly; beta = (2,) survives.
+    kernel = {((1, 0), (1,)): 0.5 + 0j, ((0, 1), (1,)): -0.5 + 0j,
+              ((0, 0), (2,)): 3j}
+    f = {((1, 0), ()): 1 + 0j, ((0, 1), ()): 1 + 0j, ((0, 0), ()): 2 + 0j}
+    op = OperatorKernel(Expansion2(2, 1, 2, 2, kernel, role=DISTRIBUTION))
+    psi = apply_operator(op, Expansion2(2, 0, 2, 0, f))
+    assert dict(psi.coeffs) == {((2,), ()): 6j}
+    assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION,
+                        False)
+
+
+@st.composite
+def one_variable_pairs(draw):
+    dim_f, dim_g = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cut_f, cut_g = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return ((dim_f, cut_f), draw(coefficient_dicts((dim_f, 0, cut_f, 0))),
+            (dim_g, cut_g), draw(coefficient_dicts((dim_g, 0, cut_g, 0))),
+            draw(st.sampled_from([TEST, DISTRIBUTION])),
+            draw(st.tuples(st.booleans(), st.booleans())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_variable_pairs())
+def test_tensor_expansion_matches_dict_loop(case):
+    (dim_f, cut_f), f, (dim_g, cut_g), g, role, (fflag, gflag) = case
+    out = tensor_expansion(
+        Expansion2(dim_f, 0, cut_f, 0, f, role=role, truncated=fflag),
+        Expansion2(dim_g, 0, cut_g, 0, g, role=role, truncated=gflag))
+    assert (out.dim1, out.dim2, out.cutoff1, out.cutoff2) == (
+        dim_f, dim_g, cut_f, cut_g)
+    assert_matches_loop(out, loop_tensor_expansion(f, g), role,
+                        fflag or gflag)
+
+
+def test_tensor_expansion_codes_past_2_to_63():
+    # 16 + 14 components of radix 9: codes up to 9^30 > 2^63.
+    f = {((8,) + (0,) * 15, ()): 1 + 2j, ((0,) * 15 + (3,), ()): 0j,
+         ((0,) * 16, ()): -1 + 0j}
+    g = {((0,) * 13 + (8,), ()): 2j, ((1,) * 8 + (0,) * 6, ()): 0.5 + 0j}
+    out = tensor_expansion(Expansion2(16, 0, 8, 0, f),
+                           Expansion2(14, 0, 8, 0, g))
+    assert out.codes.dtype == object and out.codes[-1] > 2 ** 63
+    assert_matches_loop(out, loop_tensor_expansion(f, g), TEST, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multiplication_operator_matches_dict_loop(data):
+    dim, cutoff = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8))
+    Phi = data.draw(coefficient_dicts((dim, 0, cutoff, 0)))
+    op = multiplication_operator(Expansion2(dim, 0, cutoff, 0, Phi,
+                                            role=DISTRIBUTION))
+    assert (op.dim1, op.dim2) == (dim, dim)
+    assert_matches_loop(op.kernel, loop_multiplication_operator(Phi),
+                        DISTRIBUTION, False)

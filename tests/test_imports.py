@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and no
-library module imports scipy."""
+"""Every name a library module imports is used in that module, no library
+module imports scipy, and the code layout of expansions stays in `chaos`."""
 
 import ast
 from pathlib import Path
@@ -63,3 +63,44 @@ def test_scipy_import_is_found():
                      "from .scipy import x\n")
     assert _scipy_imports(tree) == [(1, "scipy.linalg"),
                                     (3, "scipy.optimize")]
+
+
+# The code layout of expansions stays behind `chaos`; `.coeffs`, the dict
+# view of an expansion's terms, is read only by `chaos` and by the
+# `SymTensor` boundary of `tensor_core.contract_full`.
+LAYOUT_NAMES = {"_box", "_encode", "_decode"}
+COEFFS_READERS = {"chaos.py", "tensor_core.py"}
+
+
+def _layout_references(tree: ast.Module) -> list:
+    """(line, name) of every use of a layout name and every `.coeffs` read."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = {node.attr} & (LAYOUT_NAMES | {"coeffs"})
+        elif isinstance(node, ast.Name):
+            names = {node.id} & LAYOUT_NAMES
+        elif isinstance(node, ast.alias):
+            names = {node.name, node.asname} & LAYOUT_NAMES
+        else:
+            continue
+        found += [(node.lineno, name) for name in names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_code_layout_stays_in_chaos(path):
+    found = _layout_references(ast.parse(path.read_text()))
+    if path.name != "chaos.py":
+        assert [n for n in found if n[1] in LAYOUT_NAMES] == []
+    if path.name not in COEFFS_READERS:
+        assert [n for n in found if n[1] == "coeffs"] == []
+
+
+def test_layout_reference_is_found():
+    tree = ast.parse("from .chaos import _box as b, _decode\n"
+                     "coeffs = phi.coeffs\n"
+                     "y = chaos._encode(coeffs)\n")
+    assert _layout_references(tree) == [(1, "_box"), (1, "_decode"),
+                                        (2, "coeffs"), (3, "_encode")]

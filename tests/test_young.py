@@ -97,6 +97,51 @@ def test_theta_n_decreasing_for_gaussian():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (80, 1), (80, 3)])
+def test_theta_n_power_closed_form(k, n):
+    # r^k / k - n log r is least at r^k = n.  For k = 80 the search's first
+    # probe, r = e^9.44, overflows theta.
+    want = math.exp(n / k) * n ** (-n / k)
+    assert theta_n(YoungFunctionSpec("power", k), n) == pytest.approx(
+        want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_theta_n_expm1_closed_form(n):
+    # e^r - 1 - r - n log r is least where r (e^r - 1) = n; found by
+    # bisection.  theta overflows at the search's first probe.
+    lo, hi = 0.0, 10.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid * math.expm1(mid) < n else (lo, mid)
+    want = math.exp(math.expm1(lo) - lo - n * math.log(lo))
+    assert theta_n(YoungFunctionSpec("expm1"), n) == pytest.approx(
+        want, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e13, 1e100])
+def test_gaussian_conjugate_past_the_old_bracket_cap(x):
+    # The maximiser x/2 lies past 1e12, where the bracket used to stop.
+    assert conjugate_eval(YoungFunctionSpec("gaussian"), x) == pytest.approx(
+        x * x / 4, rel=1e-12)
+
+
+def test_power_conjugate_where_theta_overflows():
+    # Bracketing the maximiser x^{1/79} ~ 6.3e3 probes t where t^80
+    # overflows.
+    k, x = 80, 1e300
+    q = k / (k - 1)
+    assert conjugate_eval(YoungFunctionSpec("power", k), x) == pytest.approx(
+        x ** q / q, rel=1e-12)
+
+
+def test_linear_conjugate_is_zero_or_infinite():
+    # theta(t) = t: theta*(x) = sup t (x - 1) is 0 for x <= 1, +inf above.
+    spec = YoungFunctionSpec("power", 1)
+    assert conjugate_eval(spec, 0.5) == 0
+    assert conjugate_eval(spec, 2.0) == math.inf
+
+
 def test_growth_condition():
     assert check_growth_condition(YoungFunctionSpec("gaussian"))
     assert check_growth_condition(YoungFunctionSpec("power", 1.5))
