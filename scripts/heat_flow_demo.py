@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from grosslap.chaos import DISTRIBUTION, Expansion2, Point2, coefficient_polynomial
+from grosslap.chaos import DISTRIBUTION, Expansion2, coefficient_polynomials
 from grosslap.evolution import (
     gaussian_heat_kernel,
     half_trace_process,
@@ -49,11 +49,11 @@ def main() -> None:
           f"{sol.checks['gaussian_gap']:.3e}")
 
     rng = np.random.default_rng(args.seed)
-    y = Point2.of(rng.uniform(-1, 1, 1).tolist(), rng.uniform(-1, 1, 1).tolist())
-    print(f"\nsample evaluation at y={tuple(v.real for v in y.z + y.t)}:")
+    y = rng.uniform(-1, 1, (1, 2))
+    print(f"\nsample evaluation at y={tuple(y[0].tolist())}:")
     for t, k in zip(sol.times, sol.kernels):
-        direct = coefficient_polynomial(k.kernel, y).real
-        oracle = gaussian_heat_kernel(xi0, t, y).real
+        direct = coefficient_polynomials([k.kernel], y)[0, 0].real
+        oracle = gaussian_heat_kernel(xi0, t, y)[0].real
         print(f"  t={t:4.2f}  kernel={direct:+.10f}  gaussian={oracle:+.10f}")
 
     t_end = max(args.times)

@@ -16,7 +16,6 @@ from .chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Point2,
     RoleError,
     delta0,
     dual_pair,

@@ -22,7 +22,7 @@ import functools
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from itertools import accumulate, chain
 from typing import Dict, Sequence, Tuple
 
@@ -263,23 +263,6 @@ class Expansion2:
         return self.dim2 == 0
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Evaluation point (z, t) with z over dim1 and t over dim2."""
-
-    z: Tuple[complex, ...]
-    t: Tuple[complex, ...] = ()
-
-    @staticmethod
-    def of(z: Sequence[complex], t: Sequence[complex] = ()) -> "Point2":
-        return Point2(tuple(complex(x) for x in z),
-                      tuple(complex(x) for x in t))
-
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(tuple(a + b for a, b in zip(self.z, other.z)),
-                      tuple(a + b for a, b in zip(self.t, other.t)))
-
-
 def _check_compatible(a: Expansion2, b: Expansion2) -> None:
     if (a.dim1, a.dim2) != (b.dim1, b.dim2):
         raise DimensionMismatchError(
@@ -287,13 +270,6 @@ def _check_compatible(a: Expansion2, b: Expansion2) -> None:
     if (a.cutoff1, a.cutoff2) != (b.cutoff1, b.cutoff2):
         raise DimensionMismatchError(
             f"cutoffs ({a.cutoff1},{a.cutoff2}) vs ({b.cutoff1},{b.cutoff2})")
-
-
-def _check_point(phi: Expansion2, p: Point2) -> None:
-    if len(p.z) != phi.dim1 or len(p.t) != phi.dim2:
-        raise DimensionMismatchError(
-            f"point dims ({len(p.z)},{len(p.t)}) vs "
-            f"expansion ({phi.dim1},{phi.dim2})")
 
 
 def complex_product(a, b):
@@ -437,24 +413,24 @@ def point_coordinates(points: Sequence, dim1: int, dim2: int):
                     dtype=complex).reshape(len(points), dim1 + dim2)
 
 
-def coefficient_polynomial(phi: Expansion2, p: Point2) -> complex:
-    """Sum mult(alpha) mult(beta) c_{alpha,beta} z^alpha t^beta.
+def coefficient_polynomial(phi: Expansion2, point) -> complex:
+    """Sum mult(alpha) mult(beta) c_{alpha,beta} z^alpha t^beta at (z, t).
 
     This is plain evaluation for a test expansion and, with the same formula,
     the Laplace transform for a distribution; the role check lives in the
     public wrappers.  It is the one-point case of `coefficient_polynomials`.
     """
-    _check_point(phi, p)
-    x = np.array([p.z + p.t], dtype=complex)
+    x = point_coordinates([point], phi.dim1, phi.dim2)
     return complex(coefficient_polynomials([phi], x)[0, 0])
 
 
-def evaluate(phi: Expansion2, p: Point2) -> complex:
-    """Evaluate a test expansion at a point of the (dual) base space."""
+def evaluate(phi: Expansion2, z: Sequence[complex],
+             t: Sequence[complex] = ()) -> complex:
+    """Evaluate a test expansion at a point (z, t) of the (dual) base space."""
     if phi.role != TEST:
         raise RoleError("evaluate needs a test expansion; use laplace "
                         "for distributions")
-    return coefficient_polynomial(phi, p)
+    return coefficient_polynomial(phi, (z, t))
 
 
 def laplace(Phi: Expansion2, xi: Sequence[complex],
@@ -466,7 +442,7 @@ def laplace(Phi: Expansion2, xi: Sequence[complex],
     """
     if Phi.role != DISTRIBUTION:
         raise RoleError("laplace needs a distribution")
-    return coefficient_polynomial(Phi, Point2.of(xi, eta))
+    return coefficient_polynomial(Phi, (xi, eta))
 
 
 def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
@@ -510,8 +486,9 @@ def delta0(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> Expansion2:
                       role=DISTRIBUTION)
 
 
-def translate(phi: Expansion2, shift: Point2) -> Expansion2:
-    """Shift of a test expansion: translate(phi, s)(x) = phi(x + s).
+def translate(phi: Expansion2, z: Sequence[complex],
+              t: Sequence[complex] = ()) -> Expansion2:
+    """Shift of a test expansion by s = (z, t): phi(x + s) as a function of x.
 
     Coefficients follow the binomial rule: the (gamma, delta) coefficient
     picks up C(n+i, i) C(m+j, j) times the contraction of s^i (x) s^j against
@@ -521,8 +498,8 @@ def translate(phi: Expansion2, shift: Point2) -> Expansion2:
     from .gross import convolve_dist_test
     if phi.role != TEST:
         raise RoleError("translate needs a test expansion")
-    _check_point(phi, shift)
-    e = exponential_vector(shift.z, shift.t, phi.cutoff1, phi.cutoff2)
+    point_coordinates([(z, t)], phi.dim1, phi.dim2)
+    e = exponential_vector(z, t, phi.cutoff1, phi.cutoff2)
     return convolve_dist_test(e.with_role(DISTRIBUTION), phi)
 
 
@@ -693,8 +670,9 @@ def expansion_to_json(phi: Expansion2) -> dict:
 def expansion_from_json(obj: dict) -> Expansion2:
     coeffs = {
         (_occupations(t["alpha"]), _occupations(t["beta"])):
-            complex(t["re"], t.get("im", 0.0))
-        for t in obj.get("terms", [])
+            complex(_json_number(t["re"], "a real part"),
+                    _json_number(t.get("im", 0.0), "an imaginary part"))
+        for t in map(_json_object, _json_object(obj).get("terms", []))
     }
     # Overflowed literals such as 1e999 parse to inf.
     if not all(cmath.isfinite(v) for v in coeffs.values()):
@@ -704,11 +682,25 @@ def expansion_from_json(obj: dict) -> Expansion2:
                       coeffs, role=obj.get("role", TEST))
 
 
+def _json_object(value) -> dict:
+    """A JSON object; arrays, numbers and strings are rejected."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _json_count(value, what: str) -> int:
     """A JSON integer >= 0; booleans, floats and strings are rejected."""
     if type(value) is not int or value < 0:
         raise ValueError(f"{what} must be an integer >= 0, not {value!r}")
     return value
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; booleans and strings are rejected."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return float(value)
 
 
 def _occupations(values) -> MultiIndex:

@@ -19,8 +19,9 @@ import numpy as np
 from .chaos import (
     DISTRIBUTION,
     TEST,
-    Point2,
     RoleError,
+    _json_number,
+    _json_object,
     check_evaluation_size,
     coefficient_count,
     coefficient_polynomials,
@@ -47,6 +48,7 @@ from .young import YoungFunctionSpec, check_growth_condition, conjugate_eval, th
 # The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
 ROLE_OF_OP = {"evaluate": TEST, "laplace": DISTRIBUTION}
 METHODS = ("closed_form", "symbol_ode", "both")
+ACTIONS = (ACTION_FUNCTION, ACTION_DISTRIBUTION)
 
 INPUT_ERRORS = (RoleError, DimensionMismatchError, DegreeError, ValueError,
                 KeyError, TypeError, OverflowError, json.JSONDecodeError)
@@ -79,13 +81,6 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _json_number(value, what: str) -> float:
-    """A JSON number as a float; booleans and strings are rejected."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a number, not {value!r}")
-    return float(value)
-
-
 def _as_complex(obj) -> complex:
     """A number, an [re, im] pair or {"re": .., "im": ..}; each part is read
     with `_json_number`."""
@@ -99,10 +94,11 @@ def _as_complex(obj) -> complex:
                    _json_number(im, "an imaginary part"))
 
 
-def _as_point(obj) -> Point2:
-    z = [_as_complex(v) for v in obj.get("z", [])]
-    t = [_as_complex(v) for v in obj.get("t", [])]
-    return Point2.of(z, t)
+def _as_point(obj):
+    """A {"z": [..], "t": [..]} object as a (z, t) pair of complex lists."""
+    obj = _json_object(obj)
+    return ([_as_complex(v) for v in obj.get("z", [])],
+            [_as_complex(v) for v in obj.get("t", [])])
 
 
 def _c_json(v: complex) -> dict:
@@ -180,27 +176,25 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         spec = _load_json(in_path)
         xi0 = kernel_from_json(spec["xi0"])
         ref = xi0.kernel
-        keys = coefficient_count(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
-        check_evaluation_size(
-            grid_point_count(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2),
-            keys, ref.dim1, ref.dim2)
+        shape = (ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
+        check_evaluation_size(grid_point_count(*shape),
+                              coefficient_count(*shape), ref.dim1, ref.dim2)
         times = [_json_number(t, "a time") for t in spec["times"]]
         method = method or spec.get("method", "closed_form")
-        if method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}, "
-                             f"not {method!r}")
         action = spec.get("action", ACTION_FUNCTION)
+        for name, value, allowed in (("method", method, METHODS),
+                                     ("action", action, ACTIONS)):
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of "
+                                 f"{', '.join(allowed)}, not {value!r}")
         t_end = max(times + [1e-9])
         heat = "Z" not in spec
-        if heat:
-            Z = None
-        else:
-            Z = _process_from_json(spec["Z"])
+        Z = (half_trace_process(*shape, t_end) if heat
+             else _process_from_json(spec["Z"]))
         if "Theta" in spec:
             Theta = _process_from_json(spec["Theta"])
         else:
-            Theta = zero_process(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2,
-                                 max(t_end, Z.end if Z else t_end))
+            Theta = zero_process(*shape, max(t_end, Z.end))
     except FileNotFoundError as exc:
         _fail(2, str(exc))
     except INPUT_ERRORS as exc:
@@ -218,16 +212,11 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
                     sol = solve_qsde(Z, Theta, xi0, times, action=action)
                 checks.update(sol.checks)
             if method in ("symbol_ode", "both"):
-                Zn = Z if Z is not None else half_trace_process(
-                    ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2, t_end)
-                numeric = solve_symbol_ode(Zn, Theta, xi0, times)
+                numeric = solve_symbol_ode(Z, Theta, xi0, times)
                 if method == "both":
-                    closed = (
-                        sol if action == ACTION_DISTRIBUTION else
-                        (solve_heat(xi0, Theta, times,
-                                    action=ACTION_DISTRIBUTION) if heat else
-                         solve_qsde(Z, Theta, xi0, times,
-                                    action=ACTION_DISTRIBUTION)))
+                    closed = (sol if action == ACTION_DISTRIBUTION else
+                              solve_qsde(Z, Theta, xi0, times,
+                                         action=ACTION_DISTRIBUTION))
                     checks["residual_max"] = symbol_gap(closed, numeric)
                 else:
                     sol = numeric
@@ -272,8 +261,7 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
             raise ValueError(f"unknown op {op!r}")
         check_evaluation_size(len(points), len(phi.codes), phi.dim1,
                               phi.dim2)
-        x = point_coordinates([(p.z, p.t) for p in points], phi.dim1,
-                              phi.dim2)
+        x = point_coordinates(points, phi.dim1, phi.dim2)
         values = coefficient_polynomials([phi], x)[:, 0].tolist()
     except FileNotFoundError as exc:
         _fail(2, str(exc))

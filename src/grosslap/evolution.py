@@ -27,13 +27,11 @@ from .chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Point2,
     RoleError,
     coefficient_polynomials,
     key_codes,
     key_rows,
     multiplicities,
-    point_coordinates,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
@@ -254,9 +252,9 @@ class EvolutionSolution:
     action: str = ACTION_FUNCTION
     truncated: bool = False
     checks: Dict[str, float] = field(default_factory=dict)
-    symbol_points: Optional[Tuple[Tuple[Tuple[complex, ...],
-                                        Tuple[complex, ...]], ...]] = None
-    symbol_values: Optional[Tuple[Tuple[complex, ...], ...]] = None
+    # Symbol-ODE only: the grid's coordinate rows, the (times, rows) symbols.
+    symbol_points: Optional[np.ndarray] = None
+    symbol_values: Optional[np.ndarray] = None
 
 
 def apply_propagator(G: Expansion2, K: Expansion2, action: str) -> Expansion2:
@@ -424,6 +422,7 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
 
     values = np.array([states[float(t)] for t in times],
                       dtype=complex).reshape(len(times), len(points))
+    points.flags.writeable = values.flags.writeable = False
     spectrum = np.fft.fftn(values.reshape(len(times), *shape),
                            axes=tuple(range(1, len(shape) + 1)))
     coef = (spectrum.reshape(values.shape)[:, bins]
@@ -441,11 +440,7 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
                              action=ACTION_DISTRIBUTION,
                              checks={"fit_amplification": SYMBOL_RADIUS
                                      ** -(ref.cutoff1 + ref.cutoff2)},
-                             symbol_points=tuple(
-                                 (tuple(p[:ref.dim1]), tuple(p[ref.dim1:]))
-                                 for p in points.tolist()),
-                             symbol_values=tuple(tuple(v) for v in
-                                                 values.tolist()))
+                             symbol_points=points, symbol_values=values)
 
 
 def symbol_gap(closed: EvolutionSolution,
@@ -460,8 +455,8 @@ def symbol_gap(closed: EvolutionSolution,
     if not closed.kernels:
         return 0.0
     _, values = torus_symbols([k.kernel for k in closed.kernels])
-    expected = np.array(numeric.symbol_values, dtype=complex).T
-    return float(np.max(np.abs(values - expected), initial=0.0))
+    return float(np.max(np.abs(values - numeric.symbol_values.T),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -501,34 +496,36 @@ def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
         rng = np.random.default_rng(seed)
         gap = 0.0
         for t, kern in zip(sol.times, sol.kernels):
-            ys = [Point2.of(rng.uniform(-1, 1, ref.dim1).tolist(),
-                            rng.uniform(-1, 1, ref.dim2).tolist())
-                  for _ in range(GAUSSIAN_CHECK_POINTS)]
-            direct = coefficient_polynomials(
-                [kern.kernel],
-                point_coordinates([(y.z, y.t) for y in ys], ref.dim1,
-                                  ref.dim2))
-            for y, value in zip(ys, direct[:, 0]):
-                oracle = gaussian_heat_kernel(xi0, t, y)
-                gap = nan_max(gap, abs(value - oracle))
-        checks["gaussian_gap"] = float(gap)
+            x = rng.uniform(-1, 1, (GAUSSIAN_CHECK_POINTS, ref.dim1 + ref.dim2))
+            direct = coefficient_polynomials([kern.kernel], x)[:, 0]
+            oracle = gaussian_heat_kernel(xi0, t, x)
+            gap = nan_max(gap, float(np.max(np.abs(direct - oracle))))
+        checks["gaussian_gap"] = gap
     return replace(sol, checks=checks)
 
 
-def gaussian_heat_kernel(xi0: OperatorKernel, t: float, y: Point2) -> complex:
+def gaussian_heat_kernel(xi0: OperatorKernel, t: float, x) -> np.ndarray:
     """Gaussian-integral evaluation of the homogeneous heat solution kernel.
 
     Integrates the initial kernel polynomial shifted by sqrt(t) times a
-    standard Gaussian, coordinate by coordinate, using exact moments.
+    standard Gaussian, coordinate by coordinate, using exact moments.  x
+    holds one row of z then t coordinates per point; returns one value per
+    row.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if len(y.z) != xi0.dim1 or len(y.t) != xi0.dim2:
-        raise ValueError("evaluation point does not match kernel dims")
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[1] != xi0.dim1 + xi0.dim2:
+        raise ValueError("evaluation points do not match kernel dims")
     K = xi0.kernel
-    terms = multiplicities(K.exponents, K.dim1)[1].astype(float) * K.values
-    for a, column in zip(y.z + y.t, K.exponents.T):
-        moments = np.array([_shifted_gauss_moment(a, t, k)
-                            for k in range(column.max(initial=0) + 1)])
-        terms = terms * moments[column]
-    return complex(np.sum(terms))
+    base = multiplicities(K.exponents, K.dim1)[1].astype(float) * K.values
+    # Contiguous (points, terms) operands: a broadcast (terms,) row would
+    # round the complex products differently.
+    terms = np.repeat(base[None, :], len(x), axis=0)
+    for coords, column in zip(x.T.tolist(), K.exponents.T):
+        degree = column.max(initial=0)
+        moments = np.array([[_shifted_gauss_moment(a, t, k)
+                             for k in range(degree + 1)] for a in coords],
+                           dtype=complex).reshape(len(x), degree + 1)
+        terms = terms * moments[:, column]
+    return terms.sum(axis=1)

@@ -79,8 +79,6 @@ def symbol(op: OperatorKernel, xi1: Sequence[complex],
     Equivalently the pairing of Xi applied to one exponential vector against
     another; tests compute both routes.
     """
-    if len(xi1) != op.dim1 or len(xi2) != op.dim2:
-        raise DimensionMismatchError("symbol point dims do not match kernel")
     return laplace(op.kernel, xi1, xi2)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chaos import Expansion2, Point2, RoleError, TEST, evaluate
+from .chaos import Expansion2, RoleError, TEST, evaluate
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -136,7 +136,7 @@ def growth_norm_estimate(phi: Expansion2, a1: float, a2: float,
         r = r_max * i / max(samples - 1, 1)
         z = _random_direction(rng, phi.dim1) * r
         t = _random_direction(rng, phi.dim2) * r if phi.dim2 else np.zeros(0)
-        val = abs(evaluate(phi, Point2.of(z.tolist(), t.tolist())))
+        val = abs(evaluate(phi, z, t))
         damp = math.exp(-theta1.theta(a1 * _norm(z)) - theta2.theta(a2 * _norm(t)))
         best = max(best, val * damp)
     return best

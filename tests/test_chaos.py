@@ -11,7 +11,6 @@ from grosslap.chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Point2,
     RoleError,
     delta0,
     dual_pair,
@@ -30,7 +29,7 @@ from conftest import random_expansion, rng_complex
 
 def test_exponential_vector_evaluates_to_exp():
     e = exponential_vector([0.3], [0.4], 12, 12)
-    val = evaluate(e, Point2.of([1], [1]))
+    val = evaluate(e, [1], [1])
     assert val == pytest.approx(math.exp(0.7), abs=1e-9)
 
 
@@ -44,16 +43,15 @@ def test_vacuum_is_constant_one():
     e0 = vacuum(2, 2, 5, 5)
     for _ in range(3):
         rng = np.random.default_rng(7)
-        p = Point2.of(rng_complex(rng, 2).tolist(), rng_complex(rng, 2).tolist())
-        assert evaluate(e0, p) == 1
+        assert evaluate(e0, rng_complex(rng, 2), rng_complex(rng, 2)) == 1
 
 
 def test_translate_square():
     # (x + 1)^2 = 1 + 2x + x^2; monomial coefficients carry the orbit weight,
     # so evaluation is the real check.
     phi = Expansion2(1, 0, 4, 0, {((2,), ()): 1 + 0j})
-    shifted = translate(phi, Point2.of([1]))
-    assert evaluate(shifted, Point2.of([2])) == pytest.approx(9)
+    shifted = translate(phi, [1])
+    assert evaluate(shifted, [2]) == pytest.approx(9)
     assert shifted[((0,), ())] == 1
     assert shifted[((1,), ())] == 2
     assert shifted[((2,), ())] == 1
@@ -65,12 +63,10 @@ def test_translate_agrees_with_shifted_evaluation(seed):
     rng = np.random.default_rng(seed)
     d1, d2 = int(rng.integers(1, 3)), int(rng.integers(0, 3))
     phi = random_expansion(rng, d1, d2, 5, 5 if d2 else 0, 5, 5)
-    s = Point2.of(rng_complex(rng, d1).tolist(),
-                  rng_complex(rng, d2).tolist() if d2 else ())
-    p = Point2.of(rng_complex(rng, d1).tolist(),
-                  rng_complex(rng, d2).tolist() if d2 else ())
-    lhs = evaluate(translate(phi, s), p)
-    rhs = evaluate(phi, p + s)
+    s = rng_complex(rng, d1), rng_complex(rng, d2)
+    p = rng_complex(rng, d1), rng_complex(rng, d2)
+    lhs = evaluate(translate(phi, *s), *p)
+    rhs = evaluate(phi, p[0] + s[0], p[1] + s[1])
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -79,8 +75,7 @@ def test_translate_agrees_with_shifted_evaluation(seed):
 def test_translate_composes(seed):
     rng = np.random.default_rng(seed)
     phi = random_expansion(rng, 2, 0, 4, 0, 4, 0)
-    s1 = Point2.of(rng_complex(rng, 2).tolist())
-    s2 = Point2.of(rng_complex(rng, 2).tolist())
+    s1, s2 = rng_complex(rng, 2), rng_complex(rng, 2)
     once = translate(phi, s1 + s2)
     twice = translate(translate(phi, s1), s2)
     for key in set(once.coeffs) | set(twice.coeffs):
@@ -114,7 +109,7 @@ def test_role_guards():
     with pytest.raises(RoleError):
         laplace(phi, [1.0])
     with pytest.raises(RoleError):
-        evaluate(phi.with_role(DISTRIBUTION), Point2.of([1.0]))
+        evaluate(phi.with_role(DISTRIBUTION), [1.0])
     with pytest.raises(RoleError):
         dual_pair(phi, phi)
 
@@ -122,7 +117,7 @@ def test_role_guards():
 def test_dimension_guards():
     phi = vacuum(2, 1, 3, 3)
     with pytest.raises(DimensionMismatchError):
-        evaluate(phi, Point2.of([1.0]))
+        evaluate(phi, [1.0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,8 +128,8 @@ def test_pointwise_product_matches_evaluation(seed):
     g = random_expansion(rng, 2, 1, 8, 8, 3, 3)
     h = pointwise_product(f, g)
     assert not h.truncated  # degree sums stay within the cutoffs
-    p = Point2.of(rng_complex(rng, 2).tolist(), rng_complex(rng, 1).tolist())
-    assert evaluate(h, p) == pytest.approx(evaluate(f, p) * evaluate(g, p),
+    p = rng_complex(rng, 2), rng_complex(rng, 1)
+    assert evaluate(h, *p) == pytest.approx(evaluate(f, *p) * evaluate(g, *p),
                                            rel=1e-11, abs=1e-11)
 
 
@@ -152,10 +147,10 @@ def test_evaluate_complex_step_derivative(rng):
     phi = Expansion2(2, 0, 6, 0, {k: complex(v.real) for k, v in phi.coeffs.items()})
     h = 1e-20
     x = [0.3, -0.4]
-    num = evaluate(phi, Point2.of([x[0] + 1j * h, x[1]])).imag / h
+    num = evaluate(phi, [x[0] + 1j * h, x[1]]).imag / h
     hh = 1e-6
-    sym = (evaluate(phi, Point2.of([x[0] + hh, x[1]]))
-           - evaluate(phi, Point2.of([x[0] - hh, x[1]]))) / (2 * hh)
+    sym = (evaluate(phi, [x[0] + hh, x[1]])
+           - evaluate(phi, [x[0] - hh, x[1]])) / (2 * hh)
     assert num == pytest.approx(sym, rel=1e-8, abs=1e-8)
 
 

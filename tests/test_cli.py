@@ -14,14 +14,14 @@ from click.testing import CliRunner
 from grosslap.chaos import (
     DISTRIBUTION,
     TEST,
-    Point2,
     evaluate,
     expansion_to_json,
     laplace,
 )
 from grosslap.cli import main
 from grosslap.gross import trace_distribution
-from grosslap.quantum_op import OperatorKernel, kernel_to_json, symbol
+from grosslap.quantum_op import (OperatorKernel, kernel_from_json,
+                                 kernel_to_json, symbol)
 from conftest import random_expansion, rng_complex
 
 
@@ -251,9 +251,13 @@ def _set(key, value):
     pytest.param("eval", _set("cutoff1", "3"), id="string-cutoff"),
     pytest.param("eval", _set("cutoff1", -1), id="negative-cutoff"),
     pytest.param("eval", _add_term(alpha="1"), id="string-occupations"),
+    pytest.param("eval", _add_term(re=True), id="bool-re"),
+    pytest.param("solve", _add_term(im=False), id="bool-im"),
+    pytest.param("eval", _add_term(re="1"), id="string-re"),
 ])
 def test_bad_expansion_json_exits_2(runner, tmp_path, command, edit):
-    # Dims, cutoffs and occupations must be JSON integers, none negative.
+    # Dims, cutoffs and occupations must be JSON integers, none negative;
+    # coefficient parts must be JSON numbers.
     from grosslap.chaos import delta0
     if command == "solve":
         spec = _heat_input([0.5])
@@ -269,6 +273,33 @@ def test_bad_expansion_json_exits_2(runner, tmp_path, command, edit):
     path.write_text(json.dumps(spec))
     res = runner.invoke(main, [command, "--in", str(path)] + args)
     assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("command, field, value", [
+    pytest.param("eval", "points", [[1, 2]], id="point-array"),
+    pytest.param("eval", "points", [0.5], id="point-number"),
+    pytest.param("eval", "expansion", [], id="expansion-array"),
+    pytest.param("eval", "terms", [[0]], id="term-array"),
+    pytest.param("solve", "xi0", {"kernel": []}, id="kernel-array"),
+])
+def test_non_object_json_exits_2(runner, tmp_path, command, field, value):
+    # Points, expansions and their terms must be JSON objects.
+    from grosslap.chaos import delta0
+    if command == "solve":
+        spec = _heat_input([0.5])
+    else:
+        spec = {"op": "laplace",
+                "expansion": expansion_to_json(delta0(1, 1, 3, 3)),
+                "points": [{"z": [0.5], "t": [0.1]}]}
+    if field == "terms":
+        spec["expansion"]["terms"] = value
+    else:
+        spec[field] = value
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, [command, "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "expected a JSON object" in res.output
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
@@ -395,7 +426,7 @@ def test_eval_matches_per_point_functions(runner, tmp_path, op, count):
     values = [complex(v["re"], v["im"])
               for v in json.loads(res.output)["values"]]
     per_point = {
-        "evaluate": lambda z, t: evaluate(phi, Point2.of(z, t)),
+        "evaluate": lambda z, t: evaluate(phi, z, t),
         "laplace": lambda z, t: laplace(phi, z, t),
         "symbol": lambda z, t: symbol(OperatorKernel(phi), z, t),
     }[op]
@@ -475,6 +506,46 @@ def test_solve_rejects_non_numbers_and_unknown_methods(runner, tmp_path,
     res = runner.invoke(main, ["solve", "--in", str(path)])
     assert res.exit_code == 2, res.output
     assert "bad solver input" in res.output
+
+
+@pytest.mark.parametrize("method", ["closed_form", "symbol_ode", "both"])
+@pytest.mark.parametrize("action", [
+    pytest.param("bogus", id="unknown"),
+    pytest.param(None, id="null"),
+    pytest.param(["function"], id="array"),
+])
+def test_solve_rejects_unknown_actions(runner, tmp_path, method, action):
+    spec = _heat_input([0.0])
+    spec["action"] = action
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["solve", "--in", str(path), "--method",
+                               method])
+    assert res.exit_code == 2, res.output
+    assert "action must be one of function, distribution" in res.output
+
+
+def test_gaussian_check_fails_closed(runner, tmp_path, monkeypatch):
+    # One NaN among the oracle's values makes gaussian_gap NaN, and the
+    # command line refuses to write it.
+    import grosslap.evolution as evolution
+    exact = evolution.gaussian_heat_kernel
+
+    def poisoned(xi0, t, x):
+        values = exact(xi0, t, x)
+        values[len(values) // 2] = complex("nan")
+        return values
+
+    monkeypatch.setattr(evolution, "gaussian_heat_kernel", poisoned)
+    spec = _heat_input([0.5, 1.0])
+    sol = evolution.solve_heat(kernel_from_json(spec["xi0"]), None,
+                               spec["times"])
+    assert math.isnan(sol.checks["gaussian_gap"])
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["solve", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "NaN or infinite" in res.output
 
 
 def test_solve_accepts_integer_times_and_named_methods(runner, tmp_path):

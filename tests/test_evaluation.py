@@ -10,7 +10,6 @@ from grosslap.chaos import (
     DISTRIBUTION,
     TEST,
     Expansion2,
-    Point2,
     check_evaluation_size,
     coefficient_count,
     coefficient_polynomial,
@@ -87,7 +86,7 @@ def test_evaluator_matches_loop(case):
             expected = loop_coefficient_polynomial(phi, z, t)
             bound = 1e-12 * loop_magnitude(phi, z, t)
             assert abs(values[i, j] - expected) <= bound
-            one = coefficient_polynomial(phi, Point2.of(z, t))
+            one = coefficient_polynomial(phi, (z, t))
             assert abs(one - expected) <= bound
 
 
@@ -100,7 +99,7 @@ def test_evaluator_matches_loop(case):
 def test_evaluator_edge_cases(coeffs, z, t, expected):
     dim1, dim2 = len(z), len(t)
     phi = Expansion2(dim1, dim2, 4, 4 if dim2 else 0, coeffs, role=TEST)
-    assert coefficient_polynomial(phi, Point2.of(z, t)) == expected
+    assert coefficient_polynomial(phi, (z, t)) == expected
     assert coefficient_polynomials([phi], np.array([z + t], dtype=complex))[
         0, 0] == expected
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from grosslap.chaos import (
     DISTRIBUTION,
     Expansion2,
-    Point2,
     coefficient_polynomials,
     delta0,
     laplace,
+    multiplicities,
 )
 from grosslap.evolution import (
     ACTION_DISTRIBUTION,
@@ -37,6 +37,7 @@ from grosslap.evolution import (
     torus_symbols,
     zero_process,
     _exp_divided_differences,
+    _shifted_gauss_moment,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import OperatorKernel, symbol
@@ -389,15 +390,41 @@ def test_heat_flow_fixes_linear_kernels():
 
 def test_gaussian_heat_kernel_examples():
     xi0 = kernel_of({((2,), (0,)): 1 + 0j})
-    assert gaussian_heat_kernel(xi0, 0.0, Point2.of([1.5], [0.0])) == \
-        pytest.approx(1.5 ** 2)
-    assert gaussian_heat_kernel(xi0, 2.0, Point2.of([1.0], [0.0])) == \
-        pytest.approx(3.0)
+    assert gaussian_heat_kernel(xi0, 0.0, [[1.5, 0.0]]) == \
+        pytest.approx([1.5 ** 2])
+    assert gaussian_heat_kernel(xi0, 2.0, [[1.0, 0.0], [0.0, 0.0]]) == \
+        pytest.approx([3.0, 2.0])
     quartic = kernel_of({((4,), (0,)): 1 + 0j})
-    assert gaussian_heat_kernel(quartic, 1.0, Point2.of([0.0], [0.0])) == \
-        pytest.approx(3.0)
+    assert gaussian_heat_kernel(quartic, 1.0, [[0.0, 0.0]]) == \
+        pytest.approx([3.0])
     with pytest.raises(ValueError):
-        gaussian_heat_kernel(xi0, -1.0, Point2.of([0.0], [0.0]))
+        gaussian_heat_kernel(xi0, -1.0, [[0.0, 0.0]])
+    with pytest.raises(ValueError):
+        gaussian_heat_kernel(xi0, 1.0, [[0.0]])
+
+
+def _gaussian_heat_kernel_at(xi0, t, z, w):
+    # The one-point loop the row evaluation replaced, kept as its reference.
+    K = xi0.kernel
+    terms = multiplicities(K.exponents, K.dim1)[1].astype(float) * K.values
+    for a, column in zip([complex(v) for v in (*z, *w)], K.exponents.T):
+        moments = np.array([_shifted_gauss_moment(a, t, k)
+                            for k in range(column.max(initial=0) + 1)])
+        terms = terms * moments[column]
+    return complex(np.sum(terms))
+
+
+@pytest.mark.parametrize("dims, points", [((1, 1), 5), ((2, 2), 5),
+                                          ((2, 0), 3), ((1, 2), 0)])
+def test_gaussian_heat_kernel_rows_match_point_loop(rng, dims, points):
+    d1, d2 = dims
+    xi0 = OperatorKernel(random_expansion(rng, d1, d2, 6, 6 if d2 else 0, 4,
+                                          4 if d2 else 0, role=DISTRIBUTION))
+    x = rng.uniform(-1, 1, (points, d1 + d2))
+    values = gaussian_heat_kernel(xi0, 0.7, x)
+    assert values.shape == (points,)
+    for row, value in zip(x.tolist(), values.tolist()):
+        assert value == _gaussian_heat_kernel_at(xi0, 0.7, row[:d1], row[d1:])
 
 
 def test_heat_gaussian_gap_small_for_random_kernel(rng):
@@ -439,9 +466,13 @@ def test_symbol_ode_heat_exponential():
     Z = half_trace_process(1, 1, 8, 8, 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
     sol = solve_symbol_ode(Z, Theta, xi0, [0.5, 1.0])
-    assert len(sol.symbol_points) == 81
+    assert sol.symbol_points.shape == (81, 2)
+    assert sol.symbol_values.shape == (2, 81)
+    assert not sol.symbol_points.flags.writeable
+    assert not sol.symbol_values.flags.writeable
     for t, values in zip(sol.times, sol.symbol_values):
-        for (z, w), v in zip(sol.symbol_points, values):
+        for x, v in zip(sol.symbol_points, values):
+            z, w = x[:1], x[1:]
             exact = np.exp(t * symbol(Z.kernels[0], z, w)) * symbol(xi0, z, w)
             assert abs(v - exact) <= 1e-9
     assert sol.checks == {"fit_amplification": 8.0 ** 16}
@@ -479,8 +510,8 @@ def test_symbol_ode_matches_closed_form(rng):
     numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
     for kern, values in zip(closed.kernels, numeric.symbol_values):
-        for (z, w), v in zip(numeric.symbol_points, values):
-            assert abs(symbol(kern, z, w) - v) <= 1e-6
+        for x, v in zip(numeric.symbol_points, values):
+            assert abs(symbol(kern, x[:1], x[1:]) - v) <= 1e-6
 
 
 @pytest.mark.parametrize("dims, cutoff, degree, times", [

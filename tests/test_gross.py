@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from grosslap.chaos import (
     DISTRIBUTION,
     Expansion2,
-    Point2,
     RoleError,
     dual_pair,
     evaluate,
@@ -85,9 +84,9 @@ def test_convolve_dist_test_is_translation_pairing(rng):
         Phi = random_expansion(rng, 2, 1, 7, 7, 3, 3, role=DISTRIBUTION)
         phi = random_expansion(rng, 2, 1, 7, 7, 7, 7)
         conv = convolve_dist_test(Phi, phi)
-        z = Point2.of(rng_complex(rng, 2).tolist(), rng_complex(rng, 1).tolist())
-        lhs = evaluate(conv, z)
-        rhs = dual_pair(Phi, translate(phi, z))
+        z = rng_complex(rng, 2), rng_complex(rng, 1)
+        lhs = evaluate(conv, *z)
+        rhs = dual_pair(Phi, translate(phi, *z))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
