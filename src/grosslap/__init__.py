@@ -9,7 +9,6 @@ oracle.
 from .tensor_core import (
     DegreeError,
     DimensionMismatchError,
-    SymTensor,
     contract_full,
 )
 from .chaos import (

@@ -8,7 +8,6 @@ result that overflows to them, or an input over the size budget).
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -114,11 +113,8 @@ def main() -> None:
 @click.option("--suite", "suites", multiple=True,
               help="Run only the named suites (default: all).")
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--tol", type=float, default=None,
-              help="Override each suite's default tolerance.")
 @click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
-def verify(suites: Sequence[str], seed: int, tol: Optional[float],
-           out: Optional[str]) -> None:
+def verify(suites: Sequence[str], seed: int, out: Optional[str]) -> None:
     """Run the registered invariant suites and report pass/fail per suite."""
     selected = list(suites) if suites else list(ALL_CHECKS)
     unknown = [s for s in selected if s not in ALL_CHECKS]
@@ -126,12 +122,7 @@ def verify(suites: Sequence[str], seed: int, tol: Optional[float],
         _fail(2, f"unknown suites: {', '.join(unknown)}")
     results = []
     for name in selected:
-        fn = ALL_CHECKS[name]
-        kwargs = {"seed": seed}
-        params = inspect.signature(fn).parameters
-        if tol is not None and "tol" in params:
-            kwargs["tol"] = tol
-        res = fn(**kwargs)
+        res = ALL_CHECKS[name](seed=seed)
         results.append({
             "name": res.name,
             "identity": res.identity,

@@ -367,19 +367,20 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
 def torus_symbols(phis: Sequence[Expansion2]):
     """The grid of expansions of one shape and their symbols on it.
 
-    Returns the grid points and the (points, len(phis)) values.  The value
+    Returns the grid, as `_torus` gives it (its points are the second
+    item), and the (points, len(phis)) values.  The value
     at grid index k is sum_gamma P_gamma e^{2 pi i gamma.k / (cutoff + 1)},
     with P_gamma = mult c r^|gamma|: G ifftn(P) over the G points.
     """
     ref = phis[0]
-    shape, points, _, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
-                                     ref.cutoff2)
+    torus = _torus(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
+    shape, points, _, scale = torus
     P = np.zeros((len(phis), len(points)), dtype=complex)
     for row, phi in zip(P, phis):
         row[phi.codes] = phi.values * scale[phi.codes]
     axes = tuple(range(1, len(shape) + 1))
     values = np.fft.ifftn(P.reshape((len(phis), *shape)), axes=axes)
-    return points, len(points) * values.reshape(P.shape).T
+    return torus, len(points) * values.reshape(P.shape).T
 
 
 def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
@@ -400,12 +401,10 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     """
     _check_processes(Z, Theta, xi0)
     ref = xi0.kernel
-    shape, _, bins, scale = _torus(ref.dim1, ref.dim2, ref.cutoff1,
-                                   ref.cutoff2)
     # Every kernel's symbol on the grid: one column for xi0, then one per
     # piece of Z and Theta.
-    points, symbols = torus_symbols([k.kernel for k in (xi0, *Z.kernels,
-                                                        *Theta.kernels)])
+    (shape, points, bins, scale), symbols = torus_symbols(
+        [k.kernel for k in (xi0, *Z.kernels, *Theta.kernels)])
     sig_Z = symbols[:, 1:1 + len(Z.kernels)]
     sig_T = symbols[:, 1 + len(Z.kernels):]
     sigma = symbols[:, 0]

@@ -2,9 +2,10 @@
 
 A symmetric tensor of degree n over C^d is constant on permutation orbits of
 its index tuples, so we store one complex value per occupation vector alpha
-(alpha_i = how many slots carry index i).  It holds the index helpers,
-whose scalar weights the tests use as oracles, `SymTensor`, `contract_full`
-(the product kernel read on one homogeneous degree) and the dense ndarray
+(alpha_i = how many slots carry index i): a one-variable `Expansion2` of
+cutoff n whose terms all have degree n.  This module holds the index
+helpers, whose scalar weights the tests use as oracles, `contract_full` (the
+product kernel read on one homogeneous degree) and the dense ndarray
 representation that certifies it.
 """
 
@@ -13,8 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -57,57 +58,6 @@ def nan_max(a: float, b: float) -> float:
     return a if a != a or a >= b else b
 
 
-def _check_index(alpha: MultiIndex, dim: int, degree: int) -> None:
-    if len(alpha) != dim:
-        raise DimensionMismatchError(
-            f"index {alpha} has length {len(alpha)}, expected {dim}")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative occupation in {alpha}")
-    if sum(alpha) != degree:
-        raise DegreeError(f"index {alpha} has weight {sum(alpha)}, expected {degree}")
-
-
-@dataclass(frozen=True)
-class SymTensor:
-    """Symmetric tensor stored by occupation vector; absent keys are zero."""
-
-    dim: int
-    degree: int
-    entries: Dict[MultiIndex, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        for alpha in self.entries:
-            _check_index(alpha, self.dim, self.degree)
-
-    def __getitem__(self, alpha: MultiIndex) -> complex:
-        return self.entries.get(tuple(alpha), 0j)
-
-    def scale(self, c: complex) -> "SymTensor":
-        if c == 0:
-            return SymTensor(self.dim, self.degree, {})
-        return SymTensor(self.dim, self.degree,
-                         {a: c * v for a, v in self.entries.items()})
-
-    def add(self, other: "SymTensor") -> "SymTensor":
-        if other.dim != self.dim or other.degree != self.degree:
-            raise DimensionMismatchError("can only add tensors of equal shape")
-        out = dict(self.entries)
-        for a, v in other.entries.items():
-            out[a] = out.get(a, 0j) + v
-        return SymTensor(self.dim, self.degree,
-                         {a: v for a, v in out.items() if v != 0})
-
-    def norm_inf(self) -> float:
-        out = 0.0
-        for v in self.entries.values():
-            out = nan_max(out, abs(v))
-        return out
-
-
 def iter_occupations(dim: int, degree: int) -> Iterable[MultiIndex]:
     """All occupation vectors of given dim and total degree."""
     if dim == 0:
@@ -122,31 +72,30 @@ def iter_occupations(dim: int, degree: int) -> Iterable[MultiIndex]:
             yield (first,) + rest
 
 
-def contract_full(A: SymTensor, B: SymTensor) -> SymTensor:
+def contract_full(A, B):
     """Contract every slot of A against B (bilinear pairing, no conjugation).
 
-    R_gamma = sum_{|mu| = deg A} mult(mu) A_mu B_{mu+gamma}.  When the degrees
-    match, the degree-0 result is the full bilinear pairing <A, B>.  This is
-    `chaos.pair_products` on the tensors read as one-variable expansions
-    with cutoff deg B, divided by the falling factor deg B!/(deg B - deg A)!
-    that the kernel's weight carries.
+    R_gamma = sum_{|mu| = deg A} mult(mu) A_mu B_{mu+gamma}, of degree
+    deg B - deg A (the full pairing <A, B> when the degrees match): the
+    product kernel `chaos.pair_products` on A read in B's shape, divided by
+    the falling factor deg B!/(deg B - deg A)! that the kernel's weight
+    carries.
     """
-    from .chaos import Expansion2, pair_products
-    if A.dim != B.dim:
-        raise DimensionMismatchError("contract_full requires equal dims")
-    if A.degree > B.degree:
+    from .chaos import Expansion2, key_codes, pair_products
+    if A.dim1 != B.dim1 or A.dim2 or B.dim2:
+        raise DimensionMismatchError("contract_full requires one-variable "
+                                     "tensors of equal dims")
+    if A.cutoff1 > B.cutoff1:
         raise DegreeError("contract_full needs deg A <= deg B")
-
-    def expansion(T: SymTensor) -> Expansion2:
-        return Expansion2(T.dim, 0, B.degree, 0,
-                          {(a, ()): v for a, v in T.entries.items()})
-
-    left = expansion(A)
-    codes, values, _ = pair_products(left, expansion(B), contract=True)
-    falling = math.perm(B.degree, A.degree)
-    result = left.with_terms(codes, values / falling)
-    return SymTensor(A.dim, B.degree - A.degree,
-                     {a: v for (a, _), v in result.coeffs.items()})
+    if any((T.exponents.sum(axis=1) != T.cutoff1).any() for T in (A, B)):
+        raise DegreeError("a tensor has a term of another degree")
+    d, n, m = A.dim1, A.cutoff1, B.cutoff1
+    # Codes are lexicographic in the exponent rows, so they stay sorted.
+    left = B.with_terms(key_codes(A.exponents, d, 0, m, 0), A.values)
+    codes, values, _ = pair_products(left, B, contract=True)
+    rows = left.with_terms(codes, values).exponents
+    return Expansion2(d, 0, m - n, 0, (key_codes(rows, d, 0, m - n, 0),
+                                       values / math.perm(m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +116,21 @@ class DenseTensor:
             raise ValueError(f"data shape {self.data.shape} != {expected}")
 
 
-def to_dense(T: SymTensor) -> DenseTensor:
-    data = np.zeros((T.dim,) * T.degree, dtype=complex)
-    for alpha, v in T.entries.items():
+def to_dense(T) -> DenseTensor:
+    """The dense tensor of a degree-n tensor `Expansion2(d, 0, n, 0)`."""
+    data = np.zeros((T.dim1,) * T.cutoff1, dtype=complex)
+    for alpha, v in zip(T.exponents.tolist(), T.values.tolist()):
         word = [i for i, a in enumerate(alpha) for _ in range(a)]
         for perm in set(itertools.permutations(word)):
             data[perm] = v
-    return DenseTensor(T.dim, T.degree, data)
+    return DenseTensor(T.dim1, T.cutoff1, data)
 
 
-def symmetrize(T: DenseTensor) -> SymTensor:
-    """Project a dense tensor onto its symmetric part, in occupation storage."""
-    entries: Dict[MultiIndex, complex] = {}
-    if T.degree == 0:
-        v = complex(T.data[()])
-        return SymTensor(T.dim, 0, {(0,) * T.dim: v} if v != 0 else {})
+def symmetrize(T: DenseTensor):
+    """Project a dense tensor onto its symmetric part, as a degree-n tensor
+    `Expansion2(d, 0, n, 0)`."""
+    from .chaos import Expansion2, key_codes
+    rows, values = [], []
     for alpha in iter_occupations(T.dim, T.degree):
         word = [i for i, a in enumerate(alpha) for _ in range(a)]
         perms = set(itertools.permutations(word))
@@ -191,8 +140,13 @@ def symmetrize(T: DenseTensor) -> SymTensor:
         # with their multiplicities reduces to the distinct-arrangement mean.
         val = total / len(perms)
         if val != 0:
-            entries[alpha] = val
-    return SymTensor(T.dim, T.degree, entries)
+            rows.append(alpha)
+            values.append(val)
+    # iter_occupations runs in decreasing code order.
+    shape = (T.dim, 0, T.degree, 0)
+    rows = np.array(rows[::-1], dtype=np.int64).reshape(len(rows), T.dim)
+    return Expansion2(*shape, (key_codes(rows, *shape),
+                               np.array(values[::-1], dtype=complex)))
 
 
 def dense_contract_full(A: DenseTensor, B: DenseTensor) -> DenseTensor:

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chaos import Expansion2, RoleError, TEST, evaluate
+from .tensor_core import nan_max
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -35,12 +36,13 @@ class YoungFunctionSpec:
         if self.family not in ("power", "gaussian", "expm1"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "power":
-            if self.k is None or self.k < 1:
-                raise ValueError("power family needs exponent k >= 1")
+            if self.k is None or not 1 <= self.k < math.inf:
+                raise ValueError("power family needs a finite exponent "
+                                 "k >= 1")
 
     def theta(self, x: float) -> float:
         """theta(x), math.inf where that overflows."""
-        if x < 0:
+        if not x >= 0:
             raise ValueError("Young functions are defined on x >= 0")
         try:
             if self.family == "gaussian":
@@ -54,7 +56,7 @@ class YoungFunctionSpec:
 
 def conjugate_eval(spec: YoungFunctionSpec, x: float) -> float:
     """theta*(x) = sup_{t>=0} (t x - theta(t)); inf past the float range."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError("conjugate_eval needs x >= 0")
     if x == 0:
         return 0.0
@@ -138,7 +140,7 @@ def growth_norm_estimate(phi: Expansion2, a1: float, a2: float,
         t = _random_direction(rng, phi.dim2) * r if phi.dim2 else np.zeros(0)
         val = abs(evaluate(phi, z, t))
         damp = math.exp(-theta1.theta(a1 * _norm(z)) - theta2.theta(a2 * _norm(t)))
-        best = max(best, val * damp)
+        best = nan_max(best, val * damp)
     return best
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from grosslap.cli import main
 from grosslap.gross import trace_distribution
 from grosslap.quantum_op import (OperatorKernel, kernel_from_json,
                                  kernel_to_json, symbol)
+from grosslap.verify import ALL_CHECKS
 from conftest import random_expansion, rng_complex
 
 
@@ -89,6 +91,20 @@ def test_verify_rejects_unknown_suite(runner):
     assert res.exit_code == 2
 
 
+def test_verify_has_no_tolerance_override(runner):
+    res = runner.invoke(main, ["verify", "--suite", "exponential-eigenvalue",
+                               "--tol", "1"])
+    assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+def test_suites_take_only_a_seed(name):
+    # Sizes and tolerances are pinned inside each suite; `verify` and the
+    # benchmark call every suite as fn(seed=seed).
+    params = inspect.signature(ALL_CHECKS[name]).parameters
+    assert list(params) == ["seed"]
+
+
 def test_young_conjugate_gaussian(runner):
     res = runner.invoke(main, ["young", "--family", "gaussian",
                                "--op", "conjugate", "--x", "2.0"])
@@ -117,6 +133,21 @@ def test_young_missing_argument(runner):
     res = runner.invoke(main, ["young", "--family", "gaussian",
                                "--op", "conjugate"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "gaussian", "--op", "conjugate", "--x", "nan"],
+    ["--family", "expm1", "--op", "conjugate", "--x", "nan"],
+    ["--family", "gaussian", "--op", "theta", "--x", "nan"],
+    ["--family", "power", "--k", "nan", "--op", "theta", "--x", "1"],
+    ["--family", "power", "--k", "nan", "--op", "theta-n", "--n", "2"],
+    ["--family", "power", "--k", "inf", "--op", "conjugate", "--x", "2"],
+    ["--family", "gaussian", "--op", "conjugate", "--x", "-1"],
+])
+def test_young_rejects_nan_and_negative_inputs(runner, args):
+    res = runner.invoke(main, ["young", *args])
+    assert res.exit_code == 2, res.output
+    assert "bad young query" in res.output
 
 
 def test_eval_symbol_of_trace(runner, tmp_path):

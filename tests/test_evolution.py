@@ -545,7 +545,7 @@ def test_symbol_ode_coefficients_match_closed_form(rng, dims, cutoff, degree,
 def test_torus_symbols_match_direct_evaluation(rng, dims, cutoffs):
     phis = [random_expansion(rng, *dims, *cutoffs, *cutoffs,
                              role=DISTRIBUTION) for _ in range(3)]
-    x, grid = torus_symbols(phis)
+    (_, x, _, _), grid = torus_symbols(phis)
     assert x.shape == (math.prod(c + 1 for c, d in zip(cutoffs, dims)
                                  for _ in range(d)), sum(dims))
     assert np.allclose(np.abs(x), SYMBOL_RADIUS, rtol=1e-15, atol=0)

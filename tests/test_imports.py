@@ -66,10 +66,9 @@ def test_scipy_import_is_found():
 
 
 # The code layout of expansions stays behind `chaos`; `.coeffs`, the dict
-# view of an expansion's terms, is read only by `chaos` and by the
-# `SymTensor` boundary of `tensor_core.contract_full`.
+# view of an expansion's terms, is read only by `chaos`.
 LAYOUT_NAMES = {"_box", "_encode", "_decode"}
-COEFFS_READERS = {"chaos.py", "tensor_core.py"}
+COEFFS_READERS = {"chaos.py"}
 
 
 def _layout_references(tree: ast.Module) -> list:

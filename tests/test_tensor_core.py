@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grosslap.chaos import Expansion2
 from grosslap.tensor_core import (
     DegreeError,
     DenseTensor,
     DimensionMismatchError,
-    SymTensor,
     contract_full,
     dense_contract_full,
     iter_occupations,
@@ -42,11 +42,17 @@ def test_contract_full_degrees():
     A = random_tensor(np.random.default_rng(0), 2, 3)
     B = random_tensor(np.random.default_rng(1), 2, 5)
     R = contract_full(A, B)
-    assert R.degree == 2
+    assert (R.dim1, R.dim2, R.cutoff1, R.cutoff2) == (2, 0, 2, 0)
+    assert (R.exponents.sum(axis=1) == 2).all()
     with pytest.raises(DegreeError):
         contract_full(B, A)
     with pytest.raises(DimensionMismatchError):
         contract_full(A, random_tensor(np.random.default_rng(2), 3, 5))
+    with pytest.raises(DimensionMismatchError):
+        contract_full(A, Expansion2(2, 1, 5, 0))
+    # A term below the tensor's degree.
+    with pytest.raises(DegreeError):
+        contract_full(Expansion2(2, 0, 3, 0, {((1, 1), ()): 1}), B)
 
 
 # At (40, 1, 2) the kernel's key codes run to 3^40 > 2^63, so it takes its
@@ -59,6 +65,8 @@ def test_contract_full_against_dense(rng, d, da, db):
         B = random_tensor(rng, d, db)
         sparse = contract_full(A, B)
         dense = symmetrize(dense_contract_full(to_dense(A), to_dense(B)))
+        for T in (sparse, dense):
+            assert (np.diff(T.codes) > 0).all()
         diff = sparse.add(dense.scale(-1)).norm_inf()
         assert diff <= 1e-12 * max(1.0, dense.norm_inf())
 
@@ -76,18 +84,19 @@ def test_symmetrize_projects():
     data = np.zeros((2, 2), dtype=complex)
     data[0, 1] = 1.0  # non-symmetric input
     S = symmetrize(DenseTensor(2, 2, data))
-    assert S[(1, 1)] == pytest.approx(0.5)
+    assert S[((1, 1), ())] == pytest.approx(0.5)
 
 
 def test_zero_and_scalar_behaviour():
-    z = SymTensor(2, 3, {})
+    z = Expansion2(2, 0, 3, 0)
     assert z.norm_inf() == 0.0
-    assert contract_full(z, random_tensor(np.random.default_rng(0), 2, 4)).entries == {}
+    R = contract_full(z, random_tensor(np.random.default_rng(0), 2, 4))
+    assert len(R.codes) == 0 and R.cutoff1 == 1
 
 
-def test_symtensor_rejects_dim_zero():
+def test_expansion_rejects_dim_zero():
     with pytest.raises(ValueError):
-        SymTensor(0, 0, {})
+        Expansion2(0, 0, 0, 0)
 
 
 def test_nan_max_propagates_nan():

@@ -156,3 +156,10 @@ def test_growth_norm_estimate_deterministic():
     b = growth_norm_estimate(phi, 1.0, 1.0, gauss, gauss, samples=200, seed=5)
     assert a == b
     assert a > 0
+
+
+def test_growth_norm_estimate_propagates_nan():
+    phi = Expansion2(1, 0, 4, 0, {((1,), ()): math.nan})
+    gauss = YoungFunctionSpec("gaussian")
+    assert math.isnan(growth_norm_estimate(phi, 1.0, 1.0, gauss, gauss,
+                                           samples=20))
