@@ -219,6 +219,14 @@ class Expansion2:
         rows.flags.writeable = False
         return rows
 
+    @functools.cached_property
+    def multiplicities(self):
+        """Read-only `multiplicities` of the stored terms: per term its
+        degrees (|alpha|, |beta|) and mult(alpha) mult(beta)."""
+        degrees, mult = multiplicities(self.exponents, self.dim1)
+        degrees.flags.writeable = mult.flags.writeable = False
+        return degrees, mult
+
     def with_terms(self, codes, values, role: str = None,
                    truncated: bool = None) -> "Expansion2":
         """This shape with other terms; role and flag kept unless given."""
@@ -301,10 +309,10 @@ def multiplicities(exponents, dim1: int):
     return degrees, mult
 
 
-def pairing_weights(exponents, dim1: int):
-    """n! m! mult(alpha) mult(beta) per row alpha + beta, the weight of the
-    canonical pairing: exact integers, each rounded to a float once."""
-    degrees, mult = multiplicities(exponents, dim1)
+def pairing_weights(degrees, mult):
+    """n! m! mult(alpha) mult(beta) per key, from its degrees (n, m) and its
+    multiplicity as `multiplicities` gives them: the weight of the canonical
+    pairing, exact integers, each rounded to a float once."""
     return np.array([math.factorial(n) * math.factorial(m) * k for (n, m), k
                      in zip(degrees.tolist(), mult.tolist())], dtype=float)
 
@@ -512,7 +520,8 @@ def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     _check_compatible(Phi, phi)
     _, i, j = np.intersect1d(Phi.codes, phi.codes, assume_unique=True,
                              return_indices=True)
-    w = pairing_weights(Phi.exponents[i], Phi.dim1)
+    degrees, mult = Phi.multiplicities
+    w = pairing_weights(degrees[i], mult[i])
     return complex(np.sum(w * Phi.values[i] * phi.values[j]))
 
 
@@ -565,8 +574,8 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     c1, c2 = left.cutoff1, left.cutoff2
     code_l, rows_l, c_l = left.codes, left.exponents, left.values
     code_r, rows_r, c_r = right.codes, right.exponents, right.values
-    deg_l, w_l = multiplicities(rows_l, left.dim1)
-    deg_r, w_r = multiplicities(rows_r, left.dim1)
+    deg_l, w_l = left.multiplicities
+    deg_r, w_r = right.multiplicities
     if contract:
         # falling[n, K] = K!/(K - n)!, the factor of an r of degree K.
         falling = [[[math.perm(K, n) for K in range(c + 1)]

@@ -517,7 +517,7 @@ def gaussian_heat_kernel(xi0: OperatorKernel, t: float, x) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != xi0.dim1 + xi0.dim2:
         raise ValueError("evaluation points do not match kernel dims")
     K = xi0.kernel
-    base = multiplicities(K.exponents, K.dim1)[1].astype(float) * K.values
+    base = K.multiplicities[1].astype(float) * K.values
     # Contiguous (points, terms) operands: a broadcast (terms,) row would
     # round the complex products differently.
     terms = np.repeat(base[None, :], len(x), axis=0)

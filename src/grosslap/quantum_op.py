@@ -102,7 +102,7 @@ def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
     alpha = key_codes(rows[:, :d1], d1, 0, K.cutoff1, 0)
     hit = np.isin(alpha, f.codes)
     at = np.searchsorted(f.codes, alpha[hit])
-    weighted = pairing_weights(f.exponents, d1) * f.values
+    weighted = pairing_weights(*f.multiplicities) * f.values
     # Summed per beta in the kernel's term order.
     codes, slot = np.unique(key_codes(rows[hit, d1:], K.dim2, 0, K.cutoff2, 0),
                             return_inverse=True)

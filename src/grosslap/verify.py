@@ -9,6 +9,7 @@ desk-scale values it is calibrated for.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
@@ -22,6 +23,9 @@ from .chaos import (
     coefficient_polynomials,
     dual_pair,
     exponential_vector,
+    join_rows,
+    key_codes,
+    key_rows,
     point_coordinates,
 )
 from .evolution import (
@@ -46,7 +50,6 @@ from .quantum_op import OperatorKernel, classical_quantum_bridge, quantum_gross
 from .tensor_core import (
     contract_full,
     dense_contract_full,
-    iter_occupations,
     nan_max,
     symmetrize,
     to_dense,
@@ -68,41 +71,89 @@ class CheckResult:
     samples: int
 
 
-def _rng_complex(rng: np.random.Generator, shape=None) -> complex:
-    if shape is None:
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+def _rng_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _occupations_by_degree(dim: int, top: int) -> np.ndarray:
+    """The occupation vectors over C^dim of degree <= top, one read-only row
+    each, degree by degree and in `iter_occupations` order within a degree
+    (decreasing code order).  Cached: the suites ask for a few small shapes
+    hundreds of times."""
+    rows = key_rows(dim, 0, top, 0)[::-1]
+    rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    rows.flags.writeable = False
+    return rows
+
+
+def _random_terms(rng: np.random.Generator, rows: np.ndarray,
+                  keep_below: float, shape: tuple, role: str,
+                  scale: float = 1.0) -> Expansion2:
+    """Seeded terms on the keys of exponent rows listed in draw order.
+
+    Each key takes a keep draw, kept when below `keep_below`, and a kept
+    key two more: its real and imaginary parts, uniform on [-1, 1), times
+    `scale`.  If none is kept, the first row takes two.  The draws come as
+    one block of 3 per key + 2, enough for any outcome; a scan finds the
+    kept keys, and the generator is then reset to its saved state and
+    advanced by exactly the draws consumed.  `rng.random()` equals
+    `rng.uniform()`, and 2u - 1 equals `rng.uniform(-1, 1)`, bit for bit.
+    """
+    state = rng.bit_generator.state
+    u = rng.random(3 * len(rows) + 2)
+    keep = (u < keep_below).tolist()
+    kept, first, p = [], [], 0
+    for k in range(len(rows)):
+        if keep[p]:
+            kept.append(k)
+            first.append(p + 1)
+            p += 3
+        else:
+            p += 1
+    if not kept:
+        kept, first, p = [0], [p], p + 2
+    rng.bit_generator.state = state
+    rng.random(p)
+    first = np.array(first)
+    values = np.empty(len(first), dtype=complex)
+    values.real = scale * (2 * u[first] - 1)
+    values.imag = scale * (2 * u[first + 1] - 1)
+    codes = key_codes(rows[kept], *shape)
+    order = np.argsort(codes)
+    return Expansion2(*shape, (codes[order], values[order]), role=role)
 
 
 def _random_sym_tensor(rng: np.random.Generator, dim: int,
                        degree: int) -> Expansion2:
-    """A symmetric tensor of the given degree, `Expansion2(dim, 0, degree, 0)`."""
-    entries = {}
-    for alpha in iter_occupations(dim, degree):
-        if rng.uniform() < 0.8:
-            entries[(alpha, ())] = _rng_complex(rng)
-    if not entries:
-        entries[(next(iter_occupations(dim, degree)), ())] = _rng_complex(rng)
-    return Expansion2(dim, 0, degree, 0, entries)
+    """A symmetric tensor of the given degree, `Expansion2(dim, 0, degree, 0)`:
+    each occupation vector of that degree, in `iter_occupations` order, is
+    kept with probability 0.8 (see `_random_terms`)."""
+    rows = _occupations_by_degree(dim, degree)
+    return _random_terms(rng, rows[rows.sum(axis=1) == degree], 0.8,
+                         (dim, 0, degree, 0), TEST)
 
 
 def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
                       cutoff1: int, cutoff2: int, max_deg1: int,
                       max_deg2: int, role: str = TEST,
                       scale: float = 1.0) -> Expansion2:
-    # Seeded data depends on the draw order: one keep draw per key, in key
-    # order, then two for each kept value.
-    betas = [beta for m in range(min(max_deg2, cutoff2) + 1)
-             for beta in iter_occupations(dim2, m)]
-    coeffs = {}
-    for n in range(min(max_deg1, cutoff1) + 1):
-        for alpha in iter_occupations(dim1, n):
-            for beta in betas:
-                if rng.uniform() < 0.6:
-                    coeffs[(alpha, beta)] = scale * _rng_complex(rng)
-    if not coeffs:
-        coeffs[((0,) * dim1, (0,) * dim2)] = scale * _rng_complex(rng)
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=role)
+    """A seeded expansion: terms of degree <= max_deg1 in the first
+    variable and <= max_deg2 in the second, each kept with probability 0.6.
+
+    The data depends on the draw order, which is not code order: keys are
+    drawn alpha-major, and each variable's occupation vectors come degree
+    by degree, in `iter_occupations` order within a degree.  Each key takes
+    one keep draw and each kept key two more; if none is kept, the zero key
+    takes two.  `_random_terms` takes these draws as one block, then
+    restores the generator's saved state and redraws exactly the count
+    consumed, so every later draw of a suite is the one the key-by-key loop
+    left.
+    """
+    rows = join_rows(_occupations_by_degree(dim1, min(max_deg1, cutoff1)),
+                     _occupations_by_degree(dim2, min(max_deg2, cutoff2)))
+    return _random_terms(rng, rows, 0.6, (dim1, dim2, cutoff1, cutoff2),
+                         role, scale)
 
 
 def _bilinear(v: Sequence[complex]) -> complex:
