@@ -74,7 +74,7 @@ def _decode(codes, phi: "Expansion2"):
     The inverse of `key_codes`.
     """
     radix, place = _box(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    return (codes[:, None] // place % radix).astype(np.int64)
+    return (codes[:, None] // place % radix).astype(np.int64, copy=False)
 
 
 def key_codes(rows, dim1: int, dim2: int, cutoff1: int, cutoff2: int):
@@ -117,7 +117,8 @@ def key_rows(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
 
 def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
             cutoff2: int):
-    """Sorted codes and values of a mapping (alpha, beta) -> coefficient.
+    """Sorted codes, values and exponent rows of a mapping (alpha, beta) ->
+    coefficient.
 
     Every key is checked: its lengths, then, for all keys at once, the
     signs and each variable's degree against its cutoff (summed in floats,
@@ -144,7 +145,7 @@ def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
     codes = key_codes(rows, dim1, dim2, cutoff1, cutoff2)
     order = np.argsort(codes, kind="stable")
     values = np.fromiter(coeffs.values(), dtype=complex, count=n)
-    return codes[order], values[order]
+    return codes[order], values[order], rows[order]
 
 
 class _Coefficients(Mapping):
@@ -174,9 +175,13 @@ class Expansion2:
     included); alpha indexes the first variable (dimension dim1), beta the
     second (dimension dim2, possibly 0).  Degrees above (cutoff1, cutoff2)
     are never stored; ``truncated`` records that some operation had to drop
-    a produced degree.  The library's own operations pass a (codes, values)
-    pair in the stored layout instead of the mapping.  Immutable: `codes`
-    and `values` are read-only arrays, `coeffs` a read-only mapping view.
+    a produced degree.  The library's own operations pass the terms in the
+    stored layout instead of the mapping: a tuple (codes, values), which may
+    go on with the terms' exponent rows and then their degrees and mult as
+    `multiplicities` gives them, each None when not known.  What is given
+    becomes the expansion's `exponents` and `multiplicities`, so they are
+    not computed again.
+    Immutable: every array is read-only, `coeffs` a read-only mapping view.
     """
 
     def __init__(self, dim1: int, dim2: int, cutoff1: int, cutoff2: int,
@@ -187,12 +192,22 @@ class Expansion2:
             raise ValueError("dim2 must be >= 0")
         if role not in (TEST, DISTRIBUTION):
             raise ValueError(f"unknown role {role!r}")
-        codes, values = (coeffs if isinstance(coeffs, tuple) else
-                         _encode(coeffs or {}, dim1, dim2, cutoff1, cutoff2))
-        codes.flags.writeable = values.flags.writeable = False
-        vars(self).update(dim1=dim1, dim2=dim2, cutoff1=cutoff1,
-                          cutoff2=cutoff2, role=role, truncated=truncated,
-                          codes=codes, values=values)
+        if not isinstance(coeffs, tuple):
+            coeffs = _encode(coeffs or {}, dim1, dim2, cutoff1, cutoff2)
+        codes, values, rows, degrees, mult = coeffs + (None,) * (
+            5 - len(coeffs))
+        fields = vars(self)
+        fields.update(dim1=dim1, dim2=dim2, cutoff1=cutoff1, cutoff2=cutoff2,
+                      role=role, truncated=truncated, codes=codes,
+                      values=values)
+        # The cached properties read these entries first.
+        if rows is not None:
+            fields["exponents"] = rows
+        if mult is not None:
+            fields["multiplicities"] = degrees, mult
+        for array in (codes, values, rows, degrees, mult):
+            if array is not None:
+                array.flags.writeable = False
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -227,11 +242,31 @@ class Expansion2:
         degrees.flags.writeable = mult.flags.writeable = False
         return degrees, mult
 
-    def with_terms(self, codes, values, role: str = None,
+    def known_terms(self, index=None) -> tuple:
+        """The terms as the constructor takes them, with the exponent rows
+        and multiplicities computed so far (None where not), all of them or
+        those at `index` (a slice, a mask or increasing positions)."""
+        known = vars(self)
+        terms = (self.codes, self.values, known.get("exponents"),
+                 *known.get("multiplicities", (None, None)))
+        if index is None:
+            return terms
+        return tuple(None if a is None else a[index] for a in terms)
+
+    def take(self, index) -> "Expansion2":
+        """The terms at `index`, as in `known_terms`, in this shape, role
+        and flag."""
+        return self.with_terms(self.known_terms(index))
+
+    def with_terms(self, terms: tuple, role: str = None,
                    truncated: bool = None) -> "Expansion2":
-        """This shape with other terms; role and flag kept unless given."""
+        """This shape with other terms, a tuple as the constructor takes;
+        role and flag kept unless given.  A (codes, values) pair on this
+        expansion's own `codes` array keeps its rows and multiplicities."""
+        if len(terms) == 2 and terms[0] is self.codes:
+            terms += self.known_terms()[2:]
         return Expansion2(self.dim1, self.dim2, self.cutoff1, self.cutoff2,
-                          (codes, values), role=role or self.role,
+                          terms, role=role or self.role,
                           truncated=(self.truncated if truncated is None
                                      else truncated))
 
@@ -245,23 +280,24 @@ class Expansion2:
 
     def scale(self, c: complex) -> "Expansion2":
         if c == 0:
-            return self.with_terms(self.codes[:0], self.values[:0])
-        return self.with_terms(self.codes, c * self.values)
+            return self.take(slice(0))
+        return self.with_terms((self.codes, c * self.values))
 
     def add(self, other: "Expansion2") -> "Expansion2":
         _check_compatible(self, other)
         if other.role != self.role:
             raise RoleError("can only add expansions with equal roles")
-        codes = np.union1d(self.codes, other.codes)
+        _, codes, first = _distinct(np.concatenate((self.codes, other.codes)))
+        codes = codes[first]
         values = np.zeros(len(codes), dtype=complex)
         values[np.searchsorted(codes, self.codes)] = self.values
         values[np.searchsorted(codes, other.codes)] += other.values
         kept = values != 0
-        return self.with_terms(codes[kept], values[kept],
+        return self.with_terms((codes[kept], values[kept]),
                                truncated=self.truncated or other.truncated)
 
     def with_role(self, role: str) -> "Expansion2":
-        return self.with_terms(self.codes, self.values, role=role)
+        return self.with_terms((self.codes, self.values), role=role)
 
     def norm_inf(self) -> float:
         """The largest coefficient modulus, NaN if a coefficient is NaN."""
@@ -269,6 +305,17 @@ class Expansion2:
 
     def is_one_variable(self) -> bool:
         return self.dim2 == 0
+
+
+def _distinct(codes):
+    """The stable sort order of codes, the sorted codes, and a mask of the
+    first place of each distinct code among them."""
+    order = codes.argsort(kind="stable")
+    ordered = codes[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, ordered, first
 
 
 def _check_compatible(a: Expansion2, b: Expansion2) -> None:
@@ -290,6 +337,16 @@ def complex_product(a, b):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _factorials(top: int, exact: bool):
+    """Read-only table of k! for k <= top: int64 if `exact`, else Python
+    integers."""
+    table = np.array([math.factorial(k) for k in range(top + 1)],
+                     dtype=np.int64 if exact else object)
+    table.flags.writeable = False
+    return table
+
+
 def multiplicities(exponents, dim1: int):
     """Per-variable degrees (|alpha|, |beta|) and mult(alpha) mult(beta).
 
@@ -297,15 +354,14 @@ def multiplicities(exponents, dim1: int):
     exact integers: int64 while the factorials of the largest degrees
     multiply below 2^63, Python integers past that.
     """
-    degrees = np.stack((exponents[:, :dim1].sum(axis=1),
-                        exponents[:, dim1:].sum(axis=1)), axis=1)
-    top = degrees.max(axis=0, initial=0).tolist()
+    degrees = np.empty((len(exponents), 2), dtype=np.int64)
+    np.add.reduce(exponents[:, :dim1], axis=1, out=degrees[:, 0])
+    np.add.reduce(exponents[:, dim1:], axis=1, out=degrees[:, 1])
+    top = np.maximum.reduce(degrees, axis=0, initial=0).tolist()
     exact = math.factorial(top[0]) * math.factorial(top[1]) < 1 << 63
-    fact = np.array([math.factorial(k) for k in range(max(top) + 1)],
-                    dtype=np.int64 if exact else object)
+    fact = _factorials(max(top), exact)
     mult = fact[degrees[:, 0]] * fact[degrees[:, 1]]
-    for column in exponents.T:
-        mult //= fact[column]
+    mult //= np.multiply.reduce(fact[exponents], axis=1)
     return degrees, mult
 
 
@@ -313,8 +369,8 @@ def pairing_weights(degrees, mult):
     """n! m! mult(alpha) mult(beta) per key, from its degrees (n, m) and its
     multiplicity as `multiplicities` gives them: the weight of the canonical
     pairing, exact integers, each rounded to a float once."""
-    return np.array([math.factorial(n) * math.factorial(m) * k for (n, m), k
-                     in zip(degrees.tolist(), mult.tolist())], dtype=float)
+    fact = _factorials(int(degrees.max(initial=0)), False)
+    return (fact[degrees[:, 0]] * fact[degrees[:, 1]] * mult).astype(float)
 
 
 # The largest evaluation an input may ask for, in complex cells of a
@@ -477,21 +533,32 @@ def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
     values.real /= denominator
     values.imag /= denominator
     shape = (len(xi), len(eta), cutoff1, cutoff2)
-    return Expansion2(*shape, (key_codes(join_rows(rows1, rows2), *shape),
-                               values), role=TEST)
+    rows = join_rows(rows1, rows2)
+    return Expansion2(*shape, (key_codes(rows, *shape), values, rows),
+                      role=TEST)
+
+
+def _unit(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> tuple:
+    """The terms of the zero key with coefficient 1: code 0, as the
+    constructor takes them."""
+    if min(cutoff1, cutoff2) < 0:
+        raise ValueError("the zero key exceeds a negative cutoff")
+    dtype = _box(dim1, dim2, cutoff1, cutoff2)[1].dtype
+    return (np.zeros(1, dtype=dtype), np.ones(1, dtype=complex),
+            np.zeros((1, dim1 + dim2), dtype=np.int64),
+            np.zeros((1, 2), dtype=np.int64), np.ones(1, dtype=np.int64))
 
 
 def vacuum(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> Expansion2:
     """The constant function 1 (exponential vector at the origin)."""
-    zero_key = ((0,) * dim1, (0,) * dim2)
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, {zero_key: 1 + 0j}, role=TEST)
+    return Expansion2(dim1, dim2, cutoff1, cutoff2,
+                      _unit(dim1, dim2, cutoff1, cutoff2), role=TEST)
 
 
 def delta0(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> Expansion2:
     """Evaluation-at-the-origin distribution, the convolution unit."""
-    zero_key = ((0,) * dim1, (0,) * dim2)
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, {zero_key: 1 + 0j},
-                      role=DISTRIBUTION)
+    return Expansion2(dim1, dim2, cutoff1, cutoff2,
+                      _unit(dim1, dim2, cutoff1, cutoff2), role=DISTRIBUTION)
 
 
 def translate(phi: Expansion2, z: Sequence[complex],
@@ -536,14 +603,24 @@ def sym_convolve_coeffs(f: Expansion2,
     convolution of distributions.
     """
     _check_compatible(f, g)
-    codes, values, dropped = pair_products(f, g, contract=False)
+    terms, dropped = pair_products(f, g, contract=False)
     truncated = f.truncated or g.truncated or dropped
-    return f.with_terms(codes, values, truncated=truncated), dropped
+    return f.with_terms(terms, truncated=truncated), dropped
 
 
 # Pairs examined at once by `pair_products`: a block of terms of the smaller
 # operand against every term of the larger, so small products take one step.
 PAIR_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _falling_factorials(cutoff: int, wtype: type):
+    """Read-only table falling[n, K] = K!/(K - n)! for n, K <= cutoff, the
+    exact integers in Python integers (`object`) or rounded to floats."""
+    table = np.array([[math.perm(K, n) for K in range(cutoff + 1)]
+                      for n in range(cutoff + 1)], dtype=wtype)
+    table.flags.writeable = False
+    return table
 
 
 def pair_products(left: Expansion2, right: Expansion2, contract: bool):
@@ -558,28 +635,30 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     `gross.convolve_dist_test`.  Each W is an exact integer rounded to a
     float once; each term is (W c_l) c_r, and the terms of one output are
     added in the order of the smaller operand's terms.  Sums that come out
-    zero are dropped.  Returns the result's codes and values, in the
-    expansion layout, and whether some pair did not land.
+    zero are dropped.  Returns the result's terms, as the `Expansion2`
+    constructor takes them, and whether some pair did not land.  A
+    symmetrized product's terms carry the exponent rows and multiplicities
+    its division needed.
 
     The operands' codes are read as they are stored: a shift by a term of
     the smaller operand is an integer add (or subtract) on the larger
-    operand's code array, a mask and a lookup in the sorted output codes.
-    Terms of the smaller operand are taken PAIR_BLOCK / (terms of the
-    larger) at a time, at least one, so transient arrays hold at most
-    max(PAIR_BLOCK, terms of the larger operand) pairs, never one entry per
-    pair of a large product.
+    operand's code array.  Terms of the smaller operand are taken
+    PAIR_BLOCK / (terms of the larger) at a time, at least one, so
+    transient arrays hold at most max(PAIR_BLOCK, terms of the larger
+    operand) pairs, never one entry per pair of a large product.  Each
+    block is folded into the running sums by one stable sort of their codes
+    followed by the block's targets, then one `np.bincount` per real and
+    imaginary part: it adds in input order from +0.0, so every sum takes
+    its prior value first and then the block's terms in order.
     """
     if not len(left.codes) or not len(right.codes):
-        return left.codes[:0], np.zeros(0, dtype=complex), False
+        return (left.codes[:0], np.zeros(0, dtype=complex)), False
     c1, c2 = left.cutoff1, left.cutoff2
     code_l, rows_l, c_l = left.codes, left.exponents, left.values
     code_r, rows_r, c_r = right.codes, right.exponents, right.values
     deg_l, w_l = left.multiplicities
     deg_r, w_r = right.multiplicities
     if contract:
-        # falling[n, K] = K!/(K - n)!, the factor of an r of degree K.
-        falling = [[[math.perm(K, n) for K in range(c + 1)]
-                    for n in range(c + 1)] for c in (c1, c2)]
         bound = int(w_l.max()) * math.factorial(c1) * math.factorial(c2)
     else:
         bound = int(w_l.max()) * int(w_r.max())
@@ -587,13 +666,19 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     # the products are taken in Python integers and rounded once.
     wtype = float if bound < 1 << 53 else object
     w_l = w_l.astype(wtype)
+    # A pair lands when need[:, l] <= room[:, r] in every component, each
+    # component one contiguous row so that `all` reduces across rows.
     if contract:
-        falling = [np.array(table, dtype=wtype) for table in falling]
+        # falling[v][n, K]: the factor of variable v for an r of degree K.
+        falling = [_falling_factorials(c, wtype) for c in (c1, c2)]
+        need, room = rows_l.T, rows_r.T
     else:
         w_r = w_r.astype(wtype)
+        need, room = deg_l.T, np.array([[c1], [c2]]) - deg_r.T
+    need, room = np.ascontiguousarray(need), np.ascontiguousarray(room)
 
     out_codes = code_l[:0]
-    out_vals = np.empty(0, dtype=complex)
+    out_re = out_im = np.zeros(0)
     landed_all = True
     n_l, n_r = len(c_l), len(c_r)
     walk_left = n_l <= n_r
@@ -601,17 +686,15 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     step = max(1, PAIR_BLOCK // inner)
     for start in range(0, outer, step):
         # A block of the smaller operand's terms (rows) against all terms
-        # of the larger (columns); np.nonzero lists the kept pairs row by
-        # row, so in the order of the smaller operand's terms.
-        block = np.arange(start, min(start + step, outer))[:, None]
-        il, ir = ((block, np.arange(n_r)) if walk_left else
-                  (np.arange(n_l), block))
-        if contract:
-            keep = np.all(rows_r[ir] >= rows_l[il], axis=-1)
+        # of the larger (columns), read in place by broadcasting; nonzero
+        # lists the kept pairs row by row, so in the order of the smaller
+        # operand's terms.
+        block = slice(start, start + step)
+        if walk_left:
+            keep = (need[:, block, None] <= room[:, None, :]).all(axis=0)
         else:
-            keep = ((deg_l[il, 0] + deg_r[ir, 0] <= c1)
-                    & (deg_l[il, 1] + deg_r[ir, 1] <= c2))
-        rows, cols = np.nonzero(keep)
+            keep = (need[:, None, :] <= room[:, block, None]).all(axis=0)
+        rows, cols = keep.nonzero()
         landed_all = landed_all and len(rows) == keep.size
         if not len(rows):
             continue
@@ -624,30 +707,26 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
             w = w_l[il] * w_r[ir]
             target = code_l[il] + code_r[ir]
         terms = (w.astype(float) * c_l[il]) * c_r[ir]
-        pos = np.searchsorted(out_codes, target)
-        present = pos < len(out_codes)
-        present[present] = out_codes[pos[present]] == target[present]
-        if not present.all():
-            # out_codes holds no new code, so only new ones can repeat.
-            merged = np.sort(np.concatenate([out_codes, target[~present]]))
-            first = np.concatenate(([True], merged[1:] != merged[:-1]))
-            merged = merged[first]
-            vals = np.zeros(len(merged), dtype=complex)
-            vals[np.searchsorted(merged, out_codes)] = out_vals
-            out_codes, out_vals = merged, vals
-            pos = np.searchsorted(out_codes, target)
-        np.add.at(out_vals, pos, terms)
+        order, ordered, first = _distinct(np.concatenate((out_codes, target)))
+        slot = first.cumsum() - 1
+        out_codes = ordered[first]
+        size = len(out_codes)
+        out_re = np.bincount(slot, np.concatenate((out_re, terms.real))[order],
+                             size)
+        out_im = np.bincount(slot, np.concatenate((out_im, terms.imag))[order],
+                             size)
 
-    nonzero = out_vals != 0
-    out_codes, out_vals = out_codes[nonzero], out_vals[nonzero]
-    if not contract:
-        _, mult = multiplicities(_decode(out_codes, left), left.dim1)
-        mult = mult.astype(float)
-        quotient = np.empty_like(out_vals)
-        quotient.real = out_vals.real / mult
-        quotient.imag = out_vals.imag / mult
-        out_vals = quotient
-    return out_codes, out_vals, not landed_all
+    kept = (out_re != 0) | (out_im != 0)
+    out_codes, out_re, out_im = out_codes[kept], out_re[kept], out_im[kept]
+    values = np.empty(len(out_codes), dtype=complex)
+    if contract:
+        values.real, values.imag = out_re, out_im
+        return (out_codes, values), not landed_all
+    rows = _decode(out_codes, left)
+    degrees, mult = multiplicities(rows, left.dim1)
+    divisor = mult.astype(float)
+    values.real, values.imag = out_re / divisor, out_im / divisor
+    return (out_codes, values, rows, degrees, mult), not landed_all
 
 
 def pointwise_product(f: Expansion2, g: Expansion2) -> Expansion2:

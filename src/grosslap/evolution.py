@@ -29,6 +29,7 @@ from .chaos import (
     Expansion2,
     RoleError,
     coefficient_polynomials,
+    delta0,
     key_codes,
     key_rows,
     multiplicities,
@@ -149,8 +150,7 @@ def _split_constant(Phi: Expansion2) -> Tuple[complex, Expansion2]:
     The zero key has code 0, so it is the first term when present.
     """
     if len(Phi.codes) and Phi.codes[0] == 0:
-        return (complex(Phi.values[0]),
-                Phi.with_terms(Phi.codes[1:], Phi.values[1:]))
+        return complex(Phi.values[0]), Phi.take(slice(1, None))
     return 0j, Phi
 
 
@@ -160,8 +160,7 @@ def _power_series(N: Expansion2, weights: Sequence[complex]) -> Expansion2:
     N has positive minimal degree, so N^{*j} vanishes once j exceeds
     cutoff1 + cutoff2 and the series is exact with that many weights.
     """
-    power = N.with_terms(np.zeros(1, dtype=N.codes.dtype),
-                         np.ones(1, dtype=complex), truncated=False)
+    power = delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)
     result = power.scale(weights[0])
     truncated = N.truncated
     for w in weights[1:]:
@@ -170,7 +169,8 @@ def _power_series(N: Expansion2, weights: Sequence[complex]) -> Expansion2:
         if not len(power.codes):
             break
         result = result.add(power.scale(w))
-    return result.with_terms(result.codes, result.values, truncated=truncated)
+    return result.with_terms((result.codes, result.values),
+                             truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def integrate_between(P: ProcessSpec, s: float, t: float) -> OperatorKernel:
     if not (0.0 <= s <= t <= P.end + 1e-12):
         raise ValueError(f"integration range [{s}, {t}] outside grid")
     ref = P.kernels[0].kernel
-    total = ref.with_terms(ref.codes[:0], ref.values[:0], truncated=False)
+    total = ref.with_terms((ref.codes[:0], ref.values[:0]), truncated=False)
     for i, kern in enumerate(P.kernels):
         a, b = P.grid[i], P.grid[i + 1]
         length = min(b, t) - max(a, s)

@@ -9,6 +9,7 @@ distribution side it raises degrees, and the Laplace transform multiplies by
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -25,20 +26,23 @@ from .chaos import (
 )
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def trace_distribution(dim1: int, dim2: int, cutoff1: int,
                        cutoff2: int) -> Expansion2:
     """The distribution whose only coefficients are trace tensors.
 
     Carries tau over the first variable at bidegree (2,0) and, when a second
     variable is present, tau over the second at (0,2).  With dim2 = 0 this is
-    the one-variable trace distribution.
+    the one-variable trace distribution.  Expansions are immutable, so one
+    is built per shape (and argument types) and then shared.
     """
-    # One row 2 e_j per coordinate j of a variable whose cutoff reaches 2.
+    # One row 2 e_j per coordinate j of a variable whose cutoff reaches 2;
+    # its code falls as j grows, so the rows are reversed into code order.
     reach = [cutoff1 >= 2] * dim1 + [cutoff2 >= 2] * dim2
-    rows = 2 * np.eye(dim1 + dim2, dtype=np.int64)[reach]
-    codes = np.sort(key_codes(rows, dim1, dim2, cutoff1, cutoff2))
+    rows = 2 * np.eye(dim1 + dim2, dtype=np.int64)[reach][::-1]
     return Expansion2(dim1, dim2, cutoff1, cutoff2,
-                      (codes, np.ones(len(codes), dtype=complex)),
+                      (key_codes(rows, dim1, dim2, cutoff1, cutoff2),
+                       np.ones(len(rows), dtype=complex), rows),
                       role=DISTRIBUTION)
 
 
@@ -52,11 +56,8 @@ def gross_split(phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
         raise RoleError("gross_split needs a test expansion")
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
     first = T.exponents[:, :T.dim1].any(axis=1)
-    parts = []
-    for mask in (first, ~first):
-        part = T.with_terms(T.codes[mask], T.values[mask])
-        parts.append(phi.with_terms(
-            *pair_products(part, phi, contract=True)[:2]))
+    parts = [phi.with_terms(pair_products(T.take(mask), phi, contract=True)[0])
+             for mask in (first, ~first)]
     return parts[0], parts[1]
 
 
@@ -71,7 +72,7 @@ def gross_test(phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("gross_test needs a test expansion")
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    return phi.with_terms(*pair_products(T, phi, contract=True)[:2])
+    return phi.with_terms(pair_products(T, phi, contract=True)[0])
 
 
 def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
@@ -86,8 +87,7 @@ def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("convolve_dist_test needs a test function on the right")
     _check_compatible(Phi, phi)
-    codes, values, _ = pair_products(Phi, phi, contract=True)
-    return phi.with_terms(codes, values,
+    return phi.with_terms(pair_products(Phi, phi, contract=True)[0],
                           truncated=Phi.truncated or phi.truncated)
 
 

@@ -120,10 +120,10 @@ def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
     if f.role != g.role:
         raise RoleError("tensor_expansion needs matching roles")
     shape = (f.dim1, g.dim1, f.cutoff1, g.cutoff1)
-    codes = key_codes(join_rows(f.exponents, g.exponents), *shape)
+    rows = join_rows(f.exponents, g.exponents)
     values = complex_product(f.values[:, None], g.values[None, :]).ravel()
-    return Expansion2(*shape, (codes, values), role=f.role,
-                      truncated=f.truncated or g.truncated)
+    return Expansion2(*shape, (key_codes(rows, *shape), values, rows),
+                      role=f.role, truncated=f.truncated or g.truncated)
 
 
 def op_convolve(op1: OperatorKernel, op2: OperatorKernel) -> OperatorKernel:
@@ -155,13 +155,15 @@ def multiplication_operator(Phi: Expansion2) -> OperatorKernel:
     # Every split gamma = alpha + beta of every term of Phi.
     g, alpha = occupations_below(Phi.exponents, cutoff)
     rows = np.concatenate((alpha, Phi.exponents[g] - alpha), axis=1)
+    degrees, mult = multiplicities(rows, d)
     # C(n + m, n) is mult((n, m)), the degrees read as one occupation vector.
-    binomial = multiplicities(multiplicities(rows, d)[0], 2)[1].astype(float)
+    binomial = multiplicities(degrees, 2)[1].astype(float)
     codes = key_codes(rows, d, d, cutoff, cutoff)
     order = np.argsort(codes)
     values = binomial * Phi.values[g]
     return OperatorKernel(Expansion2(d, d, cutoff, cutoff, (
-        codes[order], values[order]), role=DISTRIBUTION), label="mult")
+        codes[order], values[order], rows[order], degrees[order],
+        mult[order]), role=DISTRIBUTION), label="mult")
 
 
 def classical_quantum_bridge(Phi: Expansion2) -> Tuple[Expansion2, Expansion2]:

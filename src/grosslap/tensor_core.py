@@ -90,12 +90,15 @@ def contract_full(A, B):
     if any((T.exponents.sum(axis=1) != T.cutoff1).any() for T in (A, B)):
         raise DegreeError("a tensor has a term of another degree")
     d, n, m = A.dim1, A.cutoff1, B.cutoff1
-    # Codes are lexicographic in the exponent rows, so they stay sorted.
-    left = B.with_terms(key_codes(A.exponents, d, 0, m, 0), A.values)
-    codes, values, _ = pair_products(left, B, contract=True)
-    rows = left.with_terms(codes, values).exponents
+    # Codes are lexicographic in the exponent rows, so they stay sorted; the
+    # rows and multiplicities do not depend on the cutoff.
+    left = B.with_terms((key_codes(A.exponents, d, 0, m, 0),
+                         *A.known_terms()[1:]))
+    product = left.with_terms(pair_products(left, B, contract=True)[0])
+    rows = product.exponents
     return Expansion2(d, 0, m - n, 0, (key_codes(rows, d, 0, m - n, 0),
-                                       values / math.perm(m, n)))
+                                       product.values / math.perm(m, n),
+                                       rows))
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,11 @@ def _random_terms(rng: np.random.Generator, rows: np.ndarray,
     values = np.empty(len(first), dtype=complex)
     values.real = scale * (2 * u[first] - 1)
     values.imag = scale * (2 * u[first + 1] - 1)
-    codes = key_codes(rows[kept], *shape)
+    rows = rows[kept]
+    codes = key_codes(rows, *shape)
     order = np.argsort(codes)
-    return Expansion2(*shape, (codes[order], values[order]), role=role)
+    return Expansion2(*shape, (codes[order], values[order], rows[order]),
+                      role=role)
 
 
 def _random_sym_tensor(rng: np.random.Generator, dim: int,
