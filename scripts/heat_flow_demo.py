@@ -12,14 +12,7 @@ import argparse
 import numpy as np
 
 from grosslap.chaos import DISTRIBUTION, Expansion2, coefficient_polynomials
-from grosslap.evolution import (
-    gaussian_heat_kernel,
-    half_trace_process,
-    solve_heat,
-    solve_symbol_ode,
-    symbol_gap,
-    zero_process,
-)
+from grosslap.evolution import gaussian_heat_kernel, solve
 from grosslap.quantum_op import OperatorKernel
 
 
@@ -39,7 +32,7 @@ def main() -> None:
                    role=DISTRIBUTION),
         "demo")
 
-    sol = solve_heat(xi0, None, args.times, seed=args.seed)
+    sol = solve(xi0, args.times, method="both", seed=args.seed)
     print("closed-form heat flow (function action):")
     for t, k in zip(sol.times, sol.kernels):
         terms = ", ".join(f"{key}: {v.real:+.6f}"
@@ -56,14 +49,9 @@ def main() -> None:
         oracle = gaussian_heat_kernel(xi0, t, y)[0].real
         print(f"  t={t:4.2f}  kernel={direct:+.10f}  gaussian={oracle:+.10f}")
 
-    t_end = max(args.times)
-    Z = half_trace_process(1, 1, args.cutoff, args.cutoff, max(t_end, 1e-9))
-    Theta = zero_process(1, 1, args.cutoff, args.cutoff, max(t_end, 1e-9))
-    numeric = solve_symbol_ode(Z, Theta, xi0, args.times)
-    closed = solve_heat(xi0, None, args.times, action="distribution")
-    gap = symbol_gap(closed, numeric)
     print(f"\nclosed form (distribution action) vs the exact symbol flow: "
-          f"max gap {gap:.3e} over {len(numeric.symbol_points)} grid points")
+          f"max gap {sol.checks['residual_max']:.3e} over "
+          f"{(args.cutoff + 1) ** 2} grid points")
 
 
 if __name__ == "__main__":

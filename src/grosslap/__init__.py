@@ -48,9 +48,8 @@ from .evolution import (
     gaussian_heat_kernel,
     gaussian_moment,
     integrate_process,
-    solve_heat,
+    solve,
     solve_qsde,
-    solve_symbol_ode,
 )
 from .young import YoungFunctionSpec, conjugate_eval, theta_n
 

@@ -491,8 +491,7 @@ def coefficient_polynomial(phi: Expansion2, point) -> complex:
     Where numpy's long double is the double, so is this sum.
     """
     x = point_coordinates([point], phi.dim1, phi.dim2).astype(np.clongdouble)
-    terms = monomial_matrix(phi.exponents, phi.dim1, x)[0] * phi.values
-    return complex(terms.sum())
+    return complex(coefficient_polynomials([phi], x)[0, 0])
 
 
 def evaluate(phi: Expansion2, z: Sequence[complex],
@@ -532,8 +531,7 @@ def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
         parts.append((rows[kept], monomial[kept]))
     (rows1, mono1), (rows2, mono2) = parts
     # n! m!, exact in Python integers and rounded once.
-    fact = np.array([math.factorial(k) for k in
-                     range(max(cutoff1, cutoff2, 0) + 1)], dtype=object)
+    fact = _factorials(max(cutoff1, cutoff2, 0), False)
     n, m = rows1.sum(axis=1), rows2.sum(axis=1)
     denominator = np.multiply.outer(fact[n], fact[m]).ravel().astype(float)
     values = complex_product(mono1[:, None], mono2[None, :]).ravel()
@@ -787,12 +785,16 @@ def expansion_to_json(phi: Expansion2) -> dict:
 
 
 def expansion_from_json(obj: dict) -> Expansion2:
-    coeffs = {
-        (_occupations(t["alpha"]), _occupations(t["beta"])):
-            complex(_json_number(t["re"], "a real part"),
-                    _json_number(t.get("im", 0.0), "an imaginary part"))
-        for t in map(_json_object, _json_object(obj).get("terms", []))
-    }
+    """An expansion from its JSON form; a key given twice is rejected."""
+    coeffs = {}
+    for t in map(_json_object, _json_object(obj).get("terms", [])):
+        key = (_occupations(t["alpha"]), _occupations(t["beta"]))
+        if key in coeffs:
+            raise ValueError(f"term alpha={list(key[0])}, "
+                             f"beta={list(key[1])} appears twice")
+        coeffs[key] = complex(_json_number(t["re"], "a real part"),
+                              _json_number(t.get("im", 0.0),
+                                           "an imaginary part"))
     # Overflowed literals such as 1e999 parse to inf.
     if not all(cmath.isfinite(v) for v in coeffs.values()):
         raise ValueError("expansion coefficients must be finite")

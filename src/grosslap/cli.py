@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import click
 import numpy as np
 
+from . import evolution
 from .chaos import (
     DISTRIBUTION,
     TEST,
@@ -28,17 +29,6 @@ from .chaos import (
     grid_point_count,
     point_coordinates,
 )
-from .evolution import (
-    ACTION_DISTRIBUTION,
-    ACTION_FUNCTION,
-    ProcessSpec,
-    half_trace_process,
-    solve_heat,
-    solve_qsde,
-    solve_symbol_ode,
-    symbol_gap,
-    zero_process,
-)
 from .quantum_op import kernel_from_json, kernel_to_json
 from .tensor_core import DegreeError, DimensionMismatchError
 from .verify import ALL_CHECKS
@@ -46,8 +36,6 @@ from .young import YoungFunctionSpec, check_growth_condition, conjugate_eval, th
 
 # The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
 ROLE_OF_OP = {"evaluate": TEST, "laplace": DISTRIBUTION}
-METHODS = ("closed_form", "symbol_ode", "both")
-ACTIONS = (ACTION_FUNCTION, ACTION_DISTRIBUTION)
 
 INPUT_ERRORS = (RoleError, DimensionMismatchError, DegreeError, ValueError,
                 KeyError, TypeError, OverflowError, json.JSONDecodeError)
@@ -63,8 +51,7 @@ def _load_json(path: str):
 
 def _emit(report: dict, out: Optional[str]) -> None:
     try:
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         _fail(2, "the result holds NaN or infinite numbers; the input "
                  "overflows double precision")
@@ -141,16 +128,16 @@ def verify(suites: Sequence[str], seed: int, out: Optional[str]) -> None:
     sys.exit(0 if report["passed"] else 1)
 
 
-def _process_from_json(obj) -> ProcessSpec:
+def _process_from_json(obj) -> evolution.ProcessSpec:
     grid = tuple(_json_number(g, "a grid point") for g in obj["grid"])
     kernels = tuple(kernel_from_json(k) for k in obj["kernels"])
-    return ProcessSpec(grid, kernels)
+    return evolution.ProcessSpec(grid, kernels)
 
 
 @main.command()
 @click.option("--in", "in_path", type=click.Path(exists=False), required=True)
 @click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
-@click.option("--method", type=click.Choice(METHODS), default=None,
+@click.option("--method", type=click.Choice(evolution.METHODS), default=None,
               help="Override the method named in the input file.")
 @click.option("--seed", type=int, default=42, show_default=True)
 def solve(in_path: str, out: Optional[str], method: Optional[str],
@@ -171,21 +158,11 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         check_evaluation_size(grid_point_count(*shape),
                               coefficient_count(*shape), ref.dim1, ref.dim2)
         times = [_json_number(t, "a time") for t in spec["times"]]
-        method = method or spec.get("method", "closed_form")
-        action = spec.get("action", ACTION_FUNCTION)
-        for name, value, allowed in (("method", method, METHODS),
-                                     ("action", action, ACTIONS)):
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of "
-                                 f"{', '.join(allowed)}, not {value!r}")
-        t_end = max(times + [1e-9])
-        heat = "Z" not in spec
-        Z = (half_trace_process(*shape, t_end) if heat
-             else _process_from_json(spec["Z"]))
-        if "Theta" in spec:
-            Theta = _process_from_json(spec["Theta"])
-        else:
-            Theta = zero_process(*shape, max(t_end, Z.end))
+        Z = _process_from_json(spec["Z"]) if "Z" in spec else None
+        Theta = _process_from_json(spec["Theta"]) if "Theta" in spec else None
+        options = {k: spec[k] for k in ("action", "method") if k in spec}
+        if method:
+            options["method"] = method
     except FileNotFoundError as exc:
         _fail(2, str(exc))
     except INPUT_ERRORS as exc:
@@ -194,24 +171,7 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     # An overflow shows as inf or NaN in the report, which _emit rejects.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            checks = {}
-            if method != "symbol_ode":
-                if heat:
-                    sol = solve_heat(xi0, Theta, times, action=action,
-                                     seed=seed)
-                else:
-                    sol = solve_qsde(Z, Theta, xi0, times, action=action)
-                checks.update(sol.checks)
-            if method in ("symbol_ode", "both"):
-                numeric = solve_symbol_ode(Z, Theta, xi0, times)
-                if method == "both":
-                    closed = (sol if action == ACTION_DISTRIBUTION else
-                              solve_qsde(Z, Theta, xi0, times,
-                                         action=ACTION_DISTRIBUTION))
-                    checks["residual_max"] = symbol_gap(closed, numeric)
-                else:
-                    sol = numeric
-                checks.update(numeric.checks)
+            sol = evolution.solve(xi0, times, Z, Theta, seed=seed, **options)
     except INPUT_ERRORS as exc:
         _fail(2, f"bad solver input: {exc}")
 
@@ -221,7 +181,7 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         "times": list(sol.times),
         "kernels": [kernel_to_json(k) for k in sol.kernels],
         "truncated": sol.truncated,
-        "checks": checks,
+        "checks": sol.checks,
     }
     _emit(report, out)
 

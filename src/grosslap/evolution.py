@@ -448,8 +448,8 @@ def symbol_gap(closed: EvolutionSolution,
 
     `closed` holds distribution-action kernels at the times of the symbol-ODE
     solution `numeric`, of the shape numeric was solved for; each kernel's
-    symbol is taken on numeric's grid.  This gap is what the command line
-    reports as residual_max.  A NaN anywhere makes it NaN.
+    symbol is taken on numeric's grid.  This gap is what `solve` reports as
+    residual_max.  A NaN anywhere makes it NaN.
     """
     if not closed.kernels:
         return 0.0
@@ -469,38 +469,83 @@ def half_trace_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
                                 t_end)
 
 
+def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
+               times: Sequence[float], action: str = ACTION_FUNCTION,
+               seed: int = 42) -> EvolutionSolution:
+    """Heat flow driven by half the trace distribution: `solve` with no Z."""
+    return solve(xi0, times, Theta=Theta, action=action, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Solver entry point
+
+METHODS = ("closed_form", "symbol_ode", "both")
+ACTIONS = (ACTION_FUNCTION, ACTION_DISTRIBUTION)
+
 # Random points per time at which a source-free function-action heat solve
 # is compared with the Gaussian-moment oracle.
 GAUSSIAN_CHECK_POINTS = 5
 
 
-def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
-               times: Sequence[float], action: str = ACTION_FUNCTION,
-               seed: int = 42) -> EvolutionSolution:
-    """Heat flow driven by half the trace distribution.
+def solve(xi0: OperatorKernel, times: Sequence[float],
+          Z: Optional[ProcessSpec] = None,
+          Theta: Optional[ProcessSpec] = None,
+          action: str = ACTION_FUNCTION, method: str = "closed_form",
+          seed: int = 42) -> EvolutionSolution:
+    """Solve d Xi/dt = Z * Xi + Theta and check it against the oracles.
 
-    With no source and the function action, the solution kernel is the
-    Gaussian smoothing of the initial kernel polynomial; the moment-based
-    evaluation is recorded as a cross-check gap.
+    Z defaults to the heat flow, half the trace distribution, and Theta to
+    zero.  "closed_form" runs `solve_qsde`; "symbol_ode" runs only the
+    symbol oracle; "both" runs the two and reports as residual_max the
+    `symbol_gap` of the distribution-action closed form (solved a second
+    time under the function action).  A closed-form heat flow with a zero
+    source under the function action reports gaussian_gap, its largest
+    distance from Gaussian-moment smoothing at GAUSSIAN_CHECK_POINTS points
+    per time drawn from ``seed``.
     """
+    for name, value, allowed in (("method", method, METHODS),
+                                 ("action", action, ACTIONS)):
+        if value not in allowed:
+            raise ValueError(f"{name} must be one of "
+                             f"{', '.join(allowed)}, not {value!r}")
     ref = xi0.kernel
+    shape = (ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
     t_end = max([float(t) for t in times] + [1e-9])
-    Z = half_trace_process(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2, t_end)
+    heat = Z is None
+    if heat:
+        Z = half_trace_process(*shape, t_end)
     if Theta is None:
-        Theta = zero_process(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2,
-                             t_end)
-    sol = solve_qsde(Z, Theta, xi0, times, action=action)
-    checks = dict(sol.checks)
-    if Theta.is_zero() and action == ACTION_FUNCTION:
-        rng = np.random.default_rng(seed)
-        gap = 0.0
-        for t, kern in zip(sol.times, sol.kernels):
-            x = rng.uniform(-1, 1, (GAUSSIAN_CHECK_POINTS, ref.dim1 + ref.dim2))
-            direct = coefficient_polynomials([kern.kernel], x)[:, 0]
-            oracle = gaussian_heat_kernel(xi0, t, x)
-            gap = nan_max(gap, float(np.max(np.abs(direct - oracle))))
-        checks["gaussian_gap"] = gap
+        Theta = zero_process(*shape, max(t_end, Z.end))
+    checks = {}
+    if method != "symbol_ode":
+        sol = solve_qsde(Z, Theta, xi0, times, action=action)
+        if heat and Theta.is_zero() and action == ACTION_FUNCTION:
+            checks["gaussian_gap"] = _gaussian_gap(xi0, sol, seed)
+    if method != "closed_form":
+        numeric = solve_symbol_ode(Z, Theta, xi0, times)
+        checks.update(numeric.checks)
+        if method == "both":
+            closed = (sol if action == ACTION_DISTRIBUTION else
+                      solve_qsde(Z, Theta, xi0, times,
+                                 action=ACTION_DISTRIBUTION))
+            checks["residual_max"] = symbol_gap(closed, numeric)
+        else:
+            sol = numeric
     return replace(sol, checks=checks)
+
+
+def _gaussian_gap(xi0: OperatorKernel, sol: EvolutionSolution,
+                  seed: int) -> float:
+    """Largest |kernel - Gaussian smoothing of xi0| over random points."""
+    ref = xi0.kernel
+    rng = np.random.default_rng(seed)
+    gap = 0.0
+    for t, kern in zip(sol.times, sol.kernels):
+        x = rng.uniform(-1, 1, (GAUSSIAN_CHECK_POINTS, ref.dim1 + ref.dim2))
+        direct = coefficient_polynomials([kern.kernel], x)[:, 0]
+        oracle = gaussian_heat_kernel(xi0, t, x)
+        gap = nan_max(gap, float(np.max(np.abs(direct - oracle))))
+    return gap
 
 
 def gaussian_heat_kernel(xi0: OperatorKernel, t: float, x) -> np.ndarray:

@@ -28,17 +28,7 @@ from .chaos import (
     key_rows,
     point_coordinates,
 )
-from .evolution import (
-    ACTION_DISTRIBUTION,
-    ACTION_FUNCTION,
-    ProcessSpec,
-    half_trace_process,
-    solve_heat,
-    solve_qsde,
-    solve_symbol_ode,
-    symbol_gap,
-    zero_process,
-)
+from .evolution import ACTION_DISTRIBUTION, ProcessSpec, solve, solve_qsde
 from .gross import (
     convolve_dist_dist,
     convolve_dist_test,
@@ -349,15 +339,8 @@ def check_heat_triangle(seed: int = 42) -> CheckResult:
     rng = np.random.default_rng(seed)
     xi0 = OperatorKernel(_random_expansion(rng, 1, 1, CUTOFF, CUTOFF, 4, 4,
                                            DISTRIBUTION), "initial")
-    gauss_gap = solve_heat(xi0, None, times, action=ACTION_FUNCTION,
-                           seed=seed).checks["gaussian_gap"]
-
-    t_end = max(times)
-    Z = half_trace_process(1, 1, CUTOFF, CUTOFF, t_end)
-    Theta = zero_process(1, 1, CUTOFF, CUTOFF, t_end)
-    numeric = solve_symbol_ode(Z, Theta, xi0, times)
-    closed = solve_heat(xi0, None, times, action=ACTION_DISTRIBUTION)
-    ode_gap = symbol_gap(closed, numeric)
+    checks = solve(xi0, times, method="both", seed=seed).checks
+    gauss_gap, ode_gap = checks["gaussian_gap"], checks["residual_max"]
 
     worst = nan_max(gauss_gap / HEAT_GAUSS_TOL, ode_gap / HEAT_ODE_TOL)
     return CheckResult("heat-oracle-triangle",

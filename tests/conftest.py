@@ -1,5 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from grosslap.chaos import DISTRIBUTION
+from grosslap.evolution import ACTIONS, METHODS, ProcessSpec
+from grosslap.quantum_op import OperatorKernel
 
 # One generator serves the suites and the tests, so a seed means the same
 # data in both.
@@ -13,3 +19,23 @@ from grosslap.verify import (  # noqa: F401
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# Every combination `evolution.solve` decides on: heat flow or a given Z,
+# with or without a source, each action and each method.
+SOLVER_CASES = list(itertools.product((True, False), (False, True), ACTIONS,
+                                      METHODS))
+
+
+def solver_case(heat: bool, source: bool):
+    """A small solver input (xi0, Z, Theta) at dims (1,1), cutoff 3; Z is
+    None for the heat flow and Theta None without a source."""
+    rng = np.random.default_rng([heat, source])
+
+    def kernel(scale=1.0):
+        return OperatorKernel(random_expansion(rng, 1, 1, 3, 3, 2, 2,
+                                               DISTRIBUTION, scale=scale))
+
+    Z = None if heat else ProcessSpec((0.0, 1.0), (kernel(0.2),))
+    Theta = ProcessSpec((0.0, 1.0), (kernel(0.2),)) if source else None
+    return kernel(), Z, Theta

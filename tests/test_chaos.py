@@ -184,3 +184,11 @@ def test_json_roundtrip(rng):
     assert back.coeffs == phi.coeffs
     assert back.role == DISTRIBUTION
     assert (back.cutoff1, back.cutoff2) == (4, 3)
+
+
+def test_json_rejects_a_duplicated_key():
+    phi = Expansion2(1, 1, 3, 3, {((1,), (0,)): 1 + 0j}, role=DISTRIBUTION)
+    obj = expansion_to_json(phi)
+    obj["terms"].append(dict(obj["terms"][0], re=5.0))
+    with pytest.raises(ValueError, match="appears twice"):
+        expansion_from_json(obj)

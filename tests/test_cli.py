@@ -24,7 +24,7 @@ from grosslap.gross import trace_distribution
 from grosslap.quantum_op import (OperatorKernel, kernel_from_json,
                                  kernel_to_json, symbol)
 from grosslap.verify import ALL_CHECKS
-from conftest import random_expansion, rng_complex
+from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
 
 
 @pytest.fixture
@@ -237,14 +237,14 @@ def test_solve_missing_file_exits_2(runner, tmp_path):
 def test_solve_and_eval_over_size_budget_exit_2(runner, tmp_path,
                                                 monkeypatch):
     import grosslap.chaos
-    import grosslap.cli
+    import grosslap.evolution
 
     def no_work(*args, **kwargs):
         raise AssertionError("the size check must come before any solve")
 
     # dims (1,1), cutoff 8: 81 keys and a 9 x 9 grid, 81 x 83 = 6,723 cells.
     monkeypatch.setattr(grosslap.chaos, "MAX_EVALUATION_CELLS", 6_722)
-    monkeypatch.setattr(grosslap.cli, "solve_heat", no_work)
+    monkeypatch.setattr(grosslap.evolution, "solve_qsde", no_work)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_heat_input([0.5])))
     res = runner.invoke(main, ["solve", "--in", str(path)])
@@ -304,6 +304,27 @@ def test_bad_expansion_json_exits_2(runner, tmp_path, command, edit):
     path.write_text(json.dumps(spec))
     res = runner.invoke(main, [command, "--in", str(path)] + args)
     assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("command", ["eval", "solve"])
+def test_duplicate_term_exits_2(runner, tmp_path, command):
+    # A key given twice would keep only its last value.
+    if command == "solve":
+        spec = _heat_input([0.5])
+        terms = spec["xi0"]["kernel"]["terms"]
+    else:
+        spec = {"op": "evaluate",
+                "expansion": {"dim1": 1, "dim2": 0, "cutoff1": 3,
+                              "cutoff2": 0, "role": "test", "terms": []},
+                "points": [{"z": [1.0], "t": []}]}
+        terms = spec["expansion"]["terms"]
+    terms[:] = [{"alpha": [1], "beta": [0] if command == "solve" else [],
+                 "re": re} for re in (1.0, 5.0)]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, [command, "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "appears twice" in res.output
 
 
 @pytest.mark.parametrize("command, field, value", [
@@ -479,14 +500,13 @@ def test_eval_point_dims_mismatch_exits_2(runner, tmp_path):
 @pytest.mark.parametrize("driven", [False, True])
 def test_solve_symbol_ode_runs_no_closed_form(runner, tmp_path, monkeypatch,
                                               driven):
-    import grosslap.cli
+    import grosslap.evolution
     from grosslap.chaos import Expansion2
 
     def closed_form(*args, **kwargs):
         raise AssertionError("method symbol_ode ran the closed form")
 
-    monkeypatch.setattr(grosslap.cli, "solve_heat", closed_form)
-    monkeypatch.setattr(grosslap.cli, "solve_qsde", closed_form)
+    monkeypatch.setattr(grosslap.evolution, "solve_qsde", closed_form)
     spec = _heat_input([0.5])
     if driven:
         Z = OperatorKernel(Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j},
@@ -577,6 +597,29 @@ def test_gaussian_check_fails_closed(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["solve", "--in", str(path)])
     assert res.exit_code == 2, res.output
     assert "NaN or infinite" in res.output
+
+
+@pytest.mark.parametrize("heat, source, action, method", SOLVER_CASES)
+def test_solve_reports_the_library_checks(runner, tmp_path, heat, source,
+                                          action, method):
+    from grosslap.evolution import solve
+    xi0, Z, Theta = solver_case(heat, source)
+    times = [0.25, 0.5]
+    spec = {"xi0": kernel_to_json(xi0), "times": times, "action": action,
+            "method": method}
+    for name, process in (("Z", Z), ("Theta", Theta)):
+        if process is not None:
+            spec[name] = {"grid": list(process.grid),
+                          "kernels": [kernel_to_json(k)
+                                      for k in process.kernels]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["solve", "--in", str(path), "--seed", "7"])
+    assert res.exit_code == 0, res.output
+    sol = solve(xi0, times, Z, Theta, action=action, method=method, seed=7)
+    report = json.loads(res.output)
+    assert report["checks"] == sol.checks
+    assert (report["method"], report["action"]) == (sol.method, sol.action)
 
 
 def test_solve_accepts_integer_times_and_named_methods(runner, tmp_path):

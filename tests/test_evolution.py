@@ -30,6 +30,7 @@ from grosslap.evolution import (
     half_trace_process,
     integrate_between,
     integrate_process,
+    solve,
     solve_heat,
     solve_qsde,
     solve_symbol_ode,
@@ -42,7 +43,7 @@ from grosslap.evolution import (
 from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import OperatorKernel, symbol
 from grosslap.tensor_core import multinomial_weight
-from conftest import random_expansion, rng_complex
+from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
 
 
 def kernel_of(coeffs, d1=1, d2=1, c1=8, c2=8, label=""):
@@ -618,3 +619,45 @@ def test_both_solvers_reject_the_same_times(times):
     with pytest.raises(ValueError) as numeric:
         solve_symbol_ode(Z, Theta, xi0, times)
     assert str(closed.value) == str(numeric.value)
+
+
+# ---------------------------------------------------------------------------
+# The solver entry point
+
+
+@pytest.mark.parametrize("heat, source, action, method", SOLVER_CASES)
+def test_solve_reports_the_checks_of_its_decision_table(heat, source, action,
+                                                        method):
+    xi0, Z, Theta = solver_case(heat, source)
+    sol = solve(xi0, [0.25, 0.5], Z, Theta, action=action, method=method)
+    expected = set()
+    if heat and not source and action == ACTION_FUNCTION \
+            and method != "symbol_ode":
+        expected.add("gaussian_gap")
+    if method == "both":
+        expected.add("residual_max")
+    if method != "closed_form":
+        expected.add("fit_amplification")
+    assert set(sol.checks) == expected
+    if method == "symbol_ode":
+        assert (sol.method, sol.action) == ("symbol_ode_numeric",
+                                            ACTION_DISTRIBUTION)
+    else:
+        assert (sol.method, sol.action) == ("closed_form", action)
+    assert all(math.isfinite(v) for v in sol.checks.values())
+
+
+def test_solve_checks_method_and_action_before_any_work(monkeypatch):
+    import grosslap.evolution as evolution
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve worked before checking its options")
+
+    for name in ("half_trace_process", "zero_process", "solve_qsde",
+                 "solve_symbol_ode"):
+        monkeypatch.setattr(evolution, name, no_work)
+    xi0, _, _ = solver_case(True, False)
+    with pytest.raises(ValueError, match="method must be one of"):
+        solve(xi0, [0.5], method="symbol-ode")
+    with pytest.raises(ValueError, match="action must be one of"):
+        solve(xi0, [0.5], action="functional")
