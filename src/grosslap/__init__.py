@@ -46,8 +46,6 @@ from .evolution import (
     ProcessSpec,
     conv_exp,
     gaussian_heat_kernel,
-    gaussian_moment,
-    integrate_process,
     solve,
     solve_qsde,
 )

@@ -36,7 +36,7 @@ from .chaos import (
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
-from .tensor_core import MultiIndex, nan_max
+from .tensor_core import nan_max
 
 ACTION_FUNCTION = "function"
 ACTION_DISTRIBUTION = "distribution"
@@ -44,18 +44,6 @@ ACTION_DISTRIBUTION = "distribution"
 
 # ---------------------------------------------------------------------------
 # Gaussian moments
-
-
-def gaussian_moment(alpha: MultiIndex) -> float:
-    """Product moment of the standard Gaussian: prod E[X_i^{alpha_i}]."""
-    out = 1.0
-    for a in alpha:
-        if a < 0:
-            raise ValueError("occupations must be non-negative")
-        if a % 2 == 1:
-            return 0.0
-        out *= _double_factorial(a - 1)
-    return out
 
 
 def _double_factorial(k: int) -> float:
@@ -218,11 +206,6 @@ def zero_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
     empty = OperatorKernel(Expansion2(dim1, dim2, cutoff1, cutoff2, {},
                                       role=DISTRIBUTION), "zero")
     return ProcessSpec.constant(empty, t_end)
-
-
-def integrate_process(P: ProcessSpec, t: float) -> OperatorKernel:
-    """Exact integral of a piecewise-constant process over [0, t]."""
-    return integrate_between(P, 0.0, t)
 
 
 def integrate_between(P: ProcessSpec, s: float, t: float) -> OperatorKernel:
@@ -435,7 +418,7 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
         out_kernels.append(OperatorKernel(kern, label="symbol-ode"))
     return EvolutionSolution(tuple(float(t) for t in times),
                              tuple(out_kernels),
-                             method="symbol_ode_numeric",
+                             method="symbol_ode",
                              action=ACTION_DISTRIBUTION,
                              checks={"fit_amplification": SYMBOL_RADIUS
                                      ** -(ref.cutoff1 + ref.cutoff2)},
@@ -501,7 +484,8 @@ def solve(xi0: OperatorKernel, times: Sequence[float],
     time under the function action).  A closed-form heat flow with a zero
     source under the function action reports gaussian_gap, its largest
     distance from Gaussian-moment smoothing at GAUSSIAN_CHECK_POINTS points
-    per time drawn from ``seed``.
+    per time drawn from ``seed``.  The solution's method is the one asked
+    for.
     """
     for name, value, allowed in (("method", method, METHODS),
                                  ("action", action, ACTIONS)):
@@ -531,7 +515,7 @@ def solve(xi0: OperatorKernel, times: Sequence[float],
             checks["residual_max"] = symbol_gap(closed, numeric)
         else:
             sol = numeric
-    return replace(sol, checks=checks)
+    return replace(sol, method=method, checks=checks)
 
 
 def _gaussian_gap(xi0: OperatorKernel, sol: EvolutionSolution,

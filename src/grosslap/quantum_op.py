@@ -19,7 +19,6 @@ from .chaos import (
     Expansion2,
     RoleError,
     complex_product,
-    delta0,
     expansion_from_json,
     expansion_to_json,
     join_rows,
@@ -30,7 +29,7 @@ from .chaos import (
     pairing_weights,
     vacuum,
 )
-from .gross import convolve_dist_dist, gross_distribution, trace_distribution
+from .gross import convolve_dist_dist, gross_distribution
 from .tensor_core import DimensionMismatchError
 
 
@@ -58,18 +57,6 @@ class OperatorKernel:
 
     def add(self, other: "OperatorKernel") -> "OperatorKernel":
         return OperatorKernel(self.kernel.add(other.kernel), self.label)
-
-
-def identity_kernel(dim1: int, dim2: int, cutoff1: int,
-                    cutoff2: int) -> OperatorKernel:
-    """The convolution unit: kernel delta_0."""
-    return OperatorKernel(delta0(dim1, dim2, cutoff1, cutoff2), "identity")
-
-
-def trace_kernel(dim1: int, dim2: int, cutoff1: int,
-                 cutoff2: int) -> OperatorKernel:
-    return OperatorKernel(trace_distribution(dim1, dim2, cutoff1, cutoff2),
-                          "trace")
 
 
 def symbol(op: OperatorKernel, xi1: Sequence[complex],

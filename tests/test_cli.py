@@ -86,6 +86,24 @@ def test_verify_fails_closed_on_nan_sample(runner, monkeypatch):
     assert report["checks"][0]["max_error"] == "nan"
 
 
+def test_evolution_residual_fails_closed_without_the_source(monkeypatch):
+    import grosslap.evolution
+    import grosslap.verify
+
+    # The closed form loses its source step; the symbol flow keeps it.
+    monkeypatch.setattr(grosslap.evolution, "_conv_exp_integral",
+                        lambda Phi, h: Phi.scale(0))
+    assert grosslap.verify.check_evolution_residual().passed is False
+
+
+def test_young_diagnostics_fail_closed_on_a_shifted_conjugate(monkeypatch):
+    import grosslap.verify
+
+    monkeypatch.setattr(grosslap.verify, "conjugate_eval",
+                        lambda spec, x: x * x / 4 + 1e-7)
+    assert grosslap.verify.check_young_diagnostics().passed is False
+
+
 def test_verify_rejects_unknown_suite(runner):
     res = runner.invoke(main, ["verify", "--suite", "no-such-suite"])
     assert res.exit_code == 2
@@ -127,6 +145,14 @@ def test_young_infinite_conjugate_exits_2(runner):
                                "--op", "conjugate", "--x", "2.0"])
     assert res.exit_code == 2
     assert "infinite" in res.output
+
+
+@pytest.mark.parametrize("k, grows", [("2", True), ("2.001", False)])
+def test_young_growth_boundary(runner, k, grows):
+    res = runner.invoke(main, ["young", "--family", "power", "--k", k,
+                               "--op", "growth"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["value"] is grows
 
 
 def test_young_missing_argument(runner):
@@ -518,7 +544,7 @@ def test_solve_symbol_ode_runs_no_closed_form(runner, tmp_path, monkeypatch,
                                "symbol_ode"])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
-    assert report["method"] == "symbol_ode_numeric"
+    assert report["method"] == "symbol_ode"
     assert "gaussian_gap" not in report["checks"]
     assert report["checks"]["fit_amplification"] == 8.0 ** 16
 

@@ -26,10 +26,8 @@ from grosslap.evolution import (
     apply_propagator,
     conv_exp,
     gaussian_heat_kernel,
-    gaussian_moment,
     half_trace_process,
     integrate_between,
-    integrate_process,
     solve,
     solve_heat,
     solve_qsde,
@@ -142,15 +140,16 @@ def test_process_validation():
 def test_integrate_constant_process():
     K = kernel_of({((1,), (0,)): 2 + 0j})
     P = ProcessSpec.constant(K, 3.0)
-    assert integrate_process(P, 2.0).kernel.coeffs == {((1,), (0,)): 4 + 0j}
-    assert integrate_process(P, 0.0).kernel.coeffs == {}
+    assert integrate_between(P, 0.0, 2.0).kernel.coeffs == {
+        ((1,), (0,)): 4 + 0j}
+    assert integrate_between(P, 0.0, 0.0).kernel.coeffs == {}
 
 
 def test_integrate_piecewise():
     A = kernel_of({((1,), (0,)): 1 + 0j})
     B = kernel_of({((0,), (1,)): 1 + 0j})
     P = ProcessSpec((0.0, 1.0, 2.0), (A, B))
-    out = integrate_process(P, 1.5).kernel
+    out = integrate_between(P, 0.0, 1.5).kernel
     assert out[((1,), (0,))] == pytest.approx(1.0)
     assert out[((0,), (1,))] == pytest.approx(0.5)
     mid = integrate_between(P, 0.5, 1.25).kernel
@@ -354,23 +353,6 @@ def test_semigroup_property_with_source(rng, action):
 
 # ---------------------------------------------------------------------------
 # heat flow and the Gaussian oracle
-
-
-def test_gaussian_moment_values():
-    assert gaussian_moment((2,)) == 1
-    assert gaussian_moment((1, 3)) == 0
-    assert gaussian_moment((4,)) == 3
-    assert gaussian_moment((2, 2, 0)) == 1
-    assert gaussian_moment((6,)) == 15
-
-
-def test_gaussian_moment_monte_carlo():
-    rng = np.random.default_rng(99)
-    x = rng.standard_normal(10 ** 7)
-    sample = x ** 4
-    est = sample.mean()
-    se = sample.std() / math.sqrt(len(x))
-    assert abs(est - gaussian_moment((4,))) <= 3 * se
 
 
 def test_heat_flow_of_square_adds_t():
@@ -639,11 +621,9 @@ def test_solve_reports_the_checks_of_its_decision_table(heat, source, action,
     if method != "closed_form":
         expected.add("fit_amplification")
     assert set(sol.checks) == expected
-    if method == "symbol_ode":
-        assert (sol.method, sol.action) == ("symbol_ode_numeric",
-                                            ACTION_DISTRIBUTION)
-    else:
-        assert (sol.method, sol.action) == ("closed_form", action)
+    assert sol.method == method
+    assert sol.action == (ACTION_DISTRIBUTION if method == "symbol_ode"
+                          else action)
     assert all(math.isfinite(v) for v in sol.checks.values())
 
 

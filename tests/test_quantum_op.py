@@ -9,18 +9,18 @@ from grosslap.chaos import (
     DISTRIBUTION,
     Expansion2,
     RoleError,
+    delta0,
     dual_pair,
     exponential_vector,
     laplace,
     pointwise_product,
     vacuum,
 )
-from grosslap.gross import gross_distribution, gross_test
+from grosslap.gross import gross_distribution, gross_test, trace_distribution
 from grosslap.quantum_op import (
     OperatorKernel,
     apply_operator,
     classical_quantum_bridge,
-    identity_kernel,
     kernel_from_json,
     kernel_to_json,
     multiplication_operator,
@@ -28,7 +28,6 @@ from grosslap.quantum_op import (
     quantum_gross,
     symbol,
     tensor_expansion,
-    trace_kernel,
 )
 from grosslap.tensor_core import nan_max
 from conftest import random_expansion, rng_complex
@@ -44,12 +43,12 @@ def test_kernel_requires_distribution(rng):
 
 
 def test_identity_symbol_is_one():
-    I = identity_kernel(2, 2, 5, 5)
+    I = OperatorKernel(delta0(2, 2, 5, 5))
     assert symbol(I, [0.3, 1j], [2.0, -1]) == 1
 
 
 def test_trace_kernel_symbol():
-    T = trace_kernel(1, 1, 8, 8)
+    T = OperatorKernel(trace_distribution(1, 1, 8, 8))
     assert symbol(T, [2], [1]) == pytest.approx(5)
 
 

@@ -1,4 +1,11 @@
-"""Tests for Young functions, conjugates and growth diagnostics."""
+"""Tests for Young functions, conjugates, weights and the growth condition.
+
+The conjugates and weights are closed forms, so each family is checked
+against the extremum that defines it rather than against its formula:
+theta*(x) bounds t x - theta(t) on a t-grid and equals it at the
+maximiser, and theta_n bounds e^{theta(r)} / r^n on an r-grid and equals
+it at the minimiser.
+"""
 
 import math
 
@@ -7,14 +14,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grosslap.chaos import Expansion2
 from grosslap.young import (
     YoungFunctionSpec,
     check_growth_condition,
     conjugate_eval,
-    growth_norm_estimate,
     theta_n,
 )
+
+
+def assert_conjugate_is_the_sup(spec, x, t_star):
+    """conjugate_eval(spec, x) is sup_t (t x - theta(t)), attained at t_star."""
+    value = conjugate_eval(spec, x)
+    assert value == pytest.approx(t_star * x - spec.theta(t_star), rel=1e-12)
+    grid = np.concatenate([np.linspace(0.0, 10.0, 41),
+                           t_star * np.linspace(0.5, 1.5, 41)])
+    for t in grid.tolist():
+        assert value >= t * x - spec.theta(t) - 1e-12 * value
+
+
+def assert_theta_n_is_the_inf(spec, n, r_star):
+    """theta_n(spec, n) is inf_r e^{theta(r)} / r^n, attained at r_star."""
+    def log_weight(r):
+        return spec.theta(r) - n * math.log(r)
+
+    value = theta_n(spec, n)
+    assert value == pytest.approx(math.exp(log_weight(r_star)), rel=1e-12)
+    grid = np.concatenate([np.geomspace(1e-3, 10.0, 41),
+                           r_star * np.linspace(0.5, 1.5, 41)])
+    for r in grid.tolist():
+        assert math.log(value) <= log_weight(r) + 1e-12
+
+
+def expm1_weight_point(n):
+    """The root of r (e^r - 1) = n, by bisection."""
+    lo, hi = 0.0, 10.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid * math.expm1(mid) < n else (lo, mid)
+    return lo
 
 
 def test_family_validation():
@@ -33,37 +70,33 @@ def test_theta_values():
 
 
 def test_gaussian_conjugate_closed_form():
+    # t x - t^2 is largest at t = x/2.
     gauss = YoungFunctionSpec("gaussian")
-    for x in np.linspace(0, 10, 100):
-        assert conjugate_eval(gauss, float(x)) == pytest.approx(x * x / 4,
-                                                                abs=1e-8)
+    for x in np.linspace(0, 10, 100).tolist():
+        assert_conjugate_is_the_sup(gauss, x, x / 2)
 
 
 def test_power_conjugate_closed_form():
-    # conjugate of x^p/p is x^q/q with 1/p + 1/q = 1
+    # t x - t^p/p is largest at t^(p-1) = x.
     p = 3.0
-    q = p / (p - 1)
     spec = YoungFunctionSpec("power", p)
     for x in [0.5, 1.0, 2.0, 5.0]:
-        assert conjugate_eval(spec, x) == pytest.approx(x ** q / q, rel=1e-8)
+        assert_conjugate_is_the_sup(spec, x, x ** (1 / (p - 1)))
 
 
 def test_expm1_conjugate_closed_form():
-    # conjugate of e^t - 1 - t is (1 + x) log(1 + x) - x
+    # t x - (e^t - 1 - t) is largest at e^t = 1 + x.
     spec = YoungFunctionSpec("expm1")
-    for x in [0.1, 1.0, 10.0, 1e3]:
-        assert conjugate_eval(spec, x) == pytest.approx(
-            (1 + x) * math.log1p(x) - x, rel=1e-12)
+    for x in [0.01, 0.1, 1.0, 10.0, 1e3]:
+        assert_conjugate_is_the_sup(spec, x, math.log1p(x))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_power_conjugate_closed_form_far_out(p):
-    # At x = 1e3 the maximiser x^{1/(p-1)} is 1e6 for p = 1.5, so the
-    # bracket doubles twenty times before the search.
-    q = p / (p - 1)
+    # At x = 1e3 the maximiser x^{1/(p-1)} is 1e6 for p = 1.5.
     x = 1e3
-    assert conjugate_eval(YoungFunctionSpec("power", p), x) == pytest.approx(
-        x ** q / q, rel=1e-12)
+    assert_conjugate_is_the_sup(YoungFunctionSpec("power", p), x,
+                                x ** (1 / (p - 1)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,11 +117,9 @@ def test_double_conjugate_recovers_theta():
 def test_theta_n_gaussian():
     gauss = YoungFunctionSpec("gaussian")
     assert theta_n(gauss, 2) == pytest.approx(math.e, abs=1e-8)
-    # minimum of e^{r^2}/r^n sits at r = sqrt(n/2)
+    # r^2 - n log r is least at r = sqrt(n/2).
     for n in [1, 3, 4, 6]:
-        r = math.sqrt(n / 2)
-        assert theta_n(gauss, n) == pytest.approx(math.exp(r * r) / r ** n,
-                                                  rel=1e-10)
+        assert_theta_n_is_the_inf(gauss, n, math.sqrt(n / 2))
 
 
 def test_theta_n_decreasing_for_gaussian():
@@ -97,69 +128,52 @@ def test_theta_n_decreasing_for_gaussian():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (80, 1), (80, 3)])
+@pytest.mark.parametrize("k, n", [(3, 1), (3, 3), (80, 1), (80, 3), (1, 1),
+                                  (1, 4), (1.5, 3)])
 def test_theta_n_power_closed_form(k, n):
-    # r^k / k - n log r is least at r^k = n.  For k = 80 the search's first
-    # probe, r = e^9.44, overflows theta.
-    want = math.exp(n / k) * n ** (-n / k)
-    assert theta_n(YoungFunctionSpec("power", k), n) == pytest.approx(
-        want, rel=1e-12)
+    # r^k / k - n log r is least at r^k = n.  For k = 80, theta overflows
+    # on the upper half of the r-grid.
+    assert_theta_n_is_the_inf(YoungFunctionSpec("power", k), n,
+                              n ** (1 / k))
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
 def test_theta_n_expm1_closed_form(n):
-    # e^r - 1 - r - n log r is least where r (e^r - 1) = n; found by
-    # bisection.  theta overflows at the search's first probe.
-    lo, hi = 0.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if mid * math.expm1(mid) < n else (lo, mid)
-    want = math.exp(math.expm1(lo) - lo - n * math.log(lo))
-    assert theta_n(YoungFunctionSpec("expm1"), n) == pytest.approx(
-        want, rel=1e-12)
+    # e^r - 1 - r - n log r is least where r (e^r - 1) = n.
+    assert_theta_n_is_the_inf(YoungFunctionSpec("expm1"), n,
+                              expm1_weight_point(n))
 
 
 @pytest.mark.parametrize("x", [1e13, 1e100])
 def test_gaussian_conjugate_past_the_old_bracket_cap(x):
-    # The maximiser x/2 lies past 1e12, where the bracket used to stop.
-    assert conjugate_eval(YoungFunctionSpec("gaussian"), x) == pytest.approx(
-        x * x / 4, rel=1e-12)
+    # The maximiser x/2 lies far past the fixed part of the t-grid.
+    assert_conjugate_is_the_sup(YoungFunctionSpec("gaussian"), x, x / 2)
 
 
 def test_power_conjugate_where_theta_overflows():
-    # Bracketing the maximiser x^{1/79} ~ 6.3e3 probes t where t^80
-    # overflows.
+    # The maximiser is x^{1/79} ~ 6.3e3; t^80 overflows on the upper half
+    # of the t-grid around it, and the conjugate itself is near 1e304.
     k, x = 80, 1e300
-    q = k / (k - 1)
-    assert conjugate_eval(YoungFunctionSpec("power", k), x) == pytest.approx(
-        x ** q / q, rel=1e-12)
+    assert_conjugate_is_the_sup(YoungFunctionSpec("power", k), x,
+                                x ** (1 / (k - 1)))
 
 
 def test_linear_conjugate_is_zero_or_infinite():
     # theta(t) = t: theta*(x) = sup t (x - 1) is 0 for x <= 1, +inf above.
     spec = YoungFunctionSpec("power", 1)
     assert conjugate_eval(spec, 0.5) == 0
+    assert conjugate_eval(spec, 1.0) == 0
     assert conjugate_eval(spec, 2.0) == math.inf
+    assert_conjugate_is_the_sup(spec, 0.5, 0.0)
 
 
 def test_growth_condition():
+    # limsup theta(x) / x^2 < inf: x^(k-2)/k is bounded exactly for k <= 2.
     assert check_growth_condition(YoungFunctionSpec("gaussian"))
+    assert check_growth_condition(YoungFunctionSpec("power", 1))
     assert check_growth_condition(YoungFunctionSpec("power", 1.5))
+    assert check_growth_condition(YoungFunctionSpec("power", 2))
+    assert not check_growth_condition(YoungFunctionSpec("power", 2.001))
+    assert not check_growth_condition(YoungFunctionSpec("power", 2.004))
     assert not check_growth_condition(YoungFunctionSpec("expm1"))
     assert not check_growth_condition(YoungFunctionSpec("power", 4))
-
-
-def test_growth_norm_estimate_deterministic():
-    phi = Expansion2(1, 0, 4, 0, {((2,), ()): 1 + 0j})
-    gauss = YoungFunctionSpec("gaussian")
-    a = growth_norm_estimate(phi, 1.0, 1.0, gauss, gauss, samples=200, seed=5)
-    b = growth_norm_estimate(phi, 1.0, 1.0, gauss, gauss, samples=200, seed=5)
-    assert a == b
-    assert a > 0
-
-
-def test_growth_norm_estimate_propagates_nan():
-    phi = Expansion2(1, 0, 4, 0, {((1,), ()): math.nan})
-    gauss = YoungFunctionSpec("gaussian")
-    assert math.isnan(growth_norm_estimate(phi, 1.0, 1.0, gauss, gauss,
-                                           samples=20))
