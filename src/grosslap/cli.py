@@ -13,32 +13,16 @@ import sys
 from typing import Optional, Sequence
 
 import click
-import numpy as np
 
-from . import evolution
-from .chaos import (
-    DISTRIBUTION,
-    TEST,
-    RoleError,
-    _json_number,
-    _json_object,
-    check_evaluation_size,
-    coefficient_count,
-    coefficient_polynomials,
-    expansion_from_json,
-    grid_point_count,
-    point_coordinates,
-)
-from .quantum_op import kernel_from_json, kernel_to_json
-from .tensor_core import DegreeError, DimensionMismatchError
-from .verify import ALL_CHECKS
-from .young import YoungFunctionSpec, check_growth_condition, conjugate_eval, theta_n
+# Each command imports the library layers it runs, so `--help`, usage errors
+# and `young` never load numpy.
 
 # The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
-ROLE_OF_OP = {"evaluate": TEST, "laplace": DISTRIBUTION}
+ROLE_OF_OP = {"evaluate": "test", "laplace": "distribution"}
 
-INPUT_ERRORS = (RoleError, DimensionMismatchError, DegreeError, ValueError,
-                KeyError, TypeError, OverflowError, json.JSONDecodeError)
+# The library's own input errors (RoleError, DimensionMismatchError,
+# DegreeError) and json.JSONDecodeError are ValueErrors.
+INPUT_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _load_json(path: str):
@@ -70,6 +54,7 @@ def _fail(code: int, message: str) -> None:
 def _as_complex(obj) -> complex:
     """A number, an [re, im] pair or {"re": .., "im": ..}; each part is read
     with `_json_number`."""
+    from .chaos import _json_number
     if isinstance(obj, list) and len(obj) == 2:
         re, im = obj
     elif isinstance(obj, dict):
@@ -82,6 +67,7 @@ def _as_complex(obj) -> complex:
 
 def _as_point(obj):
     """A {"z": [..], "t": [..]} object as a (z, t) pair of complex lists."""
+    from .chaos import _json_object
     obj = _json_object(obj)
     return ([_as_complex(v) for v in obj.get("z", [])],
             [_as_complex(v) for v in obj.get("t", [])])
@@ -103,6 +89,7 @@ def main() -> None:
 @click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
 def verify(suites: Sequence[str], seed: int, out: Optional[str]) -> None:
     """Run the registered invariant suites and report pass/fail per suite."""
+    from .verify import ALL_CHECKS
     selected = list(suites) if suites else list(ALL_CHECKS)
     unknown = [s for s in selected if s not in ALL_CHECKS]
     if unknown:
@@ -128,17 +115,23 @@ def verify(suites: Sequence[str], seed: int, out: Optional[str]) -> None:
     sys.exit(0 if report["passed"] else 1)
 
 
-def _process_from_json(obj) -> evolution.ProcessSpec:
+def _process_from_json(obj):
+    """A process's JSON object ({"grid": [..], "kernels": [..]}) as a
+    ProcessSpec."""
+    from .chaos import _json_number
+    from .evolution import ProcessSpec
+    from .quantum_op import kernel_from_json
     grid = tuple(_json_number(g, "a grid point") for g in obj["grid"])
     kernels = tuple(kernel_from_json(k) for k in obj["kernels"])
-    return evolution.ProcessSpec(grid, kernels)
+    return ProcessSpec(grid, kernels)
 
 
 @main.command()
 @click.option("--in", "in_path", type=click.Path(exists=False), required=True)
 @click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
-@click.option("--method", type=click.Choice(evolution.METHODS), default=None,
-              help="Override the method named in the input file.")
+@click.option("--method", metavar="METHOD", default=None,
+              help="Override the method named in the input file: "
+                   "closed_form, symbol_ode or both.")
 @click.option("--seed", type=int, default=42, show_default=True)
 def solve(in_path: str, out: Optional[str], method: Optional[str],
           seed: int) -> None:
@@ -150,6 +143,12 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     "both" runs it after the closed form and reports the worst symbol gap as
     residual_max.
     """
+    import numpy as np
+
+    from . import evolution
+    from .chaos import (_json_number, check_evaluation_size,
+                        coefficient_count, grid_point_count)
+    from .quantum_op import kernel_from_json, kernel_to_json
     try:
         spec = _load_json(in_path)
         xi0 = kernel_from_json(spec["xi0"])
@@ -161,7 +160,7 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         Z = _process_from_json(spec["Z"]) if "Z" in spec else None
         Theta = _process_from_json(spec["Theta"]) if "Theta" in spec else None
         options = {k: spec[k] for k in ("action", "method") if k in spec}
-        if method:
+        if method is not None:
             options["method"] = method
     except FileNotFoundError as exc:
         _fail(2, str(exc))
@@ -198,6 +197,10 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
     three ops sum mult(alpha) mult(beta) c z^alpha t^beta, for every point
     at once; they differ in the role the input must have.
     """
+    from .chaos import (RoleError, check_evaluation_size,
+                        coefficient_polynomials, expansion_from_json,
+                        point_coordinates)
+    from .quantum_op import kernel_from_json
     try:
         spec = _load_json(in_path)
         op = spec["op"]
@@ -235,6 +238,8 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
 def young(family: str, k: Optional[float], op: str, x: Optional[float],
           n: Optional[int], out: Optional[str]) -> None:
     """Query a named Young function: values, conjugates, weights, growth."""
+    from .young import (YoungFunctionSpec, check_growth_condition,
+                        conjugate_eval, theta_n)
     try:
         spec = YoungFunctionSpec(family, k)
         if op == "theta":

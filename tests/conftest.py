@@ -1,4 +1,6 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,16 @@ from grosslap.verify import (  # noqa: F401
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def src_env() -> dict:
+    """The environment with this checkout's `src` first on the import path,
+    for tests that run the program in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # Every combination `evolution.solve` decides on: heat flow or a given Z,

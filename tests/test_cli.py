@@ -3,10 +3,8 @@
 import inspect
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +22,8 @@ from grosslap.gross import trace_distribution
 from grosslap.quantum_op import (OperatorKernel, kernel_from_json,
                                  kernel_to_json, symbol)
 from grosslap.verify import ALL_CHECKS
-from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
+from conftest import (SOLVER_CASES, random_expansion, rng_complex,
+                      solver_case, src_env)
 
 
 @pytest.fixture
@@ -448,18 +447,58 @@ def test_cli_start_up_and_heat_solve_load_no_scipy(tmp_path):
         "        assert not exc.code, (args, exc.code)",
         "    print(loaded())",
     ])
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
-                         env=env, capture_output=True, text=True, timeout=300)
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]"] * (len(runs) + 1)
     outputs = [json.loads((tmp_path / f"out{i}.json").read_text())
                for i in range(len(runs))]
     assert outputs[0]["kernels"] and outputs[1]["kernels"]
     assert outputs[4]["passed"] is True
+
+
+def _eval_input():
+    from grosslap.chaos import delta0
+    return {"op": "laplace",
+            "expansion": expansion_to_json(delta0(2, 0, 4, 0)),
+            "points": [{"z": [0.3, 7.0], "t": []}]}
+
+
+# Each command loads only the layers it runs: the usage paths and `young`
+# need no numpy, `solve` no suites or Young functions, `eval` no solver.
+@pytest.mark.parametrize("args, code, absent", [
+    pytest.param(["--help"], 0, {"numpy"}, id="help"),
+    pytest.param(["solve", "--help"], 0, {"numpy"}, id="solve-help"),
+    pytest.param(["solve", "--bogus"], 2, {"numpy"}, id="usage-error"),
+    pytest.param(["young", "--family", "expm1", "--op", "conjugate", "--x",
+                  "2.0"], 0, {"numpy"}, id="young"),
+    pytest.param(["solve", "--in", "{heat}", "--method", "both"], 0,
+                 {"grosslap.verify", "grosslap.young"}, id="solve"),
+    pytest.param(["eval", "--in", "{eval}"], 0,
+                 {"grosslap.evolution", "grosslap.verify"}, id="eval"),
+])
+def test_command_loads_only_its_layers(tmp_path, args, code, absent):
+    paths = {"heat": tmp_path / "heat.json", "eval": tmp_path / "eval.json"}
+    paths["heat"].write_text(json.dumps(_heat_input([0.5])))
+    paths["eval"].write_text(json.dumps(_eval_input()))
+    args = [a.format(**paths) for a in args]
+    run = "\n".join([
+        "import json, sys",
+        "import grosslap.cli",
+        "try:",
+        "    grosslap.cli.main(json.loads(sys.argv[1]), prog_name='grosslap')",
+        "except SystemExit as exc:",
+        "    print(json.dumps([exc.code, sorted(sys.modules)]))",
+    ])
+    res = subprocess.run([sys.executable, "-c", run, json.dumps(args)],
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    exit_code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert exit_code == code, res.stderr
+    assert "grosslap.cli" in loaded
+    assert absent.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("z", [
@@ -568,19 +607,23 @@ def _driven_input():
     pytest.param("method", "symbol-ode", id="method-typo"),
     pytest.param("method", "bogus", id="unknown-method"),
     pytest.param("method", 3, id="numeric-method"),
+    pytest.param("--method", "bogus", id="unknown-method-option"),
 ])
 def test_solve_rejects_non_numbers_and_unknown_methods(runner, tmp_path,
                                                        field, value):
-    # Times and grid points must be JSON numbers; the file's method must be
-    # one of the --method choices.
+    # Times and grid points must be JSON numbers; the method, from the file
+    # or from --method, must be one of the solver's methods.
     spec = _driven_input()
+    options = []
     if field == "grid":
         spec["Z"]["grid"] = value
+    elif field == "--method":
+        options = [field, value]
     else:
         spec[field] = value
     path = tmp_path / "in.json"
     path.write_text(json.dumps(spec))
-    res = runner.invoke(main, ["solve", "--in", str(path)])
+    res = runner.invoke(main, ["solve", "--in", str(path), *options])
     assert res.exit_code == 2, res.output
     assert "bad solver input" in res.output
 

@@ -1,14 +1,22 @@
 """Every name a library module imports is used in that module, no library
-module imports scipy, and the code layout of expansions stays in `chaos`."""
+module imports scipy, the code layout of expansions stays in `chaos`, and
+the package loads each exported name from its home module on first use."""
 
 import ast
+import importlib
+import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import grosslap
+from conftest import src_env
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "grosslap"
-# The package's __init__ imports names to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -103,3 +111,64 @@ def test_layout_reference_is_found():
                      "y = chaos._encode(coeffs)\n")
     assert _layout_references(tree) == [(1, "_box"), (1, "_decode"),
                                         (2, "coeffs"), (3, "_encode")]
+
+
+EXPORTED = [
+    "DISTRIBUTION", "DegreeError", "DimensionMismatchError",
+    "EvolutionSolution", "Expansion2", "OperatorKernel", "ProcessSpec",
+    "RoleError", "TEST", "YoungFunctionSpec", "apply_operator", "chaos",
+    "classical_quantum_bridge", "conjugate_eval", "contract_full",
+    "conv_exp", "convolve_dist_dist", "convolve_dist_test", "delta0",
+    "dual_pair", "evaluate", "evolution", "exponential_vector",
+    "gaussian_heat_kernel", "gross", "gross_distribution", "gross_test",
+    "laplace", "multiplication_operator", "op_convolve", "pointwise_product",
+    "quantum_gross", "quantum_op", "solve", "solve_qsde", "symbol",
+    "tensor_core", "theta_n", "trace_distribution", "translate", "vacuum",
+    "young",
+]
+SUBMODULES = ["chaos", "evolution", "gross", "quantum_op", "tensor_core",
+              "young"]
+
+
+def test_package_exports_are_pinned():
+    assert sorted(grosslap.__all__) == EXPORTED
+    assert set(EXPORTED) <= set(dir(grosslap))
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_export_is_its_home_modules_object(name):
+    value = getattr(grosslap, name)
+    if name in SUBMODULES:
+        assert value is importlib.import_module(f"grosslap.{name}")
+        return
+    homes = [m for m in SUBMODULES
+             if hasattr(importlib.import_module(f"grosslap.{m}"), name)]
+    assert homes
+    for m in homes:
+        assert getattr(importlib.import_module(f"grosslap.{m}"), name) \
+            is value
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        grosslap.nope
+
+
+def test_package_import_loads_no_numpy():
+    # A fresh interpreter: `import grosslap` loads no submodule, and a
+    # submodule resolves as an attribute without being imported first.
+    code = "\n".join([
+        "import json, sys",
+        "import grosslap",
+        "before = sorted(m for m in sys.modules if m.startswith('grosslap'))",
+        "spec = grosslap.young.YoungFunctionSpec('gaussian')",
+        "value = grosslap.young.theta_n(spec, 2)",
+        "print(json.dumps([before, value, 'numpy' in sys.modules]))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    before, value, numpy_loaded = json.loads(res.stdout)
+    assert before == ["grosslap"]
+    assert value == pytest.approx(math.e)
+    assert numpy_loaded is False

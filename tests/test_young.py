@@ -91,6 +91,29 @@ def test_expm1_conjugate_closed_form():
         assert_conjugate_is_the_sup(spec, x, math.log1p(x))
 
 
+# Both expm1 values are about x^2/2 at small x, where their closed forms
+# cancel; two points sit on each side of the switches at 0.1 and 2.
+EXPM1_POINTS = ([10.0 ** e for e in range(-150, 1, 6)]
+                + [0.0999, 0.1, 0.3, 0.5, 0.9, 1.0, 1.7, 1.999, 2.0, 2.5,
+                   3.7, 5.0, 7.3, 10.0])
+
+
+@pytest.mark.parametrize("which", ["theta", "conjugate"])
+def test_expm1_values_within_4_ulps_of_mpmath(which):
+    import mpmath
+    spec = YoungFunctionSpec("expm1")
+    for x in EXPM1_POINTS:
+        # Enough digits that the reference's own subtraction loses none.
+        with mpmath.workdps(40 + 2 * max(0, -math.floor(math.log10(x)))):
+            m = mpmath.mpf(x)
+            exact = (mpmath.expm1(m) - m if which == "theta"
+                     else (1 + m) * mpmath.log1p(m) - m)
+            value = (spec.theta(x) if which == "theta"
+                     else conjugate_eval(spec, x))
+            ulps = abs(mpmath.mpf(value) - exact) / math.ulp(float(exact))
+        assert ulps <= 4, (which, x, float(ulps))
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_power_conjugate_closed_form_far_out(p):
     # At x = 1e3 the maximiser x^{1/(p-1)} is 1e6 for p = 1.5.
