@@ -30,11 +30,6 @@ class DegreeError(ValueError):
     """Operand degrees violate an operation's precondition."""
 
 
-def weight(alpha: MultiIndex) -> int:
-    """Total degree carried by an occupation vector."""
-    return sum(alpha)
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def multinomial_weight(alpha: MultiIndex) -> int:
     """Number of distinct index arrangements with occupation ``alpha``.

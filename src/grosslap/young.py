@@ -34,9 +34,11 @@ class YoungFunctionSpec:
                                  "k >= 1")
 
     def theta(self, x: float) -> float:
-        """theta(x), math.inf where that overflows."""
+        """theta(x), math.inf where that overflows and at x = inf."""
         if not x >= 0:
             raise ValueError("Young functions are defined on x >= 0")
+        if x == math.inf:
+            return x
         try:
             if self.family == "gaussian":
                 return x * x

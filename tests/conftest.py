@@ -9,8 +9,9 @@ from grosslap.chaos import DISTRIBUTION
 from grosslap.evolution import ACTIONS, METHODS, ProcessSpec
 from grosslap.quantum_op import OperatorKernel
 
-# One generator serves the suites and the tests, so a seed means the same
-# data in both.
+# The suites' seeded inputs serve the tests too, so a seed means the same
+# data in both: one block of keep draws over the keys in code order, then
+# the kept terms' real parts and imaginary parts.
 from grosslap.verify import (  # noqa: F401
     _random_expansion as random_expansion,
     _random_sym_tensor as random_tensor,

@@ -31,7 +31,6 @@ from grosslap.tensor_core import (
     iter_occupations,
     multinomial_weight,
     nan_max,
-    weight,
 )
 
 # ---------------------------------------------------------------------------
@@ -58,7 +57,7 @@ def loop_dual_pair(Phi, phi, modulus=False):
         d = phi.get((alpha, beta))
         if d is None:
             continue
-        w = (math.factorial(weight(alpha)) * math.factorial(weight(beta))
+        w = (math.factorial(sum(alpha)) * math.factorial(sum(beta))
              * multinomial_weight(alpha) * multinomial_weight(beta))
         total += w * (abs(c) * abs(d) if modulus else c * d)
     return total
@@ -131,7 +130,7 @@ def loop_apply_operator(kernel, f):
         fv = f.get((alpha, ()))
         if fv is None:
             continue
-        term = (math.factorial(weight(alpha)) * multinomial_weight(alpha)
+        term = (math.factorial(sum(alpha)) * multinomial_weight(alpha)
                 * fv * kv)
         coeffs[(beta, ())] = coeffs.get((beta, ()), 0j) + term
         moduli[(beta, ())] = moduli.get((beta, ()), 0.0) + abs(term)
@@ -150,7 +149,7 @@ def loop_multiplication_operator(Phi):
     for (gamma, _), c in Phi.items():
         for alpha in _sub_occupations(gamma):
             beta = tuple(g - a for g, a in zip(gamma, alpha))
-            n, m = weight(alpha), weight(beta)
+            n, m = sum(alpha), sum(beta)
             coeffs[(alpha, beta)] = math.comb(n + m, n) * c
     return coeffs, {k: abs(v) for k, v in coeffs.items()}
 

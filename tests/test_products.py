@@ -21,7 +21,7 @@ from grosslap.gross import (
     gross_split,
     gross_test,
 )
-from grosslap.tensor_core import iter_occupations, multinomial_weight, weight
+from grosslap.tensor_core import iter_occupations, multinomial_weight
 
 # ---------------------------------------------------------------------------
 # Reference: the per-pair dict loops.  With modulus=True every coefficient
@@ -47,7 +47,7 @@ def loop_sym_convolve(f, g, modulus=False):
         for (a2, b2), c2 in g.coeffs.items():
             alpha = tuple(x + y for x, y in zip(a1, a2))
             beta = tuple(x + y for x, y in zip(b1, b2))
-            if weight(alpha) > f.cutoff1 or weight(beta) > f.cutoff2:
+            if sum(alpha) > f.cutoff1 or sum(beta) > f.cutoff2:
                 dropped = True
                 continue
             w = w1 * multinomial_weight(a2) * multinomial_weight(b2)
@@ -65,13 +65,13 @@ def loop_sym_convolve(f, g, modulus=False):
 def loop_convolve_dist_test(Phi, phi, modulus=False):
     coeffs = {}
     for (mu, nu), a in Phi.coeffs.items():
-        n, m = weight(mu), weight(nu)
+        n, m = sum(mu), sum(nu)
         w_orbit = multinomial_weight(mu) * multinomial_weight(nu)
         for (kappa, lam), b in phi.coeffs.items():
             gamma, delta = _sub(kappa, mu), _sub(lam, nu)
             if gamma is None or delta is None:
                 continue
-            k, l = weight(gamma), weight(delta)
+            k, l = sum(gamma), sum(delta)
             w = (math.factorial(n + k) // math.factorial(k)
                  * (math.factorial(m + l) // math.factorial(l)))
             key = (gamma, delta)
@@ -90,7 +90,7 @@ def loop_gross_parts(phi, modulus=False):
                 occ = key[var]
                 if occ[j] < 2:
                     continue
-                n = weight(occ)
+                n = sum(occ)
                 lowered = tuple(x - 2 if i == j else x
                                 for i, x in enumerate(occ))
                 new = (lowered, key[1]) if var == 0 else (key[0], lowered)

@@ -1,93 +1,74 @@
-"""The suites' seeded inputs, drawn in blocks, against the key-by-key loops
-they replaced: the same terms, bit for bit, and the generator left in the
-same state."""
+"""The suites' seeded inputs: terms in code order, drawn in three generator
+calls whatever the number of keys."""
 
 import numpy as np
 import pytest
 
-from grosslap.chaos import DISTRIBUTION, TEST, Expansion2
-from grosslap.tensor_core import iter_occupations
+from grosslap.chaos import DISTRIBUTION, TEST
 from grosslap.verify import _random_expansion, _random_sym_tensor
 
-# ---------------------------------------------------------------------------
-# Reference: the scalar-draw loops.
 
-
-def loop_complex(rng):
-    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-
-def loop_sym_tensor(rng, dim, degree):
-    entries = {}
-    for alpha in iter_occupations(dim, degree):
-        if rng.uniform() < 0.8:
-            entries[(alpha, ())] = loop_complex(rng)
-    if not entries:
-        entries[(next(iter_occupations(dim, degree)), ())] = loop_complex(rng)
-    return Expansion2(dim, 0, degree, 0, entries)
-
-
-def loop_expansion(rng, dim1, dim2, cutoff1, cutoff2, max_deg1, max_deg2,
-                   role=TEST, scale=1.0):
-    betas = [beta for m in range(min(max_deg2, cutoff2) + 1)
-             for beta in iter_occupations(dim2, m)]
-    coeffs = {}
-    for n in range(min(max_deg1, cutoff1) + 1):
-        for alpha in iter_occupations(dim1, n):
-            for beta in betas:
-                if rng.uniform() < 0.6:
-                    coeffs[(alpha, beta)] = scale * loop_complex(rng)
-    if not coeffs:
-        coeffs[((0,) * dim1, (0,) * dim2)] = scale * loop_complex(rng)
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=role)
-
-
-def assert_same_draws(seed, oracle, block, *args):
-    """Both functions give equal terms and leave equal generators."""
-    rng_loop = np.random.default_rng(seed)
-    rng_block = np.random.default_rng(seed)
-    want, got = oracle(rng_loop, *args), block(rng_block, *args)
-    assert np.array_equal(got.codes, want.codes)
+def assert_draw_rules(draw, seed, *args):
+    """Sorted unique codes, at least one term, values in the unit box, and
+    the same bytes again from the same seed.  Returns the drawn terms."""
+    phi = draw(np.random.default_rng(seed), *args)
+    again = draw(np.random.default_rng(seed), *args)
+    assert len(phi.codes) >= 1
+    assert (np.diff(phi.codes) > 0).all()
+    assert np.abs(phi.values.real).max() <= 1
+    assert np.abs(phi.values.imag).max() <= 1
+    assert np.array_equal(again.codes, phi.codes)
     # Bytes, so a zero that changed sign is caught.
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.role == want.role
-    assert ((got.dim1, got.dim2, got.cutoff1, got.cutoff2)
-            == (want.dim1, want.dim2, want.cutoff1, want.cutoff2))
-    assert rng_block.random() == rng_loop.random()
+    assert again.values.tobytes() == phi.values.tobytes()
+    return phi
 
 
 @pytest.mark.parametrize("dim1", [1, 2, 3])
 @pytest.mark.parametrize("dim2", [0, 1, 2, 3])
-def test_random_expansion_matches_loop(dim1, dim2):
+def test_random_expansion_draw_rules(dim1, dim2):
     seed = 100 * dim1 + 10 * dim2
     for cutoff in range(9):
         cutoff2 = cutoff if dim2 else 0
         for max_deg in range(cutoff + 1):
-            for scale in (1.0, 0.2):
-                for role in (TEST, DISTRIBUTION):
-                    seed += 1
-                    assert_same_draws(seed, loop_expansion, _random_expansion,
-                                      dim1, dim2, cutoff, cutoff2, max_deg,
-                                      cutoff - max_deg, role, scale)
+            seed += 1
+            phi = assert_draw_rules(_random_expansion, seed, dim1, dim2,
+                                    cutoff, cutoff2, max_deg, cutoff - max_deg,
+                                    DISTRIBUTION)
+            assert ((phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2, phi.role)
+                    == (dim1, dim2, cutoff, cutoff2, DISTRIBUTION))
+            rows = phi.exponents
+            assert (rows[:, :dim1].sum(axis=1) <= max_deg).all()
+            assert (rows[:, dim1:].sum(axis=1) <= cutoff - max_deg).all()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_random_sym_tensor_matches_loop(dim):
+def test_random_sym_tensor_draw_rules(dim):
     for degree in range(9):
         for seed in range(4):
-            assert_same_draws(seed, loop_sym_tensor, _random_sym_tensor,
-                              dim, degree)
+            A = assert_draw_rules(_random_sym_tensor, seed, dim, degree)
+            assert ((A.dim1, A.dim2, A.cutoff1, A.cutoff2, A.role)
+                    == (dim, 0, degree, 0, TEST))
+            assert (A.exponents.sum(axis=1) == degree).all()
 
 
-def test_all_dropped_fallback_matches_loop():
+def test_nothing_kept_falls_back_to_the_first_row():
     # Seed 7 drops all three keys of degree <= 2 over C^1 (keep draws of
-    # 0.6 or more), so the zero key takes the next two draws; seed 4 drops
-    # the one key of a degree-4 tensor over C^1 (0.8 or more).
-    assert (np.random.default_rng(7).random(3) >= 0.6).all()
-    assert_same_draws(7, loop_expansion, _random_expansion,
-                      1, 0, 2, 0, 2, 0, DISTRIBUTION, 0.2)
-    assert np.random.default_rng(4).random() >= 0.8
-    assert_same_draws(4, loop_sym_tensor, _random_sym_tensor, 1, 4)
+    # 0.6 or more), so the zero key takes the next two draws, scaled; seed
+    # 4 drops the one key of a degree-4 tensor over C^1 (0.8 or more).
+    rng = np.random.default_rng(7)
+    assert (rng.random(3) >= 0.6).all()
+    want = 0.2 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    phi = _random_expansion(np.random.default_rng(7), 1, 0, 2, 0, 2, 0,
+                            DISTRIBUTION, 0.2)
+    assert phi.codes.tolist() == [0]
+    assert phi.values.tolist() == [want]
+
+    rng = np.random.default_rng(4)
+    assert rng.random() >= 0.8
+    want = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    A = _random_sym_tensor(np.random.default_rng(4), 1, 4)
+    assert A.exponents.tolist() == [[4]]
+    assert A.values.tolist() == [want]
 
 
 class CountingGenerator:
@@ -110,14 +91,11 @@ class CountingGenerator:
 
 def test_draw_calls_do_not_grow_with_keys():
     # dims (3, 3) at cutoff 8: 165 x 165 = 27,225 keys, drawn in a few
-    # calls and equal to the key-by-key loop's terms.
-    shape = (3, 3, 8, 8, 8, 8, DISTRIBUTION)
+    # calls, each kept with probability 0.6.
     counting = CountingGenerator(np.random.default_rng(5))
-    got = _random_expansion(counting, *shape)
+    got = _random_expansion(counting, 3, 3, 8, 8, 8, 8, DISTRIBUTION)
     assert counting.calls <= 3
-    want = loop_expansion(np.random.default_rng(5), *shape)
-    assert np.array_equal(got.codes, want.codes)
-    assert got.values.tobytes() == want.values.tobytes()
+    assert abs(len(got.codes) / 165 ** 2 - 0.6) < 0.02
 
     counting = CountingGenerator(np.random.default_rng(5))
     _random_sym_tensor(counting, 3, 8)

@@ -69,6 +69,14 @@ def test_theta_values():
     assert YoungFunctionSpec("expm1").theta(1.0) == pytest.approx(math.e - 2)
 
 
+@pytest.mark.parametrize("spec", [YoungFunctionSpec("gaussian"),
+                                  YoungFunctionSpec("power", 3),
+                                  YoungFunctionSpec("expm1")])
+def test_theta_and_conjugate_are_infinite_at_infinity(spec):
+    assert spec.theta(math.inf) == math.inf
+    assert conjugate_eval(spec, math.inf) == math.inf
+
+
 def test_gaussian_conjugate_closed_form():
     # t x - t^2 is largest at t = x/2.
     gauss = YoungFunctionSpec("gaussian")
