@@ -14,10 +14,11 @@ from importlib import import_module
 
 # Home module -> the names the package exports from it.
 _EXPORTS = {
-    "tensor_core": ("DegreeError", "DimensionMismatchError", "contract_full"),
-    "chaos": ("DISTRIBUTION", "TEST", "Expansion2", "RoleError", "delta0",
-              "dual_pair", "evaluate", "exponential_vector", "laplace",
-              "pointwise_product", "translate", "vacuum"),
+    "tensor_core": ("DegreeError", "contract_full"),
+    "chaos": ("DISTRIBUTION", "TEST", "DimensionMismatchError", "Expansion2",
+              "RoleError", "delta0", "dual_pair", "evaluate",
+              "exponential_vector", "laplace", "pointwise_product",
+              "translate", "vacuum"),
     "gross": ("convolve_dist_dist", "convolve_dist_test",
               "gross_distribution", "gross_test", "trace_distribution"),
     "quantum_op": ("OperatorKernel", "apply_operator",

@@ -28,12 +28,15 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .tensor_core import DimensionMismatchError, MultiIndex
-
 TEST = "test"
 DISTRIBUTION = "distribution"
 
+MultiIndex = Tuple[int, ...]
 Key = Tuple[MultiIndex, MultiIndex]
+
+
+class DimensionMismatchError(ValueError):
+    """Operands live over different ambient dimensions."""
 
 
 class RoleError(ValueError):
@@ -108,11 +111,15 @@ def join_rows(rows1, rows2):
                            np.tile(rows2, (len(rows1), 1))), axis=1)
 
 
+@functools.lru_cache(maxsize=64)
 def key_rows(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     """The exponent rows of every key of a shape, in code order: each
-    variable's occupation vectors, joined."""
-    return join_rows(*(occupations_below(np.full((1, dim), cutoff), cutoff)[1]
+    variable's occupation vectors, joined.  Read-only and cached: the
+    suites ask for a few small shapes hundreds of times."""
+    rows = join_rows(*(occupations_below(np.full((1, dim), cutoff), cutoff)[1]
                        for dim, cutoff in ((dim1, cutoff1), (dim2, cutoff2))))
+    rows.flags.writeable = False
+    return rows
 
 
 def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
@@ -174,8 +181,7 @@ class Expansion2:
     Built from a mapping (alpha, beta) -> complex, kept as given (zeros
     included); alpha indexes the first variable (dimension dim1), beta the
     second (dimension dim2, possibly 0).  Degrees above (cutoff1, cutoff2)
-    are never stored; ``truncated`` records that some operation had to drop
-    a produced degree.  The library's own operations pass the terms in the
+    are never stored.  The library's own operations pass the terms in the
     stored layout instead of the mapping: a tuple (codes, values), which may
     go on with the terms' exponent rows and then their degrees and mult as
     `multiplicities` gives them, each None when not known.  What is given
@@ -185,7 +191,7 @@ class Expansion2:
     """
 
     def __init__(self, dim1: int, dim2: int, cutoff1: int, cutoff2: int,
-                 coeffs=None, role: str = TEST, truncated: bool = False):
+                 coeffs=None, role: str = TEST):
         if dim1 < 1:
             raise ValueError("dim1 must be >= 1")
         if dim2 < 0:
@@ -198,8 +204,7 @@ class Expansion2:
             5 - len(coeffs))
         fields = vars(self)
         fields.update(dim1=dim1, dim2=dim2, cutoff1=cutoff1, cutoff2=cutoff2,
-                      role=role, truncated=truncated, codes=codes,
-                      values=values)
+                      role=role, codes=codes, values=values)
         # The cached properties read these entries first.
         if rows is not None:
             fields["exponents"] = rows
@@ -214,8 +219,7 @@ class Expansion2:
 
     def __repr__(self) -> str:
         return (f"Expansion2({self.dim1}, {self.dim2}, {self.cutoff1}, "
-                f"{self.cutoff2}, {dict(self.coeffs)!r}, role={self.role!r}, "
-                f"truncated={self.truncated})")
+                f"{self.cutoff2}, {dict(self.coeffs)!r}, role={self.role!r})")
 
     @property
     def coeffs(self) -> Mapping:
@@ -254,21 +258,18 @@ class Expansion2:
         return tuple(None if a is None else a[index] for a in terms)
 
     def take(self, index) -> "Expansion2":
-        """The terms at `index`, as in `known_terms`, in this shape, role
-        and flag."""
+        """The terms at `index`, as in `known_terms`, in this shape and
+        role."""
         return self.with_terms(self.known_terms(index))
 
-    def with_terms(self, terms: tuple, role: str = None,
-                   truncated: bool = None) -> "Expansion2":
+    def with_terms(self, terms: tuple, role: str = None) -> "Expansion2":
         """This shape with other terms, a tuple as the constructor takes;
-        role and flag kept unless given.  A (codes, values) pair on this
-        expansion's own `codes` array keeps its rows and multiplicities."""
+        role kept unless given.  A (codes, values) pair on this expansion's
+        own `codes` array keeps its rows and multiplicities."""
         if len(terms) == 2 and terms[0] is self.codes:
             terms += self.known_terms()[2:]
         return Expansion2(self.dim1, self.dim2, self.cutoff1, self.cutoff2,
-                          terms, role=role or self.role,
-                          truncated=(self.truncated if truncated is None
-                                     else truncated))
+                          terms, role=role or self.role)
 
     # -- basic algebra ------------------------------------------------------
 
@@ -293,8 +294,7 @@ class Expansion2:
         values[np.searchsorted(codes, self.codes)] = self.values
         values[np.searchsorted(codes, other.codes)] += other.values
         kept = values != 0
-        return self.with_terms((codes[kept], values[kept]),
-                               truncated=self.truncated or other.truncated)
+        return self.with_terms((codes[kept], values[kept]))
 
     def with_role(self, role: str) -> "Expansion2":
         return self.with_terms((self.codes, self.values), role=role)
@@ -621,20 +621,17 @@ def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     return complex(np.sum(w * Phi.values[i] * phi.values[j]))
 
 
-def sym_convolve_coeffs(f: Expansion2,
-                        g: Expansion2) -> Tuple[Expansion2, bool]:
+def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Expansion2:
     """Per-variable symmetrized-product convolution of coefficient families.
 
-    Returns the product, truncated at the shared cutoffs, with f's role and
-    flagged truncated if f, g or the product dropped something, plus a flag
-    saying whether the product itself dropped a produced degree.  This is
-    the engine behind both the pointwise product of test functions and the
-    convolution of distributions.
+    Returns the product, truncated at the shared cutoffs, with f's role:
+    only degrees past the cutoffs are dropped, and each kept coefficient is
+    that of the untruncated product.  This is the engine behind both the
+    pointwise product of test functions and the convolution of
+    distributions.
     """
     _check_compatible(f, g)
-    terms, dropped = pair_products(f, g, contract=False)
-    truncated = f.truncated or g.truncated or dropped
-    return f.with_terms(terms, truncated=truncated), dropped
+    return f.with_terms(pair_products(f, g, contract=False))
 
 
 # Pairs examined at once by `pair_products`: a block of terms of the smaller
@@ -665,9 +662,8 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     float once; each term is (W c_l) c_r, and the terms of one output are
     added in the order of the smaller operand's terms.  Sums that come out
     zero are dropped.  Returns the result's terms, as the `Expansion2`
-    constructor takes them, and whether some pair did not land.  A
-    symmetrized product's terms carry the exponent rows and multiplicities
-    its division needed.
+    constructor takes them; a symmetrized product's terms carry the
+    exponent rows and multiplicities its division needed.
 
     The operands' codes are read as they are stored: a shift by a term of
     the smaller operand is an integer add (or subtract) on the larger
@@ -681,7 +677,7 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     its prior value first and then the block's terms in order.
     """
     if not len(left.codes) or not len(right.codes):
-        return (left.codes[:0], np.zeros(0, dtype=complex)), False
+        return left.codes[:0], np.zeros(0, dtype=complex)
     c1, c2 = left.cutoff1, left.cutoff2
     code_l, rows_l, c_l = left.codes, left.exponents, left.values
     code_r, rows_r, c_r = right.codes, right.exponents, right.values
@@ -708,7 +704,6 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
 
     out_codes = code_l[:0]
     out_re = out_im = np.zeros(0)
-    landed_all = True
     n_l, n_r = len(c_l), len(c_r)
     walk_left = n_l <= n_r
     outer, inner = (n_l, n_r) if walk_left else (n_r, n_l)
@@ -724,7 +719,6 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         else:
             keep = (need[:, None, :] <= room[:, block, None]).all(axis=0)
         rows, cols = keep.nonzero()
-        landed_all = landed_all and len(rows) == keep.size
         if not len(rows):
             continue
         il, ir = (rows + start, cols) if walk_left else (cols, rows + start)
@@ -750,19 +744,19 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     values = np.empty(len(out_codes), dtype=complex)
     if contract:
         values.real, values.imag = out_re, out_im
-        return (out_codes, values), not landed_all
+        return out_codes, values
     rows = _decode(out_codes, left)
     degrees, mult = multiplicities(rows, left.dim1)
     divisor = mult.astype(float)
     values.real, values.imag = out_re / divisor, out_im / divisor
-    return (out_codes, values, rows, degrees, mult), not landed_all
+    return out_codes, values, rows, degrees, mult
 
 
 def pointwise_product(f: Expansion2, g: Expansion2) -> Expansion2:
     """Product of two test functions, truncated at the shared cutoffs."""
     if f.role != TEST or g.role != TEST:
         raise RoleError("pointwise_product needs two test expansions")
-    return sym_convolve_coeffs(f, g)[0]
+    return sym_convolve_coeffs(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +782,7 @@ def expansion_from_json(obj: dict) -> Expansion2:
     """An expansion from its JSON form; a key given twice is rejected."""
     coeffs = {}
     for t in map(_json_object, _json_object(obj).get("terms", [])):
-        key = (_occupations(t["alpha"]), _occupations(t["beta"]))
+        key = (_json_multi_index(t["alpha"]), _json_multi_index(t["beta"]))
         if key in coeffs:
             raise ValueError(f"term alpha={list(key[0])}, "
                              f"beta={list(key[1])} appears twice")
@@ -824,5 +818,5 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
-def _occupations(values) -> MultiIndex:
+def _json_multi_index(values) -> MultiIndex:
     return tuple(_json_count(v, "an occupation") for v in values)

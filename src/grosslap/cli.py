@@ -179,7 +179,6 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
         "action": sol.action,
         "times": list(sol.times),
         "kernels": [kernel_to_json(k) for k in sol.kernels],
-        "truncated": sol.truncated,
         "checks": sol.checks,
     }
     _emit(report, out)

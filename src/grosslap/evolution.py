@@ -77,21 +77,28 @@ def conv_exp(Phi: Expansion2) -> Expansion2:
     if Phi.role != DISTRIBUTION:
         raise RoleError("conv_exp needs a distribution")
     c0, N = _split_constant(Phi)
+    return _power_series(N, _exp_weights(c0, Phi.cutoff1 + Phi.cutoff2))[0]
+
+
+def _exp_weights(c0: complex, kmax: int) -> List[complex]:
+    """e^{c0} / j! for j = 0 .. kmax: e^{*Phi} on the powers of
+    N = Phi - c0 delta_0, whose powers past kmax vanish."""
     e0 = np.exp(c0)
-    return _power_series(N, [e0 / math.factorial(j)
-                             for j in range(Phi.cutoff1 + Phi.cutoff2 + 1)])
+    return [e0 / math.factorial(j) for j in range(kmax + 1)]
 
 
-def _conv_exp_integral(Phi: Expansion2, h: float) -> Expansion2:
-    """The integral of e^{*u Phi} over u in [0, h], in closed form.
+def _step_propagators(Z: Expansion2,
+                      h: float) -> Tuple[Expansion2, Expansion2]:
+    """e^{*hZ} and the integral of e^{*uZ} over u in [0, h], in closed form.
 
-    With Phi = c0 delta_0 + N, the coefficient of N^{*j} is
-    int_0^h u^j e^{u c0} du / j! = h^{j+1} e^{h c0} phi_{j+1}(-h c0).
+    With hZ = c0 delta_0 + M, both are series in the powers of M, taken
+    once: e^{*hZ} weighs M^{*j} by e^{c0}/j!, and the integral by
+    int_0^h (u/h)^j e^{u c0/h} du / j! = h e^{c0} phi_{j+1}(-c0).
     """
-    c0, N = _split_constant(Phi)
-    kmax = Phi.cutoff1 + Phi.cutoff2
-    dd = _exp_divided_differences(h * c0, kmax + 1)
-    return _power_series(N, [h ** (j + 1) * dd[j] for j in range(kmax + 1)])
+    c0, M = _split_constant(Z.scale(h))
+    kmax = Z.cutoff1 + Z.cutoff2
+    dd = _exp_divided_differences(c0, kmax + 1)
+    return tuple(_power_series(M, _exp_weights(c0, kmax), h * dd))
 
 
 def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
@@ -142,23 +149,22 @@ def _split_constant(Phi: Expansion2) -> Tuple[complex, Expansion2]:
     return 0j, Phi
 
 
-def _power_series(N: Expansion2, weights: Sequence[complex]) -> Expansion2:
-    """sum_j weights[j] N^{*j} for N without a constant term.
+def _power_series(N: Expansion2,
+                  *weights: Sequence[complex]) -> List[Expansion2]:
+    """sum_j w[j] N^{*j} for each weight list w, N without a constant term,
+    from one chain of powers of N.
 
     N has positive minimal degree, so N^{*j} vanishes once j exceeds
-    cutoff1 + cutoff2 and the series is exact with that many weights.
+    cutoff1 + cutoff2 and each series is exact with that many weights.
     """
     power = delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)
-    result = power.scale(weights[0])
-    truncated = N.truncated
-    for w in weights[1:]:
+    results = [power.scale(w[0]) for w in weights]
+    for j in range(1, len(weights[0])):
         power = convolve_dist_dist(power, N)
-        truncated = truncated or power.truncated
         if not len(power.codes):
             break
-        result = result.add(power.scale(w))
-    return result.with_terms((result.codes, result.values),
-                             truncated=truncated)
+        results = [r.add(power.scale(w[j])) for r, w in zip(results, weights)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +217,7 @@ def zero_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
 def integrate_between(P: ProcessSpec, s: float, t: float) -> OperatorKernel:
     if not (0.0 <= s <= t <= P.end + 1e-12):
         raise ValueError(f"integration range [{s}, {t}] outside grid")
-    ref = P.kernels[0].kernel
-    total = ref.with_terms((ref.codes[:0], ref.values[:0]), truncated=False)
+    total = P.kernels[0].kernel.take(slice(0))
     for i, kern in enumerate(P.kernels):
         a, b = P.grid[i], P.grid[i + 1]
         length = min(b, t) - max(a, s)
@@ -233,7 +238,6 @@ class EvolutionSolution:
     kernels: Tuple[OperatorKernel, ...]
     method: str
     action: str = ACTION_FUNCTION
-    truncated: bool = False
     checks: Dict[str, float] = field(default_factory=dict)
     # Symbol-ODE only: the grid's coordinate rows, the (times, rows) symbols.
     symbol_points: Optional[np.ndarray] = None
@@ -282,7 +286,8 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     """Closed-form solution of d Xi/dt = Z(t) * Xi(t) + Theta(t).
 
     On each piece of `_segments`, of length h, the exact step is
-    Xi <- e^{*hZ} Xi + (int_0^h e^{*uZ} du) Theta.  The steps compose, as
+    Xi <- e^{*hZ} Xi + (int_0^h e^{*uZ} du) Theta, both propagators from
+    `_step_propagators` when there is a source.  The steps compose, as
     e^{*(A+B)} = e^{*A} * e^{*B} in the truncated ring and both propagator
     actions (selected by ``action``) are actions of that ring.
     """
@@ -292,17 +297,17 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     for a, b, i, j in _segments(Z, Theta, times):
         h = b - a
         gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
-        state = apply_propagator(conv_exp(gen.scale(h)), state, action)
         if len(source.codes):
-            state = state.add(apply_propagator(_conv_exp_integral(gen, h),
-                                               source, action))
+            propagator, integral = _step_propagators(gen, h)
+            state = apply_propagator(propagator, state, action).add(
+                apply_propagator(integral, source, action))
+        else:
+            state = apply_propagator(conv_exp(gen.scale(h)), state, action)
         states[b] = state
     kernels = tuple(OperatorKernel(states[float(t)], label="solution")
                     for t in times)
     return EvolutionSolution(tuple(float(t) for t in times), kernels,
-                             method="closed_form", action=action,
-                             truncated=any(k.kernel.truncated
-                                           for k in kernels))
+                             method="closed_form", action=action)
 
 
 def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
@@ -450,13 +455,6 @@ def half_trace_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
     T = trace_distribution(dim1, dim2, cutoff1, cutoff2)
     return ProcessSpec.constant(OperatorKernel(T.scale(0.5), "half-trace"),
                                 t_end)
-
-
-def solve_heat(xi0: OperatorKernel, Theta: Optional[ProcessSpec],
-               times: Sequence[float], action: str = ACTION_FUNCTION,
-               seed: int = 42) -> EvolutionSolution:
-    """Heat flow driven by half the trace distribution: `solve` with no Z."""
-    return solve(xi0, times, Theta=Theta, action=action, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def gross_split(phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
         raise RoleError("gross_split needs a test expansion")
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
     first = T.exponents[:, :T.dim1].any(axis=1)
-    parts = [phi.with_terms(pair_products(T.take(mask), phi, contract=True)[0])
+    parts = [phi.with_terms(pair_products(T.take(mask), phi, contract=True))
              for mask in (first, ~first)]
     return parts[0], parts[1]
 
@@ -72,7 +72,7 @@ def gross_test(phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("gross_test needs a test expansion")
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    return phi.with_terms(pair_products(T, phi, contract=True)[0])
+    return phi.with_terms(pair_products(T, phi, contract=True))
 
 
 def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
@@ -87,15 +87,14 @@ def convolve_dist_test(Phi: Expansion2, phi: Expansion2) -> Expansion2:
     if phi.role != TEST:
         raise RoleError("convolve_dist_test needs a test function on the right")
     _check_compatible(Phi, phi)
-    return phi.with_terms(pair_products(Phi, phi, contract=True)[0],
-                          truncated=Phi.truncated or phi.truncated)
+    return phi.with_terms(pair_products(Phi, phi, contract=True))
 
 
 def convolve_dist_dist(Phi: Expansion2, Psi: Expansion2) -> Expansion2:
     """Convolution of two distributions; Laplace transforms multiply."""
     if Phi.role != DISTRIBUTION or Psi.role != DISTRIBUTION:
         raise RoleError("convolve_dist_dist needs two distributions")
-    return sym_convolve_coeffs(Phi, Psi)[0]
+    return sym_convolve_coeffs(Phi, Psi)
 
 
 def gross_distribution(Phi: Expansion2) -> Expansion2:

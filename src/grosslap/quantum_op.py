@@ -16,6 +16,7 @@ import numpy as np
 from .chaos import (
     DISTRIBUTION,
     TEST,
+    DimensionMismatchError,
     Expansion2,
     RoleError,
     complex_product,
@@ -30,7 +31,6 @@ from .chaos import (
     vacuum,
 )
 from .gross import convolve_dist_dist, gross_distribution
-from .tensor_core import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
     np.add.at(values, slot, complex_product(weighted[at], K.values[hit]))
     kept = values != 0
     return Expansion2(K.dim2, 0, K.cutoff2, 0, (codes[kept], values[kept]),
-                      role=DISTRIBUTION, truncated=K.truncated or f.truncated)
+                      role=DISTRIBUTION)
 
 
 def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
@@ -110,7 +110,7 @@ def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
     rows = join_rows(f.exponents, g.exponents)
     values = complex_product(f.values[:, None], g.values[None, :]).ravel()
     return Expansion2(*shape, (key_codes(rows, *shape), values, rows),
-                      role=f.role, truncated=f.truncated or g.truncated)
+                      role=f.role)
 
 
 def op_convolve(op1: OperatorKernel, op2: OperatorKernel) -> OperatorKernel:

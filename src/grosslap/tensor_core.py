@@ -15,15 +15,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
-MultiIndex = Tuple[int, ...]
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live over different ambient dimensions."""
+from .chaos import (
+    DimensionMismatchError,
+    Expansion2,
+    MultiIndex,
+    key_codes,
+    pair_products,
+)
 
 
 class DegreeError(ValueError):
@@ -76,7 +78,6 @@ def contract_full(A, B):
     the falling factor deg B!/(deg B - deg A)! that the kernel's weight
     carries.
     """
-    from .chaos import Expansion2, key_codes, pair_products
     if A.dim1 != B.dim1 or A.dim2 or B.dim2:
         raise DimensionMismatchError("contract_full requires one-variable "
                                      "tensors of equal dims")
@@ -89,7 +90,7 @@ def contract_full(A, B):
     # rows and multiplicities do not depend on the cutoff.
     left = B.with_terms((key_codes(A.exponents, d, 0, m, 0),
                          *A.known_terms()[1:]))
-    product = left.with_terms(pair_products(left, B, contract=True)[0])
+    product = left.with_terms(pair_products(left, B, contract=True))
     rows = product.exponents
     return Expansion2(d, 0, m - n, 0, (key_codes(rows, d, 0, m - n, 0),
                                        product.values / math.perm(m, n),
@@ -127,7 +128,6 @@ def to_dense(T) -> DenseTensor:
 def symmetrize(T: DenseTensor):
     """Project a dense tensor onto its symmetric part, as a degree-n tensor
     `Expansion2(d, 0, n, 0)`."""
-    from .chaos import Expansion2, key_codes
     rows, values = [], []
     for alpha in iter_occupations(T.dim, T.degree):
         word = [i for i, a in enumerate(alpha) for _ in range(a)]

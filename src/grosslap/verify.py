@@ -10,7 +10,6 @@ on their keys in code order, three generator calls each (`_random_terms`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
@@ -25,9 +24,8 @@ from .chaos import (
     dual_pair,
     exponential_vector,
     grid_point_count,
-    join_rows,
     key_codes,
-    occupations_below,
+    key_rows,
     point_coordinates,
 )
 from .evolution import ACTION_DISTRIBUTION, ProcessSpec, solve
@@ -67,16 +65,6 @@ def _rng_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
 
 
-@functools.lru_cache(maxsize=64)
-def _occupations(dim: int, top: int) -> np.ndarray:
-    """The occupation vectors over C^dim of degree <= top, one read-only row
-    each, in code order.  Cached: the suites ask for a few small shapes
-    hundreds of times."""
-    rows = occupations_below(np.full((1, dim), top), top)[1]
-    rows.flags.writeable = False
-    return rows
-
-
 def _random_terms(rng: np.random.Generator, rows: np.ndarray,
                   keep_below: float, shape: tuple, role: str,
                   scale: float = 1.0) -> Expansion2:
@@ -101,7 +89,7 @@ def _random_sym_tensor(rng: np.random.Generator, dim: int,
     """A symmetric tensor of the given degree, `Expansion2(dim, 0, degree, 0)`:
     each occupation vector of that degree is kept with probability 0.8 (see
     `_random_terms`)."""
-    rows = _occupations(dim, degree)
+    rows = key_rows(dim, 0, degree, 0)
     return _random_terms(rng, rows[rows.sum(axis=1) == degree], 0.8,
                          (dim, 0, degree, 0), TEST)
 
@@ -113,8 +101,8 @@ def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
     """A seeded expansion: terms of degree <= max_deg1 in the first
     variable and <= max_deg2 in the second, each kept with probability 0.6
     (see `_random_terms`)."""
-    rows = join_rows(_occupations(dim1, min(max_deg1, cutoff1)),
-                     _occupations(dim2, min(max_deg2, cutoff2)))
+    rows = key_rows(dim1, dim2, min(max_deg1, cutoff1),
+                    min(max_deg2, cutoff2))
     return _random_terms(rng, rows, 0.6, (dim1, dim2, cutoff1, cutoff2),
                          role, scale)
 

@@ -90,8 +90,14 @@ def test_evolution_residual_fails_closed_without_the_source(monkeypatch):
     import grosslap.verify
 
     # The closed form loses its source step; the symbol flow keeps it.
-    monkeypatch.setattr(grosslap.evolution, "_conv_exp_integral",
-                        lambda Phi, h: Phi.scale(0))
+    step = grosslap.evolution._step_propagators
+
+    def without_source(Z, h):
+        propagator, integral = step(Z, h)
+        return propagator, integral.scale(0)
+
+    monkeypatch.setattr(grosslap.evolution, "_step_propagators",
+                        without_source)
     assert grosslap.verify.check_evolution_residual().passed is False
 
 
@@ -662,8 +668,7 @@ def test_gaussian_check_fails_closed(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(evolution, "gaussian_heat_kernel", poisoned)
     spec = _heat_input([0.5, 1.0])
-    sol = evolution.solve_heat(kernel_from_json(spec["xi0"]), None,
-                               spec["times"])
+    sol = evolution.solve(kernel_from_json(spec["xi0"]), spec["times"])
     assert math.isnan(sol.checks["gaussian_gap"])
     path = tmp_path / "in.json"
     path.write_text(json.dumps(spec))

@@ -29,7 +29,6 @@ from grosslap.evolution import (
     half_trace_process,
     integrate_between,
     solve,
-    solve_heat,
     solve_qsde,
     solve_symbol_ode,
     symbol_gap,
@@ -351,13 +350,53 @@ def test_semigroup_property_with_source(rng, action):
     assert diff <= 1e-12
 
 
+def _at_cutoff(kernel, cutoff):
+    phi = kernel.kernel
+    return OperatorKernel(Expansion2(phi.dim1, phi.dim2, cutoff, cutoff,
+                                     dict(phi.coeffs), role=DISTRIBUTION))
+
+
+@pytest.mark.parametrize("action", [ACTION_FUNCTION, ACTION_DISTRIBUTION])
+def test_closed_form_is_exact_in_every_retained_degree(action):
+    # A retained coefficient never draws on a dropped degree, so the same
+    # kernels embedded at cutoff 8 give the same coefficients up to degree
+    # 6, to rounding: the order of a product's sums and the length of the
+    # divided differences' Taylor series depend on the cutoff, which moves
+    # the last bit on a few seeds (at most 3.9e-16 relative over 200 seeds).
+    # The function action lowers degrees, so nothing lands past degree 6.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+
+        def draw(scale=1.0):
+            return OperatorKernel(random_expansion(
+                rng, 1, 1, 6, 6, 6, 6, DISTRIBUTION, scale=scale))
+
+        grid = (0.0, 0.5, 1.0)
+        Z = ProcessSpec(grid, (draw(0.3), draw(0.3)))
+        Theta = ProcessSpec(grid, (draw(), draw()))
+        xi0 = draw()
+        small = solve_qsde(Z, Theta, xi0, [0.5, 1.0], action=action)
+        large = solve_qsde(
+            *(ProcessSpec(P.grid, tuple(_at_cutoff(k, 8) for k in P.kernels))
+              for P in (Z, Theta)),
+            _at_cutoff(xi0, 8), [0.5, 1.0], action=action)
+        for a, b in zip(small.kernels, large.kernels):
+            a, b = a.kernel, b.kernel
+            kept = {k for k in b.coeffs if max(map(sum, k)) <= 6}
+            if action == ACTION_FUNCTION:
+                assert kept == set(b.coeffs)
+            assert kept == set(a.coeffs)
+            for k in kept:
+                assert abs(a[k] - b[k]) <= 1e-14 * abs(b[k])
+
+
 # ---------------------------------------------------------------------------
 # heat flow and the Gaussian oracle
 
 
 def test_heat_flow_of_square_adds_t():
     xi0 = kernel_of({((2,), (0,)): 1 + 0j})
-    sol = solve_heat(xi0, None, [0.0, 0.5, 1.0])
+    sol = solve(xi0, [0.0, 0.5, 1.0])
     for t, k in zip(sol.times, sol.kernels):
         assert k.kernel[((2,), (0,))] == pytest.approx(1.0)
         assert k.kernel[((0,), (0,))] == pytest.approx(t)
@@ -366,7 +405,7 @@ def test_heat_flow_of_square_adds_t():
 
 def test_heat_flow_fixes_linear_kernels():
     xi0 = kernel_of({((1,), (0,)): 2 + 0j, ((0,), (1,)): -1j})
-    sol = solve_heat(xi0, None, [0.25, 1.0, 2.0])
+    sol = solve(xi0, [0.25, 1.0, 2.0])
     for k in sol.kernels:
         assert k.kernel.coeffs == xi0.kernel.coeffs
 
@@ -413,7 +452,7 @@ def test_gaussian_heat_kernel_rows_match_point_loop(rng, dims, points):
 def test_heat_gaussian_gap_small_for_random_kernel(rng):
     xi0 = OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 4, 4,
                                           role=DISTRIBUTION), "init")
-    sol = solve_heat(xi0, None, [0.1, 0.5, 1.0, 2.0])
+    sol = solve(xi0, [0.1, 0.5, 1.0, 2.0])
     assert sol.checks["gaussian_gap"] <= 1e-10
 
 
@@ -423,7 +462,7 @@ def test_heat_equals_qsde_with_half_trace(rng):
     times = [0.3, 1.0]
     Z = half_trace_process(1, 1, 8, 8, 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
-    a = solve_heat(xi0, None, times)
+    a = solve(xi0, times)
     b = solve_qsde(Z, Theta, xi0, times)
     for ka, kb in zip(a.kernels, b.kernels):
         assert ka.kernel.coeffs == kb.kernel.coeffs
@@ -511,7 +550,7 @@ def test_symbol_ode_coefficients_match_closed_form(rng, dims, cutoff, degree,
     Z = half_trace_process(*dims, cutoff, cutoff, max(times))
     Theta = zero_process(*dims, cutoff, cutoff, max(times))
     numeric = solve_symbol_ode(Z, Theta, xi0, times)
-    closed = solve_heat(xi0, None, times, action=ACTION_DISTRIBUTION)
+    closed = solve(xi0, times, action=ACTION_DISTRIBUTION)
     for ode, exact in zip(numeric.kernels, closed.kernels):
         for key in set(ode.kernel.coeffs) | set(exact.kernel.coeffs):
             alpha, beta = key

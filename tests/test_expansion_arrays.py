@@ -242,10 +242,10 @@ def test_constructor_round_trip_keeps_explicit_zeros(case):
 def test_add_scale_and_norm_match_dict_loops(case, c):
     shape, a, b = case
     A = Expansion2(*shape, a, role=DISTRIBUTION)
-    B = Expansion2(*shape, b, role=DISTRIBUTION, truncated=True)
+    B = Expansion2(*shape, b, role=DISTRIBUTION)
     total = A.add(B)
     assert total.coeffs == loop_add(a, b)
-    assert total.truncated and total.role == DISTRIBUTION
+    assert total.role == DISTRIBUTION
     # numpy's complex product and modulus may differ from Python's in the
     # last bit.
     scaled = A.scale(c).coeffs
@@ -332,7 +332,7 @@ def test_stored_arrays_reject_writes():
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(AttributeError):
-        phi.truncated = True
+        phi.role = DISTRIBUTION
     with pytest.raises(TypeError):
         phi.coeffs[((1, 0), (0,))] = 1j
 
@@ -351,11 +351,11 @@ def test_shapes_too_large_to_code_are_refused(dims, cutoffs):
 # The constructors against their loops
 
 
-def assert_matches_loop(phi, loop, role, truncated):
+def assert_matches_loop(phi, loop, role):
     """phi holds the loop's keys in strictly increasing codes of the shape's
     code type, and each value within 4e-16 of the sum of its term moduli."""
     want, moduli = loop
-    assert phi.role == role and phi.truncated == truncated
+    assert phi.role == role
     assert set(phi.coeffs) == set(want)
     place = _box(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)[1]
     assert phi.codes.dtype == place.dtype
@@ -379,14 +379,14 @@ def test_exponential_vector_matches_dict_loop(data):
     xi, eta = data.draw(points(dim1)), data.draw(points(dim2))
     e = exponential_vector(xi, eta, cutoff1, cutoff2)
     assert_matches_loop(e, loop_exponential_vector(xi, eta, cutoff1, cutoff2),
-                        TEST, False)
+                        TEST)
 
 
 def test_exponential_vector_drops_keys_of_zero_components():
     e = exponential_vector([0j, 0.5], [0j], 4, 3)
     assert set(e.coeffs) == {((0, n), (0,)) for n in range(5)}
     assert_matches_loop(e, loop_exponential_vector([0j, 0.5], [0j], 4, 3),
-                        TEST, False)
+                        TEST)
 
 
 def test_trace_distribution_matches_dict_loop():
@@ -397,7 +397,7 @@ def test_trace_distribution_matches_dict_loop():
                     shape = (dim1, dim2, cutoff1, cutoff2)
                     assert_matches_loop(trace_distribution(*shape),
                                         loop_trace_distribution(*shape),
-                                        DISTRIBUTION, False)
+                                        DISTRIBUTION)
 
 
 @st.composite
@@ -405,21 +405,18 @@ def kernels_and_inputs(draw):
     dim1, dim2, cutoff1, cutoff2 = draw(shapes().filter(lambda s: s[1]))
     kernel = draw(coefficient_dicts((dim1, dim2, cutoff1, cutoff2)))
     f = draw(coefficient_dicts((dim1, 0, cutoff1, 0)))
-    flags = draw(st.tuples(st.booleans(), st.booleans()))
-    return (dim1, dim2, cutoff1, cutoff2), kernel, f, flags
+    return (dim1, dim2, cutoff1, cutoff2), kernel, f
 
 
 @settings(max_examples=150, deadline=None)
 @given(kernels_and_inputs())
 def test_apply_operator_matches_dict_loop(case):
-    (dim1, dim2, cutoff1, cutoff2), kernel, f, (kflag, fflag) = case
+    (dim1, dim2, cutoff1, cutoff2), kernel, f = case
     op = OperatorKernel(Expansion2(dim1, dim2, cutoff1, cutoff2, kernel,
-                                   role=DISTRIBUTION, truncated=kflag))
-    psi = apply_operator(op, Expansion2(dim1, 0, cutoff1, 0, f,
-                                        truncated=fflag))
+                                   role=DISTRIBUTION))
+    psi = apply_operator(op, Expansion2(dim1, 0, cutoff1, 0, f))
     assert (psi.dim1, psi.dim2, psi.cutoff1) == (dim2, 0, cutoff2)
-    assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION,
-                        kflag or fflag)
+    assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION)
 
 
 def test_apply_operator_drops_sums_that_cancel():
@@ -431,8 +428,7 @@ def test_apply_operator_drops_sums_that_cancel():
     op = OperatorKernel(Expansion2(2, 1, 2, 2, kernel, role=DISTRIBUTION))
     psi = apply_operator(op, Expansion2(2, 0, 2, 0, f))
     assert dict(psi.coeffs) == {((2,), ()): 6j}
-    assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION,
-                        False)
+    assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION)
 
 
 @st.composite
@@ -441,21 +437,18 @@ def one_variable_pairs(draw):
     cut_f, cut_g = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     return ((dim_f, cut_f), draw(coefficient_dicts((dim_f, 0, cut_f, 0))),
             (dim_g, cut_g), draw(coefficient_dicts((dim_g, 0, cut_g, 0))),
-            draw(st.sampled_from([TEST, DISTRIBUTION])),
-            draw(st.tuples(st.booleans(), st.booleans())))
+            draw(st.sampled_from([TEST, DISTRIBUTION])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(one_variable_pairs())
 def test_tensor_expansion_matches_dict_loop(case):
-    (dim_f, cut_f), f, (dim_g, cut_g), g, role, (fflag, gflag) = case
-    out = tensor_expansion(
-        Expansion2(dim_f, 0, cut_f, 0, f, role=role, truncated=fflag),
-        Expansion2(dim_g, 0, cut_g, 0, g, role=role, truncated=gflag))
+    (dim_f, cut_f), f, (dim_g, cut_g), g, role = case
+    out = tensor_expansion(Expansion2(dim_f, 0, cut_f, 0, f, role=role),
+                           Expansion2(dim_g, 0, cut_g, 0, g, role=role))
     assert (out.dim1, out.dim2, out.cutoff1, out.cutoff2) == (
         dim_f, dim_g, cut_f, cut_g)
-    assert_matches_loop(out, loop_tensor_expansion(f, g), role,
-                        fflag or gflag)
+    assert_matches_loop(out, loop_tensor_expansion(f, g), role)
 
 
 def test_tensor_expansion_codes_past_2_to_63():
@@ -466,7 +459,7 @@ def test_tensor_expansion_codes_past_2_to_63():
     out = tensor_expansion(Expansion2(16, 0, 8, 0, f),
                            Expansion2(14, 0, 8, 0, g))
     assert out.codes.dtype == object and out.codes[-1] > 2 ** 63
-    assert_matches_loop(out, loop_tensor_expansion(f, g), TEST, False)
+    assert_matches_loop(out, loop_tensor_expansion(f, g), TEST)
 
 
 @settings(max_examples=150, deadline=None)
@@ -478,4 +471,4 @@ def test_multiplication_operator_matches_dict_loop(data):
                                             role=DISTRIBUTION))
     assert (op.dim1, op.dim2) == (dim, dim)
     assert_matches_loop(op.kernel, loop_multiplication_operator(Phi),
-                        DISTRIBUTION, False)
+                        DISTRIBUTION)

@@ -140,8 +140,7 @@ def operands(draw, dim1, dim2, cutoff1, cutoff2, role):
                 for n in range(m1 + 1) for a in iter_occupations(dim1, n)
                 for m in range(m2 + 1) for b in iter_occupations(dim2, m)]
     coeffs = {k: complex(*rng.uniform(-1, 1, 2)) for k in keys}
-    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=role,
-                      truncated=draw(st.booleans()))
+    return Expansion2(dim1, dim2, cutoff1, cutoff2, coeffs, role=role)
 
 
 @st.composite
@@ -163,13 +162,10 @@ def operand_pairs(draw, left_role, right_role):
 def test_sym_convolve_matches_pair_loop(pair):
     # Both operand orders: the kernel walks whichever operand is smaller.
     for f, g in (pair, pair[::-1]):
-        product, dropped = sym_convolve_coeffs(f, g)
-        want, want_dropped = loop_sym_convolve(f, g)
-        assert dropped == want_dropped
+        product = sym_convolve_coeffs(f, g)
+        want, _ = loop_sym_convolve(f, g)
         assert_close(product.coeffs, want,
                      loop_sym_convolve(f, g, modulus=True)[0])
-        out = convolve_dist_dist(f, g)
-        assert out.truncated == (f.truncated or g.truncated or want_dropped)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,7 +175,6 @@ def test_convolve_dist_test_matches_pair_loop(pair):
     out = convolve_dist_test(Phi, phi)
     assert_close(out.coeffs, loop_convolve_dist_test(Phi, phi),
                  loop_convolve_dist_test(Phi, phi, modulus=True))
-    assert out.truncated == (Phi.truncated or phi.truncated)
     assert out.role == TEST
 
 
@@ -195,7 +190,6 @@ def test_gross_matches_per_variable_stencils(phi):
     scale = {k: scale1.get(k, 0) + scale2.get(k, 0) for k in both}
     out = gross_test(phi)
     assert_close(out.coeffs, {k: v for k, v in both.items() if v != 0}, scale)
-    assert out.truncated == phi.truncated
 
 
 def test_pointwise_product_matches_pair_loop():
@@ -206,7 +200,6 @@ def test_pointwise_product_matches_pair_loop():
     want, dropped = loop_sym_convolve(f, g)
     assert_close(h.coeffs, want, loop_sym_convolve(f, g, modulus=True)[0])
     assert dropped
-    assert h.truncated
 
 
 def test_codes_past_int64_use_python_integers():
@@ -218,9 +211,8 @@ def test_codes_past_int64_use_python_integers():
                                        (e[-1], ()): -1j}, role=DISTRIBUTION)
     g = Expansion2(dim, 0, cutoff, 0, {(e[-1], ()): 3 + 0j, (far, ()): 1j},
                    role=DISTRIBUTION)
-    product, dropped = sym_convolve_coeffs(f, g)
-    want, want_dropped = loop_sym_convolve(f, g)
-    assert dropped == want_dropped
+    product = sym_convolve_coeffs(f, g)
+    want, _ = loop_sym_convolve(f, g)
     assert_close(product.coeffs, want,
                  loop_sym_convolve(f, g, modulus=True)[0])
     assert (tuple(a + b for a, b in zip(far, e[-1])), ()) in product.coeffs
@@ -239,10 +231,9 @@ def test_weights_past_2_to_53_are_rounded_once():
     g = Expansion2(2, 0, 70, 0, {((1, 6), ()): 1 + 0j}, role=DISTRIBUTION)
     w = math.comb(63, 28) * math.comb(7, 1)
     assert float(w) != float(math.comb(63, 28)) * 7
-    product, dropped = sym_convolve_coeffs(f, g)
+    product = sym_convolve_coeffs(f, g)
     assert product.coeffs == {
         ((29, 41), ()): float(w) / float(math.comb(70, 29)) + 0j}
-    assert not dropped
     Phi = Expansion2(2, 1, 40, 0, {((15, 16), (0,)): 1 + 0j},
                      role=DISTRIBUTION)
     phi = Expansion2(2, 1, 40, 0, {((20, 20), (0,)): 1 + 0j})
@@ -306,6 +297,5 @@ def test_conv_exp_law_without_truncation():
                                 ((0, 1), ()): -0.4j}, role=DISTRIBUTION)
     lhs = conv_exp(A.add(B))
     rhs = convolve_dist_dist(conv_exp(A), conv_exp(B))
-    assert not (lhs.truncated or rhs.truncated)
     scale = conv_exp(_moduli(A).add(_moduli(B))).coeffs
     assert_close(lhs.coeffs, rhs.coeffs, scale, rel=1e-14)
