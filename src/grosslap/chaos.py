@@ -432,24 +432,23 @@ def check_evaluation_size(points: int, keys: int, dim1: int,
 
 
 def monomial_matrix(exponents, dim1: int, x):
-    """The points x keys matrix of mult(alpha) mult(beta) z^alpha t^beta.
+    """The complex points x keys matrix of mult(alpha) mult(beta)
+    z^alpha t^beta.
 
     `exponents` holds one row alpha + beta per key, x one row per point:
     its z coordinates, then its t coordinates.  The powers of every
     coordinate, up to the largest exponent among the keys, come from one
     cumulative product over all points (so 0^0 = 1), and the matrix gathers
     its factors from that table.  An expansion's values at the points are
-    this matrix times its coefficient vector.  It is complex, in x's
-    precision when that is finer than double.
+    this matrix times its coefficient vector.
     """
     npoints, ncoords = x.shape
-    dtype = np.result_type(x, complex)
     powers = np.ones((ncoords, npoints, int(exponents.max(initial=0)) + 1),
-                     dtype=dtype)
+                     dtype=complex)
     powers[:, :, 1:] = x.T[:, :, None]
     np.cumprod(powers, axis=2, out=powers)
-    out = np.empty((npoints, len(exponents)), dtype=dtype)
-    out[:] = multiplicities(exponents, dim1)[1].astype(np.finfo(dtype).dtype)
+    out = np.empty((npoints, len(exponents)), dtype=complex)
+    out[:] = multiplicities(exponents, dim1)[1].astype(float)
     for i in range(ncoords):
         out *= powers[i][:, exponents[:, i]]
     return out
@@ -484,13 +483,9 @@ def coefficient_polynomial(phi: Expansion2, point) -> complex:
 
     This is plain evaluation for a test expansion and, with the same formula,
     the Laplace transform for a distribution; the role check lives in the
-    public wrappers.  It is the one-point case of `coefficient_polynomials`,
-    taken in extended precision (`np.clongdouble`) and rounded once: the
-    terms of a shifted expansion (`translate`) reach thousands of times its
-    value, and double-precision monomials alone then miss it by 1e-12.
-    Where numpy's long double is the double, so is this sum.
+    public wrappers.  It is the one-point case of `coefficient_polynomials`.
     """
-    x = point_coordinates([point], phi.dim1, phi.dim2).astype(np.clongdouble)
+    x = point_coordinates([point], phi.dim1, phi.dim2)
     return complex(coefficient_polynomials([phi], x)[0, 0])
 
 
@@ -570,41 +565,16 @@ def translate(phi: Expansion2, z: Sequence[complex],
               t: Sequence[complex] = ()) -> Expansion2:
     """Shift of a test expansion by s = (z, t): phi(x + s) as a function of x.
 
-    A Taylor shift of the monomial coefficients a_r = mult(r) c_r, one
-    coordinate k of s at a time: term r spreads to r - j e_k with weight
-    C(r_k, j) s_k^j for j = 0 .. r_k, and the terms landing on one key add
-    up.  The shifted c_g is a_g / mult(g).  Those sums cancel: on unit
-    data the shifted coefficients reach about 2000 while the function stays
-    near 1, so the shift runs in extended precision (`np.clongdouble`) and
-    each coefficient is rounded once.  Sums that come out zero are dropped.
-    Pointwise it agrees with the contraction of phi against the exponential
-    vector e_s read as a distribution (`gross.convolve_dist_test`).
+    The contraction of phi against the exponential vector e_s read as a
+    distribution, as `gross.convolve_dist_test` computes it.
     """
     if phi.role != TEST:
         raise RoleError("translate needs a test expansion")
-    s = point_coordinates([(z, t)], phi.dim1, phi.dim2)[0].astype(
-        np.clongdouble)
-    shape = (phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    rows = phi.exponents
-    a = phi.values * phi.multiplicities[1].astype(np.longdouble)
-    for k in s.nonzero()[0]:
-        top = int(rows[:, k].max(initial=0))
-        # binomial[j, n] = C(n, j); power[j] = s_k^j.
-        binomial = np.array([[math.comb(n, j) for n in range(top + 1)]
-                             for j in range(top + 1)], dtype=np.longdouble)
-        power = np.cumprod(np.r_[1, np.full(top, s[k])])
-        i, j = (np.arange(top + 1) <= rows[:, k, None]).nonzero()
-        terms = a[i] * binomial[j, rows[i, k]] * power[j]
-        rows = rows[i]
-        rows[:, k] -= j
-        order, _, first = _distinct(key_codes(rows, *shape))
-        a = np.add.reduceat(terms[order], first.nonzero()[0])
-        rows = rows[order][first]
-    values = (a / multiplicities(rows, phi.dim1)[1].astype(np.longdouble)
-              ).astype(complex)
-    kept = values != 0
-    rows = rows[kept]
-    return phi.with_terms((key_codes(rows, *shape), values[kept], rows))
+    s = point_coordinates([(z, t)], phi.dim1, phi.dim2)[0]
+    e_s = exponential_vector(s[:phi.dim1], s[phi.dim1:], phi.cutoff1,
+                             phi.cutoff2)
+    return phi.with_terms(pair_products(e_s.with_role(DISTRIBUTION), phi,
+                                        contract=True))
 
 
 def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:

@@ -194,11 +194,6 @@ class ProcessSpec:
     def end(self) -> float:
         return self.grid[-1]
 
-    def value_at(self, s: float) -> OperatorKernel:
-        if s < 0 or s > self.end:
-            raise ValueError(f"time {s} outside process grid")
-        return self.kernels[_piece_index(self, s)]
-
     def is_zero(self) -> bool:
         return all(not len(k.kernel.codes) for k in self.kernels)
 
@@ -212,18 +207,6 @@ def zero_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
     empty = OperatorKernel(Expansion2(dim1, dim2, cutoff1, cutoff2, {},
                                       role=DISTRIBUTION), "zero")
     return ProcessSpec.constant(empty, t_end)
-
-
-def integrate_between(P: ProcessSpec, s: float, t: float) -> OperatorKernel:
-    if not (0.0 <= s <= t <= P.end + 1e-12):
-        raise ValueError(f"integration range [{s}, {t}] outside grid")
-    total = P.kernels[0].kernel.take(slice(0))
-    for i, kern in enumerate(P.kernels):
-        a, b = P.grid[i], P.grid[i + 1]
-        length = min(b, t) - max(a, s)
-        if length > 0:
-            total = total.add(kern.kernel.scale(length))
-    return OperatorKernel(total, "integrated")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ distribution side it raises degrees, and the Laplace transform multiplies by
 from __future__ import annotations
 
 import functools
-from typing import Tuple
 
 import numpy as np
 
@@ -44,21 +43,6 @@ def trace_distribution(dim1: int, dim2: int, cutoff1: int,
                       (key_codes(rows, dim1, dim2, cutoff1, cutoff2),
                        np.ones(len(rows), dtype=complex), rows),
                       role=DISTRIBUTION)
-
-
-def gross_split(phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
-    """Per-variable parts of the Gross Laplacian; their sum is gross_test.
-
-    Each part is the contraction of phi with the trace distribution's terms
-    over one variable.
-    """
-    if phi.role != TEST:
-        raise RoleError("gross_split needs a test expansion")
-    T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    first = T.exponents[:, :T.dim1].any(axis=1)
-    parts = [phi.with_terms(pair_products(T.take(mask), phi, contract=True))
-             for mask in (first, ~first)]
-    return parts[0], parts[1]
 
 
 def gross_test(phi: Expansion2) -> Expansion2:

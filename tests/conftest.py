@@ -7,6 +7,7 @@ import pytest
 
 from grosslap.chaos import DISTRIBUTION
 from grosslap.evolution import ACTIONS, METHODS, ProcessSpec
+from grosslap.gross import convolve_dist_test, trace_distribution
 from grosslap.quantum_op import OperatorKernel
 
 # The suites' seeded inputs serve the tests too, so a seed means the same
@@ -17,6 +18,45 @@ from grosslap.verify import (  # noqa: F401
     _random_sym_tensor as random_tensor,
     _rng_complex as rng_complex,
 )
+
+
+# The unit roundoff of double precision.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def modulus(phi):
+    """phi with each coefficient replaced by its modulus."""
+    return phi.with_terms((phi.codes, np.abs(phi.values).astype(complex)))
+
+
+def rounding_factor(phi, *lengths) -> int:
+    """k such that k u M bounds the rounding, to first order in u, of a chain
+    of products and evaluations on expansions of phi's shape, one with each
+    summation length, where M is the sum of the moduli of the chain's exact
+    terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sections 3.1, 3.6 and 5.1).
+
+    A term is a product of at most F = cutoff1 + cutoff2 + dim1 + dim2 + 4
+    rounded factors: the powers of each coordinate by repeated
+    multiplication (at most cutoff1 + cutoff2 in all), one factor per
+    coordinate, the product of the two variables' monomials, a factorial
+    divisor, a weight and a coefficient.  Each complex product or real
+    scaling is rounded by at most sqrt(2) gamma_2 < 3u.  A sum or inner
+    product of n complex terms errs by at most sqrt(2) gamma_2n < 3nu times
+    the sum of the terms' moduli, in any order and whether or not a multiply
+    fuses into an add: its real and imaginary parts are real inner products
+    of length 2n.  A computation summing n terms thus contributes 3(F + n).
+    """
+    factors = phi.cutoff1 + phi.cutoff2 + phi.dim1 + phi.dim2 + 4
+    return sum(3 * (factors + n) for n in lengths)
+
+
+def gross_parts(phi):
+    """The Gross Laplacian's part in each variable: phi contracted with the
+    trace distribution's terms over that variable."""
+    T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
+    first = T.exponents[:, :T.dim1].any(axis=1)
+    return [convolve_dist_test(T.take(mask), phi) for mask in (first, ~first)]
 
 
 @pytest.fixture

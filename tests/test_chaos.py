@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grosslap.chaos import (
@@ -24,7 +24,13 @@ from grosslap.chaos import (
     vacuum,
 )
 from grosslap.tensor_core import DimensionMismatchError
-from conftest import random_expansion, rng_complex
+from conftest import (
+    UNIT_ROUNDOFF,
+    modulus,
+    random_expansion,
+    rng_complex,
+    rounding_factor,
+)
 
 
 def test_exponential_vector_evaluates_to_exp():
@@ -59,15 +65,34 @@ def test_translate_square():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
+@example(28)
+@example(1345)
 def test_translate_agrees_with_shifted_evaluation(seed):
     rng = np.random.default_rng(seed)
     d1, d2 = int(rng.integers(1, 3)), int(rng.integers(0, 3))
     phi = random_expansion(rng, d1, d2, 5, 5 if d2 else 0, 5, 5)
     s = rng_complex(rng, d1), rng_complex(rng, d2)
     p = rng_complex(rng, d1), rng_complex(rng, d2)
-    lhs = evaluate(translate(phi, *s), *p)
+    shifted = translate(phi, *s)
+    lhs = evaluate(shifted, *p)
     rhs = evaluate(phi, p[0] + s[0], p[1] + s[1])
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # The moduli of the terms of the shift and of both evaluations add up
+    # to at most |phi| at |p| + |s|.  Three sums: phi at p + s, the shift
+    # and the shifted expansion at p; rounding p + s adds cutoff1 + cutoff2.
+    majorant = evaluate(modulus(phi), abs(p[0]) + abs(s[0]),
+                        abs(p[1]) + abs(s[1])).real
+    n = len(phi.codes)
+    k = (rounding_factor(phi, n, n, len(shifted.codes))
+         + phi.cutoff1 + phi.cutoff2)
+    assert abs(lhs - rhs) <= k * UNIT_ROUNDOFF * majorant
+
+
+@pytest.mark.parametrize("z, t", [([1, 2], [0.5]), ([1], []),
+                                  ([1], [0.5, 0.5]), ([], [0.5]), ([], [])])
+def test_translate_rejects_a_shift_of_the_wrong_dims(z, t):
+    phi = Expansion2(1, 1, 3, 3, {((1,), (1,)): 1 + 0j})
+    with pytest.raises(DimensionMismatchError):
+        translate(phi, z, t)
 
 
 @settings(max_examples=20, deadline=None)

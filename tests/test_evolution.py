@@ -27,7 +27,6 @@ from grosslap.evolution import (
     conv_exp,
     gaussian_heat_kernel,
     half_trace_process,
-    integrate_between,
     solve,
     solve_qsde,
     solve_symbol_ode,
@@ -35,12 +34,33 @@ from grosslap.evolution import (
     torus_symbols,
     zero_process,
     _exp_divided_differences,
+    _piece_index,
     _shifted_gauss_moment,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import OperatorKernel, symbol
 from grosslap.tensor_core import multinomial_weight
 from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
+
+
+def value_at(P, s):
+    """The kernel of process P at time s."""
+    if s < 0 or s > P.end:
+        raise ValueError(f"time {s} outside process grid")
+    return P.kernels[_piece_index(P, s)]
+
+
+def integrate_between(P, s, t):
+    """The integral of process P over [s, t], piece by piece."""
+    if not (0.0 <= s <= t <= P.end + 1e-12):
+        raise ValueError(f"integration range [{s}, {t}] outside grid")
+    total = P.kernels[0].kernel.take(slice(0))
+    for i, kern in enumerate(P.kernels):
+        a, b = P.grid[i], P.grid[i + 1]
+        length = min(b, t) - max(a, s)
+        if length > 0:
+            total = total.add(kern.kernel.scale(length))
+    return OperatorKernel(total, "integrated")
 
 
 def kernel_of(coeffs, d1=1, d2=1, c1=8, c2=8, label=""):
@@ -160,11 +180,11 @@ def test_process_value_lookup():
     A = kernel_of({((1,), (0,)): 1 + 0j}, label="A")
     B = kernel_of({((0,), (1,)): 1 + 0j}, label="B")
     P = ProcessSpec((0.0, 1.0, 2.0), (A, B))
-    assert P.value_at(0.5).label == "A"
-    assert P.value_at(1.5).label == "B"
-    assert P.value_at(2.0).label == "B"
+    assert value_at(P, 0.5).label == "A"
+    assert value_at(P, 1.5).label == "B"
+    assert value_at(P, 2.0).label == "B"
     with pytest.raises(ValueError):
-        P.value_at(2.5)
+        value_at(P, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +253,7 @@ def simpson_source(Z, Theta, t, action, panels):
     grid = sorted({0.0, t} | {g for g in Z.grid + Theta.grid if 0 < g < t})
     total = None
     for a, b in zip(grid, grid[1:]):
-        th = Theta.value_at((a + b) / 2).kernel
+        th = value_at(Theta, (a + b) / 2).kernel
         h = (b - a) / panels
         for i in range(panels + 1):
             s = a + i * h
@@ -603,8 +623,8 @@ def scalar_flow(Z, Theta, sigma, t):
     """The scalar ODE by hand, one grid interval after another."""
     cuts = sorted({0.0, t} | {g for g in Z.grid + Theta.grid if 0 < g < t})
     for a, b in zip(cuts, cuts[1:]):
-        z = Z.value_at((a + b) / 2).kernel[((0,), (0,))]
-        th = Theta.value_at((a + b) / 2).kernel[((0,), (0,))]
+        z = value_at(Z, (a + b) / 2).kernel[((0,), (0,))]
+        th = value_at(Theta, (a + b) / 2).kernel[((0,), (0,))]
         decay = np.exp(z * (b - a))
         sigma = decay * sigma + (decay - 1) / z * th
     return sigma

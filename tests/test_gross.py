@@ -20,11 +20,17 @@ from grosslap.gross import (
     convolve_dist_dist,
     convolve_dist_test,
     gross_distribution,
-    gross_split,
     gross_test,
     trace_distribution,
 )
-from conftest import random_expansion, rng_complex
+from conftest import (
+    UNIT_ROUNDOFF,
+    gross_parts,
+    modulus,
+    random_expansion,
+    rng_complex,
+    rounding_factor,
+)
 
 
 def bilinear(v):
@@ -57,7 +63,7 @@ def test_gross_annihilates_low_degree():
 
 def test_gross_split_sums_to_total(rng):
     phi = random_expansion(rng, 2, 2, 6, 6, 6, 6)
-    p1, p2 = gross_split(phi)
+    p1, p2 = gross_parts(phi)
     total = p1.add(p2)
     full = gross_test(phi)
     # summation order differs between the split and combined routes, so
@@ -87,7 +93,15 @@ def test_convolve_dist_test_is_translation_pairing(rng):
         z = rng_complex(rng, 2), rng_complex(rng, 1)
         lhs = evaluate(conv, *z)
         rhs = dual_pair(Phi, translate(phi, *z))
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+        # Both sides add the terms of |Phi| * |phi| at |z|, in two sums
+        # each: the contraction, then the evaluation; the shift, then the
+        # pairing.  A contraction's sum for one key has at most one term
+        # per term of either operand.
+        majorant = evaluate(convolve_dist_test(modulus(Phi), modulus(phi)),
+                            abs(z[0]), abs(z[1])).real
+        k = rounding_factor(phi, len(Phi.codes), len(conv.codes),
+                            len(phi.codes), len(Phi.codes))
+        assert abs(lhs - rhs) <= k * UNIT_ROUNDOFF * majorant
 
 
 def test_trace_convolution_equals_gross_exactly(rng):

@@ -18,10 +18,10 @@ from grosslap.evolution import conv_exp
 from grosslap.gross import (
     convolve_dist_dist,
     convolve_dist_test,
-    gross_split,
     gross_test,
 )
 from grosslap.tensor_core import iter_occupations, multinomial_weight
+from conftest import gross_parts
 
 # ---------------------------------------------------------------------------
 # Reference: the per-pair dict loops.  With modulus=True every coefficient
@@ -183,7 +183,7 @@ def test_convolve_dist_test_matches_pair_loop(pair):
 def test_gross_matches_per_variable_stencils(phi):
     want1, want2 = loop_gross_parts(phi)
     scale1, scale2 = loop_gross_parts(phi, modulus=True)
-    part1, part2 = gross_split(phi)
+    part1, part2 = gross_parts(phi)
     assert_close(part1.coeffs, want1, scale1)
     assert_close(part2.coeffs, want2, scale2)
     both = {k: want1.get(k, 0j) + want2.get(k, 0j) for k in {**want1, **want2}}

@@ -27,11 +27,11 @@ from grosslap.chaos import (
     vacuum,
 )
 from grosslap.evolution import _split_constant, conv_exp
-from grosslap.gross import convolve_dist_test, gross_split, trace_distribution
+from grosslap.gross import convolve_dist_test, trace_distribution
 from grosslap.quantum_op import multiplication_operator, tensor_expansion
 from grosslap.tensor_core import contract_full, multinomial_weight
 
-from conftest import random_expansion, random_tensor
+from conftest import gross_parts, random_expansion, random_tensor
 
 
 def assert_term_data(phi, seeded=False):
@@ -99,7 +99,7 @@ def test_term_data_is_never_stale(ops, c):
     assert_term_data(phi.scale(c))
     assert_term_data(phi.with_role(DISTRIBUTION))
     assert_term_data(_split_constant(Phi)[1])
-    for part in gross_split(phi):
+    for part in gross_parts(phi):
         assert_term_data(part)
     assert_term_data(conv_exp(Phi.scale(0.25)))
     shape = (Phi.dim1, Phi.dim2, Phi.cutoff1, Phi.cutoff2)
