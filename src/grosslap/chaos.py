@@ -604,8 +604,8 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Expansion2:
     return f.with_terms(pair_products(f, g, contract=False))
 
 
-# Pairs examined at once by `pair_products`: a block of terms of the smaller
-# operand against every term of the larger, so small products take one step.
+# Pairs examined at once by `pair_products`: a block of the left operand's
+# terms against every term of the right, so small products take one step.
 PAIR_BLOCK = 4096
 
 
@@ -619,6 +619,24 @@ def _falling_factorials(cutoff: int, wtype: type):
     return table
 
 
+def _fold(sums, blocks):
+    """The running sums (codes, real parts, imaginary parts) with held
+    blocks of (targets, terms) added: one stable sort of the sums' codes
+    followed by the blocks' targets, then one `np.bincount` per part, which
+    adds in input order from +0.0, so every sum takes its prior value first
+    and then the blocks' terms in order."""
+    codes, re, im = sums
+    terms = np.concatenate([terms for _, terms in blocks])
+    order, ordered, first = _distinct(
+        np.concatenate([codes] + [target for target, _ in blocks]))
+    slot = first.cumsum() - 1
+    codes = ordered[first]
+    size = len(codes)
+    return (codes,
+            np.bincount(slot, np.concatenate((re, terms.real))[order], size),
+            np.bincount(slot, np.concatenate((im, terms.imag))[order], size))
+
+
 def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     """Sum of W c_l c_r over pairs of stored terms: the one product kernel.
 
@@ -630,21 +648,21 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     variables: the distribution-test contraction of
     `gross.convolve_dist_test`.  Each W is an exact integer rounded to a
     float once; each term is (W c_l) c_r, and the terms of one output are
-    added in the order of the smaller operand's terms.  Sums that come out
-    zero are dropped.  Returns the result's terms, as the `Expansion2`
-    constructor takes them; a symmetrized product's terms carry the
-    exponent rows and multiplicities its division needed.
+    added in the left operand's key order, whatever the operands' sizes or
+    cutoffs.  Sums that come out zero are dropped.  Returns the result's
+    terms, as the `Expansion2` constructor takes them; a symmetrized
+    product's terms carry the exponent rows and multiplicities its division
+    needed.
 
     The operands' codes are read as they are stored: a shift by a term of
-    the smaller operand is an integer add (or subtract) on the larger
-    operand's code array.  Terms of the smaller operand are taken
-    PAIR_BLOCK / (terms of the larger) at a time, at least one, so
-    transient arrays hold at most max(PAIR_BLOCK, terms of the larger
-    operand) pairs, never one entry per pair of a large product.  Each
-    block is folded into the running sums by one stable sort of their codes
-    followed by the block's targets, then one `np.bincount` per real and
-    imaginary part: it adds in input order from +0.0, so every sum takes
-    its prior value first and then the block's terms in order.
+    the left operand is an integer add (or subtract) on the right operand's
+    code array.  Terms of the left operand are taken PAIR_BLOCK / (terms of
+    the right) at a time, at least one.  Each block's landing pairs are
+    held until they number max(PAIR_BLOCK, running sums), or the left
+    operand ends, and are then folded into the sums by `_fold`, so each
+    fold's sort is paid for by the pairs it takes in.  Transient arrays
+    hold O(sums + PAIR_BLOCK + terms of the right) entries, never one per
+    pair of a large product.
     """
     if not len(left.codes) or not len(right.codes):
         return left.codes[:0], np.zeros(0, dtype=complex)
@@ -672,26 +690,17 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         need, room = deg_l.T, np.array([[c1], [c2]]) - deg_r.T
     need, room = np.ascontiguousarray(need), np.ascontiguousarray(room)
 
-    out_codes = code_l[:0]
-    out_re = out_im = np.zeros(0)
-    n_l, n_r = len(c_l), len(c_r)
-    walk_left = n_l <= n_r
-    outer, inner = (n_l, n_r) if walk_left else (n_r, n_l)
-    step = max(1, PAIR_BLOCK // inner)
-    for start in range(0, outer, step):
-        # A block of the smaller operand's terms (rows) against all terms
-        # of the larger (columns), read in place by broadcasting; nonzero
-        # lists the kept pairs row by row, so in the order of the smaller
-        # operand's terms.
+    sums = (code_l[:0], np.zeros(0), np.zeros(0))
+    held, pairs = [], 0
+    step = max(1, PAIR_BLOCK // len(c_r))
+    for start in range(0, len(c_l), step):
+        # A block of the left operand's terms (rows) against all terms of
+        # the right (columns), read in place by broadcasting; nonzero lists
+        # the kept pairs row by row, so in the left operand's key order.
         block = slice(start, start + step)
-        if walk_left:
-            keep = (need[:, block, None] <= room[:, None, :]).all(axis=0)
-        else:
-            keep = (need[:, None, :] <= room[:, block, None]).all(axis=0)
-        rows, cols = keep.nonzero()
-        if not len(rows):
-            continue
-        il, ir = (rows + start, cols) if walk_left else (cols, rows + start)
+        keep = (need[:, block, None] <= room[:, None, :]).all(axis=0)
+        il, ir = keep.nonzero()
+        il += start
         if contract:
             w = (w_l[il] * falling[0][deg_l[il, 0], deg_r[ir, 0]]
                  * falling[1][deg_l[il, 1], deg_r[ir, 1]])
@@ -699,18 +708,14 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         else:
             w = w_l[il] * w_r[ir]
             target = code_l[il] + code_r[ir]
-        terms = (w.astype(float) * c_l[il]) * c_r[ir]
-        order, ordered, first = _distinct(np.concatenate((out_codes, target)))
-        slot = first.cumsum() - 1
-        out_codes = ordered[first]
-        size = len(out_codes)
-        out_re = np.bincount(slot, np.concatenate((out_re, terms.real))[order],
-                             size)
-        out_im = np.bincount(slot, np.concatenate((out_im, terms.imag))[order],
-                             size)
+        held.append((target, (w.astype(float) * c_l[il]) * c_r[ir]))
+        pairs += len(il)
+        if pairs >= max(PAIR_BLOCK, len(sums[0])) or start + step >= len(c_l):
+            sums = _fold(sums, held)
+            held, pairs = [], 0
 
-    kept = (out_re != 0) | (out_im != 0)
-    out_codes, out_re, out_im = out_codes[kept], out_re[kept], out_im[kept]
+    kept = (sums[1] != 0) | (sums[2] != 0)
+    out_codes, out_re, out_im = (part[kept] for part in sums)
     values = np.empty(len(out_codes), dtype=complex)
     if contract:
         values.real, values.imag = out_re, out_im

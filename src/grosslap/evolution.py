@@ -28,6 +28,7 @@ from .chaos import (
     TEST,
     Expansion2,
     RoleError,
+    _check_compatible,
     coefficient_polynomials,
     delta0,
     key_codes,
@@ -295,13 +296,9 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
 
 def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
                      xi0: OperatorKernel) -> None:
-    ref = xi0.kernel
-    for proc in (Z, Theta):
-        for k in proc.kernels:
-            if (k.kernel.dim1, k.kernel.dim2) != (ref.dim1, ref.dim2) or \
-               (k.kernel.cutoff1, k.kernel.cutoff2) != (ref.cutoff1, ref.cutoff2):
-                raise ValueError("process kernels must match the initial "
-                                 "kernel's dims and cutoffs")
+    """Every process kernel has the initial kernel's dims and cutoffs."""
+    for k in (*Z.kernels, *Theta.kernels):
+        _check_compatible(k.kernel, xi0.kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,6 @@ class OperatorKernel:
     def dim2(self) -> int:
         return self.kernel.dim2
 
-    def scale(self, c: complex) -> "OperatorKernel":
-        return OperatorKernel(self.kernel.scale(c), self.label)
-
-    def add(self, other: "OperatorKernel") -> "OperatorKernel":
-        return OperatorKernel(self.kernel.add(other.kernel), self.label)
-
 
 def symbol(op: OperatorKernel, xi1: Sequence[complex],
            xi2: Sequence[complex]) -> complex:

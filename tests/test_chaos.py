@@ -145,6 +145,30 @@ def test_dimension_guards():
         evaluate(phi, [1.0])
 
 
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: vacuum(1, 1, 3, 3).add(vacuum(2, 1, 3, 3)),
+                 DimensionMismatchError, "dims", id="add-across-dims"),
+    pytest.param(lambda: vacuum(1, 1, 3, 3).add(vacuum(1, 1, 3, 4)),
+                 DimensionMismatchError, "cutoffs", id="add-across-cutoffs"),
+    pytest.param(lambda: vacuum(1, 1, 3, 3).add(delta0(1, 1, 3, 3)),
+                 RoleError, "equal roles", id="add-across-roles"),
+    pytest.param(lambda: Expansion2(1, -1, 3, 0),
+                 ValueError, "dim2", id="negative-dim2"),
+    pytest.param(lambda: Expansion2(1, 0, 3, 0, role="kernel"),
+                 ValueError, "unknown role", id="unknown-role"),
+    pytest.param(lambda: translate(delta0(1, 1, 3, 3), [0.5], [0.5]),
+                 RoleError, "translate", id="translate-distribution"),
+    pytest.param(lambda: dual_pair(delta0(1, 0, 3, 0), delta0(1, 0, 3, 0)),
+                 RoleError, "on the right", id="dual-pair-distributions"),
+    pytest.param(lambda: pointwise_product(vacuum(1, 0, 3, 0),
+                                           delta0(1, 0, 3, 0)),
+                 RoleError, "two test", id="pointwise-product-distribution"),
+])
+def test_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_pointwise_product_matches_evaluation(seed):

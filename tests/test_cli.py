@@ -269,6 +269,48 @@ def test_solve_missing_file_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _eval_unknown_op():
+    from grosslap.chaos import vacuum
+    return {"op": "integrate",
+            "expansion": expansion_to_json(vacuum(1, 0, 3, 0)),
+            "points": [{"z": [1.0]}]}
+
+
+def _solve_mismatched_process():
+    # The initial kernel is at cutoff 8; Z is at cutoff 6 on [1, 2], a
+    # piece that no step to time 0.5 reaches.
+    from grosslap.chaos import delta0
+    spec = _heat_input([0.5])
+    spec["Z"] = {"grid": [0.0, 1.0, 2.0], "kernels": [
+        kernel_to_json(OperatorKernel(delta0(1, 1, c, c))) for c in (8, 6)]}
+    return spec
+
+
+@pytest.mark.parametrize("args, spec, message", [
+    pytest.param(["eval"], _eval_unknown_op, "unknown op",
+                 id="eval-unknown-op"),
+    pytest.param(["eval"], None, "in.json", id="eval-missing-file"),
+    pytest.param(["young", "--family", "gaussian", "--op", "theta"], None,
+                 "--x is required", id="young-theta-without-x"),
+    pytest.param(["young", "--family", "gaussian", "--op", "theta-n"], None,
+                 "--n is required", id="young-theta-n-without-n"),
+    pytest.param(["solve"], _solve_mismatched_process, "cutoffs",
+                 id="solve-mismatched-process"),
+    pytest.param(["solve", "--method", "symbol_ode"],
+                 _solve_mismatched_process, "cutoffs",
+                 id="solve-symbol-ode-mismatched-process"),
+])
+def test_input_errors(runner, tmp_path, args, spec, message):
+    path = tmp_path / "in.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec()))
+    if args[0] != "young":
+        args = args + ["--in", str(path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
 def test_solve_and_eval_over_size_budget_exit_2(runner, tmp_path,
                                                 monkeypatch):
     import grosslap.chaos

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from grosslap.chaos import (
     DISTRIBUTION,
+    DimensionMismatchError,
     Expansion2,
+    RoleError,
     coefficient_polynomials,
     delta0,
     laplace,
     multiplicities,
+    vacuum,
 )
 from grosslap.evolution import (
     ACTION_DISTRIBUTION,
@@ -154,6 +157,32 @@ def test_process_validation():
         ProcessSpec((0.5, 1.0), (K,))
     with pytest.raises(ValueError):
         ProcessSpec((0.0, 1.0, 0.5), (K, K))
+
+
+def _qsde(action=ACTION_FUNCTION, late=(1, 1, 3, 3)):
+    """A closed-form solve at dims (1,1), cutoff 3, to time 0.5, whose Z
+    has a second piece of shape `late` on [1, 2]: no step reaches it."""
+    Z = ProcessSpec((0.0, 1.0, 2.0),
+                    (kernel_of({}, 1, 1, 3, 3), kernel_of({}, *late)))
+    return solve_qsde(Z, zero_process(1, 1, 3, 3, 1.0),
+                      kernel_of({((0,), (0,)): 1 + 0j}, c1=3, c2=3), [0.5],
+                      action=action)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: conv_exp(vacuum(1, 1, 3, 3)),
+                 RoleError, "conv_exp", id="conv-exp-test-function"),
+    pytest.param(lambda: _qsde(action="bogus"),
+                 ValueError, "unknown action", id="unknown-action"),
+    pytest.param(lambda: _qsde(late=(1, 1, 4, 3)),
+                 DimensionMismatchError, "cutoffs",
+                 id="process-other-cutoffs"),
+    pytest.param(lambda: _qsde(late=(2, 1, 3, 3)),
+                 DimensionMismatchError, "dims", id="process-other-dims"),
+])
+def test_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_integrate_constant_process():
@@ -380,9 +409,10 @@ def _at_cutoff(kernel, cutoff):
 def test_closed_form_is_exact_in_every_retained_degree(action):
     # A retained coefficient never draws on a dropped degree, so the same
     # kernels embedded at cutoff 8 give the same coefficients up to degree
-    # 6, to rounding: the order of a product's sums and the length of the
-    # divided differences' Taylor series depend on the cutoff, which moves
-    # the last bit on a few seeds (at most 3.9e-16 relative over 200 seeds).
+    # 6, to rounding.  Products sum in the left operand's key order at any
+    # cutoff; only the divided differences still depend on it, through the
+    # length of their Taylor series and the size of its matrix (no seed of
+    # 0-199 differs in a bit under either action, but nothing promises it).
     # The function action lowers degrees, so nothing lands past degree 6.
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from grosslap.chaos import (
     DISTRIBUTION,
     Expansion2,
     RoleError,
+    delta0,
     dual_pair,
     evaluate,
     exponential_vector,
@@ -151,6 +152,19 @@ def test_gross_distribution_raises_degree():
     Phi = Expansion2(1, 0, 6, 0, {((0,), ()): 1 + 0j}, role=DISTRIBUTION)
     out = gross_distribution(Phi)
     assert out.coeffs == {((2,), ()): 1 + 0j}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: convolve_dist_test(delta0(1, 0, 3, 0),
+                                            delta0(1, 0, 3, 0)),
+                 id="dist-test-right-distribution"),
+    pytest.param(lambda: convolve_dist_dist(delta0(1, 0, 3, 0),
+                                            vacuum(1, 0, 3, 0)),
+                 id="dist-dist-test-operand"),
+])
+def test_input_errors(call):
+    with pytest.raises(RoleError):
+        call()
 
 
 def test_role_guards(rng):

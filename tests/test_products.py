@@ -21,7 +21,7 @@ from grosslap.gross import (
     gross_test,
 )
 from grosslap.tensor_core import iter_occupations, multinomial_weight
-from conftest import gross_parts
+from conftest import gross_parts, random_expansion
 
 # ---------------------------------------------------------------------------
 # Reference: the per-pair dict loops.  With modulus=True every coefficient
@@ -160,7 +160,7 @@ def operand_pairs(draw, left_role, right_role):
 @settings(max_examples=150, deadline=None)
 @given(operand_pairs(DISTRIBUTION, DISTRIBUTION))
 def test_sym_convolve_matches_pair_loop(pair):
-    # Both operand orders: the kernel walks whichever operand is smaller.
+    # Both operand orders: the kernel walks the left operand in blocks.
     for f, g in (pair, pair[::-1]):
         product = sym_convolve_coeffs(f, g)
         want, _ = loop_sym_convolve(f, g)
@@ -241,6 +241,26 @@ def test_weights_past_2_to_53_are_rounded_once():
     assert float(w) != float(math.comb(31, 15)) * float(math.perm(40, 31))
     assert convolve_dist_test(Phi, phi).coeffs == {((5, 4), (0,)): float(w)
                                                    + 0j}
+
+
+def test_products_are_bit_identical_across_cutoffs():
+    # A retained key draws only on retained keys of both operands, and each
+    # output adds its terms in the left operand's key order, so neither the
+    # cutoff nor terms past it move a bit of a retained coefficient.
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        f, g = (random_expansion(rng, 1, 1, 6, 6, 6, 6, DISTRIBUTION)
+                for _ in range(2))
+        extra = random_expansion(rng, 1, 1, 8, 8, 8, 8, DISTRIBUTION)
+        past = {k: v for k, v in extra.coeffs.items() if max(map(sum, k)) > 6}
+        small = sym_convolve_coeffs(f, g)
+        large = sym_convolve_coeffs(
+            Expansion2(1, 1, 8, 8, {**past, **f.coeffs}, role=DISTRIBUTION),
+            Expansion2(1, 1, 8, 8, dict(g.coeffs), role=DISTRIBUTION))
+        kept = [k for k in large.coeffs if max(map(sum, k)) <= 6]
+        assert sorted(kept) == sorted(small.coeffs), seed
+        assert (np.array([large[k] for k in kept]).tobytes()
+                == np.array([small[k] for k in kept]).tobytes()), seed
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grosslap.chaos import (
     DISTRIBUTION,
+    DimensionMismatchError,
     Expansion2,
     RoleError,
     delta0,
@@ -40,6 +41,38 @@ def bilinear(v):
 def test_kernel_requires_distribution(rng):
     with pytest.raises(RoleError):
         OperatorKernel(random_expansion(rng, 1, 1, 3, 3, 2, 2))
+
+
+def _kernel():
+    return OperatorKernel(delta0(1, 1, 3, 3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: apply_operator(_kernel(), delta0(1, 0, 3, 0)),
+                 RoleError, "test function", id="apply-distribution"),
+    pytest.param(lambda: apply_operator(_kernel(), vacuum(1, 1, 3, 3)),
+                 DimensionMismatchError, "one-variable",
+                 id="apply-two-variable"),
+    pytest.param(lambda: apply_operator(_kernel(), vacuum(1, 0, 4, 0)),
+                 DimensionMismatchError, "first variable",
+                 id="apply-other-cutoff"),
+    pytest.param(lambda: multiplication_operator(vacuum(1, 0, 3, 0)),
+                 RoleError, "needs a distribution",
+                 id="multiplication-test-function"),
+    pytest.param(lambda: multiplication_operator(delta0(1, 1, 3, 3)),
+                 DimensionMismatchError, "one-variable",
+                 id="multiplication-two-variable"),
+    pytest.param(lambda: tensor_expansion(vacuum(1, 1, 3, 3),
+                                          vacuum(1, 0, 3, 0)),
+                 DimensionMismatchError, "one-variable",
+                 id="tensor-two-variable"),
+    pytest.param(lambda: tensor_expansion(vacuum(1, 0, 3, 0),
+                                          delta0(1, 0, 3, 0)),
+                 RoleError, "matching roles", id="tensor-mixed-roles"),
+])
+def test_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_identity_symbol_is_one():

@@ -1,8 +1,8 @@
 """Term data carried from birth: the exponent rows and multiplicities an
 expansion is built with are the ones decoding would give, the product
-kernel's block folding is exact whatever the block size, and the suites do
-not decode or re-derive term data more often than they did when this was
-measured."""
+kernel's block folding is exact whatever the block size and is paid for by
+the pairs it takes in, and the suites do not decode or re-derive term data
+more often than they did when this was measured."""
 
 import math
 
@@ -221,7 +221,7 @@ def test_block_size_does_not_change_a_bit(case, block, monkeypatch):
     pairs = {"past_int64": [_past_int64()], "past_2_to_53": _past_2_to_53(),
              "signed_zeros": [_signed_zeros()]}[case]
     for left, right in pairs:
-        # At block size 1 every term of the smaller operand is a block.
+        # At block size 1 every term of the left operand is a block.
         assert min(len(left.codes), len(right.codes)) > 1
         for a, b in ((left, right), (right, left)):
             want = _products(a, b)
@@ -233,6 +233,35 @@ def test_block_size_does_not_change_a_bit(case, block, monkeypatch):
         left, right = pairs[0]
         inner = max(len(left.codes), len(right.codes))
         assert min(len(left.codes), len(right.codes)) > max(1, block // inner)
+
+
+@pytest.mark.parametrize("contract", [False, True])
+def test_folds_are_paid_for_by_their_pairs(contract, monkeypatch):
+    # Each fold but the last takes in at least PAIR_BLOCK landing pairs, so
+    # a left-heavy product folds fewer times than it has blocks (38 here,
+    # each of 33 left terms against the 123 right ones).
+    rng = np.random.default_rng(0)
+    left = random_expansion(rng, 2, 2, 8, 8, 8, 8, DISTRIBUTION)
+    right = left.take(slice(None, None, 10))
+    if contract:
+        lands = left.exponents[:, None] <= right.exponents[None]
+    else:
+        lands = (left.multiplicities[0][:, None]
+                 + right.multiplicities[0][None]) <= (8, 8)
+    landing = int(lands.all(axis=2).sum())
+    folds = []
+    original = chaos._fold
+
+    def counted(sums, blocks):
+        folds.append(sum(len(target) for target, _ in blocks))
+        return original(sums, blocks)
+
+    monkeypatch.setattr(chaos, "_fold", counted)
+    pair_products(left, right, contract=contract)
+    blocks = math.ceil(len(left.codes)
+                       / max(1, chaos.PAIR_BLOCK // len(right.codes)))
+    assert sum(folds) == landing
+    assert 1 < len(folds) <= landing // chaos.PAIR_BLOCK + 1 < blocks
 
 
 # ---------------------------------------------------------------------------

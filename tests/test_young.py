@@ -63,6 +63,14 @@ def test_family_validation():
         YoungFunctionSpec("power", 0.5)
 
 
+@pytest.mark.parametrize("family, k", [("gaussian", None), ("power", 3.0),
+                                       ("expm1", None)])
+@pytest.mark.parametrize("n", [0, -1])
+def test_input_errors(family, k, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        theta_n(YoungFunctionSpec(family, k), n)
+
+
 def test_theta_values():
     assert YoungFunctionSpec("gaussian").theta(3.0) == 9.0
     assert YoungFunctionSpec("power", 3).theta(2.0) == pytest.approx(8 / 3)
