@@ -318,6 +318,15 @@ def _distinct(codes):
     return order, ordered, first
 
 
+def nan_max(a: float, b: float) -> float:
+    """The larger of two errors, or NaN if either is NaN.
+
+    The builtin max(worst, nan) returns worst, so an error accumulator built
+    on it would let a NaN sample pass its tolerance check.
+    """
+    return a if a != a or a >= b else b
+
+
 def _check_compatible(a: Expansion2, b: Expansion2) -> None:
     if (a.dim1, a.dim2) != (b.dim1, b.dim2):
         raise DimensionMismatchError(
@@ -461,7 +470,8 @@ def coefficient_polynomials(phis: Sequence[Expansion2], x):
     keys are the union of the expansions' codes.
     """
     ref = phis[0]
-    codes = np.unique(np.concatenate([phi.codes for phi in phis]))
+    _, ordered, first = _distinct(np.concatenate([phi.codes for phi in phis]))
+    codes = ordered[first]
     coef = np.zeros((len(codes), len(phis)), dtype=complex)
     for j, phi in enumerate(phis):
         coef[np.searchsorted(codes, phi.codes), j] = phi.values

@@ -3,19 +3,23 @@
 All reports are JSON with sorted keys, so a fixed seed yields byte-identical
 output.  Exit codes: 0 success, 1 a verification suite failed, 2 input or
 configuration error (including NaN or infinite numbers in the input, or a
-result that overflows to them, or an input over the size budget).
+result that overflows to them, or an input over the size budget).  Usage
+errors (an unknown command or option, a missing or malformed option value,
+an `--out` that names a directory) also exit 2, before any work.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-import click
-
-# Each command imports the library layers it runs, so `--help`, usage errors
-# and `young` never load numpy.
+# The argument layer is the standard library's argparse, and each command
+# imports the library layers it runs: `--help`, usage errors and `young`
+# never load numpy, and `solve` and `eval` load neither the dense oracle
+# (`tensor_core`) nor numpy's masked arrays.
 
 # The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
 ROLE_OF_OP = {"evaluate": "test", "laplace": "distribution"}
@@ -43,11 +47,11 @@ def _emit(report: dict, out: Optional[str]) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -77,17 +81,8 @@ def _c_json(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
-@click.group()
-def main() -> None:
-    """Coefficient-calculus toolkit: verification, solvers, evaluation."""
-
-
-@main.command()
-@click.option("--suite", "suites", multiple=True,
-              help="Run only the named suites (default: all).")
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
-def verify(suites: Sequence[str], seed: int, out: Optional[str]) -> None:
+def verify(suites: Optional[Sequence[str]], seed: int,
+           out: Optional[str]) -> None:
     """Run the registered invariant suites and report pass/fail per suite."""
     from .verify import ALL_CHECKS
     selected = list(suites) if suites else list(ALL_CHECKS)
@@ -126,13 +121,6 @@ def _process_from_json(obj):
     return ProcessSpec(grid, kernels)
 
 
-@main.command()
-@click.option("--in", "in_path", type=click.Path(exists=False), required=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
-@click.option("--method", metavar="METHOD", default=None,
-              help="Override the method named in the input file: "
-                   "closed_form, symbol_ode or both.")
-@click.option("--seed", type=int, default=42, show_default=True)
 def solve(in_path: str, out: Optional[str], method: Optional[str],
           seed: int) -> None:
     """Solve a linear kernel evolution problem described by a JSON file.
@@ -184,9 +172,6 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     _emit(report, out)
 
 
-@main.command(name="eval")
-@click.option("--in", "in_path", type=click.Path(exists=False), required=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
 def eval_cmd(in_path: str, out: Optional[str]) -> None:
     """Evaluate an expansion or kernel symbol at a list of points.
 
@@ -223,17 +208,6 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
     _emit({"op": op, "values": [_c_json(v) for v in values]}, out)
 
 
-@main.command()
-@click.option("--family", type=click.Choice(["power", "gaussian", "expm1"]),
-              required=True)
-@click.option("--k", type=float, default=None,
-              help="Exponent for the power family.")
-@click.option("--op", "op", type=click.Choice(["theta", "conjugate",
-                                               "theta-n", "growth"]),
-              required=True)
-@click.option("--x", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
 def young(family: str, k: Optional[float], op: str, x: Optional[float],
           n: Optional[int], out: Optional[str]) -> None:
     """Query a named Young function: values, conjugates, weights, growth."""
@@ -258,6 +232,79 @@ def young(family: str, k: Optional[float], op: str, x: Optional[float],
     except INPUT_ERRORS as exc:
         _fail(2, f"bad young query: {exc}")
     _emit({"family": family, "op": op, "value": value}, out)
+
+
+def _out_file(path: str) -> str:
+    """An `--out` value: a file path, not a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser: one subparser per command, whose `run` default
+    is the function that runs it."""
+    # Each option has one spelling, the one `--help` lists: no -h and no
+    # abbreviations.
+    plain = {"add_help": False, "allow_abbrev": False}
+    helps = {"action": "help", "help": "Show this message and exit."}
+    parser = argparse.ArgumentParser(
+        prog="grosslap", description="Coefficient-calculus toolkit: "
+        "verification, solvers, evaluation.", **plain)
+    parser.add_argument("--help", **helps)
+    commands = parser.add_subparsers(title="Commands", metavar="COMMAND",
+                                     required=True)
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        doc = [line.strip() for line in (run.__doc__ or name).splitlines()]
+        sub = commands.add_parser(
+            name, help=doc[0], description="\n".join(doc),
+            formatter_class=argparse.RawDescriptionHelpFormatter, **plain)
+        sub.set_defaults(run=run)
+        sub.add_argument("--help", **helps)
+        return sub
+
+    seed = {"type": int, "default": 42, "help": "(default: %(default)s)"}
+    in_path = {"dest": "in_path", "metavar": "PATH", "required": True}
+    out = {"metavar": "FILE", "type": _out_file}
+
+    cmd = command("verify", verify)
+    cmd.add_argument("--suite", dest="suites", action="append", metavar="NAME",
+                     help="Run only the named suites (default: all).")
+    cmd.add_argument("--seed", **seed)
+    cmd.add_argument("--out", **out)
+
+    cmd = command("solve", solve)
+    cmd.add_argument("--in", **in_path)
+    cmd.add_argument("--out", **out)
+    cmd.add_argument("--method", metavar="METHOD",
+                     help="Override the method named in the input file: "
+                          "closed_form, symbol_ode or both.")
+    cmd.add_argument("--seed", **seed)
+
+    cmd = command("eval", eval_cmd)
+    cmd.add_argument("--in", **in_path)
+    cmd.add_argument("--out", **out)
+
+    cmd = command("young", young)
+    cmd.add_argument("--family", required=True,
+                     choices=["power", "gaussian", "expm1"])
+    cmd.add_argument("--k", type=float,
+                     help="Exponent for the power family.")
+    cmd.add_argument("--op", required=True,
+                     choices=["theta", "conjugate", "theta-n", "growth"])
+    cmd.add_argument("--x", type=float)
+    cmd.add_argument("--n", type=int)
+    cmd.add_argument("--out", **out)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    """Parse argv (default: the process's arguments), run the command and
+    exit with its code: 0 unless the command or the parser exits first."""
+    options = vars(_parser().parse_args(argv))
+    options.pop("run")(**options)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -34,10 +34,10 @@ from .chaos import (
     key_codes,
     key_rows,
     multiplicities,
+    nan_max,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
-from .tensor_core import nan_max
 
 ACTION_FUNCTION = "function"
 ACTION_DISTRIBUTION = "distribution"

@@ -46,15 +46,6 @@ def multinomial_weight(alpha: MultiIndex) -> int:
     return out
 
 
-def nan_max(a: float, b: float) -> float:
-    """The larger of two errors, or NaN if either is NaN.
-
-    The builtin max(worst, nan) returns worst, so an error accumulator built
-    on it would let a NaN sample pass its tolerance check.
-    """
-    return a if a != a or a >= b else b
-
-
 def iter_occupations(dim: int, degree: int) -> Iterable[MultiIndex]:
     """All occupation vectors of given dim and total degree."""
     if dim == 0:

@@ -26,6 +26,7 @@ from .chaos import (
     grid_point_count,
     key_codes,
     key_rows,
+    nan_max,
     point_coordinates,
 )
 from .evolution import ACTION_DISTRIBUTION, ProcessSpec, solve
@@ -40,7 +41,6 @@ from .quantum_op import OperatorKernel, classical_quantum_bridge, quantum_gross
 from .tensor_core import (
     contract_full,
     dense_contract_full,
-    nan_max,
     symmetrize,
     to_dense,
 )

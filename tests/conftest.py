@@ -1,11 +1,15 @@
+import contextlib
+import io
 import itertools
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from grosslap.chaos import DISTRIBUTION
+from grosslap.cli import main
 from grosslap.evolution import ACTIONS, METHODS, ProcessSpec
 from grosslap.gross import convolve_dist_test, trace_distribution
 from grosslap.quantum_op import OperatorKernel
@@ -57,6 +61,23 @@ def gross_parts(phi):
     T = trace_distribution(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
     first = T.exponents[:, :T.dim1].any(axis=1)
     return [convolve_dist_test(T.take(mask), phi) for mask in (first, ~first)]
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def run_cli(args) -> CliResult:
+    """Run `grosslap` in this process on args: the code it exits with and
+    its stdout and stderr merged in the order written."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return CliResult(exc.code, out.getvalue())
+    raise AssertionError(f"main({args!r}) returned instead of exiting")
 
 
 @pytest.fixture

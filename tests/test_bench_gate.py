@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from grosslap.cli import main
+from conftest import run_cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,8 +42,7 @@ def test_heat_solve_passes_the_benchmark_checks(bench_run, tmp_path, seed):
     spec = bench_run.inputs.heat_input(seed)
     path = tmp_path / "heat.json"
     path.write_text(json.dumps(spec))
-    res = CliRunner().invoke(main, ["solve", "--in", str(path),
-                                    "--method", "both"])
+    res = run_cli(["solve", "--in", str(path), "--method", "both"])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["times"] == spec["times"]
@@ -59,7 +57,7 @@ def test_driven_solve_passes_the_benchmark_check(bench_run, tmp_path, seed):
     spec = bench_run.inputs.driven_input(seed)
     path = tmp_path / "driven.json"
     path.write_text(json.dumps(spec))
-    res = CliRunner().invoke(main, ["solve", "--in", str(path)])
+    res = run_cli(["solve", "--in", str(path)])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["times"] == spec["times"]

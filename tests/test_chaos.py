@@ -19,6 +19,7 @@ from grosslap.chaos import (
     expansion_to_json,
     exponential_vector,
     laplace,
+    nan_max,
     pointwise_product,
     translate,
     vacuum,
@@ -239,3 +240,10 @@ def test_json_rejects_a_duplicated_key():
     obj["terms"].append(dict(obj["terms"][0], re=5.0))
     with pytest.raises(ValueError, match="appears twice"):
         expansion_from_json(obj)
+
+
+def test_nan_max_propagates_nan():
+    assert nan_max(1.0, 2.0) == 2.0
+    assert nan_max(2.0, 1.0) == 2.0
+    assert math.isnan(nan_max(0.0, math.nan))
+    assert math.isnan(nan_max(math.nan, 1.0))

@@ -19,6 +19,7 @@ from grosslap.chaos import (
     expansion_from_json,
     expansion_to_json,
     exponential_vector,
+    nan_max,
 )
 from grosslap.gross import trace_distribution
 from grosslap.quantum_op import (
@@ -27,11 +28,7 @@ from grosslap.quantum_op import (
     multiplication_operator,
     tensor_expansion,
 )
-from grosslap.tensor_core import (
-    iter_occupations,
-    multinomial_weight,
-    nan_max,
-)
+from grosslap.tensor_core import iter_occupations, multinomial_weight
 
 # ---------------------------------------------------------------------------
 # Reference: the dict loops of the old storage.

@@ -14,6 +14,7 @@ from grosslap.chaos import (
     dual_pair,
     exponential_vector,
     laplace,
+    nan_max,
     pointwise_product,
     vacuum,
 )
@@ -30,7 +31,6 @@ from grosslap.quantum_op import (
     symbol,
     tensor_expansion,
 )
-from grosslap.tensor_core import nan_max
 from conftest import random_expansion, rng_complex
 
 

@@ -16,7 +16,6 @@ from grosslap.tensor_core import (
     dense_contract_full,
     iter_occupations,
     multinomial_weight,
-    nan_max,
     symmetrize,
     to_dense,
 )
@@ -97,10 +96,3 @@ def test_zero_and_scalar_behaviour():
 def test_expansion_rejects_dim_zero():
     with pytest.raises(ValueError):
         Expansion2(0, 0, 0, 0)
-
-
-def test_nan_max_propagates_nan():
-    assert nan_max(1.0, 2.0) == 2.0
-    assert nan_max(2.0, 1.0) == 2.0
-    assert math.isnan(nan_max(0.0, math.nan))
-    assert math.isnan(nan_max(math.nan, 1.0))
