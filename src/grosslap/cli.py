@@ -5,7 +5,8 @@ output.  Exit codes: 0 success, 1 a verification suite failed, 2 input or
 configuration error (including NaN or infinite numbers in the input, or a
 result that overflows to them, or an input over the size budget).  Usage
 errors (an unknown command or option, a missing or malformed option value,
-an `--out` that names a directory) also exit 2, before any work.
+a negative `--seed`, an `--out` that names a directory or a file in a
+directory that does not exist) also exit 2, before any work.
 """
 
 from __future__ import annotations
@@ -235,10 +236,26 @@ def young(family: str, k: Optional[float], op: str, x: Optional[float],
 
 
 def _out_file(path: str) -> str:
-    """An `--out` value: a file path, not a directory."""
+    """An `--out` value: a file path, not a directory, in a directory that
+    exists."""
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"directory {parent!r} of file {path!r} does not exist")
     return path
+
+
+def _seed(text: str) -> int:
+    """A `--seed` value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} is negative")
+    return seed
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -264,7 +281,7 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--help", **helps)
         return sub
 
-    seed = {"type": int, "default": 42, "help": "(default: %(default)s)"}
+    seed = {"type": _seed, "default": 42, "help": "(default: %(default)s)"}
     in_path = {"dest": "in_path", "metavar": "PATH", "required": True}
     out = {"metavar": "FILE", "type": _out_file}
 

@@ -16,7 +16,9 @@ smoothing of the kernel polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -273,20 +275,25 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     Xi <- e^{*hZ} Xi + (int_0^h e^{*uZ} du) Theta, both propagators from
     `_step_propagators` when there is a source.  The steps compose, as
     e^{*(A+B)} = e^{*A} * e^{*B} in the truncated ring and both propagator
-    actions (selected by ``action``) are actions of that ring.
+    actions (selected by ``action``) are actions of that ring.  Steps with
+    the same Z piece, Theta piece and length h (compared exactly) share
+    their propagators, built on the first of them.
     """
     _check_processes(Z, Theta, xi0)
     state = xi0.kernel
     states = {0.0: state}
+    propagators = {}
     for a, b, i, j in _segments(Z, Theta, times):
         h = b - a
         gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
-        if len(source.codes):
-            propagator, integral = _step_propagators(gen, h)
-            state = apply_propagator(propagator, state, action).add(
-                apply_propagator(integral, source, action))
-        else:
-            state = apply_propagator(conv_exp(gen.scale(h)), state, action)
+        if (i, j, h) not in propagators:
+            propagators[i, j, h] = (_step_propagators(gen, h)
+                                    if len(source.codes) else
+                                    (conv_exp(gen.scale(h)), None))
+        propagator, integral = propagators[i, j, h]
+        state = apply_propagator(propagator, state, action)
+        if integral is not None:
+            state = state.add(apply_propagator(integral, source, action))
         states[b] = state
     kernels = tuple(OperatorKernel(states[float(t)], label="solution")
                     for t in times)
@@ -310,8 +317,10 @@ def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
 SYMBOL_RADIUS = 0.125
 
 
+@functools.lru_cache(maxsize=16)
 def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
-    """The symbol grid of one kernel shape.
+    """The symbol grid of one kernel shape, read-only and cached: `solve`
+    with method "both" takes it for the symbol ODE and for `symbol_gap`.
 
     cutoff + 1 points per coordinate, equispaced on the circle of radius
     SYMBOL_RADIUS, so the monomial of exponent gamma = alpha + beta is one
@@ -329,6 +338,8 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     scale = np.zeros(len(points))
     scale[bins] = multiplicities(keys, dim1)[1].astype(float)
     scale[bins] *= SYMBOL_RADIUS ** keys.sum(axis=1)
+    for array in (points, bins, scale):
+        array.flags.writeable = False
     return shape, points, bins, scale
 
 
@@ -389,7 +400,7 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
 
     values = np.array([states[float(t)] for t in times],
                       dtype=complex).reshape(len(times), len(points))
-    points.flags.writeable = values.flags.writeable = False
+    values.flags.writeable = False
     spectrum = np.fft.fftn(values.reshape(len(times), *shape),
                            axes=tuple(range(1, len(shape) + 1)))
     coef = (spectrum.reshape(values.shape)[:, bins]
@@ -462,14 +473,16 @@ def solve(xi0: OperatorKernel, times: Sequence[float],
     time under the function action).  A closed-form heat flow with a zero
     source under the function action reports gaussian_gap, its largest
     distance from Gaussian-moment smoothing at GAUSSIAN_CHECK_POINTS points
-    per time drawn from ``seed``.  The solution's method is the one asked
-    for.
+    per time drawn with `random.Random(seed)`; ``seed`` must be >= 0.  The
+    solution's method is the one asked for.
     """
     for name, value, allowed in (("method", method, METHODS),
                                  ("action", action, ACTIONS)):
         if value not in allowed:
             raise ValueError(f"{name} must be one of "
                              f"{', '.join(allowed)}, not {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     ref = xi0.kernel
     shape = (ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
     t_end = max([float(t) for t in times] + [1e-9])
@@ -498,12 +511,20 @@ def solve(xi0: OperatorKernel, times: Sequence[float],
 
 def _gaussian_gap(xi0: OperatorKernel, sol: EvolutionSolution,
                   seed: int) -> float:
-    """Largest |kernel - Gaussian smoothing of xi0| over random points."""
+    """Largest |kernel - Gaussian smoothing of xi0| over random points.
+
+    The points' coordinates are 2 random() - 1 from the standard library's
+    `random.Random(seed)`, seed >= 0, whose random() stream Python keeps
+    fixed across versions; they are drawn per time, per point, per
+    coordinate.
+    """
     ref = xi0.kernel
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     gap = 0.0
     for t, kern in zip(sol.times, sol.kernels):
-        x = rng.uniform(-1, 1, (GAUSSIAN_CHECK_POINTS, ref.dim1 + ref.dim2))
+        x = np.array([[2 * rng.random() - 1
+                       for _ in range(ref.dim1 + ref.dim2)]
+                      for _ in range(GAUSSIAN_CHECK_POINTS)])
         direct = coefficient_polynomials([kern.kernel], x)[:, 0]
         oracle = gaussian_heat_kernel(xi0, t, x)
         gap = nan_max(gap, float(np.max(np.abs(direct - oracle))))

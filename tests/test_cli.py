@@ -508,7 +508,7 @@ def _eval_input():
 # need no numpy, `solve` no suites or Young functions, `eval` no solver, and
 # neither `solve` nor `eval` the dense oracle or numpy's masked arrays.  No
 # command loads click.
-SOLVE_AND_EVAL_SKIP = {"grosslap.tensor_core", "numpy.ma"}
+SOLVE_AND_EVAL_SKIP = {"grosslap.tensor_core", "numpy.ma", "numpy.random"}
 
 
 @pytest.mark.parametrize("args, code, absent", [
@@ -522,6 +522,10 @@ SOLVE_AND_EVAL_SKIP = {"grosslap.tensor_core", "numpy.ma"}
                  2, {"numpy"}, id="bad-family"),
     pytest.param(["verify", "--seed", "1.5"], 2, {"numpy"},
                  id="non-integer-seed"),
+    pytest.param(["verify", "--suite", "exponential-eigenvalue", "--seed",
+                  "-1"], 2, {"numpy"}, id="verify-negative-seed"),
+    pytest.param(["solve", "--in", "{heat}", "--seed", "-1"], 2, {"numpy"},
+                 id="solve-negative-seed"),
     pytest.param(["young", "--family", "expm1", "--op", "conjugate", "--x",
                   "2.0"], 0, {"numpy"}, id="young"),
     pytest.param(["solve", "--in", "{heat}", "--method", "both"], 0,
@@ -564,28 +568,53 @@ def test_help_lists_every_command_after_the_commands_heading():
     assert {"eval", "solve", "verify", "young"} <= set(listed)
 
 
-@pytest.mark.parametrize("args", [
+EVERY_COMMAND = [
     pytest.param(["verify", "--suite", "exponential-eigenvalue"],
                  id="verify"),
     pytest.param(["solve", "--in", "{heat}"], id="solve"),
     pytest.param(["eval", "--in", "{eval}"], id="eval"),
     pytest.param(["young", "--family", "gaussian", "--op", "theta", "--x",
                   "1"], id="young"),
-])
-def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, args):
+]
+
+
+def run_without_work(tmp_path, monkeypatch, args):
+    """Run a command of EVERY_COMMAND on small inputs with `_emit` made to
+    fail, so a usage error must stop it before any work."""
     import grosslap.cli
 
     def no_report(report, out):
-        raise AssertionError("the --out check must come before any work")
+        raise AssertionError("the usage check must come before any work")
 
     monkeypatch.setattr(grosslap.cli, "_emit", no_report)
     paths = {"heat": tmp_path / "heat.json", "eval": tmp_path / "eval.json"}
     paths["heat"].write_text(json.dumps(_heat_input([0.5])))
     paths["eval"].write_text(json.dumps(_eval_input()))
-    args = [a.format(**paths) for a in args]
-    res = run_cli(args + ["--out", str(tmp_path)])
+    return run_cli([a.format(**paths) for a in args])
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND)
+def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, args):
+    res = run_without_work(tmp_path, monkeypatch,
+                           args + ["--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
     assert "is a directory" in res.output
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND)
+def test_out_in_a_missing_directory_exits_2(tmp_path, monkeypatch, args):
+    missing = tmp_path / "missing" / "report.json"
+    res = run_without_work(tmp_path, monkeypatch,
+                           args + ["--out", str(missing)])
+    assert res.exit_code == 2, res.output
+    assert "does not exist" in res.output
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND[:2])  # verify and solve
+def test_negative_seed_exits_2(tmp_path, monkeypatch, args):
+    res = run_without_work(tmp_path, monkeypatch, args + ["--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "seed -1 is negative" in res.output
 
 
 @pytest.mark.parametrize("z", [

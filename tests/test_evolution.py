@@ -1,14 +1,17 @@
 """Tests for convolution exponentials and the evolution solvers."""
 
 import cmath
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grosslap import evolution
 from grosslap.chaos import (
     DISTRIBUTION,
     DimensionMismatchError,
@@ -20,9 +23,11 @@ from grosslap.chaos import (
     multiplicities,
     vacuum,
 )
+from grosslap.cli import _process_from_json
 from grosslap.evolution import (
     ACTION_DISTRIBUTION,
     ACTION_FUNCTION,
+    ACTIONS,
     SYMBOL_RADIUS,
     EvolutionSolution,
     ProcessSpec,
@@ -38,10 +43,12 @@ from grosslap.evolution import (
     zero_process,
     _exp_divided_differences,
     _piece_index,
+    _segments,
     _shifted_gauss_moment,
+    _step_propagators,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
-from grosslap.quantum_op import OperatorKernel, symbol
+from grosslap.quantum_op import OperatorKernel, kernel_from_json, symbol
 from grosslap.tensor_core import multinomial_weight
 from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
 
@@ -519,6 +526,89 @@ def test_heat_equals_qsde_with_half_trace(rng):
 
 
 # ---------------------------------------------------------------------------
+# Steps that share propagators
+
+
+def rebuilt_every_step(Z, Theta, xi0, times, action):
+    """The closed-form kernels at `times`, with the propagators built afresh
+    at every step of `_segments`."""
+    state = xi0.kernel
+    states = {0.0: state}
+    for a, b, i, j in _segments(Z, Theta, times):
+        gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
+        if len(source.codes):
+            propagator, integral = _step_propagators(gen, b - a)
+            state = apply_propagator(propagator, state, action).add(
+                apply_propagator(integral, source, action))
+        else:
+            state = apply_propagator(conv_exp(gen.scale(b - a)), state,
+                                     action)
+        states[b] = state
+    return [states[float(t)] for t in times]
+
+
+def counted_calls(monkeypatch, name):
+    """Replace evolution.<name> by a wrapper; returns the list its calls are
+    appended to."""
+    calls = []
+    original = getattr(evolution, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evolution, name, counted)
+    return calls
+
+
+def assert_same_bits(kernels, expected):
+    assert len(kernels) == len(expected)
+    for kern, exact in zip(kernels, expected):
+        assert np.array_equal(kern.kernel.codes, exact.codes)
+        assert kern.kernel.values.tobytes() == exact.values.tobytes()
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+@pytest.mark.parametrize("times, builds", [
+    pytest.param([0.25, 0.5, 0.75, 1.0], 1, id="equal-steps"),
+    pytest.param([0.25, 0.5, 1.0], 2, id="unequal-steps"),
+])
+def test_heat_steps_of_one_length_share_a_propagator(monkeypatch, rng, times,
+                                                     builds, action):
+    xi0 = OperatorKernel(random_expansion(rng, 1, 1, 6, 6, 4, 4,
+                                          role=DISTRIBUTION))
+    Z = half_trace_process(1, 1, 6, 6, 1.0)
+    Theta = zero_process(1, 1, 6, 6, 1.0)
+    expected = rebuilt_every_step(Z, Theta, xi0, times, action)
+    conv_exps = counted_calls(monkeypatch, "conv_exp")
+    sol = solve_qsde(Z, Theta, xi0, times, action=action)
+    assert len(conv_exps) == builds
+    assert_same_bits(sol.kernels, expected)
+
+
+def test_driven_steps_share_propagators_per_piece(monkeypatch):
+    # The benchmark's driven flow: Z and Theta change at t = 1, and the steps
+    # to 0.5, 1.0 and 1.5 all have length 0.5, so the first two share their
+    # propagators.
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc = inputs.driven_input(1)
+    xi0 = kernel_from_json(doc["xi0"])
+    Z, Theta = _process_from_json(doc["Z"]), _process_from_json(doc["Theta"])
+    action = doc["action"]
+    expected = rebuilt_every_step(Z, Theta, xi0, doc["times"], action)
+    steps = counted_calls(monkeypatch, "_step_propagators")
+    conv_exps = counted_calls(monkeypatch, "conv_exp")
+    sol = solve_qsde(Z, Theta, xi0, doc["times"], action=action)
+    assert len(_segments(Z, Theta, doc["times"])) == 3
+    assert [h for _, h in steps] == [0.5, 0.5]
+    assert not conv_exps
+    assert_same_bits(sol.kernels, expected)
+
+
+# ---------------------------------------------------------------------------
 # symbol-ODE oracle
 
 
@@ -730,3 +820,5 @@ def test_solve_checks_method_and_action_before_any_work(monkeypatch):
         solve(xi0, [0.5], method="symbol-ode")
     with pytest.raises(ValueError, match="action must be one of"):
         solve(xi0, [0.5], action="functional")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        solve(xi0, [0.5], seed=-1)
