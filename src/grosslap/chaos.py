@@ -17,7 +17,6 @@ Dicts of keys appear only in the constructor, JSON and the `coeffs` view.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -285,16 +284,13 @@ class Expansion2:
         return self.with_terms((self.codes, c * self.values))
 
     def add(self, other: "Expansion2") -> "Expansion2":
+        """Sum with an expansion of this shape and role, by `sum_by_code`."""
         _check_compatible(self, other)
         if other.role != self.role:
             raise RoleError("can only add expansions with equal roles")
-        _, codes, first = _distinct(np.concatenate((self.codes, other.codes)))
-        codes = codes[first]
-        values = np.zeros(len(codes), dtype=complex)
-        values[np.searchsorted(codes, self.codes)] = self.values
-        values[np.searchsorted(codes, other.codes)] += other.values
-        kept = values != 0
-        return self.with_terms((codes[kept], values[kept]))
+        return self.with_terms(sum_by_code(
+            np.concatenate((self.codes, other.codes)),
+            np.concatenate((self.values, other.values))))
 
     def with_role(self, role: str) -> "Expansion2":
         return self.with_terms((self.codes, self.values), role=role)
@@ -316,6 +312,23 @@ def _distinct(codes):
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return order, ordered, first
+
+
+def sum_by_code(codes, values):
+    """The terms (codes, values) summed per code, in increasing code order:
+    the library's one sum over codes.  Each code's values are added in input
+    order from +0.0 (a stable sort, then `np.bincount` per part), so no sum
+    is -0.0 and a prior sum passed first carries on unchanged.  Zero sums
+    are dropped.  Returns terms as the `Expansion2` constructor takes them.
+    """
+    order, ordered, first = _distinct(codes)
+    slot = first.cumsum() - 1
+    codes, values = ordered[first], values[order]
+    sums = np.empty(len(codes), dtype=complex)
+    sums.real = np.bincount(slot, values.real, len(codes))
+    sums.imag = np.bincount(slot, values.imag, len(codes))
+    kept = sums != 0
+    return codes[kept], sums[kept]
 
 
 def nan_max(a: float, b: float) -> float:
@@ -615,7 +628,8 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Expansion2:
 
 
 # Pairs examined at once by `pair_products`: a block of the left operand's
-# terms against every term of the right, so small products take one step.
+# terms against every term of the right, so small products take one step,
+# and the fewest landing pairs it hands to one `sum_by_code`.
 PAIR_BLOCK = 4096
 
 
@@ -627,24 +641,6 @@ def _falling_factorials(cutoff: int, wtype: type):
                       for n in range(cutoff + 1)], dtype=wtype)
     table.flags.writeable = False
     return table
-
-
-def _fold(sums, blocks):
-    """The running sums (codes, real parts, imaginary parts) with held
-    blocks of (targets, terms) added: one stable sort of the sums' codes
-    followed by the blocks' targets, then one `np.bincount` per part, which
-    adds in input order from +0.0, so every sum takes its prior value first
-    and then the blocks' terms in order."""
-    codes, re, im = sums
-    terms = np.concatenate([terms for _, terms in blocks])
-    order, ordered, first = _distinct(
-        np.concatenate([codes] + [target for target, _ in blocks]))
-    slot = first.cumsum() - 1
-    codes = ordered[first]
-    size = len(codes)
-    return (codes,
-            np.bincount(slot, np.concatenate((re, terms.real))[order], size),
-            np.bincount(slot, np.concatenate((im, terms.imag))[order], size))
 
 
 def pair_products(left: Expansion2, right: Expansion2, contract: bool):
@@ -669,10 +665,10 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     code array.  Terms of the left operand are taken PAIR_BLOCK / (terms of
     the right) at a time, at least one.  Each block's landing pairs are
     held until they number max(PAIR_BLOCK, running sums), or the left
-    operand ends, and are then folded into the sums by `_fold`, so each
-    fold's sort is paid for by the pairs it takes in.  Transient arrays
-    hold O(sums + PAIR_BLOCK + terms of the right) entries, never one per
-    pair of a large product.
+    operand ends, and then folded in by one `sum_by_code` of the running
+    sums and the held pairs, so each fold's sort is paid for by the pairs it
+    takes in.  Transient arrays hold O(sums + PAIR_BLOCK + terms of the
+    right) entries, never one per pair of a large product.
     """
     if not len(left.codes) or not len(right.codes):
         return left.codes[:0], np.zeros(0, dtype=complex)
@@ -700,7 +696,7 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         need, room = deg_l.T, np.array([[c1], [c2]]) - deg_r.T
     need, room = np.ascontiguousarray(need), np.ascontiguousarray(room)
 
-    sums = (code_l[:0], np.zeros(0), np.zeros(0))
+    sums = code_l[:0], np.zeros(0, dtype=complex)
     held, pairs = [], 0
     step = max(1, PAIR_BLOCK // len(c_r))
     for start in range(0, len(c_l), step):
@@ -721,20 +717,19 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         held.append((target, (w.astype(float) * c_l[il]) * c_r[ir]))
         pairs += len(il)
         if pairs >= max(PAIR_BLOCK, len(sums[0])) or start + step >= len(c_l):
-            sums = _fold(sums, held)
+            codes, terms = zip(sums, *held)
+            sums = sum_by_code(np.concatenate(codes), np.concatenate(terms))
             held, pairs = [], 0
 
-    kept = (sums[1] != 0) | (sums[2] != 0)
-    out_codes, out_re, out_im = (part[kept] for part in sums)
-    values = np.empty(len(out_codes), dtype=complex)
+    codes, values = sums
     if contract:
-        values.real, values.imag = out_re, out_im
-        return out_codes, values
-    rows = _decode(out_codes, left)
+        return codes, values
+    rows = _decode(codes, left)
     degrees, mult = multiplicities(rows, left.dim1)
     divisor = mult.astype(float)
-    values.real, values.imag = out_re / divisor, out_im / divisor
-    return out_codes, values, rows, degrees, mult
+    values.real /= divisor
+    values.imag /= divisor
+    return codes, values, rows, degrees, mult
 
 
 def pointwise_product(f: Expansion2, g: Expansion2) -> Expansion2:
@@ -774,9 +769,6 @@ def expansion_from_json(obj: dict) -> Expansion2:
         coeffs[key] = complex(_json_number(t["re"], "a real part"),
                               _json_number(t.get("im", 0.0),
                                            "an imaginary part"))
-    # Overflowed literals such as 1e999 parse to inf.
-    if not all(cmath.isfinite(v) for v in coeffs.values()):
-        raise ValueError("expansion coefficients must be finite")
     return Expansion2(*(_json_count(obj[k], k) for k in
                         ("dim1", "dim2", "cutoff1", "cutoff2")),
                       coeffs, role=obj.get("role", TEST))
@@ -797,10 +789,17 @@ def _json_count(value, what: str) -> int:
 
 
 def _json_number(value, what: str) -> float:
-    """A JSON number as a float; booleans and strings are rejected."""
+    """A finite JSON number as a float; booleans, strings and numbers past
+    double range (1e999 parses to inf, 10**400 to an integer) are rejected."""
     if type(value) not in (int, float):
         raise ValueError(f"{what} must be a number, not {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, within double range")
+    return number
 
 
 def _json_multi_index(values) -> MultiIndex:

@@ -37,6 +37,7 @@ from .chaos import (
     key_rows,
     multiplicities,
     nan_max,
+    sum_by_code,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
 from .quantum_op import OperatorKernel
@@ -158,16 +159,15 @@ def _power_series(N: Expansion2,
     from one chain of powers of N.
 
     N has positive minimal degree, so N^{*j} vanishes once j exceeds
-    cutoff1 + cutoff2 and each series is exact with that many weights.
+    cutoff1 + cutoff2 and each series is exact with that many weights: one
+    `sum_by_code` over the weighted powers, in increasing j.
     """
-    power = delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)
-    results = [power.scale(w[0]) for w in weights]
-    for j in range(1, len(weights[0])):
-        power = convolve_dist_dist(power, N)
-        if not len(power.codes):
-            break
-        results = [r.add(power.scale(w[j])) for r, w in zip(results, weights)]
-    return results
+    powers = [delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)]
+    while len(powers) < len(weights[0]) and len(powers[-1].codes):
+        powers.append(convolve_dist_dist(powers[-1], N))
+    codes = np.concatenate([p.codes for p in powers])
+    return [powers[0].with_terms(sum_by_code(codes, np.concatenate(
+        [c * p.values for p, c in zip(powers, w)]))) for w in weights]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .chaos import (
     multiplicities,
     occupations_below,
     pairing_weights,
+    sum_by_code,
     vacuum,
 )
 from .gross import convolve_dist_dist, gross_distribution
@@ -68,7 +69,8 @@ def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
 
     Output is the one-variable distribution Psi over the kernel's second
     variable with <<Psi, g>> = <<kernel, f (x) g>> for every g; coefficient
-    rule: Psi_beta = sum_alpha |alpha|! mult(alpha) f_alpha K_{alpha,beta}.
+    rule: Psi_beta = sum_alpha |alpha|! mult(alpha) f_alpha K_{alpha,beta},
+    summed per beta by `sum_by_code` in the kernel's term order.
     """
     if f.role != TEST:
         raise RoleError("apply_operator needs a test function")
@@ -84,14 +86,9 @@ def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
     hit = np.isin(alpha, f.codes)
     at = np.searchsorted(f.codes, alpha[hit])
     weighted = pairing_weights(*f.multiplicities) * f.values
-    # Summed per beta in the kernel's term order.
-    codes, slot = np.unique(key_codes(rows[hit, d1:], K.dim2, 0, K.cutoff2, 0),
-                            return_inverse=True)
-    values = np.zeros(len(codes), dtype=complex)
-    np.add.at(values, slot, complex_product(weighted[at], K.values[hit]))
-    kept = values != 0
-    return Expansion2(K.dim2, 0, K.cutoff2, 0, (codes[kept], values[kept]),
-                      role=DISTRIBUTION)
+    beta = key_codes(rows[hit, d1:], K.dim2, 0, K.cutoff2, 0)
+    terms = sum_by_code(beta, complex_product(weighted[at], K.values[hit]))
+    return Expansion2(K.dim2, 0, K.cutoff2, 0, terms, role=DISTRIBUTION)
 
 
 def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:

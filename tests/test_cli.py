@@ -418,15 +418,66 @@ def test_non_object_json_exits_2(tmp_path, command, field, value):
     assert "expected a JSON object" in res.output
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
-def test_solve_non_finite_input_exits_2(tmp_path, literal):
-    text = json.dumps(_heat_input([0.5])).replace('"re": 1.0',
-                                                  f'"re": {literal}')
-    assert literal in text
+# A placeholder number, written into one field of an input and then
+# replaced by the literal under test.
+PLACEHOLDER = 12345.5
+
+
+def _with_placeholder(field):
+    """A `solve` or `eval` input holding PLACEHOLDER in `field`, and the
+    command that reads it."""
+    from grosslap.chaos import delta0
+    if field in ("z", "t"):
+        point = {"z": [0.3], "t": [0.2]}
+        point[field] = [PLACEHOLDER]
+        return "eval", {"op": "laplace",
+                        "expansion": expansion_to_json(delta0(1, 1, 4, 4)),
+                        "points": [point]}
+    spec = _driven_input()
+    spec["Theta"] = {"grid": [0.0, 1.0],
+                     "kernels": [spec["Z"]["kernels"][0]]}
+    if field == "re":
+        spec["xi0"]["kernel"]["terms"][0]["re"] = PLACEHOLDER
+    elif field == "im":
+        spec["xi0"]["kernel"]["terms"][0]["im"] = PLACEHOLDER
+    elif field == "time":
+        spec["times"] = [PLACEHOLDER]
+    else:
+        spec[field]["grid"][-1] = PLACEHOLDER
+    return "solve", spec
+
+
+@pytest.mark.parametrize("literal, field, what", [
+    pytest.param("NaN", "re", "NaN", id="NaN"),
+    pytest.param("Infinity", "re", "Infinity", id="Infinity"),
+    pytest.param("1e999", "re", "a real part must be finite", id="1e999"),
+    pytest.param("-1e999", "im", "an imaginary part must be finite",
+                 id="im-1e999"),
+    pytest.param("1e999", "time", "a time must be finite", id="time-1e999"),
+    pytest.param("1" + "0" * 400, "time", "a time must be finite",
+                 id="time-huge-integer"),
+    pytest.param("1e999", "Z", "a grid point must be finite",
+                 id="Z-grid-1e999"),
+    pytest.param("1e999", "Theta", "a grid point must be finite",
+                 id="Theta-grid-1e999"),
+    pytest.param("1e999", "z", "a real part must be finite",
+                 id="eval-z-1e999"),
+    pytest.param("1e999", "t", "a real part must be finite",
+                 id="eval-t-1e999"),
+])
+def test_solve_non_finite_input_exits_2(tmp_path, monkeypatch, literal,
+                                        field, what):
+    # Non-finite numbers, and literals that overflow to them, are input
+    # errors found before any work.
+    command, spec = _with_placeholder(field)
+    text = json.dumps(spec)
+    assert text.count(str(PLACEHOLDER)) == 1
     path = tmp_path / "in.json"
-    path.write_text(text)
-    res = run_cli(["solve", "--in", str(path)])
+    path.write_text(text.replace(str(PLACEHOLDER), literal))
+    res = run_without_work(tmp_path, monkeypatch,
+                           [command, "--in", str(path)])
     assert res.exit_code == 2, res.output
+    assert what in res.output
 
 
 def test_solve_deterministic_output(tmp_path):

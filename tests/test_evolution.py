@@ -152,6 +152,42 @@ def test_conv_exp_exponentiates_the_transform(rng):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+def chained_power_series(N, *weights):
+    """sum_j w[j] N^{*j} for each weight list w, one pairwise `add` of
+    w[j] N^{*j} per power."""
+    power = delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)
+    results = [power.scale(w[0]) for w in weights]
+    for j in range(1, len(weights[0])):
+        power = convolve_dist_dist(power, N)
+        if not len(power.codes):
+            break
+        results = [r.add(power.scale(w[j])) for r, w in zip(results, weights)]
+    return results
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
+def test_series_sum_as_chained_adds_do(dims, cutoff):
+    # Each series is one sum over all its powers' terms, which must add
+    # every coefficient in the order a chain of pairwise adds does.
+    rng = np.random.default_rng([*dims, cutoff])
+    Z = random_expansion(rng, *dims, cutoff, cutoff, cutoff, cutoff,
+                         DISTRIBUTION, scale=0.5)
+    h, kmax = 0.37, 2 * cutoff
+    c0, N = evolution._split_constant(Z)
+    got = [conv_exp(Z)]
+    want = chained_power_series(N, evolution._exp_weights(c0, kmax))
+    c0, M = evolution._split_constant(Z.scale(h))
+    got += _step_propagators(Z, h)
+    want += chained_power_series(M, evolution._exp_weights(c0, kmax),
+                                 h * _exp_divided_differences(c0, kmax + 1))
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert len(g.codes) > 1
+        assert g.codes.tolist() == w.codes.tolist()
+        assert g.values.tobytes() == w.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # processes
 

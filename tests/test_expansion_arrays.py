@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grosslap.chaos import (
@@ -20,6 +20,7 @@ from grosslap.chaos import (
     expansion_to_json,
     exponential_vector,
     nan_max,
+    sum_by_code,
 )
 from grosslap.gross import trace_distribution
 from grosslap.quantum_op import (
@@ -319,6 +320,45 @@ def test_codes_past_2_to_63_are_python_integers():
     text = json.dumps(expansion_to_json(phi))
     assert text == json.dumps(old_json_layout(dim, 0, cutoff, 0,
                                               DISTRIBUTION, coeffs))
+
+
+# Parts that cancel in pairs, signed zeros, and magnitudes where the order
+# of addition shows: (1 + 1e16) - 1e16 is 0, but 1 + (1e16 - 1e16) is 1.
+SUM_PARTS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e16, -1e16])
+             | st.floats(-10, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), SUM_PARTS, SUM_PARTS),
+                max_size=30),
+       st.booleans())
+@example([(3, 1.0, -0.0), (3, 1e16, 0.1), (3, -1e16, -0.1)], False)
+@example([(1, -0.0, -0.0), (0, 1.0, 2.0), (1, 0.5, -0.0)], True)
+@example([], False)
+@example([], True)
+def test_sum_by_code_adds_each_code_in_input_order(terms, past_int64):
+    # Object codes past 2^63 when `past_int64`, int64 codes otherwise.
+    offset = 2 ** 64 if past_int64 else 0
+    dtype = object if past_int64 else np.int64
+    codes = np.array([offset + c for c, _, _ in terms], dtype=dtype)
+    values = np.array([complex(re, im) for _, re, im in terms],
+                      dtype=complex).reshape(len(terms))
+    # Left to right from 0.0, the real and imaginary parts apart.
+    sums = {}
+    for c, re, im in terms:
+        total = sums.get(offset + c, (0.0, 0.0))
+        sums[offset + c] = (total[0] + re, total[1] + im)
+    want = sorted((c, s) for c, s in sums.items() if s != (0.0, 0.0))
+
+    out_codes, out_values = sum_by_code(codes, values)
+    assert out_codes.dtype == dtype
+    got = out_codes.tolist()
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert got == [c for c, _ in want]
+    assert (out_values != 0).all()
+    assert out_values.tobytes() == np.array(
+        [complex(*s) for _, s in want], dtype=complex).reshape(
+            len(want)).tobytes()
 
 
 def test_stored_arrays_reject_writes():

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, no library
-module imports scipy, the code layout of expansions stays in `chaos`, and
-the package loads each exported name from its home module on first use."""
+module imports scipy or calls `np.unique` or `np.add.at`, the code layout
+of expansions stays in `chaos`, and the package loads each exported name
+from its home module on first use."""
 
 import ast
 import importlib
@@ -71,6 +72,36 @@ def test_scipy_import_is_found():
                      "from .scipy import x\n")
     assert _scipy_imports(tree) == [(1, "scipy.linalg"),
                                     (3, "scipy.optimize")]
+
+
+def _unique_and_add_at_calls(tree: ast.Module) -> list:
+    """(line, name) of every call of `np.unique` or `np.add.at`, under any
+    name numpy is bound to: terms are summed per code by
+    `chaos.sum_by_code` alone, and `np.unique` loads numpy's masked
+    arrays."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name.split(".", 1)[-1] in ("unique", "add.at"):
+            found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unique_or_add_at_call(path):
+    assert _unique_and_add_at_calls(ast.parse(path.read_text())) == []
+
+
+def test_unique_and_add_at_calls_are_found():
+    tree = ast.parse("import numpy as np\n"
+                     "codes, slot = np.unique(c, return_inverse=True)\n"
+                     "numpy.add.at(values, slot, terms)\n"
+                     "np.add(a, b)\n"
+                     "sorted(set(c))\n")
+    assert _unique_and_add_at_calls(tree) == [(2, "np.unique"),
+                                              (3, "numpy.add.at")]
 
 
 # The code layout of expansions stays behind `chaos`; `.coeffs`, the dict

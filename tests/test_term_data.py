@@ -249,14 +249,18 @@ def test_folds_are_paid_for_by_their_pairs(contract, monkeypatch):
         lands = (left.multiplicities[0][:, None]
                  + right.multiplicities[0][None]) <= (8, 8)
     landing = int(lands.all(axis=2).sum())
-    folds = []
-    original = chaos._fold
+    # Each fold is one `sum_by_code` of the running sums, then the pairs it
+    # takes in.
+    folds, sums = [], [0]
+    original = chaos.sum_by_code
 
-    def counted(sums, blocks):
-        folds.append(sum(len(target) for target, _ in blocks))
-        return original(sums, blocks)
+    def counted(codes, values):
+        folds.append(len(codes) - sums[-1])
+        out = original(codes, values)
+        sums.append(len(out[0]))
+        return out
 
-    monkeypatch.setattr(chaos, "_fold", counted)
+    monkeypatch.setattr(chaos, "sum_by_code", counted)
     pair_products(left, right, contract=contract)
     blocks = math.ceil(len(left.codes)
                        / max(1, chaos.PAIR_BLOCK // len(right.codes)))
