@@ -13,7 +13,6 @@ import numpy as np
 
 from grosslap.chaos import DISTRIBUTION, Expansion2, coefficient_polynomials
 from grosslap.evolution import gaussian_heat_kernel, solve
-from grosslap.quantum_op import OperatorKernel
 
 
 def main() -> None:
@@ -26,17 +25,15 @@ def main() -> None:
 
     # initial kernel: y1^2 + y1 y2 (occupation coefficients carry unit
     # orbit values; the mixed term evaluates with multiplicity 1 here)
-    xi0 = OperatorKernel(
-        Expansion2(1, 1, args.cutoff, args.cutoff,
-                   {((2,), (0,)): 1 + 0j, ((1,), (1,)): 1 + 0j},
-                   role=DISTRIBUTION),
-        "demo")
+    xi0 = Expansion2(1, 1, args.cutoff, args.cutoff,
+                     {((2,), (0,)): 1 + 0j, ((1,), (1,)): 1 + 0j},
+                     role=DISTRIBUTION)
 
     sol = solve(xi0, args.times, method="both", seed=args.seed)
     print("closed-form heat flow (function action):")
     for t, k in zip(sol.times, sol.kernels):
         terms = ", ".join(f"{key}: {v.real:+.6f}"
-                          for key, v in sorted(k.kernel.coeffs.items()))
+                          for key, v in sorted(k.coeffs.items()))
         print(f"  t={t:4.2f}  {terms}")
     print(f"  gaussian moment cross-check gap: "
           f"{sol.checks['gaussian_gap']:.3e}")
@@ -45,7 +42,7 @@ def main() -> None:
     y = rng.uniform(-1, 1, (1, 2))
     print(f"\nsample evaluation at y={tuple(y[0].tolist())}:")
     for t, k in zip(sol.times, sol.kernels):
-        direct = coefficient_polynomials([k.kernel], y)[0, 0].real
+        direct = coefficient_polynomials([k], y)[0, 0].real
         oracle = gaussian_heat_kernel(xi0, t, y)[0].real
         print(f"  t={t:4.2f}  kernel={direct:+.10f}  gaussian={oracle:+.10f}")
 

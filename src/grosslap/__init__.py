@@ -21,9 +21,8 @@ _EXPORTS = {
               "translate", "vacuum"),
     "gross": ("convolve_dist_dist", "convolve_dist_test",
               "gross_distribution", "gross_test", "trace_distribution"),
-    "quantum_op": ("OperatorKernel", "apply_operator",
-                   "classical_quantum_bridge", "multiplication_operator",
-                   "op_convolve", "quantum_gross", "symbol"),
+    "quantum_op": ("apply_operator", "classical_quantum_bridge",
+                   "multiplication_operator", "quantum_gross", "symbol"),
     "evolution": ("EvolutionSolution", "ProcessSpec", "conv_exp",
                   "gaussian_heat_kernel", "solve", "solve_qsde"),
     "young": ("YoungFunctionSpec", "conjugate_eval", "theta_n"),

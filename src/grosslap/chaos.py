@@ -774,11 +774,24 @@ def expansion_from_json(obj: dict) -> Expansion2:
                       coeffs, role=obj.get("role", TEST))
 
 
-def _json_object(value) -> dict:
-    """A JSON object; arrays, numbers and strings are rejected."""
-    if not isinstance(value, dict):
-        raise ValueError(f"expected a JSON object, not {type(value).__name__}")
+def _json_object(value, field: str = "", kind: type = dict):
+    """A JSON object (an array with kind=list); other values are rejected,
+    naming the input's `field` when given."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        where = f" for {field}" if field else ""
+        raise ValueError(f"expected a JSON {name}{where}, not "
+                         f"{type(value).__name__}")
     return value
+
+
+def _json_member(obj: dict, key: str, field: str = "", kind: type = dict):
+    """obj[key], a JSON object or array as `_json_object` checks it, where
+    obj is the input's `field` (the input itself if empty); a missing key is
+    named."""
+    if key not in obj:
+        raise ValueError(f'{field or "the input"} has no "{key}"')
+    return _json_object(obj[key], f"{field}.{key}" if field else key, kind)
 
 
 def _json_count(value, what: str) -> int:

@@ -111,14 +111,17 @@ def verify(suites: Optional[Sequence[str]], seed: int,
     sys.exit(0 if report["passed"] else 1)
 
 
-def _process_from_json(obj):
-    """A process's JSON object ({"grid": [..], "kernels": [..]}) as a
-    ProcessSpec."""
-    from .chaos import _json_number
+def _process_from_json(obj, field: str = "a process"):
+    """A process's JSON object ({"grid": [..], "kernels": [..]}), the
+    input's `field`, as a ProcessSpec."""
+    from .chaos import _json_member, _json_number, _json_object
     from .evolution import ProcessSpec
     from .quantum_op import kernel_from_json
-    grid = tuple(_json_number(g, "a grid point") for g in obj["grid"])
-    kernels = tuple(kernel_from_json(k) for k in obj["kernels"])
+    obj = _json_object(obj, field)
+    grid = tuple(_json_number(g, "a grid point")
+                 for g in _json_member(obj, "grid", field, list))
+    kernels = tuple(kernel_from_json(k, f"{field}.kernels[{i}]") for i, k
+                    in enumerate(_json_member(obj, "kernels", field, list)))
     return ProcessSpec(grid, kernels)
 
 
@@ -135,19 +138,21 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     import numpy as np
 
     from . import evolution
-    from .chaos import (_json_number, check_evaluation_size,
-                        coefficient_count, grid_point_count)
+    from .chaos import (_json_member, _json_number, _json_object,
+                        check_evaluation_size, coefficient_count,
+                        grid_point_count)
     from .quantum_op import kernel_from_json, kernel_to_json
     try:
-        spec = _load_json(in_path)
-        xi0 = kernel_from_json(spec["xi0"])
-        ref = xi0.kernel
-        shape = (ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
+        spec = _json_object(_load_json(in_path), "the input")
+        xi0 = kernel_from_json(_json_member(spec, "xi0"), "xi0")
+        shape = (xi0.dim1, xi0.dim2, xi0.cutoff1, xi0.cutoff2)
         check_evaluation_size(grid_point_count(*shape),
-                              coefficient_count(*shape), ref.dim1, ref.dim2)
-        times = [_json_number(t, "a time") for t in spec["times"]]
-        Z = _process_from_json(spec["Z"]) if "Z" in spec else None
-        Theta = _process_from_json(spec["Theta"]) if "Theta" in spec else None
+                              coefficient_count(*shape), xi0.dim1, xi0.dim2)
+        times = [_json_number(t, "a time")
+                 for t in _json_member(spec, "times", kind=list)]
+        Z = _process_from_json(spec["Z"], "Z") if "Z" in spec else None
+        Theta = (_process_from_json(spec["Theta"], "Theta")
+                 if "Theta" in spec else None)
         options = {k: spec[k] for k in ("action", "method") if k in spec}
         if method is not None:
             options["method"] = method
@@ -163,11 +168,13 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     except INPUT_ERRORS as exc:
         _fail(2, f"bad solver input: {exc}")
 
+    # Each kernel carries the label of the solver that made it.
+    label = "symbol-ode" if sol.method == "symbol_ode" else "solution"
     report = {
         "method": sol.method,
         "action": sol.action,
         "times": list(sol.times),
-        "kernels": [kernel_to_json(k) for k in sol.kernels],
+        "kernels": [kernel_to_json(k, label) for k in sol.kernels],
         "checks": sol.checks,
     }
     _emit(report, out)
@@ -191,7 +198,7 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
         op = spec["op"]
         points = [_as_point(p) for p in spec["points"]]
         if op == "symbol":
-            phi = kernel_from_json(spec["kernel"]).kernel
+            phi = kernel_from_json(spec["kernel"], "kernel")
         elif op in ROLE_OF_OP:
             phi = expansion_from_json(spec["expansion"])
             if phi.role != ROLE_OF_OP[op]:

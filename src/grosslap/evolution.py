@@ -40,7 +40,7 @@ from .chaos import (
     sum_by_code,
 )
 from .gross import convolve_dist_dist, convolve_dist_test, trace_distribution
-from .quantum_op import OperatorKernel
+from .quantum_op import require_operator
 
 ACTION_FUNCTION = "function"
 ACTION_DISTRIBUTION = "distribution"
@@ -176,16 +176,19 @@ def _power_series(N: Expansion2,
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Piecewise-constant kernel-valued process on a time grid.
+    """Piecewise-constant operator-valued process on a time grid.
 
-    grid has one more point than kernels; kernels[i] is the value on
-    [grid[i], grid[i+1]).  Continuous processes must be pre-sampled.
+    grid has one more point than kernels; kernels[i], an operator kernel
+    (a distribution `Expansion2`), is the value on [grid[i], grid[i+1]).
+    Continuous processes must be pre-sampled.
     """
 
     grid: Tuple[float, ...]
-    kernels: Tuple[OperatorKernel, ...]
+    kernels: Tuple[Expansion2, ...]
 
     def __post_init__(self):
+        for k in self.kernels:
+            require_operator(k)
         if len(self.grid) < 2 or len(self.kernels) != len(self.grid) - 1:
             raise ValueError("grid needs len(kernels) + 1 points")
         if self.grid[0] != 0.0:
@@ -198,17 +201,16 @@ class ProcessSpec:
         return self.grid[-1]
 
     def is_zero(self) -> bool:
-        return all(not len(k.kernel.codes) for k in self.kernels)
+        return all(not len(k.codes) for k in self.kernels)
 
     @staticmethod
-    def constant(kernel: OperatorKernel, t_end: float) -> "ProcessSpec":
+    def constant(kernel: Expansion2, t_end: float) -> "ProcessSpec":
         return ProcessSpec((0.0, float(t_end)), (kernel,))
 
 
 def zero_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
                  t_end: float) -> ProcessSpec:
-    empty = OperatorKernel(Expansion2(dim1, dim2, cutoff1, cutoff2, {},
-                                      role=DISTRIBUTION), "zero")
+    empty = Expansion2(dim1, dim2, cutoff1, cutoff2, {}, role=DISTRIBUTION)
     return ProcessSpec.constant(empty, t_end)
 
 
@@ -218,10 +220,11 @@ def zero_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
 
 @dataclass(frozen=True)
 class EvolutionSolution:
-    """Per-time kernels plus provenance and cross-check metadata."""
+    """Per-time kernels, distributions of the initial kernel's shape, plus
+    provenance and cross-check metadata."""
 
     times: Tuple[float, ...]
-    kernels: Tuple[OperatorKernel, ...]
+    kernels: Tuple[Expansion2, ...]
     method: str
     action: str = ACTION_FUNCTION
     checks: Dict[str, float] = field(default_factory=dict)
@@ -266,7 +269,7 @@ def _piece_index(P: ProcessSpec, s: float) -> int:
     return min(bisect_right(P.grid, s) - 1, len(P.kernels) - 1)
 
 
-def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
+def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
                times: Sequence[float],
                action: str = ACTION_FUNCTION) -> EvolutionSolution:
     """Closed-form solution of d Xi/dt = Z(t) * Xi(t) + Theta(t).
@@ -280,12 +283,12 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     their propagators, built on the first of them.
     """
     _check_processes(Z, Theta, xi0)
-    state = xi0.kernel
+    state = xi0
     states = {0.0: state}
     propagators = {}
     for a, b, i, j in _segments(Z, Theta, times):
         h = b - a
-        gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
+        gen, source = Z.kernels[i], Theta.kernels[j]
         if (i, j, h) not in propagators:
             propagators[i, j, h] = (_step_propagators(gen, h)
                                     if len(source.codes) else
@@ -295,17 +298,18 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
         if integral is not None:
             state = state.add(apply_propagator(integral, source, action))
         states[b] = state
-    kernels = tuple(OperatorKernel(states[float(t)], label="solution")
-                    for t in times)
-    return EvolutionSolution(tuple(float(t) for t in times), kernels,
+    return EvolutionSolution(tuple(float(t) for t in times),
+                             tuple(states[float(t)] for t in times),
                              method="closed_form", action=action)
 
 
 def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
-                     xi0: OperatorKernel) -> None:
-    """Every process kernel has the initial kernel's dims and cutoffs."""
+                     xi0: Expansion2) -> None:
+    """The initial kernel is an operator kernel, and every process kernel
+    has its dims and cutoffs."""
+    require_operator(xi0)
     for k in (*Z.kernels, *Theta.kernels):
-        _check_compatible(k.kernel, xi0.kernel)
+        _check_compatible(k, xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +366,7 @@ def torus_symbols(phis: Sequence[Expansion2]):
     return torus, len(points) * values.reshape(P.shape).T
 
 
-def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
+def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
                      times: Sequence[float]) -> EvolutionSolution:
     """The scalar symbol ODE solved exactly, then kernel reconstruction.
 
@@ -379,11 +383,10 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     check fit_amplification.
     """
     _check_processes(Z, Theta, xi0)
-    ref = xi0.kernel
     # Every kernel's symbol on the grid: one column for xi0, then one per
     # piece of Z and Theta.
     (shape, points, bins, scale), symbols = torus_symbols(
-        [k.kernel for k in (xi0, *Z.kernels, *Theta.kernels)])
+        [xi0, *Z.kernels, *Theta.kernels])
     sig_Z = symbols[:, 1:1 + len(Z.kernels)]
     sig_T = symbols[:, 1 + len(Z.kernels):]
     sigma = symbols[:, 0]
@@ -406,18 +409,14 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: OperatorKernel,
     coef = (spectrum.reshape(values.shape)[:, bins]
             / (len(points) * scale[bins]))
 
-    out_kernels = []
-    for row in coef:
-        kept = np.abs(row) > 1e-300
-        kern = Expansion2(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2,
-                          (bins[kept], row[kept]), role=DISTRIBUTION)
-        out_kernels.append(OperatorKernel(kern, label="symbol-ode"))
+    kept = np.abs(coef) > 1e-300
     return EvolutionSolution(tuple(float(t) for t in times),
-                             tuple(out_kernels),
+                             tuple(xi0.with_terms((bins[k], row[k]))
+                                   for row, k in zip(coef, kept)),
                              method="symbol_ode",
                              action=ACTION_DISTRIBUTION,
                              checks={"fit_amplification": SYMBOL_RADIUS
-                                     ** -(ref.cutoff1 + ref.cutoff2)},
+                                     ** -(xi0.cutoff1 + xi0.cutoff2)},
                              symbol_points=points, symbol_values=values)
 
 
@@ -432,7 +431,7 @@ def symbol_gap(closed: EvolutionSolution,
     """
     if not closed.kernels:
         return 0.0
-    _, values = torus_symbols([k.kernel for k in closed.kernels])
+    _, values = torus_symbols(closed.kernels)
     return float(np.max(np.abs(values - numeric.symbol_values.T),
                         initial=0.0))
 
@@ -444,8 +443,7 @@ def symbol_gap(closed: EvolutionSolution,
 def half_trace_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
                        t_end: float) -> ProcessSpec:
     T = trace_distribution(dim1, dim2, cutoff1, cutoff2)
-    return ProcessSpec.constant(OperatorKernel(T.scale(0.5), "half-trace"),
-                                t_end)
+    return ProcessSpec.constant(T.scale(0.5), t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +457,18 @@ ACTIONS = (ACTION_FUNCTION, ACTION_DISTRIBUTION)
 GAUSSIAN_CHECK_POINTS = 5
 
 
-def solve(xi0: OperatorKernel, times: Sequence[float],
+def solve(xi0: Expansion2, times: Sequence[float],
           Z: Optional[ProcessSpec] = None,
           Theta: Optional[ProcessSpec] = None,
           action: str = ACTION_FUNCTION, method: str = "closed_form",
           seed: int = 42) -> EvolutionSolution:
     """Solve d Xi/dt = Z * Xi + Theta and check it against the oracles.
 
-    Z defaults to the heat flow, half the trace distribution, and Theta to
-    zero.  "closed_form" runs `solve_qsde`; "symbol_ode" runs only the
-    symbol oracle; "both" runs the two and reports as residual_max the
+    xi0 is the initial operator kernel, a distribution `Expansion2`
+    (`RoleError` otherwise); the solution holds one kernel of its shape per
+    time.  Z defaults to the heat flow, half the trace distribution, and
+    Theta to zero.  "closed_form" runs `solve_qsde`; "symbol_ode" runs only
+    the symbol oracle; "both" runs the two and reports as residual_max the
     `symbol_gap` of the distribution-action closed form (solved a second
     time under the function action).  A closed-form heat flow with a zero
     source under the function action reports gaussian_gap, its largest
@@ -483,8 +483,7 @@ def solve(xi0: OperatorKernel, times: Sequence[float],
                              f"{', '.join(allowed)}, not {value!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, not {seed}")
-    ref = xi0.kernel
-    shape = (ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
+    shape = (xi0.dim1, xi0.dim2, xi0.cutoff1, xi0.cutoff2)
     t_end = max([float(t) for t in times] + [1e-9])
     heat = Z is None
     if heat:
@@ -509,7 +508,7 @@ def solve(xi0: OperatorKernel, times: Sequence[float],
     return replace(sol, method=method, checks=checks)
 
 
-def _gaussian_gap(xi0: OperatorKernel, sol: EvolutionSolution,
+def _gaussian_gap(xi0: Expansion2, sol: EvolutionSolution,
                   seed: int) -> float:
     """Largest |kernel - Gaussian smoothing of xi0| over random points.
 
@@ -518,20 +517,19 @@ def _gaussian_gap(xi0: OperatorKernel, sol: EvolutionSolution,
     fixed across versions; they are drawn per time, per point, per
     coordinate.
     """
-    ref = xi0.kernel
     rng = random.Random(seed)
     gap = 0.0
     for t, kern in zip(sol.times, sol.kernels):
         x = np.array([[2 * rng.random() - 1
-                       for _ in range(ref.dim1 + ref.dim2)]
+                       for _ in range(xi0.dim1 + xi0.dim2)]
                       for _ in range(GAUSSIAN_CHECK_POINTS)])
-        direct = coefficient_polynomials([kern.kernel], x)[:, 0]
+        direct = coefficient_polynomials([kern], x)[:, 0]
         oracle = gaussian_heat_kernel(xi0, t, x)
         gap = nan_max(gap, float(np.max(np.abs(direct - oracle))))
     return gap
 
 
-def gaussian_heat_kernel(xi0: OperatorKernel, t: float, x) -> np.ndarray:
+def gaussian_heat_kernel(xi0: Expansion2, t: float, x) -> np.ndarray:
     """Gaussian-integral evaluation of the homogeneous heat solution kernel.
 
     Integrates the initial kernel polynomial shifted by sqrt(t) times a
@@ -544,12 +542,11 @@ def gaussian_heat_kernel(xi0: OperatorKernel, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[1] != xi0.dim1 + xi0.dim2:
         raise ValueError("evaluation points do not match kernel dims")
-    K = xi0.kernel
-    base = K.multiplicities[1].astype(float) * K.values
+    base = xi0.multiplicities[1].astype(float) * xi0.values
     # Contiguous (points, terms) operands: a broadcast (terms,) row would
     # round the complex products differently.
     terms = np.repeat(base[None, :], len(x), axis=0)
-    for coords, column in zip(x.T.tolist(), K.exponents.T):
+    for coords, column in zip(x.T.tolist(), xi0.exponents.T):
         degree = column.max(initial=0)
         moments = np.array([[_shifted_gauss_moment(a, t, k)
                              for k in range(degree + 1)] for a in coords],

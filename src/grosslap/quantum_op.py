@@ -1,14 +1,14 @@
-"""Operators as kernels: symbols, convolution, the quantum Gross Laplacian.
+"""Operators as kernels: symbols, application, the quantum Gross Laplacian.
 
-Every operator is identified with its kernel, a two-variable distribution.
-The symbol is the Laplace transform of the kernel; convolution of operators
-multiplies symbols; the quantum Gross Laplacian convolves the kernel with the
-trace distribution.
+Every operator is its kernel, a distribution `Expansion2` whose two
+variables (`dim1`, `dim2`) are the operator's; `require_operator` checks
+one.  The symbol is the Laplace transform of the kernel; convolution of
+operators (`gross.convolve_dist_dist` of kernels) multiplies symbols; the
+quantum Gross Laplacian convolves the kernel with the trace distribution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -19,6 +19,8 @@ from .chaos import (
     DimensionMismatchError,
     Expansion2,
     RoleError,
+    _json_member,
+    _json_object,
     complex_product,
     expansion_from_json,
     expansion_to_json,
@@ -31,40 +33,28 @@ from .chaos import (
     sum_by_code,
     vacuum,
 )
-from .gross import convolve_dist_dist, gross_distribution
+from .gross import gross_distribution
 
 
-@dataclass(frozen=True)
-class OperatorKernel:
-    """An operator stored through its kernel distribution."""
-
-    kernel: Expansion2
-    label: str = ""
-
-    def __post_init__(self):
-        if self.kernel.role != DISTRIBUTION:
-            raise RoleError("operator kernels must be distributions")
-
-    @property
-    def dim1(self) -> int:
-        return self.kernel.dim1
-
-    @property
-    def dim2(self) -> int:
-        return self.kernel.dim2
+def require_operator(K: Expansion2) -> Expansion2:
+    """K, checked to be an operator kernel; every library function that
+    takes an operator checks it here."""
+    if K.role != DISTRIBUTION:
+        raise RoleError("operator kernels must be distributions")
+    return K
 
 
-def symbol(op: OperatorKernel, xi1: Sequence[complex],
+def symbol(K: Expansion2, xi1: Sequence[complex],
            xi2: Sequence[complex]) -> complex:
     """sigma(Xi)(xi1, xi2): Laplace transform of the kernel.
 
     Equivalently the pairing of Xi applied to one exponential vector against
     another; tests compute both routes.
     """
-    return laplace(op.kernel, xi1, xi2)
+    return laplace(require_operator(K), xi1, xi2)
 
 
-def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
+def apply_operator(K: Expansion2, f: Expansion2) -> Expansion2:
     """Apply the operator to a one-variable test function.
 
     Output is the one-variable distribution Psi over the kernel's second
@@ -72,14 +62,14 @@ def apply_operator(op: OperatorKernel, f: Expansion2) -> Expansion2:
     rule: Psi_beta = sum_alpha |alpha|! mult(alpha) f_alpha K_{alpha,beta},
     summed per beta by `sum_by_code` in the kernel's term order.
     """
+    require_operator(K)
     if f.role != TEST:
         raise RoleError("apply_operator needs a test function")
     if not f.is_one_variable():
         raise DimensionMismatchError("apply_operator needs a one-variable input")
-    if f.dim1 != op.dim1 or f.cutoff1 != op.kernel.cutoff1:
+    if f.dim1 != K.dim1 or f.cutoff1 != K.cutoff1:
         raise DimensionMismatchError("input does not match the kernel's "
                                      "first variable")
-    K = op.kernel
     d1, rows = K.dim1, K.exponents
     # The kernel terms whose alpha is a key of f, and that key's position.
     alpha = key_codes(rows[:, :d1], d1, 0, K.cutoff1, 0)
@@ -104,19 +94,12 @@ def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
                       role=f.role)
 
 
-def op_convolve(op1: OperatorKernel, op2: OperatorKernel) -> OperatorKernel:
-    """Operator convolution: kernels convolve, symbols multiply."""
-    return OperatorKernel(convolve_dist_dist(op1.kernel, op2.kernel),
-                          label=_join(op1.label, op2.label))
-
-
-def quantum_gross(op: OperatorKernel) -> OperatorKernel:
+def quantum_gross(K: Expansion2) -> Expansion2:
     """Quantum Gross Laplacian: convolve the kernel with the trace."""
-    return OperatorKernel(gross_distribution(op.kernel),
-                          label=_join("qgross", op.label))
+    return gross_distribution(require_operator(K))
 
 
-def multiplication_operator(Phi: Expansion2) -> OperatorKernel:
+def multiplication_operator(Phi: Expansion2) -> Expansion2:
     """Multiplication by a one-variable distribution.
 
     Requires the two operator variables to share the distribution's space.
@@ -139,9 +122,9 @@ def multiplication_operator(Phi: Expansion2) -> OperatorKernel:
     codes = key_codes(rows, d, d, cutoff, cutoff)
     order = np.argsort(codes)
     values = binomial * Phi.values[g]
-    return OperatorKernel(Expansion2(d, d, cutoff, cutoff, (
+    return Expansion2(d, d, cutoff, cutoff, (
         codes[order], values[order], rows[order], degrees[order],
-        mult[order]), role=DISTRIBUTION), label="mult")
+        mult[order]), role=DISTRIBUTION)
 
 
 def classical_quantum_bridge(Phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
@@ -158,19 +141,17 @@ def classical_quantum_bridge(Phi: Expansion2) -> Tuple[Expansion2, Expansion2]:
     return quantum_route, classical_route
 
 
-def _join(a: str, b: str) -> str:
-    parts = [p for p in (a, b) if p]
-    return "*".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
-def kernel_to_json(op: OperatorKernel) -> dict:
-    return {"label": op.label, "kernel": expansion_to_json(op.kernel)}
+def kernel_to_json(K: Expansion2, label: str = "") -> dict:
+    """An operator's JSON object, {"label": label, "kernel": K's expansion}."""
+    return {"label": label, "kernel": expansion_to_json(K)}
 
 
-def kernel_from_json(obj: dict) -> OperatorKernel:
-    return OperatorKernel(expansion_from_json(obj["kernel"]),
-                          obj.get("label", ""))
+def kernel_from_json(obj: dict, field: str = "an operator") -> Expansion2:
+    """The kernel of an operator's JSON object; the label is not read.
+    `field` names the object in error messages."""
+    return require_operator(expansion_from_json(
+        _json_member(_json_object(obj, field), "kernel", field)))

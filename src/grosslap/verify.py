@@ -37,7 +37,7 @@ from .gross import (
     gross_test,
     trace_distribution,
 )
-from .quantum_op import OperatorKernel, classical_quantum_bridge, quantum_gross
+from .quantum_op import classical_quantum_bridge, quantum_gross
 from .tensor_core import (
     contract_full,
     dense_contract_full,
@@ -250,13 +250,12 @@ def check_symbol_multiplier(seed: int = 42) -> CheckResult:
         d1 = int(rng.integers(1, 3))
         d2 = int(rng.integers(1, 3))
         c = CUTOFF
-        K = OperatorKernel(_random_expansion(rng, d1, d2, c, c, c - 2, c - 2,
-                                             DISTRIBUTION))
+        K = _random_expansion(rng, d1, d2, c, c, c - 2, c - 2, DISTRIBUTION)
         L = quantum_gross(K)
         pts = [((_rng_complex(rng, d1) / 2).tolist(),
                 (_rng_complex(rng, d2) / 2).tolist()) for _ in range(points)]
         lhs, k = coefficient_polynomials(
-            [L.kernel, K.kernel], point_coordinates(pts, d1, d2)).T
+            [L, K], point_coordinates(pts, d1, d2)).T
         form = np.array([_bilinear(xi) + _bilinear(eta) for xi, eta in pts])
         worst = nan_max(worst, _worst_relative(lhs, form * k))
     return CheckResult("quantum-symbol-multiplier",
@@ -300,8 +299,7 @@ def check_heat_triangle(seed: int = 42) -> CheckResult:
     """
     times = (0.1, 0.5, 1.0, 2.0)
     rng = np.random.default_rng(seed)
-    xi0 = OperatorKernel(_random_expansion(rng, 1, 1, CUTOFF, CUTOFF, 4, 4,
-                                           DISTRIBUTION), "initial")
+    xi0 = _random_expansion(rng, 1, 1, CUTOFF, CUTOFF, 4, 4, DISTRIBUTION)
     checks = solve(xi0, times, method="both", seed=seed).checks
     gauss_gap, ode_gap = checks["gaussian_gap"], checks["residual_max"]
 
@@ -326,15 +324,13 @@ def check_evolution_residual(seed: int = 42) -> CheckResult:
     d = 1
     grid = (0.0, 1.0, 2.0)
 
-    def small_kernel() -> OperatorKernel:
-        return OperatorKernel(_random_expansion(rng, d, d, CUTOFF, CUTOFF,
-                                                2, 2, DISTRIBUTION,
-                                                scale=0.2))
+    def small_kernel() -> Expansion2:
+        return _random_expansion(rng, d, d, CUTOFF, CUTOFF, 2, 2,
+                                 DISTRIBUTION, scale=0.2)
 
     Z = ProcessSpec(grid, (small_kernel(), small_kernel()))
     Theta = ProcessSpec(grid, (small_kernel(), small_kernel()))
-    xi0 = OperatorKernel(_random_expansion(rng, d, d, CUTOFF, CUTOFF, 2, 2,
-                                           DISTRIBUTION), "initial")
+    xi0 = _random_expansion(rng, d, d, CUTOFF, CUTOFF, 2, 2, DISTRIBUTION)
     times = rng.uniform(0.0, grid[-1], n_times).tolist()
     worst = solve(xi0, times, Z, Theta, action=ACTION_DISTRIBUTION,
                   method="both").checks["residual_max"]

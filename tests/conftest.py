@@ -12,7 +12,6 @@ from grosslap.chaos import DISTRIBUTION
 from grosslap.cli import main
 from grosslap.evolution import ACTIONS, METHODS, ProcessSpec
 from grosslap.gross import convolve_dist_test, trace_distribution
-from grosslap.quantum_op import OperatorKernel
 
 # The suites' seeded inputs serve the tests too, so a seed means the same
 # data in both: one block of keep draws over the keys in code order, then
@@ -107,8 +106,8 @@ def solver_case(heat: bool, source: bool):
     rng = np.random.default_rng([heat, source])
 
     def kernel(scale=1.0):
-        return OperatorKernel(random_expansion(rng, 1, 1, 3, 3, 2, 2,
-                                               DISTRIBUTION, scale=scale))
+        return random_expansion(rng, 1, 1, 3, 3, 2, 2, DISTRIBUTION,
+                                scale=scale)
 
     Z = None if heat else ProcessSpec((0.0, 1.0), (kernel(0.2),))
     Theta = ProcessSpec((0.0, 1.0), (kernel(0.2),)) if source else None

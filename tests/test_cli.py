@@ -17,8 +17,7 @@ from grosslap.chaos import (
     laplace,
 )
 from grosslap.gross import trace_distribution
-from grosslap.quantum_op import (OperatorKernel, kernel_from_json,
-                                 kernel_to_json, symbol)
+from grosslap.quantum_op import kernel_from_json, kernel_to_json, symbol
 from grosslap.verify import ALL_CHECKS
 from conftest import (SOLVER_CASES, random_expansion, rng_complex, run_cli,
                       solver_case, src_env)
@@ -176,7 +175,7 @@ def test_young_rejects_nan_and_negative_inputs(args):
 
 
 def test_eval_symbol_of_trace(tmp_path):
-    T = OperatorKernel(trace_distribution(1, 1, 8, 8), "trace")
+    T = trace_distribution(1, 1, 8, 8)
     payload = {"op": "symbol", "kernel": kernel_to_json(T),
                "points": [{"z": [2.0], "t": [1.0]}]}
     path = tmp_path / "in.json"
@@ -211,9 +210,7 @@ def test_eval_role_violation_exits_2(tmp_path):
 
 def _heat_input(times):
     from grosslap.chaos import Expansion2
-    xi0 = OperatorKernel(
-        Expansion2(1, 1, 8, 8, {((2,), (0,)): 1 + 0j}, role=DISTRIBUTION),
-        "square")
+    xi0 = Expansion2(1, 1, 8, 8, {((2,), (0,)): 1 + 0j}, role=DISTRIBUTION)
     return {"xi0": kernel_to_json(xi0), "times": times}
 
 
@@ -270,7 +267,7 @@ def _solve_mismatched_process():
     from grosslap.chaos import delta0
     spec = _heat_input([0.5])
     spec["Z"] = {"grid": [0.0, 1.0, 2.0], "kernels": [
-        kernel_to_json(OperatorKernel(delta0(1, 1, c, c))) for c in (8, 6)]}
+        kernel_to_json(delta0(1, 1, c, c)) for c in (8, 6)]}
     return spec
 
 
@@ -316,8 +313,8 @@ def test_solve_and_eval_over_size_budget_exit_2(tmp_path, monkeypatch):
     assert "budget" in res.output
 
     # 100 points of the 2-term trace symbol in 2 coordinates: 400 cells.
-    T = OperatorKernel(trace_distribution(1, 1, 4, 4), "trace")
-    assert len(T.kernel.coeffs) == 2
+    T = trace_distribution(1, 1, 4, 4)
+    assert len(T.coeffs) == 2
     monkeypatch.setattr(grosslap.chaos, "MAX_EVALUATION_CELLS", 399)
     spec = {"op": "symbol", "kernel": kernel_to_json(T),
             "points": [{"z": [0.1], "t": [0.2]}] * 100}
@@ -433,9 +430,7 @@ def _with_placeholder(field):
         return "eval", {"op": "laplace",
                         "expansion": expansion_to_json(delta0(1, 1, 4, 4)),
                         "points": [point]}
-    spec = _driven_input()
-    spec["Theta"] = {"grid": [0.0, 1.0],
-                     "kernels": [spec["Z"]["kernels"][0]]}
+    spec = _source_input()
     if field == "re":
         spec["xi0"]["kernel"]["terms"][0]["re"] = PLACEHOLDER
     elif field == "im":
@@ -480,6 +475,123 @@ def test_solve_non_finite_input_exits_2(tmp_path, monkeypatch, literal,
     assert what in res.output
 
 
+def _source_input():
+    """A driven solver input with a source: xi0, one Z and one Theta piece."""
+    spec = _driven_input()
+    spec["Theta"] = {"grid": [0.0, 1.0],
+                     "kernels": [dict(spec["Z"]["kernels"][0])]}
+    return spec
+
+
+def _spoiled(change):
+    """A `solve` input with `change` applied, and its command."""
+    def make():
+        spec = _source_input()
+        change(spec)
+        return "solve", spec
+    return make
+
+
+def _test_role(obj):
+    obj["kernel"]["role"] = "test"
+
+
+def _test_role_symbol():
+    T = trace_distribution(1, 1, 4, 4)
+    payload = {"op": "symbol", "kernel": kernel_to_json(T),
+               "points": [{"z": [0.1], "t": [0.2]}]}
+    _test_role(payload["kernel"])
+    return "eval", payload
+
+
+def run_before_solving(tmp_path, monkeypatch, command, spec):
+    """`run_without_work` on one input, with the solver made to fail too."""
+    import grosslap.evolution
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the input check must come before any work")
+
+    monkeypatch.setattr(grosslap.evolution, "solve", no_solve)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    return run_without_work(tmp_path, monkeypatch,
+                            [command, "--in", str(path)])
+
+
+@pytest.mark.parametrize("make, what", [
+    pytest.param(lambda: ("solve", []), "expected a JSON object for the "
+                 "input, not list", id="input-array"),
+    pytest.param(_spoiled(lambda s: s.pop("xi0")), 'the input has no "xi0"',
+                 id="xi0-missing"),
+    pytest.param(_spoiled(lambda s: s.update(xi0=[])),
+                 "expected a JSON object for xi0, not list", id="xi0-array"),
+    pytest.param(_spoiled(lambda s: s["xi0"].pop("kernel")),
+                 'xi0 has no "kernel"', id="xi0-kernel-missing"),
+    pytest.param(_spoiled(lambda s: s.pop("times")),
+                 'the input has no "times"', id="times-missing"),
+    pytest.param(_spoiled(lambda s: s.update(times=0.5)),
+                 "expected a JSON array for times, not float",
+                 id="times-number"),
+    pytest.param(_spoiled(lambda s: s.update(Z=[])),
+                 "expected a JSON object for Z, not list", id="Z-array"),
+    pytest.param(_spoiled(lambda s: s.update(Theta=0.5)),
+                 "expected a JSON object for Theta, not float",
+                 id="Theta-number"),
+    pytest.param(_spoiled(lambda s: s["Z"].pop("grid")), 'Z has no "grid"',
+                 id="Z-grid-missing"),
+    pytest.param(_spoiled(lambda s: s["Theta"].pop("kernels")),
+                 'Theta has no "kernels"', id="Theta-kernels-missing"),
+    pytest.param(_spoiled(lambda s: s["Z"].update(grid=1.0)),
+                 "expected a JSON array for Z.grid, not float",
+                 id="Z-grid-number"),
+    pytest.param(_spoiled(lambda s: s["Theta"].update(kernels={})),
+                 "expected a JSON array for Theta.kernels, not dict",
+                 id="Theta-kernels-object"),
+    pytest.param(_spoiled(lambda s: s["Z"]["kernels"][0].pop("kernel")),
+                 'Z.kernels[0] has no "kernel"', id="Z-kernel-missing"),
+    pytest.param(_spoiled(lambda s: s["Theta"].update(kernels=[[]])),
+                 "expected a JSON object for Theta.kernels[0], not list",
+                 id="Theta-kernel-array"),
+    pytest.param(_spoiled(lambda s: s["xi0"].update(kernel=[])),
+                 "expected a JSON object for xi0.kernel, not list",
+                 id="xi0-kernel-array"),
+])
+def test_malformed_solver_json_names_its_field(tmp_path, monkeypatch, make,
+                                               what):
+    command, spec = make()
+    res = run_before_solving(tmp_path, monkeypatch, command, spec)
+    assert res.exit_code == 2, res.output
+    assert what in res.output
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_spoiled(lambda s: _test_role(s["xi0"])), id="xi0"),
+    pytest.param(_spoiled(lambda s: _test_role(s["Z"]["kernels"][0])),
+                 id="Z-piece"),
+    pytest.param(_spoiled(lambda s: _test_role(s["Theta"]["kernels"][0])),
+                 id="Theta-piece"),
+    pytest.param(_test_role_symbol, id="eval-symbol"),
+])
+def test_test_role_operator_exits_2(tmp_path, monkeypatch, make):
+    command, spec = make()
+    res = run_before_solving(tmp_path, monkeypatch, command, spec)
+    assert res.exit_code == 2, res.output
+    assert "operator kernels must be distributions" in res.output
+
+
+@pytest.mark.parametrize("method, label", [
+    ("closed_form", "solution"), ("both", "solution"),
+    ("symbol_ode", "symbol-ode")])
+def test_solve_report_labels_its_kernels(tmp_path, method, label):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_heat_input([0.0, 0.5, 1.0])))
+    res = run_cli(["solve", "--in", str(path), "--method", method])
+    assert res.exit_code == 0, res.output
+    kernels = json.loads(res.output)["kernels"]
+    assert [k["label"] for k in kernels] == [label] * 3
+    assert all(set(k) == {"label", "kernel"} for k in kernels)
+
+
 def test_solve_deterministic_output(tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_heat_input([0.25, 0.75])))
@@ -492,10 +604,8 @@ def test_solve_deterministic_output(tmp_path):
 def test_solve_overflowing_result_exits_2(tmp_path):
     # Finite input, but e^{800} overflows double precision.
     from grosslap.chaos import Expansion2
-    Z = OperatorKernel(Expansion2(1, 1, 2, 2, {((0,), (0,)): 800 + 0j},
-                                  role=DISTRIBUTION), "Z")
-    xi0 = OperatorKernel(Expansion2(1, 1, 2, 2, {((0,), (0,)): 1 + 0j},
-                                    role=DISTRIBUTION), "init")
+    Z = Expansion2(1, 1, 2, 2, {((0,), (0,)): 800 + 0j}, role=DISTRIBUTION)
+    xi0 = Expansion2(1, 1, 2, 2, {((0,), (0,)): 1 + 0j}, role=DISTRIBUTION)
     spec = {"xi0": kernel_to_json(xi0), "times": [1.0],
             "Z": {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}}
     path = tmp_path / "in.json"
@@ -700,7 +810,7 @@ def test_eval_matches_per_point_functions(tmp_path, op, count):
         {"z": [[v.real, v.imag] for v in z],
          "t": [[v.real, v.imag] for v in t]} for z, t in points]}
     if op == "symbol":
-        payload["kernel"] = kernel_to_json(OperatorKernel(phi))
+        payload["kernel"] = kernel_to_json(phi)
     else:
         payload["expansion"] = expansion_to_json(phi)
     path = tmp_path / "in.json"
@@ -712,7 +822,7 @@ def test_eval_matches_per_point_functions(tmp_path, op, count):
     per_point = {
         "evaluate": lambda z, t: evaluate(phi, z, t),
         "laplace": lambda z, t: laplace(phi, z, t),
-        "symbol": lambda z, t: symbol(OperatorKernel(phi), z, t),
+        "symbol": lambda z, t: symbol(phi, z, t),
     }[op]
     assert len(values) == count
     for value, (z, t) in zip(values, points):
@@ -720,7 +830,7 @@ def test_eval_matches_per_point_functions(tmp_path, op, count):
 
 
 def test_eval_point_dims_mismatch_exits_2(tmp_path):
-    T = OperatorKernel(trace_distribution(1, 1, 4, 4), "trace")
+    T = trace_distribution(1, 1, 4, 4)
     payload = {"op": "symbol", "kernel": kernel_to_json(T),
                "points": [{"z": [0.1, 0.2], "t": []}]}
     path = tmp_path / "in.json"
@@ -741,8 +851,7 @@ def test_solve_symbol_ode_runs_no_closed_form(tmp_path, monkeypatch,
     monkeypatch.setattr(grosslap.evolution, "solve_qsde", closed_form)
     spec = _heat_input([0.5])
     if driven:
-        Z = OperatorKernel(Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j},
-                                      role=DISTRIBUTION), "Z")
+        Z = Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j}, role=DISTRIBUTION)
         spec["Z"] = {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}
     path = tmp_path / "in.json"
     path.write_text(json.dumps(spec))
@@ -756,8 +865,7 @@ def test_solve_symbol_ode_runs_no_closed_form(tmp_path, monkeypatch,
 
 def _driven_input():
     from grosslap.chaos import Expansion2
-    Z = OperatorKernel(Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j},
-                                  role=DISTRIBUTION), "Z")
+    Z = Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j}, role=DISTRIBUTION)
     spec = _heat_input([0.5])
     spec["Z"] = {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}
     return spec

@@ -48,7 +48,7 @@ from grosslap.evolution import (
     _step_propagators,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
-from grosslap.quantum_op import OperatorKernel, kernel_from_json, symbol
+from grosslap.quantum_op import kernel_from_json, symbol
 from grosslap.tensor_core import multinomial_weight
 from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
 
@@ -64,18 +64,17 @@ def integrate_between(P, s, t):
     """The integral of process P over [s, t], piece by piece."""
     if not (0.0 <= s <= t <= P.end + 1e-12):
         raise ValueError(f"integration range [{s}, {t}] outside grid")
-    total = P.kernels[0].kernel.take(slice(0))
+    total = P.kernels[0].take(slice(0))
     for i, kern in enumerate(P.kernels):
         a, b = P.grid[i], P.grid[i + 1]
         length = min(b, t) - max(a, s)
         if length > 0:
-            total = total.add(kern.kernel.scale(length))
-    return OperatorKernel(total, "integrated")
+            total = total.add(kern.scale(length))
+    return total
 
 
-def kernel_of(coeffs, d1=1, d2=1, c1=8, c2=8, label=""):
-    return OperatorKernel(Expansion2(d1, d2, c1, c2, coeffs,
-                                     role=DISTRIBUTION), label)
+def kernel_of(coeffs, d1=1, d2=1, c1=8, c2=8):
+    return Expansion2(d1, d2, c1, c2, coeffs, role=DISTRIBUTION)
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +230,29 @@ def test_input_errors(call, error, match):
 def test_integrate_constant_process():
     K = kernel_of({((1,), (0,)): 2 + 0j})
     P = ProcessSpec.constant(K, 3.0)
-    assert integrate_between(P, 0.0, 2.0).kernel.coeffs == {
-        ((1,), (0,)): 4 + 0j}
-    assert integrate_between(P, 0.0, 0.0).kernel.coeffs == {}
+    assert integrate_between(P, 0.0, 2.0).coeffs == {((1,), (0,)): 4 + 0j}
+    assert integrate_between(P, 0.0, 0.0).coeffs == {}
 
 
 def test_integrate_piecewise():
     A = kernel_of({((1,), (0,)): 1 + 0j})
     B = kernel_of({((0,), (1,)): 1 + 0j})
     P = ProcessSpec((0.0, 1.0, 2.0), (A, B))
-    out = integrate_between(P, 0.0, 1.5).kernel
+    out = integrate_between(P, 0.0, 1.5)
     assert out[((1,), (0,))] == pytest.approx(1.0)
     assert out[((0,), (1,))] == pytest.approx(0.5)
-    mid = integrate_between(P, 0.5, 1.25).kernel
+    mid = integrate_between(P, 0.5, 1.25)
     assert mid[((1,), (0,))] == pytest.approx(0.5)
     assert mid[((0,), (1,))] == pytest.approx(0.25)
 
 
 def test_process_value_lookup():
-    A = kernel_of({((1,), (0,)): 1 + 0j}, label="A")
-    B = kernel_of({((0,), (1,)): 1 + 0j}, label="B")
+    A = kernel_of({((1,), (0,)): 1 + 0j})
+    B = kernel_of({((0,), (1,)): 1 + 0j})
     P = ProcessSpec((0.0, 1.0, 2.0), (A, B))
-    assert value_at(P, 0.5).label == "A"
-    assert value_at(P, 1.5).label == "B"
-    assert value_at(P, 2.0).label == "B"
+    assert value_at(P, 0.5) is A
+    assert value_at(P, 1.5) is B
+    assert value_at(P, 2.0) is B
     with pytest.raises(ValueError):
         value_at(P, 2.5)
 
@@ -269,7 +267,7 @@ def test_free_evolution_is_constant(rng):
     Theta = zero_process(1, 1, 8, 8, 2.0)
     sol = solve_qsde(Z, Theta, xi0, [0.0, 0.7, 2.0])
     for k in sol.kernels:
-        assert k.kernel.coeffs == xi0.kernel.coeffs
+        assert k.coeffs == xi0.coeffs
 
 
 def test_pure_source_integrates_linearly():
@@ -279,8 +277,8 @@ def test_pure_source_integrates_linearly():
     Theta = ProcessSpec.constant(Th, 2.0)
     sol = solve_qsde(Z, Theta, xi0, [0.0, 0.5, 2.0])
     for t, k in zip(sol.times, sol.kernels):
-        expected = xi0.kernel.add(Th.kernel.scale(t))
-        diff = k.kernel.add(expected.scale(-1)).norm_inf()
+        expected = xi0.add(Th.scale(t))
+        diff = k.add(expected.scale(-1)).norm_inf()
         assert diff <= 1e-12
 
 
@@ -290,7 +288,7 @@ def test_initial_condition_is_exact(rng):
     Z = ProcessSpec.constant(kernel_of({((1,), (0,)): 0.4 + 0j}), 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
     sol = solve_qsde(Z, Theta, xi0, [0.0, 1.0])
-    assert sol.kernels[0].kernel.coeffs == xi0.kernel.coeffs
+    assert sol.kernels[0].coeffs == xi0.coeffs
 
 
 def test_semigroup_property(rng):
@@ -303,8 +301,7 @@ def test_semigroup_property(rng):
     part = solve_qsde(Z, Theta, xi0, [0.5], action=ACTION_DISTRIBUTION)
     restart = solve_qsde(Z, Theta, part.kernels[0], [0.8],
                          action=ACTION_DISTRIBUTION)
-    diff = restart.kernels[0].kernel.add(
-        full.kernels[0].kernel.scale(-1)).norm_inf()
+    diff = restart.kernels[0].add(full.kernels[0].scale(-1)).norm_inf()
     assert diff <= 1e-10
 
 
@@ -325,12 +322,12 @@ def simpson_source(Z, Theta, t, action, panels):
     grid = sorted({0.0, t} | {g for g in Z.grid + Theta.grid if 0 < g < t})
     total = None
     for a, b in zip(grid, grid[1:]):
-        th = value_at(Theta, (a + b) / 2).kernel
+        th = value_at(Theta, (a + b) / 2)
         h = (b - a) / panels
         for i in range(panels + 1):
             s = a + i * h
             w = 1 if i in (0, panels) else (4 if i % 2 else 2)
-            G = conv_exp(integrate_between(Z, s, t).kernel)
+            G = conv_exp(integrate_between(Z, s, t))
             term = apply_propagator(G, th, action).scale(w * h / 3)
             total = term if total is None else total.add(term)
     return total
@@ -338,16 +335,15 @@ def simpson_source(Z, Theta, t, action, panels):
 
 def source_term(Z, Theta, t, action):
     """The closed-form solution from a zero initial kernel."""
-    ref = Z.kernels[0].kernel
-    xi0 = OperatorKernel(ref.scale(0))
-    return solve_qsde(Z, Theta, xi0, [t], action=action).kernels[0].kernel
+    xi0 = Z.kernels[0].scale(0)
+    return solve_qsde(Z, Theta, xi0, [t], action=action).kernels[0]
 
 
 @pytest.mark.parametrize("action", [ACTION_DISTRIBUTION, ACTION_FUNCTION])
 def test_source_term_matches_simpson(rng, action):
     def small():
-        return OperatorKernel(random_expansion(rng, 1, 1, 4, 4, 2, 2,
-                                               role=DISTRIBUTION, scale=0.3))
+        return random_expansion(rng, 1, 1, 4, 4, 2, 2,
+                                role=DISTRIBUTION, scale=0.3)
     grid = (0.0, 1.0, 2.0)
     Z = ProcessSpec(grid, (small(), small()))
     Theta = ProcessSpec(grid, (small(), small()))
@@ -384,12 +380,11 @@ def test_source_term_for_strongly_decaying_segment(c0, t):
                                                          / -c0, rel=1e-13)}
     # With N != 0 the source X solves Z * X = e^{*tZ} * Theta - Theta.
     Zk = kernel_of({((0,), (0,)): c0, ((1,), (0,)): 0.5 + 0j,
-                    ((1,), (1,)): 0.3j}, c1=3, c2=3).kernel
+                    ((1,), (1,)): 0.3j}, c1=3, c2=3)
     Tk = kernel_of({((0,), (0,)): 1 + 0j, ((0,), (1,)): -0.5 + 0j},
-                   c1=3, c2=3).kernel
-    X = source_term(ProcessSpec.constant(OperatorKernel(Zk), t),
-                    ProcessSpec.constant(OperatorKernel(Tk), t), t,
-                    ACTION_DISTRIBUTION)
+                   c1=3, c2=3)
+    X = source_term(ProcessSpec.constant(Zk, t), ProcessSpec.constant(Tk, t),
+                    t, ACTION_DISTRIBUTION)
     assert all(np.isfinite(v) for v in X.coeffs.values())
     lhs = convolve_dist_dist(Zk, X)
     rhs = convolve_dist_dist(conv_exp(Zk.scale(t)), Tk).add(Tk.scale(-1))
@@ -437,15 +432,13 @@ def test_semigroup_property_with_source(rng, action):
     full = solve_qsde(Z, Theta, xi0, [1.3], action=action)
     part = solve_qsde(Z, Theta, xi0, [0.5], action=action)
     restart = solve_qsde(Z, Theta, part.kernels[0], [0.8], action=action)
-    diff = restart.kernels[0].kernel.add(
-        full.kernels[0].kernel.scale(-1)).norm_inf()
+    diff = restart.kernels[0].add(full.kernels[0].scale(-1)).norm_inf()
     assert diff <= 1e-12
 
 
-def _at_cutoff(kernel, cutoff):
-    phi = kernel.kernel
-    return OperatorKernel(Expansion2(phi.dim1, phi.dim2, cutoff, cutoff,
-                                     dict(phi.coeffs), role=DISTRIBUTION))
+def _at_cutoff(phi, cutoff):
+    return Expansion2(phi.dim1, phi.dim2, cutoff, cutoff, dict(phi.coeffs),
+                      role=DISTRIBUTION)
 
 
 @pytest.mark.parametrize("action", [ACTION_FUNCTION, ACTION_DISTRIBUTION])
@@ -461,8 +454,8 @@ def test_closed_form_is_exact_in_every_retained_degree(action):
         rng = np.random.default_rng(seed)
 
         def draw(scale=1.0):
-            return OperatorKernel(random_expansion(
-                rng, 1, 1, 6, 6, 6, 6, DISTRIBUTION, scale=scale))
+            return random_expansion(rng, 1, 1, 6, 6, 6, 6, DISTRIBUTION,
+                                    scale=scale)
 
         grid = (0.0, 0.5, 1.0)
         Z = ProcessSpec(grid, (draw(0.3), draw(0.3)))
@@ -474,7 +467,6 @@ def test_closed_form_is_exact_in_every_retained_degree(action):
               for P in (Z, Theta)),
             _at_cutoff(xi0, 8), [0.5, 1.0], action=action)
         for a, b in zip(small.kernels, large.kernels):
-            a, b = a.kernel, b.kernel
             kept = {k for k in b.coeffs if max(map(sum, k)) <= 6}
             if action == ACTION_FUNCTION:
                 assert kept == set(b.coeffs)
@@ -491,8 +483,8 @@ def test_heat_flow_of_square_adds_t():
     xi0 = kernel_of({((2,), (0,)): 1 + 0j})
     sol = solve(xi0, [0.0, 0.5, 1.0])
     for t, k in zip(sol.times, sol.kernels):
-        assert k.kernel[((2,), (0,))] == pytest.approx(1.0)
-        assert k.kernel[((0,), (0,))] == pytest.approx(t)
+        assert k[((2,), (0,))] == pytest.approx(1.0)
+        assert k[((0,), (0,))] == pytest.approx(t)
     assert sol.checks["gaussian_gap"] <= 1e-10
 
 
@@ -500,7 +492,7 @@ def test_heat_flow_fixes_linear_kernels():
     xi0 = kernel_of({((1,), (0,)): 2 + 0j, ((0,), (1,)): -1j})
     sol = solve(xi0, [0.25, 1.0, 2.0])
     for k in sol.kernels:
-        assert k.kernel.coeffs == xi0.kernel.coeffs
+        assert k.coeffs == xi0.coeffs
 
 
 def test_gaussian_heat_kernel_examples():
@@ -520,9 +512,9 @@ def test_gaussian_heat_kernel_examples():
 
 def _gaussian_heat_kernel_at(xi0, t, z, w):
     # The one-point loop the row evaluation replaced, kept as its reference.
-    K = xi0.kernel
-    terms = multiplicities(K.exponents, K.dim1)[1].astype(float) * K.values
-    for a, column in zip([complex(v) for v in (*z, *w)], K.exponents.T):
+    terms = (multiplicities(xi0.exponents, xi0.dim1)[1].astype(float)
+             * xi0.values)
+    for a, column in zip([complex(v) for v in (*z, *w)], xi0.exponents.T):
         moments = np.array([_shifted_gauss_moment(a, t, k)
                             for k in range(column.max(initial=0) + 1)])
         terms = terms * moments[column]
@@ -533,8 +525,8 @@ def _gaussian_heat_kernel_at(xi0, t, z, w):
                                           ((2, 0), 3), ((1, 2), 0)])
 def test_gaussian_heat_kernel_rows_match_point_loop(rng, dims, points):
     d1, d2 = dims
-    xi0 = OperatorKernel(random_expansion(rng, d1, d2, 6, 6 if d2 else 0, 4,
-                                          4 if d2 else 0, role=DISTRIBUTION))
+    xi0 = random_expansion(rng, d1, d2, 6, 6 if d2 else 0, 4,
+                           4 if d2 else 0, role=DISTRIBUTION)
     x = rng.uniform(-1, 1, (points, d1 + d2))
     values = gaussian_heat_kernel(xi0, 0.7, x)
     assert values.shape == (points,)
@@ -543,22 +535,20 @@ def test_gaussian_heat_kernel_rows_match_point_loop(rng, dims, points):
 
 
 def test_heat_gaussian_gap_small_for_random_kernel(rng):
-    xi0 = OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 4, 4,
-                                          role=DISTRIBUTION), "init")
+    xi0 = random_expansion(rng, 1, 1, 8, 8, 4, 4, role=DISTRIBUTION)
     sol = solve(xi0, [0.1, 0.5, 1.0, 2.0])
     assert sol.checks["gaussian_gap"] <= 1e-10
 
 
 def test_heat_equals_qsde_with_half_trace(rng):
-    xi0 = OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 3, 3,
-                                          role=DISTRIBUTION), "init")
+    xi0 = random_expansion(rng, 1, 1, 8, 8, 3, 3, role=DISTRIBUTION)
     times = [0.3, 1.0]
     Z = half_trace_process(1, 1, 8, 8, 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
     a = solve(xi0, times)
     b = solve_qsde(Z, Theta, xi0, times)
     for ka, kb in zip(a.kernels, b.kernels):
-        assert ka.kernel.coeffs == kb.kernel.coeffs
+        assert ka.coeffs == kb.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +558,10 @@ def test_heat_equals_qsde_with_half_trace(rng):
 def rebuilt_every_step(Z, Theta, xi0, times, action):
     """The closed-form kernels at `times`, with the propagators built afresh
     at every step of `_segments`."""
-    state = xi0.kernel
+    state = xi0
     states = {0.0: state}
     for a, b, i, j in _segments(Z, Theta, times):
-        gen, source = Z.kernels[i].kernel, Theta.kernels[j].kernel
+        gen, source = Z.kernels[i], Theta.kernels[j]
         if len(source.codes):
             propagator, integral = _step_propagators(gen, b - a)
             state = apply_propagator(propagator, state, action).add(
@@ -600,8 +590,8 @@ def counted_calls(monkeypatch, name):
 def assert_same_bits(kernels, expected):
     assert len(kernels) == len(expected)
     for kern, exact in zip(kernels, expected):
-        assert np.array_equal(kern.kernel.codes, exact.codes)
-        assert kern.kernel.values.tobytes() == exact.values.tobytes()
+        assert np.array_equal(kern.codes, exact.codes)
+        assert kern.values.tobytes() == exact.values.tobytes()
 
 
 @pytest.mark.parametrize("action", ACTIONS)
@@ -611,8 +601,7 @@ def assert_same_bits(kernels, expected):
 ])
 def test_heat_steps_of_one_length_share_a_propagator(monkeypatch, rng, times,
                                                      builds, action):
-    xi0 = OperatorKernel(random_expansion(rng, 1, 1, 6, 6, 4, 4,
-                                          role=DISTRIBUTION))
+    xi0 = random_expansion(rng, 1, 1, 6, 6, 4, 4, role=DISTRIBUTION)
     Z = half_trace_process(1, 1, 6, 6, 1.0)
     Theta = zero_process(1, 1, 6, 6, 1.0)
     expected = rebuilt_every_step(Z, Theta, xi0, times, action)
@@ -649,8 +638,8 @@ def test_driven_steps_share_propagators_per_piece(monkeypatch):
 
 
 def test_symbol_ode_constant_without_drivers(rng):
-    xi0 = OperatorKernel(random_expansion(rng, 1, 1, 4, 4, 2, 2,
-                                          role=DISTRIBUTION))
+    xi0 = random_expansion(rng, 1, 1, 4, 4, 2, 2,
+                           role=DISTRIBUTION)
     Z = zero_process(1, 1, 4, 4, 1.0)
     Theta = zero_process(1, 1, 4, 4, 1.0)
     sol = solve_symbol_ode(Z, Theta, xi0, [0.0, 1.0])
@@ -696,14 +685,13 @@ def test_symbol_ode_transforms_once(monkeypatch):
 
 
 def test_symbol_ode_matches_closed_form(rng):
-    xi0 = OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 2, 2,
-                                          role=DISTRIBUTION), "init")
+    xi0 = random_expansion(rng, 1, 1, 8, 8, 2, 2, role=DISTRIBUTION)
     Z = ProcessSpec.constant(
-        OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 2, 2,
-                                        role=DISTRIBUTION, scale=0.2)), 1.0)
+        random_expansion(rng, 1, 1, 8, 8, 2, 2, role=DISTRIBUTION,
+                         scale=0.2), 1.0)
     Theta = ProcessSpec.constant(
-        OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 2, 2,
-                                        role=DISTRIBUTION, scale=0.2)), 1.0)
+        random_expansion(rng, 1, 1, 8, 8, 2, 2, role=DISTRIBUTION,
+                         scale=0.2), 1.0)
     times = [0.5, 1.0]
     numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
@@ -721,19 +709,19 @@ def test_symbol_ode_coefficients_match_closed_form(rng, dims, cutoff, degree,
     # The closed form is exact on every retained degree, so the symbol-ODE
     # kernels may differ from it only by aliasing, damped by r^(cutoff + 1),
     # and by rounding of the symbol values, amplified by r^-|gamma|/mult.
-    xi0 = OperatorKernel(random_expansion(rng, *dims, cutoff, cutoff, degree,
-                                          degree, role=DISTRIBUTION), "init")
+    xi0 = random_expansion(rng, *dims, cutoff, cutoff, degree, degree,
+                           role=DISTRIBUTION)
     Z = half_trace_process(*dims, cutoff, cutoff, max(times))
     Theta = zero_process(*dims, cutoff, cutoff, max(times))
     numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve(xi0, times, action=ACTION_DISTRIBUTION)
     for ode, exact in zip(numeric.kernels, closed.kernels):
-        for key in set(ode.kernel.coeffs) | set(exact.kernel.coeffs):
+        for key in set(ode.coeffs) | set(exact.coeffs):
             alpha, beta = key
             degree_of = sum(alpha) + sum(beta)
             mult = multinomial_weight(alpha) * multinomial_weight(beta)
             bound = 1e-5 + 1e-14 * 8 ** degree_of / mult
-            assert abs(ode.kernel[key] - exact.kernel[key]) <= bound, key
+            assert abs(ode[key] - exact[key]) <= bound, key
     assert symbol_gap(closed, numeric) <= 1e-5
 
 
@@ -755,13 +743,13 @@ def test_symbol_ode_is_exact_across_a_kink(rng):
     # Z changes at t = 0.6 and there is no source, so at every grid point
     # sigma(t) = exp(0.6 sigma(Z1) + (t - 0.6) sigma(Z2)) sigma(Xi0).
     def kernel(scale):
-        return OperatorKernel(random_expansion(rng, 1, 1, 8, 8, 2, 2,
-                                               role=DISTRIBUTION, scale=scale))
+        return random_expansion(rng, 1, 1, 8, 8, 2, 2, role=DISTRIBUTION,
+                                scale=scale)
     xi0, Z1, Z2 = kernel(1.0), kernel(0.5), kernel(0.5)
     Z = ProcessSpec((0.0, 0.6, 1.0), (Z1, Z2))
     Theta = zero_process(1, 1, 8, 8, 1.0)
     sol = solve_symbol_ode(Z, Theta, xi0, [0.3, 1.0])
-    _, values = torus_symbols([xi0.kernel, Z1.kernel, Z2.kernel])
+    _, values = torus_symbols([xi0, Z1, Z2])
     s0, s1, s2 = values.T
     for values, exponent in zip(sol.symbol_values,
                                 [0.3 * s1, 0.6 * s1 + 0.4 * s2]):
@@ -779,8 +767,8 @@ def scalar_flow(Z, Theta, sigma, t):
     """The scalar ODE by hand, one grid interval after another."""
     cuts = sorted({0.0, t} | {g for g in Z.grid + Theta.grid if 0 < g < t})
     for a, b in zip(cuts, cuts[1:]):
-        z = value_at(Z, (a + b) / 2).kernel[((0,), (0,))]
-        th = value_at(Theta, (a + b) / 2).kernel[((0,), (0,))]
+        z = value_at(Z, (a + b) / 2)[((0,), (0,))]
+        th = value_at(Theta, (a + b) / 2)[((0,), (0,))]
         decay = np.exp(z * (b - a))
         sigma = decay * sigma + (decay - 1) / z * th
     return sigma
@@ -800,9 +788,8 @@ def test_both_solvers_walk_the_same_pieces(times):
     assert closed.times == numeric.times == tuple(times)
     for t, ode, exact in zip(times, numeric.kernels, closed.kernels):
         expected = scalar_flow(Z, Theta, 0.3 - 1j, t)
-        assert exact.kernel[((0,), (0,))] == pytest.approx(expected,
-                                                           rel=1e-13)
-        assert ode.kernel[((0,), (0,))] == pytest.approx(expected, rel=1e-13)
+        assert exact[((0,), (0,))] == pytest.approx(expected, rel=1e-13)
+        assert ode[((0,), (0,))] == pytest.approx(expected, rel=1e-13)
     assert symbol_gap(closed, numeric) <= 1e-12
 
 

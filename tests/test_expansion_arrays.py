@@ -24,7 +24,6 @@ from grosslap.chaos import (
 )
 from grosslap.gross import trace_distribution
 from grosslap.quantum_op import (
-    OperatorKernel,
     apply_operator,
     multiplication_operator,
     tensor_expansion,
@@ -449,8 +448,7 @@ def kernels_and_inputs(draw):
 @given(kernels_and_inputs())
 def test_apply_operator_matches_dict_loop(case):
     (dim1, dim2, cutoff1, cutoff2), kernel, f = case
-    op = OperatorKernel(Expansion2(dim1, dim2, cutoff1, cutoff2, kernel,
-                                   role=DISTRIBUTION))
+    op = Expansion2(dim1, dim2, cutoff1, cutoff2, kernel, role=DISTRIBUTION)
     psi = apply_operator(op, Expansion2(dim1, 0, cutoff1, 0, f))
     assert (psi.dim1, psi.dim2, psi.cutoff1) == (dim2, 0, cutoff2)
     assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION)
@@ -462,7 +460,7 @@ def test_apply_operator_drops_sums_that_cancel():
     kernel = {((1, 0), (1,)): 0.5 + 0j, ((0, 1), (1,)): -0.5 + 0j,
               ((0, 0), (2,)): 3j}
     f = {((1, 0), ()): 1 + 0j, ((0, 1), ()): 1 + 0j, ((0, 0), ()): 2 + 0j}
-    op = OperatorKernel(Expansion2(2, 1, 2, 2, kernel, role=DISTRIBUTION))
+    op = Expansion2(2, 1, 2, 2, kernel, role=DISTRIBUTION)
     psi = apply_operator(op, Expansion2(2, 0, 2, 0, f))
     assert dict(psi.coeffs) == {((2,), ()): 6j}
     assert_matches_loop(psi, loop_apply_operator(kernel, f), DISTRIBUTION)
@@ -507,5 +505,5 @@ def test_multiplication_operator_matches_dict_loop(data):
     op = multiplication_operator(Expansion2(dim, 0, cutoff, 0, Phi,
                                             role=DISTRIBUTION))
     assert (op.dim1, op.dim2) == (dim, dim)
-    assert_matches_loop(op.kernel, loop_multiplication_operator(Phi),
+    assert_matches_loop(op, loop_multiplication_operator(Phi),
                         DISTRIBUTION)

@@ -146,13 +146,13 @@ def test_layout_reference_is_found():
 
 EXPORTED = [
     "DISTRIBUTION", "DegreeError", "DimensionMismatchError",
-    "EvolutionSolution", "Expansion2", "OperatorKernel", "ProcessSpec",
-    "RoleError", "TEST", "YoungFunctionSpec", "apply_operator", "chaos",
+    "EvolutionSolution", "Expansion2", "ProcessSpec", "RoleError", "TEST",
+    "YoungFunctionSpec", "apply_operator", "chaos",
     "classical_quantum_bridge", "conjugate_eval", "contract_full",
     "conv_exp", "convolve_dist_dist", "convolve_dist_test", "delta0",
     "dual_pair", "evaluate", "evolution", "exponential_vector",
     "gaussian_heat_kernel", "gross", "gross_distribution", "gross_test",
-    "laplace", "multiplication_operator", "op_convolve", "pointwise_product",
+    "laplace", "multiplication_operator", "pointwise_product",
     "quantum_gross", "quantum_op", "solve", "solve_qsde", "symbol",
     "tensor_core", "theta_n", "trace_distribution", "translate", "vacuum",
     "young",

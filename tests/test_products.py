@@ -62,7 +62,7 @@ def loop_sym_convolve(f, g, modulus=False):
     return coeffs, dropped
 
 
-def loop_convolve_dist_test(Phi, phi, modulus=False):
+def loop_contract_dist_test(Phi, phi, modulus=False):
     coeffs = {}
     for (mu, nu), a in Phi.coeffs.items():
         n, m = sum(mu), sum(nu)
@@ -173,8 +173,8 @@ def test_sym_convolve_matches_pair_loop(pair):
 def test_convolve_dist_test_matches_pair_loop(pair):
     Phi, phi = pair
     out = convolve_dist_test(Phi, phi)
-    assert_close(out.coeffs, loop_convolve_dist_test(Phi, phi),
-                 loop_convolve_dist_test(Phi, phi, modulus=True))
+    assert_close(out.coeffs, loop_contract_dist_test(Phi, phi),
+                 loop_contract_dist_test(Phi, phi, modulus=True))
     assert out.role == TEST
 
 
@@ -218,8 +218,8 @@ def test_codes_past_int64_use_python_integers():
     assert (tuple(a + b for a, b in zip(far, e[-1])), ()) in product.coeffs
     contracted = convolve_dist_test(g, f.with_role(TEST))
     assert_close(contracted.coeffs,
-                 loop_convolve_dist_test(g, f.with_role(TEST)),
-                 loop_convolve_dist_test(g, f.with_role(TEST), modulus=True))
+                 loop_contract_dist_test(g, f.with_role(TEST)),
+                 loop_contract_dist_test(g, f.with_role(TEST), modulus=True))
     assert contracted.coeffs
 
 

@@ -18,15 +18,19 @@ from grosslap.chaos import (
     pointwise_product,
     vacuum,
 )
-from grosslap.gross import gross_distribution, gross_test, trace_distribution
+from grosslap.evolution import solve
+from grosslap.gross import (
+    convolve_dist_dist,
+    gross_distribution,
+    gross_test,
+    trace_distribution,
+)
 from grosslap.quantum_op import (
-    OperatorKernel,
     apply_operator,
     classical_quantum_bridge,
     kernel_from_json,
     kernel_to_json,
     multiplication_operator,
-    op_convolve,
     quantum_gross,
     symbol,
     tensor_expansion,
@@ -39,12 +43,20 @@ def bilinear(v):
 
 
 def test_kernel_requires_distribution(rng):
-    with pytest.raises(RoleError):
-        OperatorKernel(random_expansion(rng, 1, 1, 3, 3, 2, 2))
+    # Every function that takes an operator rejects a test-role kernel.
+    K = random_expansion(rng, 1, 1, 3, 3, 2, 2)
+    for call in (lambda: symbol(K, [0.5], [0.5]),
+                 lambda: apply_operator(K, vacuum(1, 0, 3, 0)),
+                 lambda: quantum_gross(K),
+                 lambda: solve(K, [0.5]),
+                 lambda: kernel_from_json(kernel_to_json(K))):
+        with pytest.raises(RoleError,
+                           match="operator kernels must be distributions"):
+            call()
 
 
 def _kernel():
-    return OperatorKernel(delta0(1, 1, 3, 3))
+    return delta0(1, 1, 3, 3)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -76,20 +88,19 @@ def test_input_errors(call, error, match):
 
 
 def test_identity_symbol_is_one():
-    I = OperatorKernel(delta0(2, 2, 5, 5))
+    I = delta0(2, 2, 5, 5)
     assert symbol(I, [0.3, 1j], [2.0, -1]) == 1
 
 
 def test_trace_kernel_symbol():
-    T = OperatorKernel(trace_distribution(1, 1, 8, 8))
+    T = trace_distribution(1, 1, 8, 8)
     assert symbol(T, [2], [1]) == pytest.approx(5)
 
 
 def test_symbol_is_exponential_matrix_element(rng):
     # sigma(Xi)(xi, eta) = <<Xi e_xi, e_eta>>, computed here the long way
     # through apply_operator and the dual pairing.
-    K = OperatorKernel(random_expansion(rng, 2, 1, 6, 6, 3, 3,
-                                        role=DISTRIBUTION))
+    K = random_expansion(rng, 2, 1, 6, 6, 3, 3, role=DISTRIBUTION)
     xi = (rng_complex(rng, 2) / 2).tolist()
     eta = (rng_complex(rng, 1) / 2).tolist()
     e_xi = exponential_vector(xi, [], 6, 0)
@@ -102,24 +113,22 @@ def test_symbol_is_exponential_matrix_element(rng):
 
 def test_apply_operator_matches_tensor_pairing(rng):
     # <<Xi f, g>> = <<kernel, f (x) g>>
-    K = OperatorKernel(random_expansion(rng, 2, 2, 5, 5, 5, 5,
-                                        role=DISTRIBUTION))
+    K = random_expansion(rng, 2, 2, 5, 5, 5, 5, role=DISTRIBUTION)
     f = random_expansion(rng, 2, 0, 5, 0, 5, 0)
     g = random_expansion(rng, 2, 0, 5, 0, 5, 0)
     lhs = dual_pair(apply_operator(K, f), g)
-    rhs = dual_pair(K.kernel, tensor_expansion(f, g))
+    rhs = dual_pair(K, tensor_expansion(f, g))
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_op_convolve_multiplies_symbols(seed):
+def test_operator_convolution_multiplies_symbols(seed):
+    # Operators convolve through their kernels, two-variable distributions.
     rng = np.random.default_rng(seed)
-    A = OperatorKernel(random_expansion(rng, 1, 2, 8, 8, 3, 3,
-                                        role=DISTRIBUTION))
-    B = OperatorKernel(random_expansion(rng, 1, 2, 8, 8, 3, 3,
-                                        role=DISTRIBUTION))
-    C = op_convolve(A, B)
+    A = random_expansion(rng, 1, 2, 8, 8, 3, 3, role=DISTRIBUTION)
+    B = random_expansion(rng, 1, 2, 8, 8, 3, 3, role=DISTRIBUTION)
+    C = convolve_dist_dist(A, B)
     xi = (rng_complex(rng, 1) / 2).tolist()
     eta = (rng_complex(rng, 2) / 2).tolist()
     assert symbol(C, xi, eta) == pytest.approx(
@@ -127,8 +136,7 @@ def test_op_convolve_multiplies_symbols(seed):
 
 
 def test_quantum_gross_symbol_multiplier(rng):
-    K = OperatorKernel(random_expansion(rng, 2, 2, 8, 8, 6, 6,
-                                        role=DISTRIBUTION))
+    K = random_expansion(rng, 2, 2, 8, 8, 6, 6, role=DISTRIBUTION)
     L = quantum_gross(K)
     for _ in range(5):
         xi = (rng_complex(rng, 2) / 2).tolist()
@@ -176,8 +184,8 @@ def test_quantum_gross_is_gross_on_both_sides():
     worst = 0.0
     for _ in range(IDENTITY_DRAWS):
         d1, d2 = (int(d) for d in rng.integers(1, 4, 2))
-        K = OperatorKernel(random_expansion(rng, d1, d2, c, c, c - 2, c - 2,
-                                            role=DISTRIBUTION))
+        K = random_expansion(rng, d1, d2, c, c, c - 2, c - 2,
+                             role=DISTRIBUTION)
         f = random_expansion(rng, d1, 0, c, 0, c, 0)
         lhs = apply_operator(quantum_gross(K), f)
         rhs = apply_operator(K, gross_test(f)).add(
@@ -214,8 +222,9 @@ def test_classical_quantum_bridge(rng):
 
 
 def test_kernel_json_roundtrip(rng):
-    K = OperatorKernel(random_expansion(rng, 2, 1, 4, 4, 3, 3,
-                                        role=DISTRIBUTION), label="probe")
-    back = kernel_from_json(kernel_to_json(K))
-    assert back.label == "probe"
-    assert back.kernel.coeffs == K.kernel.coeffs
+    K = random_expansion(rng, 2, 1, 4, 4, 3, 3, role=DISTRIBUTION)
+    obj = kernel_to_json(K, "probe")
+    assert obj["label"] == "probe"
+    back = kernel_from_json(obj)
+    assert np.array_equal(back.codes, K.codes)
+    assert back.values.tobytes() == K.values.tobytes()
