@@ -758,19 +758,28 @@ def expansion_to_json(phi: Expansion2) -> dict:
     }
 
 
-def expansion_from_json(obj: dict) -> Expansion2:
-    """An expansion from its JSON form; a key given twice is rejected."""
+def expansion_from_json(obj: dict, field: str = "") -> Expansion2:
+    """An expansion from its JSON form, the input's `field` (the input
+    itself if empty), whose members are named as `_json_member` names them;
+    a key given twice is rejected."""
+    obj = _json_object(obj, field)
+    path = f"{field}." if field else ""
     coeffs = {}
-    for t in map(_json_object, _json_object(obj).get("terms", [])):
-        key = (_json_multi_index(t["alpha"]), _json_multi_index(t["beta"]))
+    terms = _json_object(obj.get("terms", []), f"{path}terms", list)
+    for i, t in enumerate(terms):
+        where = f"{path}terms[{i}]"
+        t = _json_object(t, where)
+        key = tuple(_json_multi_index(_json_member(t, k, where, list))
+                    for k in ("alpha", "beta"))
         if key in coeffs:
             raise ValueError(f"term alpha={list(key[0])}, "
                              f"beta={list(key[1])} appears twice")
-        coeffs[key] = complex(_json_number(t["re"], "a real part"),
-                              _json_number(t.get("im", 0.0),
-                                           "an imaginary part"))
-    return Expansion2(*(_json_count(obj[k], k) for k in
-                        ("dim1", "dim2", "cutoff1", "cutoff2")),
+        coeffs[key] = complex(
+            _json_number(_json_member(t, "re", where, None), "a real part"),
+            _json_number(t.get("im", 0.0), "an imaginary part"))
+    return Expansion2(*(_json_count(_json_member(obj, k, field, None),
+                                    path + k)
+                        for k in ("dim1", "dim2", "cutoff1", "cutoff2")),
                       coeffs, role=obj.get("role", TEST))
 
 
@@ -786,11 +795,14 @@ def _json_object(value, field: str = "", kind: type = dict):
 
 
 def _json_member(obj: dict, key: str, field: str = "", kind: type = dict):
-    """obj[key], a JSON object or array as `_json_object` checks it, where
-    obj is the input's `field` (the input itself if empty); a missing key is
-    named."""
+    """obj[key], where obj is the input's `field` (the input itself if
+    empty), named `field.key`; a missing key is named.  With kind dict or
+    list the value is checked by `_json_object`; kind None takes any value,
+    for the caller to check."""
     if key not in obj:
         raise ValueError(f'{field or "the input"} has no "{key}"')
+    if kind is None:
+        return obj[key]
     return _json_object(obj[key], f"{field}.{key}" if field else key, kind)
 
 

@@ -70,12 +70,14 @@ def _as_complex(obj) -> complex:
                    _json_number(im, "an imaginary part"))
 
 
-def _as_point(obj):
-    """A {"z": [..], "t": [..]} object as a (z, t) pair of complex lists."""
+def _as_point(obj, field: str):
+    """A {"z": [..], "t": [..]} object, the input's `field`, as a (z, t)
+    pair of complex lists."""
     from .chaos import _json_object
-    obj = _json_object(obj)
-    return ([_as_complex(v) for v in obj.get("z", [])],
-            [_as_complex(v) for v in obj.get("t", [])])
+    obj = _json_object(obj, field)
+    return tuple([_as_complex(v) for v in
+                  _json_object(obj.get(k, []), f"{field}.{k}", list)]
+                 for k in ("z", "t"))
 
 
 def _c_json(v: complex) -> dict:
@@ -130,10 +132,10 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     """Solve a linear kernel evolution problem described by a JSON file.
 
     Without a "Z" process the heat flow (half the trace distribution) is
-    assumed.  method "symbol_ode" runs only the symbol oracle, which solves
-    the symbol ODE exactly on each piece where Z and Theta are constant;
-    "both" runs it after the closed form and reports the worst symbol gap as
-    residual_max.
+    assumed.  Every method runs the closed form; method "both" also solves
+    the symbol ODE exactly on each piece where Z and Theta are constant and
+    reports the worst gap between its values and the closed form's symbols
+    as residual_max.
     """
     import numpy as np
 
@@ -168,13 +170,11 @@ def solve(in_path: str, out: Optional[str], method: Optional[str],
     except INPUT_ERRORS as exc:
         _fail(2, f"bad solver input: {exc}")
 
-    # Each kernel carries the label of the solver that made it.
-    label = "symbol-ode" if sol.method == "symbol_ode" else "solution"
     report = {
         "method": sol.method,
         "action": sol.action,
         "times": list(sol.times),
-        "kernels": [kernel_to_json(k, label) for k in sol.kernels],
+        "kernels": [kernel_to_json(k, "solution") for k in sol.kernels],
         "checks": sol.checks,
     }
     _emit(report, out)
@@ -189,22 +189,25 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
     three ops sum mult(alpha) mult(beta) c z^alpha t^beta, for every point
     at once; they differ in the role the input must have.
     """
-    from .chaos import (RoleError, check_evaluation_size,
-                        coefficient_polynomials, expansion_from_json,
-                        point_coordinates)
+    from .chaos import (RoleError, _json_member, _json_object,
+                        check_evaluation_size, coefficient_polynomials,
+                        expansion_from_json, point_coordinates)
     from .quantum_op import kernel_from_json
     try:
-        spec = _load_json(in_path)
-        op = spec["op"]
-        points = [_as_point(p) for p in spec["points"]]
+        spec = _json_object(_load_json(in_path), "the input")
+        op = _json_member(spec, "op", kind=None)
+        # A tuple, not ROLE_OF_OP: `in` a dict would hash an array op.
+        if op not in ("symbol", *ROLE_OF_OP):
+            raise ValueError(f"unknown op {op!r}")
+        points = [_as_point(p, f"points[{i}]") for i, p
+                  in enumerate(_json_member(spec, "points", kind=list))]
         if op == "symbol":
-            phi = kernel_from_json(spec["kernel"], "kernel")
-        elif op in ROLE_OF_OP:
-            phi = expansion_from_json(spec["expansion"])
+            phi = kernel_from_json(_json_member(spec, "kernel"), "kernel")
+        else:
+            phi = expansion_from_json(_json_member(spec, "expansion"),
+                                      "expansion")
             if phi.role != ROLE_OF_OP[op]:
                 raise RoleError(f"{op} needs a {ROLE_OF_OP[op]} expansion")
-        else:
-            raise ValueError(f"unknown op {op!r}")
         check_evaluation_size(len(points), len(phi.codes), phi.dim1,
                               phi.dim2)
         x = point_coordinates(points, phi.dim1, phi.dim2)
@@ -303,7 +306,7 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("--out", **out)
     cmd.add_argument("--method", metavar="METHOD",
                      help="Override the method named in the input file: "
-                          "closed_form, symbol_ode or both.")
+                          "closed_form or both.")
     cmd.add_argument("--seed", **seed)
 
     cmd = command("eval", eval_cmd)

@@ -1,11 +1,11 @@
-"""Closed-form and numeric solvers for linear kernel evolution equations.
+"""Closed-form solver for linear kernel evolution equations, and its oracles.
 
-Both solvers step exactly over the pieces where the driving process and the
-source are constant; the closed form integrates the source term with the
-phi-functions of exponential integrators.  Two independent oracles exist: the
-same exact step for the scalar symbol ODE on a torus grid, with the kernel
-coefficients read back by one discrete Fourier transform, and (for the heat
-flow on function-convention kernels) exact Gaussian-moment smoothing.
+The closed form steps exactly over the pieces where the driving process and
+the source are constant, integrating the source term with the phi-functions
+of exponential integrators.  Two independent oracles check it: the same exact
+step for the scalar symbol ODE on a torus grid, compared with the closed-form
+kernels' symbols there, and (for the heat flow on function-convention
+kernels) exact Gaussian-moment smoothing.
 
 A propagator, being a distribution, can act on the kernel two ways and both
 appear in the theory: "distribution" convolves kernels as distributions, so
@@ -228,9 +228,6 @@ class EvolutionSolution:
     method: str
     action: str = ACTION_FUNCTION
     checks: Dict[str, float] = field(default_factory=dict)
-    # Symbol-ODE only: the grid's coordinate rows, the (times, rows) symbols.
-    symbol_points: Optional[np.ndarray] = None
-    symbol_values: Optional[np.ndarray] = None
 
 
 def apply_propagator(G: Expansion2, K: Expansion2, action: str) -> Expansion2:
@@ -330,9 +327,8 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     SYMBOL_RADIUS, so the monomial of exponent gamma = alpha + beta is one
     DFT bin.  The grid is the box of the expansions' codes, so a key's flat
     bin is its code.  Returns the grid's shape, its points in C order (one
-    row of coordinates each), the bins of the keys (|alpha| <= cutoff1,
-    |beta| <= cutoff2), and per bin the factor from coefficient to bin,
-    mult(alpha) mult(beta) r^|gamma| (zero off the keys).
+    row of coordinates each), and per bin the factor from coefficient to
+    bin, mult(alpha) mult(beta) r^|gamma| (zero off the keys).
     """
     shape = (cutoff1 + 1,) * dim1 + (cutoff2 + 1,) * dim2
     exponents = np.indices(shape).reshape(len(shape), -1).T
@@ -342,9 +338,9 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     scale = np.zeros(len(points))
     scale[bins] = multiplicities(keys, dim1)[1].astype(float)
     scale[bins] *= SYMBOL_RADIUS ** keys.sum(axis=1)
-    for array in (points, bins, scale):
+    for array in (points, scale):
         array.flags.writeable = False
-    return shape, points, bins, scale
+    return shape, points, scale
 
 
 def torus_symbols(phis: Sequence[Expansion2]):
@@ -357,7 +353,7 @@ def torus_symbols(phis: Sequence[Expansion2]):
     """
     ref = phis[0]
     torus = _torus(ref.dim1, ref.dim2, ref.cutoff1, ref.cutoff2)
-    shape, points, _, scale = torus
+    shape, points, scale = torus
     P = np.zeros((len(phis), len(points)), dtype=complex)
     for row, phi in zip(P, phis):
         row[phi.codes] = phi.values * scale[phi.codes]
@@ -367,26 +363,19 @@ def torus_symbols(phis: Sequence[Expansion2]):
 
 
 def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
-                     times: Sequence[float]) -> EvolutionSolution:
-    """The scalar symbol ODE solved exactly, then kernel reconstruction.
+                     times: Sequence[float]) -> np.ndarray:
+    """The scalar symbol ODE solved exactly on the symbol grid.
 
     d sigma/dt = sigma(Z) sigma + sigma(Theta) holds pointwise for the
-    distribution-action flow; solving it on the symbol grid of
-    `torus_symbols`, exactly on each piece of `_segments`, and transforming
-    back gives an oracle independent of the convolution calculus.  One fftn
-    over the grid, for every requested time, yields mult c r^|gamma| in each
-    key's bin; exponents past the cutoff in some coordinate alias onto the
-    keys, damped by r^(cutoff + 1).
-
-    An error in the symbol values can grow by up to r^-|gamma| in the
-    coefficient of degree |gamma|; the largest such factor is returned as the
-    check fit_amplification.
+    distribution-action flow; solving it on the grid of `torus_symbols`,
+    exactly on each piece of `_segments`, gives an oracle independent of
+    the convolution calculus.  Returns the read-only (times, points) symbol
+    values, the points in the order of `_torus`.
     """
     _check_processes(Z, Theta, xi0)
     # Every kernel's symbol on the grid: one column for xi0, then one per
     # piece of Z and Theta.
-    (shape, points, bins, scale), symbols = torus_symbols(
-        [xi0, *Z.kernels, *Theta.kernels])
+    _, symbols = torus_symbols([xi0, *Z.kernels, *Theta.kernels])
     sig_Z = symbols[:, 1:1 + len(Z.kernels)]
     sig_T = symbols[:, 1 + len(Z.kernels):]
     sigma = symbols[:, 0]
@@ -402,38 +391,23 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
         states[b] = sigma
 
     values = np.array([states[float(t)] for t in times],
-                      dtype=complex).reshape(len(times), len(points))
+                      dtype=complex).reshape(len(times), len(symbols))
     values.flags.writeable = False
-    spectrum = np.fft.fftn(values.reshape(len(times), *shape),
-                           axes=tuple(range(1, len(shape) + 1)))
-    coef = (spectrum.reshape(values.shape)[:, bins]
-            / (len(points) * scale[bins]))
-
-    kept = np.abs(coef) > 1e-300
-    return EvolutionSolution(tuple(float(t) for t in times),
-                             tuple(xi0.with_terms((bins[k], row[k]))
-                                   for row, k in zip(coef, kept)),
-                             method="symbol_ode",
-                             action=ACTION_DISTRIBUTION,
-                             checks={"fit_amplification": SYMBOL_RADIUS
-                                     ** -(xi0.cutoff1 + xi0.cutoff2)},
-                             symbol_points=points, symbol_values=values)
+    return values
 
 
-def symbol_gap(closed: EvolutionSolution,
-               numeric: EvolutionSolution) -> float:
-    """Largest |sigma(closed kernel) - numeric symbol| over points and times.
+def symbol_gap(closed: EvolutionSolution, values: np.ndarray) -> float:
+    """Largest |sigma(closed kernel) - symbol value| over points and times.
 
-    `closed` holds distribution-action kernels at the times of the symbol-ODE
-    solution `numeric`, of the shape numeric was solved for; each kernel's
-    symbol is taken on numeric's grid.  This gap is what `solve` reports as
-    residual_max.  A NaN anywhere makes it NaN.
+    `closed` holds distribution-action kernels at the times of `values`,
+    the (times, points) output of `solve_symbol_ode` for their shape; each
+    kernel's symbol is taken on the same grid.  This gap is what `solve`
+    reports as residual_max.  A NaN anywhere makes it NaN.
     """
     if not closed.kernels:
         return 0.0
-    _, values = torus_symbols(closed.kernels)
-    return float(np.max(np.abs(values - numeric.symbol_values.T),
-                        initial=0.0))
+    _, symbols = torus_symbols(closed.kernels)
+    return float(np.max(np.abs(symbols - values.T), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +423,7 @@ def half_trace_process(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
 # ---------------------------------------------------------------------------
 # Solver entry point
 
-METHODS = ("closed_form", "symbol_ode", "both")
+METHODS = ("closed_form", "both")
 ACTIONS = (ACTION_FUNCTION, ACTION_DISTRIBUTION)
 
 # Random points per time at which a source-free function-action heat solve
@@ -467,14 +441,14 @@ def solve(xi0: Expansion2, times: Sequence[float],
     xi0 is the initial operator kernel, a distribution `Expansion2`
     (`RoleError` otherwise); the solution holds one kernel of its shape per
     time.  Z defaults to the heat flow, half the trace distribution, and
-    Theta to zero.  "closed_form" runs `solve_qsde`; "symbol_ode" runs only
-    the symbol oracle; "both" runs the two and reports as residual_max the
+    Theta to zero.  Every method runs `solve_qsde` under ``action``;
+    "both" also solves the symbol ODE and reports as residual_max the
     `symbol_gap` of the distribution-action closed form (solved a second
-    time under the function action).  A closed-form heat flow with a zero
-    source under the function action reports gaussian_gap, its largest
-    distance from Gaussian-moment smoothing at GAUSSIAN_CHECK_POINTS points
-    per time drawn with `random.Random(seed)`; ``seed`` must be >= 0.  The
-    solution's method is the one asked for.
+    time under the function action).  A heat flow with a zero source under
+    the function action reports gaussian_gap, its largest distance from
+    Gaussian-moment smoothing at GAUSSIAN_CHECK_POINTS points per time drawn
+    with `random.Random(seed)`; ``seed`` must be >= 0.  The solution's
+    method and action are the ones asked for.
     """
     for name, value, allowed in (("method", method, METHODS),
                                  ("action", action, ACTIONS)):
@@ -491,20 +465,15 @@ def solve(xi0: Expansion2, times: Sequence[float],
     if Theta is None:
         Theta = zero_process(*shape, max(t_end, Z.end))
     checks = {}
-    if method != "symbol_ode":
-        sol = solve_qsde(Z, Theta, xi0, times, action=action)
-        if heat and Theta.is_zero() and action == ACTION_FUNCTION:
-            checks["gaussian_gap"] = _gaussian_gap(xi0, sol, seed)
-    if method != "closed_form":
-        numeric = solve_symbol_ode(Z, Theta, xi0, times)
-        checks.update(numeric.checks)
-        if method == "both":
-            closed = (sol if action == ACTION_DISTRIBUTION else
-                      solve_qsde(Z, Theta, xi0, times,
-                                 action=ACTION_DISTRIBUTION))
-            checks["residual_max"] = symbol_gap(closed, numeric)
-        else:
-            sol = numeric
+    sol = solve_qsde(Z, Theta, xi0, times, action=action)
+    if heat and Theta.is_zero() and action == ACTION_FUNCTION:
+        checks["gaussian_gap"] = _gaussian_gap(xi0, sol, seed)
+    if method == "both":
+        closed = (sol if action == ACTION_DISTRIBUTION else
+                  solve_qsde(Z, Theta, xi0, times,
+                             action=ACTION_DISTRIBUTION))
+        checks["residual_max"] = symbol_gap(
+            closed, solve_symbol_ode(Z, Theta, xi0, times))
     return replace(sol, method=method, checks=checks)
 
 

@@ -154,4 +154,5 @@ def kernel_from_json(obj: dict, field: str = "an operator") -> Expansion2:
     """The kernel of an operator's JSON object; the label is not read.
     `field` names the object in error messages."""
     return require_operator(expansion_from_json(
-        _json_member(_json_object(obj, field), "kernel", field)))
+        _json_member(_json_object(obj, field), "kernel", field),
+        f"{field}.kernel"))

@@ -99,6 +99,10 @@ def src_env() -> dict:
 SOLVER_CASES = list(itertools.product((True, False), (False, True), ACTIONS,
                                       METHODS))
 
+# A method the solver once had, whose kernel reconstruction from the symbol
+# grid was removed: it is refused like any unknown method.
+REMOVED_METHOD = "symbol_ode"
+
 
 def solver_case(heat: bool, source: bool):
     """A small solver input (xi0, Z, Theta) at dims (1,1), cutoff 3; Z is

@@ -52,12 +52,19 @@ def test_heat_solve_passes_the_benchmark_checks(bench_run, tmp_path, seed):
     assert report["checks"]["residual_max"] <= bench_run.RESIDUAL_TOL
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_driven_solve_passes_the_benchmark_check(bench_run, tmp_path, seed):
+@pytest.mark.parametrize("seed, options", [
+    pytest.param(1, [], id="1"), pytest.param(2, [], id="2"),
+    pytest.param(1, ["--method", "both"], id="1-both"),
+    pytest.param(2, ["--method", "both"], id="2-both"),
+])
+def test_driven_solve_passes_the_benchmark_check(bench_run, tmp_path, seed,
+                                                 options):
+    # The benchmark runs the default method; "both" writes the same
+    # closed-form kernels and must pass the same check.
     spec = bench_run.inputs.driven_input(seed)
     path = tmp_path / "driven.json"
     path.write_text(json.dumps(spec))
-    res = run_cli(["solve", "--in", str(path)])
+    res = run_cli(["solve", "--in", str(path), *options])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["times"] == spec["times"]

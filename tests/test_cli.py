@@ -19,8 +19,8 @@ from grosslap.chaos import (
 from grosslap.gross import trace_distribution
 from grosslap.quantum_op import kernel_from_json, kernel_to_json, symbol
 from grosslap.verify import ALL_CHECKS
-from conftest import (SOLVER_CASES, random_expansion, rng_complex, run_cli,
-                      solver_case, src_env)
+from conftest import (REMOVED_METHOD, SOLVER_CASES, random_expansion,
+                      rng_complex, run_cli, solver_case, src_env)
 
 
 FAST_SUITES = ["exponential-eigenvalue", "young-conjugate-diagnostics"]
@@ -261,6 +261,20 @@ def _eval_unknown_op():
             "points": [{"z": [1.0]}]}
 
 
+def _eval_spoiled(change, op="symbol"):
+    """An `eval` input for `op` with `change` applied to it."""
+    from grosslap.chaos import delta0
+    def make():
+        spec = {"op": op, "points": [{"z": [0.5], "t": [0.1]}]}
+        if op == "symbol":
+            spec["kernel"] = kernel_to_json(trace_distribution(1, 1, 4, 4))
+        else:
+            spec["expansion"] = expansion_to_json(delta0(1, 1, 3, 3))
+        change(spec)
+        return spec
+    return make
+
+
 def _solve_mismatched_process():
     # The initial kernel is at cutoff 8; Z is at cutoff 6 on [1, 2], a
     # piece that no step to time 0.5 reaches.
@@ -275,15 +289,42 @@ def _solve_mismatched_process():
     pytest.param(["eval"], _eval_unknown_op, "unknown op",
                  id="eval-unknown-op"),
     pytest.param(["eval"], None, "in.json", id="eval-missing-file"),
+    pytest.param(["eval"], lambda: [], "expected a JSON object for the "
+                 "input, not list", id="eval-input-array"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s.pop("op")),
+                 'the input has no "op"', id="eval-op-missing"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s.update(op=["symbol"])),
+                 "unknown op ['symbol']", id="eval-op-array"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s.update(points=0.5)),
+                 "expected a JSON array for points, not float",
+                 id="eval-points-number"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s["points"][0].update(
+        z=0.5)), "expected a JSON array for points[0].z, not float",
+                 id="eval-point-z-number"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s.pop("kernel")),
+                 'the input has no "kernel"', id="eval-kernel-missing"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s.update(kernel=[])),
+                 "expected a JSON object for kernel, not list",
+                 id="eval-kernel-array"),
+    pytest.param(["eval"], _eval_spoiled(
+        lambda s: s["kernel"]["kernel"]["terms"][0].pop("re")),
+                 'kernel.kernel.terms[0] has no "re"',
+                 id="eval-kernel-re-missing"),
+    pytest.param(["eval"], _eval_spoiled(lambda s: s.pop("expansion"),
+                                         "laplace"),
+                 'the input has no "expansion"', id="eval-expansion-missing"),
+    pytest.param(["eval"], _eval_spoiled(
+        lambda s: s["expansion"].pop("dim2"), "laplace"),
+                 'expansion has no "dim2"', id="eval-expansion-dim2-missing"),
     pytest.param(["young", "--family", "gaussian", "--op", "theta"], None,
                  "--x is required", id="young-theta-without-x"),
     pytest.param(["young", "--family", "gaussian", "--op", "theta-n"], None,
                  "--n is required", id="young-theta-n-without-n"),
     pytest.param(["solve"], _solve_mismatched_process, "cutoffs",
                  id="solve-mismatched-process"),
-    pytest.param(["solve", "--method", "symbol_ode"],
+    pytest.param(["solve", "--method", "both"],
                  _solve_mismatched_process, "cutoffs",
-                 id="solve-symbol-ode-mismatched-process"),
+                 id="solve-both-mismatched-process"),
 ])
 def test_input_errors(tmp_path, args, spec, message):
     path = tmp_path / "in.json"
@@ -354,7 +395,7 @@ def test_bad_expansion_json_exits_2(tmp_path, command, edit):
     if command == "solve":
         spec = _heat_input([0.5])
         expansion = spec["xi0"]["kernel"]
-        args = ["--method", "symbol_ode"]
+        args = ["--method", "both"]
     else:
         expansion = expansion_to_json(delta0(1, 1, 3, 3))
         spec = {"op": "laplace", "expansion": expansion,
@@ -555,6 +596,28 @@ def run_before_solving(tmp_path, monkeypatch, command, spec):
     pytest.param(_spoiled(lambda s: s["xi0"].update(kernel=[])),
                  "expected a JSON object for xi0.kernel, not list",
                  id="xi0-kernel-array"),
+    pytest.param(_spoiled(lambda s: s["xi0"]["kernel"].pop("dim1")),
+                 'xi0.kernel has no "dim1"', id="xi0-dim1-missing"),
+    pytest.param(_spoiled(lambda s: s["xi0"]["kernel"].update(cutoff2=8.0)),
+                 "xi0.kernel.cutoff2 must be an integer >= 0, not 8.0",
+                 id="xi0-cutoff-float"),
+    pytest.param(_spoiled(lambda s: s["Z"]["kernels"][0]["kernel"].update(
+        terms={"a": 1})),
+                 "expected a JSON array for Z.kernels[0].kernel.terms, not "
+                 "dict", id="Z-terms-object"),
+    pytest.param(_spoiled(lambda s: s["xi0"]["kernel"]["terms"][0].pop("re")),
+                 'xi0.kernel.terms[0] has no "re"', id="xi0-re-missing"),
+    pytest.param(_spoiled(lambda s: s["Z"]["kernels"][0]["kernel"]
+                          ["terms"][0].pop("beta")),
+                 'Z.kernels[0].kernel.terms[0] has no "beta"',
+                 id="Z-beta-missing"),
+    pytest.param(_spoiled(lambda s: s["xi0"]["kernel"]["terms"][0].update(
+        alpha=1)),
+                 "expected a JSON array for xi0.kernel.terms[0].alpha, not "
+                 "int", id="xi0-alpha-number"),
+    pytest.param(_spoiled(lambda s: s["xi0"]["kernel"]["terms"].append(0.5)),
+                 "expected a JSON object for xi0.kernel.terms[1], not float",
+                 id="xi0-term-number"),
 ])
 def test_malformed_solver_json_names_its_field(tmp_path, monkeypatch, make,
                                                what):
@@ -580,8 +643,7 @@ def test_test_role_operator_exits_2(tmp_path, monkeypatch, make):
 
 
 @pytest.mark.parametrize("method, label", [
-    ("closed_form", "solution"), ("both", "solution"),
-    ("symbol_ode", "symbol-ode")])
+    ("closed_form", "solution"), ("both", "solution")])
 def test_solve_report_labels_its_kernels(tmp_path, method, label):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_heat_input([0.0, 0.5, 1.0])))
@@ -593,12 +655,15 @@ def test_solve_report_labels_its_kernels(tmp_path, method, label):
 
 
 def test_solve_deterministic_output(tmp_path):
+    # The default method, and "both", which the benchmark's heat workload
+    # runs.
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_heat_input([0.25, 0.75])))
-    a = run_cli(["solve", "--in", str(path), "--seed", "42"])
-    b = run_cli(["solve", "--in", str(path), "--seed", "42"])
-    assert a.exit_code == b.exit_code == 0
-    assert a.output == b.output
+    for options in ([], ["--method", "both"]):
+        args = ["solve", "--in", str(path), "--seed", "42", *options]
+        a, b = run_cli(args), run_cli(args)
+        assert a.exit_code == b.exit_code == 0
+        assert a.output == b.output
 
 
 def test_solve_overflowing_result_exits_2(tmp_path):
@@ -839,30 +904,6 @@ def test_eval_point_dims_mismatch_exits_2(tmp_path):
     assert res.exit_code == 2, res.output
 
 
-@pytest.mark.parametrize("driven", [False, True])
-def test_solve_symbol_ode_runs_no_closed_form(tmp_path, monkeypatch,
-                                              driven):
-    import grosslap.evolution
-    from grosslap.chaos import Expansion2
-
-    def closed_form(*args, **kwargs):
-        raise AssertionError("method symbol_ode ran the closed form")
-
-    monkeypatch.setattr(grosslap.evolution, "solve_qsde", closed_form)
-    spec = _heat_input([0.5])
-    if driven:
-        Z = Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j}, role=DISTRIBUTION)
-        spec["Z"] = {"grid": [0.0, 1.0], "kernels": [kernel_to_json(Z)]}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(spec))
-    res = run_cli(["solve", "--in", str(path), "--method", "symbol_ode"])
-    assert res.exit_code == 0, res.output
-    report = json.loads(res.output)
-    assert report["method"] == "symbol_ode"
-    assert "gaussian_gap" not in report["checks"]
-    assert report["checks"]["fit_amplification"] == 8.0 ** 16
-
-
 def _driven_input():
     from grosslap.chaos import Expansion2
     Z = Expansion2(1, 1, 8, 8, {((1,), (0,)): 0.4 + 0j}, role=DISTRIBUTION)
@@ -878,10 +919,12 @@ def _driven_input():
     pytest.param("times", [10 ** 400], id="huge-integer-time"),
     pytest.param("grid", ["0", "1"], id="string-grid"),
     pytest.param("grid", [False, 1.0], id="bool-grid"),
-    pytest.param("method", "symbol-ode", id="method-typo"),
+    pytest.param("method", "closed-form", id="method-typo"),
+    pytest.param("method", REMOVED_METHOD, id="removed-method"),
     pytest.param("method", "bogus", id="unknown-method"),
     pytest.param("method", 3, id="numeric-method"),
     pytest.param("--method", "bogus", id="unknown-method-option"),
+    pytest.param("--method", REMOVED_METHOD, id="removed-method-option"),
 ])
 def test_solve_rejects_non_numbers_and_unknown_methods(tmp_path,
                                                        field, value):
@@ -900,9 +943,11 @@ def test_solve_rejects_non_numbers_and_unknown_methods(tmp_path,
     res = run_cli(["solve", "--in", str(path), *options])
     assert res.exit_code == 2, res.output
     assert "bad solver input" in res.output
+    if field.endswith("method"):
+        assert "method must be one of closed_form, both, not" in res.output
 
 
-@pytest.mark.parametrize("method", ["closed_form", "symbol_ode", "both"])
+@pytest.mark.parametrize("method", ["closed_form", "both"])
 @pytest.mark.parametrize("action", [
     pytest.param("bogus", id="unknown"),
     pytest.param(None, id="null"),
@@ -966,7 +1011,7 @@ def test_solve_reports_the_library_checks(tmp_path, heat, source,
 def test_solve_accepts_integer_times_and_named_methods(tmp_path):
     spec = _driven_input()
     spec["times"] = [0, 1]
-    for method in ("closed_form", "symbol_ode", "both"):
+    for method in ("closed_form", "both"):
         spec["method"] = method
         path = tmp_path / "in.json"
         path.write_text(json.dumps(spec))

@@ -49,8 +49,8 @@ from grosslap.evolution import (
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import kernel_from_json, symbol
-from grosslap.tensor_core import multinomial_weight
-from conftest import SOLVER_CASES, random_expansion, rng_complex, solver_case
+from conftest import (REMOVED_METHOD, SOLVER_CASES, random_expansion,
+                      rng_complex, solver_case)
 
 
 def value_at(P, s):
@@ -642,8 +642,7 @@ def test_symbol_ode_constant_without_drivers(rng):
                            role=DISTRIBUTION)
     Z = zero_process(1, 1, 4, 4, 1.0)
     Theta = zero_process(1, 1, 4, 4, 1.0)
-    sol = solve_symbol_ode(Z, Theta, xi0, [0.0, 1.0])
-    v0, v1 = sol.symbol_values
+    v0, v1 = solve_symbol_ode(Z, Theta, xi0, [0.0, 1.0])
     assert np.allclose(v0, v1, atol=1e-12)
 
 
@@ -652,36 +651,18 @@ def test_symbol_ode_heat_exponential():
     xi0 = kernel_of({((0,), (0,)): 1 + 0j, ((1,), (1,)): 0.5j})
     Z = half_trace_process(1, 1, 8, 8, 1.0)
     Theta = zero_process(1, 1, 8, 8, 1.0)
-    sol = solve_symbol_ode(Z, Theta, xi0, [0.5, 1.0])
-    assert sol.symbol_points.shape == (81, 2)
-    assert sol.symbol_values.shape == (2, 81)
-    assert not sol.symbol_points.flags.writeable
-    assert not sol.symbol_values.flags.writeable
-    for t, values in zip(sol.times, sol.symbol_values):
-        for x, v in zip(sol.symbol_points, values):
+    times = [0.5, 1.0]
+    sol = solve_symbol_ode(Z, Theta, xi0, times)
+    (_, points, _), _ = torus_symbols([xi0])
+    assert points.shape == (81, 2)
+    assert sol.shape == (2, 81)
+    assert not points.flags.writeable
+    assert not sol.flags.writeable
+    for t, values in zip(times, sol):
+        for x, v in zip(points, values):
             z, w = x[:1], x[1:]
             exact = np.exp(t * symbol(Z.kernels[0], z, w)) * symbol(xi0, z, w)
             assert abs(v - exact) <= 1e-9
-    assert sol.checks == {"fit_amplification": 8.0 ** 16}
-
-
-def test_symbol_ode_transforms_once(monkeypatch):
-    calls = []
-    fftn = np.fft.fftn
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return fftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fftn", counted)
-    xi0 = kernel_of({((1,), (1,)): 1 + 0j}, c1=3, c2=3)
-    Z = half_trace_process(1, 1, 3, 3, 1.0)
-    Theta = zero_process(1, 1, 3, 3, 1.0)
-    times = [0.25, 0.5, 0.75, 1.0]
-    sol = solve_symbol_ode(Z, Theta, xi0, times)
-    # Every time at once, over the 4 x 4 grid of cutoff 3.
-    assert calls == [(4, 4, 4)]
-    assert len(sol.kernels) == len(sol.symbol_values) == 4
 
 
 def test_symbol_ode_matches_closed_form(rng):
@@ -695,34 +676,10 @@ def test_symbol_ode_matches_closed_form(rng):
     times = [0.5, 1.0]
     numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
-    for kern, values in zip(closed.kernels, numeric.symbol_values):
-        for x, v in zip(numeric.symbol_points, values):
+    (_, points, _), _ = torus_symbols([xi0])
+    for kern, values in zip(closed.kernels, numeric):
+        for x, v in zip(points, values):
             assert abs(symbol(kern, x[:1], x[1:]) - v) <= 1e-6
-
-
-@pytest.mark.parametrize("dims, cutoff, degree, times", [
-    ((2, 2), 6, 4, [0.25, 0.5, 0.75, 1.0]),
-    ((1, 1), 8, 4, [0.1, 0.5, 1.0, 2.0]),
-])
-def test_symbol_ode_coefficients_match_closed_form(rng, dims, cutoff, degree,
-                                                   times):
-    # The closed form is exact on every retained degree, so the symbol-ODE
-    # kernels may differ from it only by aliasing, damped by r^(cutoff + 1),
-    # and by rounding of the symbol values, amplified by r^-|gamma|/mult.
-    xi0 = random_expansion(rng, *dims, cutoff, cutoff, degree, degree,
-                           role=DISTRIBUTION)
-    Z = half_trace_process(*dims, cutoff, cutoff, max(times))
-    Theta = zero_process(*dims, cutoff, cutoff, max(times))
-    numeric = solve_symbol_ode(Z, Theta, xi0, times)
-    closed = solve(xi0, times, action=ACTION_DISTRIBUTION)
-    for ode, exact in zip(numeric.kernels, closed.kernels):
-        for key in set(ode.coeffs) | set(exact.coeffs):
-            alpha, beta = key
-            degree_of = sum(alpha) + sum(beta)
-            mult = multinomial_weight(alpha) * multinomial_weight(beta)
-            bound = 1e-5 + 1e-14 * 8 ** degree_of / mult
-            assert abs(ode[key] - exact[key]) <= bound, key
-    assert symbol_gap(closed, numeric) <= 1e-5
 
 
 @pytest.mark.parametrize("dims, cutoffs", [
@@ -731,7 +688,7 @@ def test_symbol_ode_coefficients_match_closed_form(rng, dims, cutoff, degree,
 def test_torus_symbols_match_direct_evaluation(rng, dims, cutoffs):
     phis = [random_expansion(rng, *dims, *cutoffs, *cutoffs,
                              role=DISTRIBUTION) for _ in range(3)]
-    (_, x, _, _), grid = torus_symbols(phis)
+    (_, x, _), grid = torus_symbols(phis)
     assert x.shape == (math.prod(c + 1 for c, d in zip(cutoffs, dims)
                                  for _ in range(d)), sum(dims))
     assert np.allclose(np.abs(x), SYMBOL_RADIUS, rtol=1e-15, atol=0)
@@ -751,7 +708,7 @@ def test_symbol_ode_is_exact_across_a_kink(rng):
     sol = solve_symbol_ode(Z, Theta, xi0, [0.3, 1.0])
     _, values = torus_symbols([xi0, Z1, Z2])
     s0, s1, s2 = values.T
-    for values, exponent in zip(sol.symbol_values,
+    for values, exponent in zip(sol,
                                 [0.3 * s1, 0.6 * s1 + 0.4 * s2]):
         exact = np.exp(exponent) * s0
         assert np.max(np.abs(np.array(values) - exact)) <= \
@@ -785,11 +742,13 @@ def test_both_solvers_walk_the_same_pieces(times):
     xi0 = kernel_of({((0,), (0,)): 0.3 - 1j}, c1=3, c2=3)
     numeric = solve_symbol_ode(Z, Theta, xi0, times)
     closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
-    assert closed.times == numeric.times == tuple(times)
-    for t, ode, exact in zip(times, numeric.kernels, closed.kernels):
+    assert closed.times == tuple(times)
+    assert numeric.shape == (len(times), 16)
+    for t, ode, exact in zip(times, numeric, closed.kernels):
         expected = scalar_flow(Z, Theta, 0.3 - 1j, t)
         assert exact[((0,), (0,))] == pytest.approx(expected, rel=1e-13)
-        assert ode[((0,), (0,))] == pytest.approx(expected, rel=1e-13)
+        # A constant kernel's symbol is its constant at every point.
+        assert ode == pytest.approx(np.full(16, expected), rel=1e-13)
     assert symbol_gap(closed, numeric) <= 1e-12
 
 
@@ -815,17 +774,12 @@ def test_solve_reports_the_checks_of_its_decision_table(heat, source, action,
     xi0, Z, Theta = solver_case(heat, source)
     sol = solve(xi0, [0.25, 0.5], Z, Theta, action=action, method=method)
     expected = set()
-    if heat and not source and action == ACTION_FUNCTION \
-            and method != "symbol_ode":
+    if heat and not source and action == ACTION_FUNCTION:
         expected.add("gaussian_gap")
     if method == "both":
         expected.add("residual_max")
-    if method != "closed_form":
-        expected.add("fit_amplification")
     assert set(sol.checks) == expected
-    assert sol.method == method
-    assert sol.action == (ACTION_DISTRIBUTION if method == "symbol_ode"
-                          else action)
+    assert (sol.method, sol.action) == (method, action)
     assert all(math.isfinite(v) for v in sol.checks.values())
 
 
@@ -839,8 +793,10 @@ def test_solve_checks_method_and_action_before_any_work(monkeypatch):
                  "solve_symbol_ode"):
         monkeypatch.setattr(evolution, name, no_work)
     xi0, _, _ = solver_case(True, False)
-    with pytest.raises(ValueError, match="method must be one of"):
-        solve(xi0, [0.5], method="symbol-ode")
+    for method in (REMOVED_METHOD, "closed-form"):
+        with pytest.raises(ValueError, match="method must be one of "
+                           "closed_form, both, not"):
+            solve(xi0, [0.5], method=method)
     with pytest.raises(ValueError, match="action must be one of"):
         solve(xi0, [0.5], action="functional")
     with pytest.raises(ValueError, match="seed must be >= 0"):
