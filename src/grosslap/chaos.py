@@ -82,7 +82,7 @@ def _decode(codes, phi: "Expansion2"):
 def key_codes(rows, dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     """The codes of exponent rows alpha + beta, keys of the given shape."""
     place = _box(dim1, dim2, cutoff1, cutoff2)[1]
-    return rows.astype(place.dtype) @ place
+    return rows.astype(place.dtype, copy=False) @ place
 
 
 def occupations_below(bounds, cutoff: int):
@@ -106,19 +106,31 @@ def occupations_below(bounds, cutoff: int):
 def join_rows(rows1, rows2):
     """Every row of rows1 joined to every row of rows2, in code order when
     both are in increasing order."""
-    return np.concatenate((np.repeat(rows1, len(rows2), axis=0),
-                           np.tile(rows2, (len(rows1), 1))), axis=1)
+    d1 = rows1.shape[1]
+    out = np.empty((len(rows1), len(rows2), d1 + rows2.shape[1]),
+                   dtype=np.result_type(rows1, rows2))
+    out[:, :, :d1] = rows1[:, None]
+    out[:, :, d1:] = rows2[None]
+    return out.reshape(-1, out.shape[2])
 
 
 @functools.lru_cache(maxsize=64)
-def key_rows(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
-    """The exponent rows of every key of a shape, in code order: each
-    variable's occupation vectors, joined.  Read-only and cached: the
-    suites ask for a few small shapes hundreds of times."""
-    rows = join_rows(*(occupations_below(np.full((1, dim), cutoff), cutoff)[1]
-                       for dim, cutoff in ((dim1, cutoff1), (dim2, cutoff2))))
+def _variable_rows(dim: int, cutoff: int):
+    """One variable's occupation vectors of degree <= cutoff, in code
+    order; read-only."""
+    rows = occupations_below(np.full((1, dim), cutoff), cutoff)[1]
     rows.flags.writeable = False
     return rows
+
+
+def key_rows(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
+    """The exponent rows of every key of a shape, in code order: each
+    variable's occupation vectors, joined.  Only the per-variable tables
+    are cached: the shapes asked for vary more than their variables do
+    (the trace suite at seed 42 asks for 83 shapes, made of 22 tables), and
+    the join costs less than the walk that builds a table."""
+    return join_rows(_variable_rows(dim1, cutoff1),
+                     _variable_rows(dim2, cutoff2))
 
 
 def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
@@ -142,9 +154,12 @@ def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
                            dtype=np.int64, count=n * d).reshape(n, d)
     except OverflowError:
         raise ValueError("occupations exceed the cutoffs") from None
-    bad = ((rows < 0).any(axis=1)
-           | (rows[:, :dim1].sum(axis=1, dtype=float) > cutoff1)
-           | (rows[:, dim1:].sum(axis=1, dtype=float) > cutoff2))
+    # Reduced across the columns of the transposed rows, as in
+    # `multiplicities`.
+    columns = rows.T.astype(float, order="C")
+    bad = ((columns < 0).any(axis=0)
+           | (np.add.reduce(columns[:dim1], axis=0) > cutoff1)
+           | (np.add.reduce(columns[dim1:], axis=0) > cutoff2))
     if bad.any():
         raise ValueError(f"key {keys[bad.argmax()]} has a negative "
                          "occupation or exceeds cutoffs")
@@ -211,7 +226,7 @@ class Expansion2:
             fields["multiplicities"] = degrees, mult
         for array in (codes, values, rows, degrees, mult):
             if array is not None:
-                array.flags.writeable = False
+                array.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -322,12 +337,15 @@ def sum_by_code(codes, values):
     are dropped.  Returns terms as the `Expansion2` constructor takes them.
     """
     order, ordered, first = _distinct(codes)
-    slot = first.cumsum() - 1
-    codes, values = ordered[first], values[order]
+    slot = first.cumsum()
+    slot -= 1
+    # Positions, not masks, index the arrays: numpy gathers by position
+    # several times faster than it selects by a boolean mask.
+    codes = ordered[first.nonzero()[0]]
     sums = np.empty(len(codes), dtype=complex)
-    sums.real = np.bincount(slot, values.real, len(codes))
-    sums.imag = np.bincount(slot, values.imag, len(codes))
-    kept = sums != 0
+    sums.real = np.bincount(slot, values.real[order], len(codes))
+    sums.imag = np.bincount(slot, values.imag[order], len(codes))
+    kept = sums.nonzero()[0]
     return codes[kept], sums[kept]
 
 
@@ -374,16 +392,22 @@ def multiplicities(exponents, dim1: int):
 
     `exponents` holds one row alpha + beta per key.  The multiplicities are
     exact integers: int64 while the factorials of the largest degrees
-    multiply below 2^63, Python integers past that.
+    multiply below 2^63, Python integers past that.  The sums and products
+    run across the columns of the transposed rows, a vector operation per
+    component: numpy reduces along rows of a few entries one row at a time,
+    which cost a large expansion most of its time here.
     """
-    degrees = np.empty((len(exponents), 2), dtype=np.int64)
-    np.add.reduce(exponents[:, :dim1], axis=1, out=degrees[:, 0])
-    np.add.reduce(exponents[:, dim1:], axis=1, out=degrees[:, 1])
-    top = np.maximum.reduce(degrees, axis=0, initial=0).tolist()
+    columns = exponents.T.copy()
+    n = np.add.reduce(columns[:dim1], axis=0)
+    m = np.add.reduce(columns[dim1:], axis=0)
+    top = int(n.max(initial=0)), int(m.max(initial=0))
     exact = math.factorial(top[0]) * math.factorial(top[1]) < 1 << 63
     fact = _factorials(max(top), exact)
-    mult = fact[degrees[:, 0]] * fact[degrees[:, 1]]
-    mult //= np.multiply.reduce(fact[exponents], axis=1)
+    mult = fact[n] * fact[m]
+    mult //= np.multiply.reduce(fact[columns], axis=0)
+    degrees = np.empty((len(exponents), 2), dtype=np.int64)
+    degrees[:, 0] = n
+    degrees[:, 1] = m
     return degrees, mult
 
 
@@ -539,7 +563,7 @@ def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
     whose monomial in a variable of positive degree is zero are left out."""
     parts = []
     for point, cutoff in ((xi, cutoff1), (eta, cutoff2)):
-        rows = key_rows(len(point), 0, cutoff, 0)
+        rows = _variable_rows(len(point), cutoff)
         monomial = np.ones(len(rows), dtype=complex)
         for x, column in zip(point, rows.T):
             hit = column > 0
@@ -548,8 +572,11 @@ def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
         kept = (monomial != 0) | ~rows.any(axis=1)
         parts.append((rows[kept], monomial[kept]))
     (rows1, mono1), (rows2, mono2) = parts
-    # n! m!, exact in Python integers and rounded once.
-    fact = _factorials(max(cutoff1, cutoff2, 0), False)
+    # n! m!, exact (in int64 while the cutoffs' factorials multiply below
+    # 2^63, else in Python integers) and rounded once.
+    exact = (math.factorial(max(cutoff1, 0)) * math.factorial(max(cutoff2, 0))
+             < 1 << 63)
+    fact = _factorials(max(cutoff1, cutoff2, 0), exact)
     n, m = rows1.sum(axis=1), rows2.sum(axis=1)
     denominator = np.multiply.outer(fact[n], fact[m]).ravel().astype(float)
     values = complex_product(mono1[:, None], mono2[None, :]).ravel()
@@ -600,6 +627,16 @@ def translate(phi: Expansion2, z: Sequence[complex],
                                         contract=True))
 
 
+def lookup_codes(codes, keys):
+    """The places i of the keys found among sorted unique codes, in
+    increasing order, and where each was found: codes[at] == keys[i].
+    One binary search per key (`np.searchsorted`), no sort."""
+    at = np.searchsorted(codes, keys)
+    i = (at < len(codes)).nonzero()[0]
+    i = i[codes[at[i]] == keys[i]]
+    return i, at[i]
+
+
 def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     """Canonical pairing <<Phi, phi>> = sum n! m! <Phi_{n,m}, phi_{n,m}>."""
     if Phi.role != DISTRIBUTION:
@@ -607,8 +644,7 @@ def dual_pair(Phi: Expansion2, phi: Expansion2) -> complex:
     if phi.role != TEST:
         raise RoleError("dual_pair needs a test expansion on the right")
     _check_compatible(Phi, phi)
-    _, i, j = np.intersect1d(Phi.codes, phi.codes, assume_unique=True,
-                             return_indices=True)
+    i, j = lookup_codes(phi.codes, Phi.codes)
     degrees, mult = Phi.multiplicities
     w = pairing_weights(degrees[i], mult[i])
     return complex(np.sum(w * Phi.values[i] * phi.values[j]))
@@ -628,17 +664,19 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Expansion2:
 
 
 # Pairs examined at once by `pair_products`: a block of the left operand's
-# terms against every term of the right, so small products take one step,
-# and the fewest landing pairs it hands to one `sum_by_code`.
+# terms against every term of the right, so small products take one step;
+# and the fewest landing pairs, besides the running sums, that a fold
+# before the last hands to `sum_by_code`.
 PAIR_BLOCK = 4096
 
 
 @functools.lru_cache(maxsize=64)
 def _falling_factorials(cutoff: int, wtype: type):
-    """Read-only table falling[n, K] = K!/(K - n)! for n, K <= cutoff, the
-    exact integers in Python integers (`object`) or rounded to floats."""
-    table = np.array([[math.perm(K, n) for K in range(cutoff + 1)]
-                      for n in range(cutoff + 1)], dtype=wtype)
+    """Read-only flat table of K!/(K - n)! at n (cutoff + 1) + K for n,
+    K <= cutoff, the exact integers in Python integers (`object`) or
+    rounded to floats."""
+    table = np.array([math.perm(K, n) for n in range(cutoff + 1)
+                      for K in range(cutoff + 1)], dtype=wtype)
     table.flags.writeable = False
     return table
 
@@ -666,9 +704,13 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     the right) at a time, at least one.  Each block's landing pairs are
     held until they number max(PAIR_BLOCK, running sums), or the left
     operand ends, and then folded in by one `sum_by_code` of the running
-    sums and the held pairs, so each fold's sort is paid for by the pairs it
-    takes in.  Transient arrays hold O(sums + PAIR_BLOCK + terms of the
-    right) entries, never one per pair of a large product.
+    sums followed by the held pairs, so each fold's sort is paid for by the
+    pairs it takes in; the first fold has no running sums, and a single
+    held block goes to it as it is, uncopied.  A contraction reads each
+    variable's falling factor with one gather from that cutoff's flat
+    table.
+    Transient arrays hold O(sums + PAIR_BLOCK + terms of the right)
+    entries, never one per pair of a large product.
     """
     if not len(left.codes) or not len(right.codes):
         return left.codes[:0], np.zeros(0, dtype=complex)
@@ -688,16 +730,18 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     # A pair lands when need[:, l] <= room[:, r] in every component, each
     # component one contiguous row so that `all` reduces across rows.
     if contract:
-        # falling[v][n, K]: the factor of variable v for an r of degree K.
+        # falling[v][at_l[v][l] + at_r[v][r]]: the factor of variable v for
+        # the pair, one gather from its flat table.
         falling = [_falling_factorials(c, wtype) for c in (c1, c2)]
+        at_l = (deg_l * (c1 + 1, c2 + 1)).T.copy()
+        at_r = deg_r.T.copy()
         need, room = rows_l.T, rows_r.T
     else:
         w_r = w_r.astype(wtype)
         need, room = deg_l.T, np.array([[c1], [c2]]) - deg_r.T
     need, room = np.ascontiguousarray(need), np.ascontiguousarray(room)
 
-    sums = code_l[:0], np.zeros(0, dtype=complex)
-    held, pairs = [], 0
+    sums, held, pairs = None, [], 0
     step = max(1, PAIR_BLOCK // len(c_r))
     for start in range(0, len(c_l), step):
         # A block of the left operand's terms (rows) against all terms of
@@ -708,17 +752,20 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         il, ir = keep.nonzero()
         il += start
         if contract:
-            w = (w_l[il] * falling[0][deg_l[il, 0], deg_r[ir, 0]]
-                 * falling[1][deg_l[il, 1], deg_r[ir, 1]])
+            w = (w_l[il] * falling[0][at_l[0][il] + at_r[0][ir]]
+                 * falling[1][at_l[1][il] + at_r[1][ir]])
             target = code_r[ir] - code_l[il]
         else:
             w = w_l[il] * w_r[ir]
             target = code_l[il] + code_r[ir]
-        held.append((target, (w.astype(float) * c_l[il]) * c_r[ir]))
+        held.append((target,
+                     (w.astype(float, copy=False) * c_l[il]) * c_r[ir]))
         pairs += len(il)
-        if pairs >= max(PAIR_BLOCK, len(sums[0])) or start + step >= len(c_l):
-            codes, terms = zip(sums, *held)
-            sums = sum_by_code(np.concatenate(codes), np.concatenate(terms))
+        if (pairs >= max(PAIR_BLOCK, len(sums[0]) if sums else 0)
+                or start + step >= len(c_l)):
+            parts = [sums, *held] if sums else held
+            sums = sum_by_code(*(parts[0] if len(parts) == 1 else
+                                 map(np.concatenate, zip(*parts))))
             held, pairs = [], 0
 
     codes, values = sums

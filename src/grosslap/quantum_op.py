@@ -27,6 +27,7 @@ from .chaos import (
     join_rows,
     key_codes,
     laplace,
+    lookup_codes,
     multiplicities,
     occupations_below,
     pairing_weights,
@@ -72,9 +73,8 @@ def apply_operator(K: Expansion2, f: Expansion2) -> Expansion2:
                                      "first variable")
     d1, rows = K.dim1, K.exponents
     # The kernel terms whose alpha is a key of f, and that key's position.
-    alpha = key_codes(rows[:, :d1], d1, 0, K.cutoff1, 0)
-    hit = np.isin(alpha, f.codes)
-    at = np.searchsorted(f.codes, alpha[hit])
+    hit, at = lookup_codes(f.codes, key_codes(rows[:, :d1], d1, 0,
+                                              K.cutoff1, 0))
     weighted = pairing_weights(*f.multiplicities) * f.values
     beta = key_codes(rows[hit, d1:], K.dim2, 0, K.cutoff2, 0)
     terms = sum_by_code(beta, complex_product(weighted[at], K.values[hit]))

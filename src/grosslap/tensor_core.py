@@ -74,7 +74,7 @@ def contract_full(A, B):
                                      "tensors of equal dims")
     if A.cutoff1 > B.cutoff1:
         raise DegreeError("contract_full needs deg A <= deg B")
-    if any((T.exponents.sum(axis=1) != T.cutoff1).any() for T in (A, B)):
+    if any((T.multiplicities[0][:, 0] != T.cutoff1).any() for T in (A, B)):
         raise DegreeError("a tensor has a term of another degree")
     d, n, m = A.dim1, A.cutoff1, B.cutoff1
     # Codes are lexicographic in the exponent rows, so they stay sorted; the
@@ -106,36 +106,55 @@ class DenseTensor:
             raise ValueError(f"data shape {self.data.shape} != {expected}")
 
 
+@functools.lru_cache(maxsize=64)
+def _orbits(dim: int, degree: int):
+    """The permutation orbits of the index tuples of a degree-n tensor over
+    C^d, one per occupation vector, built once per (d, n) and read-only:
+    the occupation vectors as rows in code order, their codes, each orbit's
+    dense cells as C-order flat indices, listed as
+    `set(itertools.permutations(word))` lists the orbit's tuples, and per
+    dense cell the place of its orbit."""
+    rows = list(iter_occupations(dim, degree))[::-1]
+    place = [dim ** k for k in reversed(range(degree))]
+    orbits = tuple(
+        [sum(i * p for i, p in zip(perm, place)) for perm in
+         set(itertools.permutations(
+             [i for i, a in enumerate(alpha) for _ in range(a)]))]
+        for alpha in rows)
+    owner = np.empty(dim ** degree, dtype=np.int64)
+    for k, cells in enumerate(orbits):
+        owner[cells] = k
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    codes = key_codes(rows, dim, 0, degree, 0)
+    for table in (rows, codes, owner):
+        table.flags.writeable = False
+    return rows, codes, orbits, owner
+
+
 def to_dense(T) -> DenseTensor:
     """The dense tensor of a degree-n tensor `Expansion2(d, 0, n, 0)`."""
-    data = np.zeros((T.dim1,) * T.cutoff1, dtype=complex)
-    for alpha, v in zip(T.exponents.tolist(), T.values.tolist()):
-        word = [i for i, a in enumerate(alpha) for _ in range(a)]
-        for perm in set(itertools.permutations(word)):
-            data[perm] = v
+    _, codes, _, owner = _orbits(T.dim1, T.cutoff1)
+    at = np.searchsorted(codes, T.codes)
+    if not np.array_equal(codes[np.minimum(at, len(codes) - 1)], T.codes):
+        raise DegreeError("a tensor has a term of another degree")
+    orbit_values = np.zeros(len(codes), dtype=complex)
+    orbit_values[at] = T.values
+    data = orbit_values[owner].reshape((T.dim1,) * T.cutoff1)
     return DenseTensor(T.dim1, T.cutoff1, data)
 
 
 def symmetrize(T: DenseTensor):
     """Project a dense tensor onto its symmetric part, as a degree-n tensor
-    `Expansion2(d, 0, n, 0)`."""
-    rows, values = [], []
-    for alpha in iter_occupations(T.dim, T.degree):
-        word = [i for i, a in enumerate(alpha) for _ in range(a)]
-        perms = set(itertools.permutations(word))
-        total = sum(complex(T.data[p]) for p in perms)
-        # Orbit average uses the full n! permutation count; repeated indices
-        # just repeat the same entry, so averaging over distinct arrangements
-        # with their multiplicities reduces to the distinct-arrangement mean.
-        val = total / len(perms)
-        if val != 0:
-            rows.append(alpha)
-            values.append(val)
-    # iter_occupations runs in decreasing code order.
-    shape = (T.dim, 0, T.degree, 0)
-    rows = np.array(rows[::-1], dtype=np.int64).reshape(len(rows), T.dim)
-    return Expansion2(*shape, (key_codes(rows, *shape),
-                               np.array(values[::-1], dtype=complex)))
+    `Expansion2(d, 0, n, 0)`: each orbit's entries summed in the order
+    `_orbits` lists them, over the orbit's size (repeated indices just
+    repeat the same entry, so this is the orbit average)."""
+    rows, codes, orbits, _ = _orbits(T.dim, T.degree)
+    cells = T.data.ravel().tolist()
+    means = np.array([sum(cells[c] for c in orbit) / len(orbit)
+                      for orbit in orbits], dtype=complex)
+    kept = means != 0
+    return Expansion2(T.dim, 0, T.degree, 0,
+                      (codes[kept], means[kept], rows[kept]))
 
 
 def dense_contract_full(A: DenseTensor, B: DenseTensor) -> DenseTensor:

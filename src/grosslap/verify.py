@@ -6,10 +6,14 @@ Legendre transform on a grid) and reports the worst observed error.  Each
 suite is a function of its seed alone: its sizes and tolerances are pinned
 at the desk-scale values it is calibrated for.  Random expansions are drawn
 on their keys in code order, three generator calls each (`_random_terms`).
+A sample's evaluation points are one generator call, its columns in the
+order the per-point draws took the stream (`_random_points`), so a suite
+pays per sample, not per point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
@@ -27,7 +31,6 @@ from .chaos import (
     key_codes,
     key_rows,
     nan_max,
-    point_coordinates,
 )
 from .evolution import ACTION_DISTRIBUTION, ProcessSpec, solve
 from .gross import (
@@ -69,6 +72,22 @@ def _rng_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
 
 
+def _random_points(rng: np.random.Generator, points: int, d1: int,
+                   d2: int) -> np.ndarray:
+    """Seeded points as coordinate rows, xi then eta, each coordinate
+    (re + i im) / 2 with re and im uniform on [-1, 1).
+
+    One generator call for all of them: its columns take the stream in the
+    order of the per-point draws `_rng_complex(rng, d1) / 2`, then
+    `_rng_complex(rng, d2) / 2` (none when d2 = 0), so per point the real
+    parts of xi, their imaginary parts, the real parts of eta and theirs.
+    """
+    u = rng.uniform(-1, 1, (points, 2 * (d1 + d2)))
+    parts = np.concatenate((u[:, :2 * d1].reshape(points, 2, d1),
+                            u[:, 2 * d1:].reshape(points, 2, d2)), axis=2)
+    return (parts[:, 0] + 1j * parts[:, 1]) / 2
+
+
 def _random_terms(rng: np.random.Generator, rows: np.ndarray,
                   keep_below: float, shape: tuple, role: str,
                   scale: float = 1.0) -> Expansion2:
@@ -93,9 +112,18 @@ def _random_sym_tensor(rng: np.random.Generator, dim: int,
     """A symmetric tensor of the given degree, `Expansion2(dim, 0, degree, 0)`:
     each occupation vector of that degree is kept with probability 0.8 (see
     `_random_terms`)."""
-    rows = key_rows(dim, 0, degree, 0)
-    return _random_terms(rng, rows[rows.sum(axis=1) == degree], 0.8,
+    return _random_terms(rng, _homogeneous_rows(dim, degree), 0.8,
                          (dim, 0, degree, 0), TEST)
+
+
+@functools.lru_cache(maxsize=64)
+def _homogeneous_rows(dim: int, degree: int) -> np.ndarray:
+    """The occupation vectors over C^dim of one degree, in code order;
+    read-only."""
+    rows = key_rows(dim, 0, degree, 0)
+    rows = rows[rows.sum(axis=1) == degree]
+    rows.flags.writeable = False
+    return rows
 
 
 def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
@@ -187,7 +215,8 @@ def check_exponential_eigenvalue(seed: int = 42) -> CheckResult:
         lhs = gross_test(e)
         rhs = e.scale(_bilinear(xi) + _bilinear(eta))
         diff = lhs.add(rhs.scale(-1))
-        low = diff.exponents.sum(axis=1) <= CUTOFF - 2
+        # Summed across the columns, as `chaos.multiplicities` sums.
+        low = diff.exponents.T.copy().sum(axis=0) <= CUTOFF - 2
         worst = nan_max(worst, float(np.max(np.abs(diff.values[low]),
                                             initial=0.0)))
     return CheckResult("exponential-eigenvalue",
@@ -208,11 +237,8 @@ def check_laplace_homomorphism(seed: int = 42) -> CheckResult:
         A = _random_expansion(rng, d1, d2, c1, c2, 3, 3, DISTRIBUTION)
         B = _random_expansion(rng, d1, d2, c1, c2, 3, 3, DISTRIBUTION)
         C = convolve_dist_dist(A, B)
-        pts = [((_rng_complex(rng, d1) / 2).tolist(),
-                (_rng_complex(rng, d2) / 2).tolist() if d2 else ())
-               for _ in range(points)]
-        lhs, a, b = coefficient_polynomials(
-            [C, A, B], point_coordinates(pts, d1, d2)).T
+        x = _random_points(rng, points, d1, d2)
+        lhs, a, b = coefficient_polynomials([C, A, B], x).T
         worst = nan_max(worst, _worst_relative(lhs, a * b))
     return CheckResult("laplace-convolution-homomorphism",
                        "Laplace transform of a convolution equals the product "
@@ -252,11 +278,10 @@ def check_symbol_multiplier(seed: int = 42) -> CheckResult:
         c = CUTOFF
         K = _random_expansion(rng, d1, d2, c, c, c - 2, c - 2, DISTRIBUTION)
         L = quantum_gross(K)
-        pts = [((_rng_complex(rng, d1) / 2).tolist(),
-                (_rng_complex(rng, d2) / 2).tolist()) for _ in range(points)]
-        lhs, k = coefficient_polynomials(
-            [L, K], point_coordinates(pts, d1, d2)).T
-        form = np.array([_bilinear(xi) + _bilinear(eta) for xi, eta in pts])
+        x = _random_points(rng, points, d1, d2)
+        lhs, k = coefficient_polynomials([L, K], x).T
+        form = np.array([_bilinear(p[:d1]) + _bilinear(p[d1:])
+                         for p in x.tolist()])
         worst = nan_max(worst, _worst_relative(lhs, form * k))
     return CheckResult("quantum-symbol-multiplier",
                        "symbol of the operator Gross Laplacian is the "

@@ -20,6 +20,7 @@ from grosslap.chaos import (
     expansion_to_json,
     exponential_vector,
     nan_max,
+    pairing_weights,
     sum_by_code,
 )
 from grosslap.gross import trace_distribution
@@ -263,6 +264,60 @@ def test_dual_pair_matches_dict_loop(case):
     phi = Expansion2(*shape, b, role=TEST)
     scale = abs(loop_dual_pair(a, b, modulus=True))
     assert abs(dual_pair(Phi, phi) - loop_dual_pair(a, b)) <= 1e-13 * scale
+
+
+def intersect1d_dual_pair(Phi, phi):
+    """`dual_pair` with the shared codes found by `np.intersect1d`, the
+    reference for its sorted-code lookup."""
+    _, i, j = np.intersect1d(Phi.codes, phi.codes, assume_unique=True,
+                             return_indices=True)
+    degrees, mult = Phi.multiplicities
+    w = pairing_weights(degrees[i], mult[i])
+    return complex(np.sum(w * Phi.values[i] * phi.values[j]))
+
+
+def assert_dual_pair_bits(Phi, phi):
+    got, want = dual_pair(Phi, phi), intersect1d_dual_pair(Phi, phi)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dict_pairs())
+def test_dual_pair_matches_intersect1d_bit_for_bit(case):
+    shape, a, b = case
+    assert_dual_pair_bits(Expansion2(*shape, a, role=DISTRIBUTION),
+                          Expansion2(*shape, b, role=TEST))
+
+
+def test_dual_pair_edge_cases_match_intersect1d_bit_for_bit():
+    def terms(rows, role):
+        return Expansion2(2, 1, 4, 2, {(tuple(r[:2]), tuple(r[2:])):
+                                       complex(1 + k, -0.5 * k)
+                                       for k, r in enumerate(rows)},
+                          role=role)
+
+    Phi = terms([(0, 0, 0), (1, 2, 1), (4, 0, 2)], DISTRIBUTION)
+    cases = {
+        "empty test expansion": terms([], TEST),
+        "disjoint keys": terms([(0, 1, 0), (2, 2, 2)], TEST),
+        # Phi's last two codes lie past phi's last one.
+        "keys past the last code": terms([(0, 0, 0), (0, 3, 1)], TEST),
+    }
+    for phi in cases.values():
+        assert_dual_pair_bits(Phi, phi)
+    assert dual_pair(Phi, cases["empty test expansion"]) == 0
+    assert dual_pair(Phi, cases["disjoint keys"]) == 0
+    assert dual_pair(Phi, cases["keys past the last code"]) == 1
+    # An empty distribution, and codes past 2^63 (Python integers).
+    assert_dual_pair_bits(terms([], DISTRIBUTION), Phi.with_role(TEST))
+    dim = 30
+    e = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    Psi = Expansion2(dim, 0, 4, 0, {(e[0], ()): 1 + 1j, (e[-1], ()): -1j},
+                     role=DISTRIBUTION)
+    psi = Expansion2(dim, 0, 4, 0, {(e[-1], ()): 3 + 0j, (e[1], ()): 2j})
+    assert Psi.codes.dtype == object
+    assert_dual_pair_bits(Psi, psi)
+    assert dual_pair(Psi, psi) == -3j
 
 
 @settings(max_examples=100, deadline=None)

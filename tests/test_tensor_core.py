@@ -86,6 +86,17 @@ def test_symmetrize_projects():
     assert S[((1, 1), ())] == pytest.approx(0.5)
 
 
+def test_to_dense_rejects_a_term_of_another_degree():
+    with pytest.raises(DegreeError):
+        to_dense(Expansion2(2, 0, 3, 0, {((1, 1), ()): 1, ((3, 0), ()): 2}))
+    # Each orbit's cells hold its value.
+    T = Expansion2(2, 0, 3, 0, {((2, 1), ()): 1j, ((0, 3), ()): 2})
+    data = to_dense(T).data
+    assert data[0, 0, 1] == data[0, 1, 0] == data[1, 0, 0] == 1j
+    assert data[1, 1, 1] == 2
+    assert np.count_nonzero(data) == 4
+
+
 def test_zero_and_scalar_behaviour():
     z = Expansion2(2, 0, 3, 0)
     assert z.norm_inf() == 0.0

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grosslap
@@ -164,6 +164,79 @@ def test_pairing_weights_are_exact_integers_rounded_once():
             for r in map(tuple, rows.tolist())]
     assert pairing_weights(degrees, mult).tolist() == want
     assert want[0] != float(math.factorial(63)) * multinomial_weight((28, 35))
+
+
+# ---------------------------------------------------------------------------
+# `multiplicities` reduces across the columns; the reduction along the rows
+# it replaced is the reference.
+
+
+def row_wise_multiplicities(exponents, dim1):
+    """Degrees and multiplicities with each sum and product taken along the
+    rows, one key at a time."""
+    degrees = np.empty((len(exponents), 2), dtype=np.int64)
+    np.add.reduce(exponents[:, :dim1], axis=1, out=degrees[:, 0])
+    np.add.reduce(exponents[:, dim1:], axis=1, out=degrees[:, 1])
+    top = np.maximum.reduce(degrees, axis=0, initial=0).tolist()
+    exact = math.factorial(top[0]) * math.factorial(top[1]) < 1 << 63
+    fact = chaos._factorials(max(top), exact)
+    mult = fact[degrees[:, 0]] * fact[degrees[:, 1]]
+    mult //= np.multiply.reduce(fact[exponents], axis=1)
+    return degrees, mult
+
+
+def assert_row_wise_multiplicities(rows, dim1):
+    degrees, mult = multiplicities(rows, dim1)
+    want_degrees, want_mult = row_wise_multiplicities(rows, dim1)
+    # Callers index the (n, 2) degrees, so their layout is part of the
+    # result.
+    assert degrees.dtype == np.int64 and degrees.flags.c_contiguous
+    assert degrees.shape == want_degrees.shape == (len(rows), 2)
+    assert np.array_equal(degrees, want_degrees)
+    assert mult.tolist() == want_mult.tolist()
+    # Python integers once the factorials of the largest degrees multiply
+    # past 2^63.
+    top = [max(column, default=0) for column in zip(*degrees.tolist())]
+    past = math.prod(map(math.factorial, top)) >= 1 << 63
+    assert mult.dtype == want_mult.dtype == (object if past else np.int64)
+    return past
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10),
+       st.integers(0, 24), st.data())
+@example(dim1=2, dim2=0, keys=0, top=0, data=None)
+@example(dim1=1, dim2=2, keys=0, top=5, data=None)
+def test_multiplicities_match_the_row_wise_reduction(dim1, dim2, keys, top,
+                                                     data):
+    width = dim1 + dim2
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, top), min_size=width, max_size=width),
+        min_size=keys, max_size=keys)) if keys else [],
+        dtype=np.int64).reshape(keys, width)
+    assert_row_wise_multiplicities(rows, dim1)
+
+
+@pytest.mark.parametrize("rows,past", [
+    # 20! 2! < 2^63 <= 20! 3!: the factorials of the largest degrees
+    # decide, whether or not one key holds both.
+    ([[9, 11, 2]], False),
+    ([[9, 11, 0], [0, 0, 3]], True),
+    ([[0, 21, 0]], True),
+])
+def test_multiplicities_turn_to_python_integers_past_2_to_63(rows, past):
+    assert assert_row_wise_multiplicities(np.array(rows), 2) == past
+
+
+@pytest.mark.parametrize("case", ["past_int64", "past_2_to_53"])
+def test_multiplicities_of_extreme_keys_match_the_row_wise_reduction(case):
+    pairs = {"past_int64": [_past_int64()],
+             "past_2_to_53": _past_2_to_53()}[case]
+    past = [assert_row_wise_multiplicities(phi.exponents, phi.dim1)
+            for pair in pairs for phi in pair]
+    # Codes past 2^63 hold small degrees; the degree-63 keys pass it, but
+    # not in every expansion.
+    assert any(past) == (case == "past_2_to_53") and not all(past)
 
 
 # ---------------------------------------------------------------------------

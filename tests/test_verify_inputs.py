@@ -1,11 +1,17 @@
 """The suites' seeded inputs: terms in code order, drawn in three generator
-calls whatever the number of keys."""
+calls whatever the number of keys, and evaluation points, one generator
+call per sample's points."""
 
 import numpy as np
 import pytest
 
 from grosslap.chaos import DISTRIBUTION, TEST
-from grosslap.verify import _random_expansion, _random_sym_tensor
+from grosslap.verify import (
+    _random_expansion,
+    _random_points,
+    _random_sym_tensor,
+    _rng_complex as rng_complex,
+)
 
 
 def assert_draw_rules(draw, seed, *args):
@@ -100,3 +106,30 @@ def test_draw_calls_do_not_grow_with_keys():
     counting = CountingGenerator(np.random.default_rng(5))
     _random_sym_tensor(counting, 3, 8)
     assert counting.calls <= 3
+
+
+def per_point_draws(rng, points, d1, d2):
+    """The points as the suites drew them one at a time: per point
+    `_rng_complex(rng, d1) / 2`, then `_rng_complex(rng, d2) / 2` unless
+    d2 = 0, as coordinate rows."""
+    rows = []
+    for _ in range(points):
+        xi = (rng_complex(rng, d1) / 2).tolist()
+        eta = (rng_complex(rng, d2) / 2).tolist() if d2 else []
+        rows.append(xi + eta)
+    return np.array(rows, dtype=complex).reshape(points, d1 + d2)
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 0), (2, 0), (1, 1), (2, 2), (1, 2)])
+def test_points_are_one_draw_in_per_point_order(d1, d2):
+    for seed in range(5):
+        counting = CountingGenerator(np.random.default_rng(seed))
+        got = _random_points(counting, 20, d1, d2)
+        assert counting.calls == 1
+        want = per_point_draws(np.random.default_rng(seed), 20, d1, d2)
+        assert got.shape == want.shape
+        # Bytes, so a zero that changed sign is caught.
+        assert got.tobytes() == want.tobytes()
+        # Both leave the stream at the same place.
+        assert (counting.random() == np.random.default_rng(seed).random(
+            1 + 40 * (d1 + d2))[-1])
