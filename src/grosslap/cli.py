@@ -7,12 +7,20 @@ result that overflows to them, or an input over the size budget).  Usage
 errors (an unknown command or option, a missing or malformed option value,
 a negative `--seed`, an `--out` that names a directory or a file in a
 directory that does not exist) also exit 2, before any work.
+
+`run` is the program: `python -m grosslap.cli` and the `grosslap` console
+script.  It runs `main` with the cyclic garbage collector off and freezes
+every object at exit, so neither the collections during the imports nor the
+interpreter's final collection walk numpy's and the library's module graphs.
+The commands make no reference cycles, so no garbage waits for a collector.
+`main` is the in-process API and leaves the collector as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import gc
 import os
 import sys
 from typing import Optional, Sequence
@@ -20,7 +28,8 @@ from typing import Optional, Sequence
 # The argument layer is the standard library's argparse, and each command
 # imports the library layers it runs: `--help`, usage errors and `young`
 # never load numpy, and `solve` and `eval` load neither the dense oracle
-# (`tensor_core`) nor numpy's masked arrays.
+# (`tensor_core`) nor numpy's masked arrays.  `json` is loaded by the two
+# functions that read and write it, so `--help` and usage errors skip it.
 
 # The role `eval` requires of an "expansion" input; "symbol" reads a kernel.
 ROLE_OF_OP = {"evaluate": "test", "laplace": "distribution"}
@@ -32,6 +41,8 @@ INPUT_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 def _load_json(path: str):
     """Read an input file, rejecting the non-standard NaN/Infinity tokens."""
+    import json
+
     def reject(token: str):
         raise ValueError(f"non-finite number {token} in input")
     with open(path) as fh:
@@ -39,6 +50,7 @@ def _load_json(path: str):
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
+    import json
     try:
         text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
@@ -334,5 +346,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     sys.exit(0)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The program's entry: `main` on the process's arguments, with the
+    cyclic collector off and every object frozen at exit, so the
+    interpreter's final collection skips them."""
+    gc.disable()
+    atexit.register(gc.freeze)
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -279,10 +279,19 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
     the same Z piece, Theta piece and length h (compared exactly) share
     their propagators, built on the first of them.
     """
+    return _solve_qsde(Z, Theta, xi0, times, action, {})
+
+
+def _solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
+                times: Sequence[float], action: str,
+                propagators: dict) -> EvolutionSolution:
+    """`solve_qsde`, taking each step's propagators from ``propagators``,
+    keyed by (Z piece, Theta piece, h), and adding those it builds.  No key
+    depends on the action, so solves of one problem under both actions can
+    share the dict."""
     _check_processes(Z, Theta, xi0)
     state = xi0
     states = {0.0: state}
-    propagators = {}
     for a, b, i, j in _segments(Z, Theta, times):
         h = b - a
         gen, source = Z.kernels[i], Theta.kernels[j]
@@ -444,11 +453,12 @@ def solve(xi0: Expansion2, times: Sequence[float],
     Theta to zero.  Every method runs `solve_qsde` under ``action``;
     "both" also solves the symbol ODE and reports as residual_max the
     `symbol_gap` of the distribution-action closed form (solved a second
-    time under the function action).  A heat flow with a zero source under
-    the function action reports gaussian_gap, its largest distance from
-    Gaussian-moment smoothing at GAUSSIAN_CHECK_POINTS points per time drawn
-    with `random.Random(seed)`; ``seed`` must be >= 0.  The solution's
-    method and action are the ones asked for.
+    time under the function action, with the first pass's propagators).
+    A heat flow with a zero source under the function action reports
+    gaussian_gap, its largest distance from Gaussian-moment smoothing at
+    GAUSSIAN_CHECK_POINTS points per time drawn with `random.Random(seed)`;
+    ``seed`` must be >= 0.  The solution's method and action are the ones
+    asked for.
     """
     for name, value, allowed in (("method", method, METHODS),
                                  ("action", action, ACTIONS)):
@@ -465,13 +475,14 @@ def solve(xi0: Expansion2, times: Sequence[float],
     if Theta is None:
         Theta = zero_process(*shape, max(t_end, Z.end))
     checks = {}
-    sol = solve_qsde(Z, Theta, xi0, times, action=action)
+    propagators = {}
+    sol = _solve_qsde(Z, Theta, xi0, times, action, propagators)
     if heat and Theta.is_zero() and action == ACTION_FUNCTION:
         checks["gaussian_gap"] = _gaussian_gap(xi0, sol, seed)
     if method == "both":
         closed = (sol if action == ACTION_DISTRIBUTION else
-                  solve_qsde(Z, Theta, xi0, times,
-                             action=ACTION_DISTRIBUTION))
+                  _solve_qsde(Z, Theta, xi0, times, ACTION_DISTRIBUTION,
+                              propagators))
         checks["residual_max"] = symbol_gap(
             closed, solve_symbol_ode(Z, Theta, xi0, times))
     return replace(sol, method=method, checks=checks)

@@ -346,7 +346,7 @@ def test_solve_and_eval_over_size_budget_exit_2(tmp_path, monkeypatch):
 
     # dims (1,1), cutoff 8: 81 keys and a 9 x 9 grid, 81 x 83 = 6,723 cells.
     monkeypatch.setattr(grosslap.chaos, "MAX_EVALUATION_CELLS", 6_722)
-    monkeypatch.setattr(grosslap.evolution, "solve_qsde", no_work)
+    monkeypatch.setattr(grosslap.evolution, "_solve_qsde", no_work)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_heat_input([0.5])))
     res = run_cli(["solve", "--in", str(path)])

@@ -633,6 +633,35 @@ def test_driven_steps_share_propagators_per_piece(monkeypatch):
     assert_same_bits(sol.kernels, expected)
 
 
+@pytest.mark.parametrize("source", [False, True], ids=["heat", "source"])
+@pytest.mark.parametrize("times", [
+    pytest.param([0.25, 0.5, 0.75, 1.0], id="equal-steps"),
+    pytest.param([0.25, 0.5, 1.0], id="unequal-steps"),
+])
+def test_both_solve_builds_each_steps_propagators_once(monkeypatch, rng,
+                                                       times, source):
+    # The function-action pass and the distribution-action pass of a "both"
+    # solve share propagators: each distinct step builds them once in all.
+    xi0 = random_expansion(rng, 1, 1, 6, 6, 4, 4, role=DISTRIBUTION)
+    Z = half_trace_process(1, 1, 6, 6, 1.0)
+    Theta = (ProcessSpec.constant(random_expansion(
+        rng, 1, 1, 6, 6, 2, 2, role=DISTRIBUTION, scale=0.2), 1.0)
+        if source else zero_process(1, 1, 6, 6, 1.0))
+    expected = {a: rebuilt_every_step(Z, Theta, xi0, times, a)
+                for a in ACTIONS}
+    closed = EvolutionSolution(tuple(times),
+                               tuple(expected[ACTION_DISTRIBUTION]),
+                               method="closed_form")
+    residual = symbol_gap(closed, solve_symbol_ode(Z, Theta, xi0, times))
+    builds = counted_calls(monkeypatch,
+                           "_step_propagators" if source else "conv_exp")
+    sol = solve(xi0, times, Theta=Theta, method="both")
+    assert len(builds) == len({(i, j, b - a) for a, b, i, j
+                               in _segments(Z, Theta, times)})
+    assert_same_bits(sol.kernels, expected[ACTION_FUNCTION])
+    assert sol.checks["residual_max"] == residual
+
+
 # ---------------------------------------------------------------------------
 # symbol-ODE oracle
 
