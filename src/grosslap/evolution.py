@@ -50,20 +50,12 @@ ACTION_DISTRIBUTION = "distribution"
 # Gaussian moments
 
 
-def _double_factorial(k: int) -> float:
-    out = 1.0
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def _shifted_gauss_moment(a: complex, t: float, k: int) -> complex:
     """E[(a + sqrt(t) X)^k] for standard Gaussian X."""
     total = 0j
     for j in range(0, k + 1, 2):
         total += (math.comb(k, j) * a ** (k - j)
-                  * t ** (j // 2) * _double_factorial(j - 1))
+                  * t ** (j // 2) * math.prod(range(j - 1, 0, -2)))
     return total
 
 
@@ -193,7 +185,7 @@ class ProcessSpec:
             raise ValueError("grid needs len(kernels) + 1 points")
         if self.grid[0] != 0.0:
             raise ValueError("grid must start at 0")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        if not all(b > a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
 
     @property

@@ -5,8 +5,9 @@ its index tuples, so we store one complex value per occupation vector alpha
 (alpha_i = how many slots carry index i): a one-variable `Expansion2` of
 cutoff n whose terms all have degree n.  This module holds the index
 helpers, whose scalar weights the tests use as oracles, `contract_full` (the
-product kernel read on one homogeneous degree) and the dense ndarray
-representation that certifies it.
+product kernel read on one homogeneous degree) and the dense oracle that
+certifies it: plain ndarrays, one axis per slot, mapped through one orbit
+table per (d, n), `_orbits`, whose rows the tensor sampler also draws on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -92,28 +92,14 @@ def contract_full(A, B):
 # Dense oracle
 
 
-@dataclass(frozen=True)
-class DenseTensor:
-    """Brute-force representation: full ndarray with one axis per slot."""
-
-    dim: int
-    degree: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.dim,) * self.degree
-        if self.data.shape != expected:
-            raise ValueError(f"data shape {self.data.shape} != {expected}")
-
-
 @functools.lru_cache(maxsize=64)
 def _orbits(dim: int, degree: int):
     """The permutation orbits of the index tuples of a degree-n tensor over
     C^d, one per occupation vector, built once per (d, n) and read-only:
-    the occupation vectors as rows in code order, their codes, each orbit's
-    dense cells as C-order flat indices, listed as
-    `set(itertools.permutations(word))` lists the orbit's tuples, and per
-    dense cell the place of its orbit."""
+    the occupation vectors as rows in code order (`verify`'s sampler draws
+    on them), their codes, each orbit's dense cells as C-order flat
+    indices, listed as `set(itertools.permutations(word))` lists the
+    orbit's tuples, and per dense cell the place of its orbit."""
     rows = list(iter_occupations(dim, degree))[::-1]
     place = [dim ** k for k in reversed(range(degree))]
     orbits = tuple(
@@ -131,41 +117,35 @@ def _orbits(dim: int, degree: int):
     return rows, codes, orbits, owner
 
 
-def to_dense(T) -> DenseTensor:
-    """The dense tensor of a degree-n tensor `Expansion2(d, 0, n, 0)`."""
+def to_dense(T) -> np.ndarray:
+    """The dense array of a degree-n tensor `Expansion2(d, 0, n, 0)`."""
     _, codes, _, owner = _orbits(T.dim1, T.cutoff1)
     at = np.searchsorted(codes, T.codes)
     if not np.array_equal(codes[np.minimum(at, len(codes) - 1)], T.codes):
         raise DegreeError("a tensor has a term of another degree")
     orbit_values = np.zeros(len(codes), dtype=complex)
     orbit_values[at] = T.values
-    data = orbit_values[owner].reshape((T.dim1,) * T.cutoff1)
-    return DenseTensor(T.dim1, T.cutoff1, data)
+    return orbit_values[owner].reshape((T.dim1,) * T.cutoff1)
 
 
-def symmetrize(T: DenseTensor):
-    """Project a dense tensor onto its symmetric part, as a degree-n tensor
-    `Expansion2(d, 0, n, 0)`: each orbit's entries summed in the order
-    `_orbits` lists them, over the orbit's size (repeated indices just
-    repeat the same entry, so this is the orbit average)."""
-    rows, codes, orbits, _ = _orbits(T.dim, T.degree)
-    cells = T.data.ravel().tolist()
+def symmetrize(data: np.ndarray, dim: int):
+    """Project a dense array onto its symmetric part, as a degree-n tensor
+    `Expansion2(dim, 0, n, 0)` (dim is given: a degree-0 array has shape
+    ()): each orbit's entries summed in the order `_orbits` lists them,
+    over the orbit's size (repeated indices just repeat the same entry, so
+    this is the orbit average)."""
+    degree = np.ndim(data)
+    rows, codes, orbits, _ = _orbits(dim, degree)
+    cells = np.ravel(data).tolist()
     means = np.array([sum(cells[c] for c in orbit) / len(orbit)
                       for orbit in orbits], dtype=complex)
     kept = means != 0
-    return Expansion2(T.dim, 0, T.degree, 0,
+    return Expansion2(dim, 0, degree, 0,
                       (codes[kept], means[kept], rows[kept]))
 
 
-def dense_contract_full(A: DenseTensor, B: DenseTensor) -> DenseTensor:
+def dense_contract_full(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Index-wise contraction of all slots of A against the leading slots of B."""
-    if A.dim != B.dim:
-        raise DimensionMismatchError("dense contraction requires equal dims")
-    if A.degree > B.degree:
-        raise DegreeError("dense contraction needs deg A <= deg B")
-    k = A.degree
-    axes = (tuple(range(k)), tuple(range(k)))
-    data = np.tensordot(A.data, B.data, axes=axes) if k else A.data[()] * B.data
-    if A.degree == B.degree:
-        data = np.asarray(data, dtype=complex).reshape(())
-    return DenseTensor(A.dim, B.degree - A.degree, np.asarray(data, dtype=complex))
+    # At degree 0 tensordot forms the outer product as a matrix product,
+    # which changes bits in some draws (in no draw of degree >= 1).
+    return np.tensordot(A, B, A.ndim) if A.ndim else A[()] * B

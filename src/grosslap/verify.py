@@ -13,7 +13,6 @@ pays per sample, not per point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
@@ -42,6 +41,7 @@ from .gross import (
 )
 from .quantum_op import classical_quantum_bridge, quantum_gross
 from .tensor_core import (
+    _orbits,
     contract_full,
     dense_contract_full,
     symmetrize,
@@ -110,20 +110,11 @@ def _random_terms(rng: np.random.Generator, rows: np.ndarray,
 def _random_sym_tensor(rng: np.random.Generator, dim: int,
                        degree: int) -> Expansion2:
     """A symmetric tensor of the given degree, `Expansion2(dim, 0, degree, 0)`:
-    each occupation vector of that degree is kept with probability 0.8 (see
+    each occupation vector of that degree, read in code order from the dense
+    oracle's orbit table, is kept with probability 0.8 (see
     `_random_terms`)."""
-    return _random_terms(rng, _homogeneous_rows(dim, degree), 0.8,
+    return _random_terms(rng, _orbits(dim, degree)[0], 0.8,
                          (dim, 0, degree, 0), TEST)
-
-
-@functools.lru_cache(maxsize=64)
-def _homogeneous_rows(dim: int, degree: int) -> np.ndarray:
-    """The occupation vectors over C^dim of one degree, in code order;
-    read-only."""
-    rows = key_rows(dim, 0, degree, 0)
-    rows = rows[rows.sum(axis=1) == degree]
-    rows.flags.writeable = False
-    return rows
 
 
 def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
@@ -164,7 +155,7 @@ def check_contraction_oracle(seed: int = 42) -> CheckResult:
         A = _random_sym_tensor(rng, d, deg_a)
         B = _random_sym_tensor(rng, d, deg_b)
         sparse = contract_full(A, B)
-        dense = symmetrize(dense_contract_full(to_dense(A), to_dense(B)))
+        dense = symmetrize(dense_contract_full(to_dense(A), to_dense(B)), d)
         diff = sparse.add(dense.scale(-1)).norm_inf()
         ref = max(1.0, dense.norm_inf())
         worst = nan_max(worst, diff / ref)

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from grosslap import verify
 from grosslap.verify import (
     ALL_CHECKS,
     CheckResult,
@@ -89,8 +90,20 @@ def test_every_suite_passes_at_other_seeds(name, seed):
     # The criteria above run at seed 42; each suite must hold at any seed,
     # and passes by the one rule, its reported error within its tolerance.
     res = ALL_CHECKS[name](seed)
+    assert res.name == name
     assert res.passed is (res.max_error <= res.tolerance)
     assert res.passed
+
+
+def test_criterion_02_fails_on_one_ulp(monkeypatch):
+    # Gross Laplacian coefficients scaled by 1 + 2^-52 must count as
+    # failures: the suite asks for exact equality.
+    gross_test = verify.gross_test
+    monkeypatch.setattr(verify, "gross_test",
+                        lambda phi: gross_test(phi).scale(1 + 2.0 ** -52))
+    res = check_trace_convolution()
+    assert res.max_error > 0
+    assert res.passed is False
 
 
 def test_nan_error_fails_and_passed_is_read_only():

@@ -234,6 +234,20 @@ def test_json_roundtrip(rng):
     assert (back.cutoff1, back.cutoff2) == (4, 3)
 
 
+def test_repr_round_trips(rng):
+    phi = random_expansion(rng, 2, 1, 4, 3, 4, 3, role=DISTRIBUTION)
+    phi = phi.add(Expansion2(2, 1, 4, 3, {((1, 0), (2,)): complex(-0.0, -1)},
+                             role=DISTRIBUTION))
+    back = eval(repr(phi), {"Expansion2": Expansion2})
+    assert ((back.dim1, back.dim2, back.cutoff1, back.cutoff2)
+            == (phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2))
+    assert back.role == DISTRIBUTION
+    assert back.codes.tolist() == phi.codes.tolist()
+    # By value, not bytes: -0.0 - 1j is written (-0-1j), which reads back
+    # with a +0.0 real part.
+    assert (back.values == phi.values).all()
+
+
 def test_json_rejects_a_duplicated_key():
     phi = Expansion2(1, 1, 3, 3, {((1,), (0,)): 1 + 0j}, role=DISTRIBUTION)
     obj = expansion_to_json(phi)

@@ -201,6 +201,20 @@ def test_process_validation():
         ProcessSpec((0.0, 1.0, 0.5), (K, K))
 
 
+@pytest.mark.parametrize("role", ["Z", "Theta"])
+@pytest.mark.parametrize("grid", [(0.0, 1.0, math.nan), (0.0, math.nan, 1.0)])
+def test_process_grid_rejects_nan(role, grid):
+    # Every comparison with NaN is False, so the grid must show that each
+    # point rises, not just fail to show that one falls.
+    shape = (1, 1, 3, 3)
+    processes = {"Z": zero_process(*shape, 1.0),
+                 "Theta": zero_process(*shape, 1.0)}
+    with pytest.raises(ValueError, match="strictly increasing"):
+        processes[role] = ProcessSpec(grid, (kernel_of({}, *shape),) * 2)
+        solve_qsde(processes["Z"], processes["Theta"],
+                   kernel_of({((0,), (0,)): 1 + 0j}, c1=3, c2=3), [0.5])
+
+
 def _qsde(action=ACTION_FUNCTION, late=(1, 1, 3, 3)):
     """A closed-form solve at dims (1,1), cutoff 3, to time 0.5, whose Z
     has a second piece of shape `late` on [1, 2]: no step reaches it."""

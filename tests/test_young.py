@@ -197,6 +197,12 @@ def test_power_conjugate_where_theta_overflows():
                                 x ** (1 / (k - 1)))
 
 
+def test_power_conjugate_overflows_to_infinity():
+    # x^(1/(k-1)) = (1e300)^(1e7) overflows a double.
+    assert conjugate_eval(YoungFunctionSpec("power", 1 + 1e-7), 1e300) \
+        == math.inf
+
+
 def test_linear_conjugate_is_zero_or_infinite():
     # theta(t) = t: theta*(x) = sup t (x - 1) is 0 for x <= 1, +inf above.
     spec = YoungFunctionSpec("power", 1)
