@@ -1,17 +1,19 @@
 """Closed-form solver for linear kernel evolution equations, and its oracles.
 
-The closed form steps exactly over the pieces where the driving process and
-the source are constant, integrating the source term with the phi-functions
-of exponential integrators.  Two independent oracles check it: the same exact
-step for the scalar symbol ODE on a torus grid, compared with the closed-form
-kernels' symbols there, and (for the heat flow on function-convention
-kernels) exact Gaussian-moment smoothing.
+The closed form is exact on each piece where the driving process and the
+source are constant: there the driving kernel less its constant is
+nilpotent, so the flow from the piece's start is a finite sum of its powers
+acting on the state and the source, weighted by the exponential and the
+phi-functions of exponential integrators.  Two independent oracles check
+it: the same exact flow for the scalar symbol ODE on a torus grid, compared
+with the closed-form kernels' symbols there, and (for the heat flow on
+function-convention kernels) exact Gaussian-moment smoothing.
 
-A propagator, being a distribution, can act on the kernel two ways and both
-appear in the theory: "distribution" convolves kernels as distributions, so
-symbols multiply along the flow; "function" lets the propagator act on the
-kernel read as a test function, which for the heat flow is exactly Gaussian
-smoothing of the kernel polynomial.
+A distribution can act on the kernel two ways and both appear in the
+theory: "distribution" convolves kernels as distributions, so symbols
+multiply along the flow; "function" acts on the kernel read as a test
+function, which for the heat flow is exactly Gaussian smoothing of the
+kernel polynomial.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,14 +68,17 @@ def _shifted_gauss_moment(a: complex, t: float, k: int) -> complex:
 def conv_exp(Phi: Expansion2) -> Expansion2:
     """e^{*Phi}: the distribution whose Laplace transform is exp of Phi's.
 
-    The constant term exponentiates to a scalar factor; the remainder has
+    The constant term exponentiates to a scalar factor; the remainder N has
     positive minimal degree, so its convolution powers terminate at the
-    cutoffs and the series is finite.
+    cutoffs and the series is finite: the chain of `_powers` on delta_0,
+    weighted by `_exp_weights`.
     """
     if Phi.role != DISTRIBUTION:
         raise RoleError("conv_exp needs a distribution")
     c0, N = _split_constant(Phi)
-    return _power_series(N, _exp_weights(c0, Phi.cutoff1 + Phi.cutoff2))[0]
+    powers = _powers(N, delta0(Phi.dim1, Phi.dim2, Phi.cutoff1, Phi.cutoff2),
+                     ACTION_DISTRIBUTION)
+    return _weighted_sum(powers, _exp_weights(c0, Phi.cutoff1 + Phi.cutoff2))
 
 
 def _exp_weights(c0: complex, kmax: int) -> List[complex]:
@@ -81,20 +86,6 @@ def _exp_weights(c0: complex, kmax: int) -> List[complex]:
     N = Phi - c0 delta_0, whose powers past kmax vanish."""
     e0 = np.exp(c0)
     return [e0 / math.factorial(j) for j in range(kmax + 1)]
-
-
-def _step_propagators(Z: Expansion2,
-                      h: float) -> Tuple[Expansion2, Expansion2]:
-    """e^{*hZ} and the integral of e^{*uZ} over u in [0, h], in closed form.
-
-    With hZ = c0 delta_0 + M, both are series in the powers of M, taken
-    once: e^{*hZ} weighs M^{*j} by e^{c0}/j!, and the integral by
-    int_0^h (u/h)^j e^{u c0/h} du / j! = h e^{c0} phi_{j+1}(-c0).
-    """
-    c0, M = _split_constant(Z.scale(h))
-    kmax = Z.cutoff1 + Z.cutoff2
-    dd = _exp_divided_differences(c0, kmax + 1)
-    return tuple(_power_series(M, _exp_weights(c0, kmax), h * dd))
 
 
 def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
@@ -145,21 +136,24 @@ def _split_constant(Phi: Expansion2) -> Tuple[complex, Expansion2]:
     return 0j, Phi
 
 
-def _power_series(N: Expansion2,
-                  *weights: Sequence[complex]) -> List[Expansion2]:
-    """sum_j w[j] N^{*j} for each weight list w, N without a constant term,
-    from one chain of powers of N.
-
-    N has positive minimal degree, so N^{*j} vanishes once j exceeds
-    cutoff1 + cutoff2 and each series is exact with that many weights: one
-    `sum_by_code` over the weighted powers, in increasing j.
+def _powers(N: Expansion2, K: Expansion2, action: str) -> List[Expansion2]:
+    """N^j . K for j = 0, 1, .., one `apply_propagator` each.  N has no
+    constant term, so under either action N^j . K vanishes once j exceeds
+    cutoff1 + cutoff2; the chain stops there or at a power with no terms.
     """
-    powers = [delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)]
-    while len(powers) < len(weights[0]) and len(powers[-1].codes):
-        powers.append(convolve_dist_dist(powers[-1], N))
-    codes = np.concatenate([p.codes for p in powers])
-    return [powers[0].with_terms(sum_by_code(codes, np.concatenate(
-        [c * p.values for p, c in zip(powers, w)]))) for w in weights]
+    powers = [K]
+    while len(powers) <= N.cutoff1 + N.cutoff2 and len(powers[-1].codes):
+        powers.append(apply_propagator(N, powers[-1], action))
+    return powers
+
+
+def _weighted_sum(terms: Sequence[Expansion2],
+                  weights: Sequence[complex]) -> Expansion2:
+    """sum_j weights[j] terms[j]: one `sum_by_code` over the weighted terms,
+    in their order, so it adds as a chain of pairwise adds does."""
+    codes = np.concatenate([p.codes for p in terms])
+    return terms[0].with_terms(sum_by_code(codes, np.concatenate(
+        [w * p.values for p, w in zip(terms, weights)])))
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +216,41 @@ class EvolutionSolution:
     checks: Dict[str, float] = field(default_factory=dict)
 
 
-def apply_propagator(G: Expansion2, K: Expansion2, action: str) -> Expansion2:
-    """Act with a propagator distribution on a kernel, either convention."""
+def apply_propagator(N: Expansion2, K: Expansion2, action: str) -> Expansion2:
+    """Act with a distribution N on a kernel K, either convention.
+
+    Under the distribution action K is the left factor,
+    `convolve_dist_dist(K, N)`, so each output sums in K's key order and
+    `conv_exp` adds as the chain of pairwise products N^{*j} * N does.
+    """
     if action == ACTION_DISTRIBUTION:
-        return convolve_dist_dist(G, K)
+        return convolve_dist_dist(K, N)
     if action == ACTION_FUNCTION:
-        out = convolve_dist_test(G, K.with_role(TEST))
+        out = convolve_dist_test(N, K.with_role(TEST))
         return out.with_role(DISTRIBUTION)
     raise ValueError(f"unknown action {action!r}")
 
 
-def _segments(Z: ProcessSpec, Theta: ProcessSpec,
-              times: Sequence[float]) -> List[Tuple[float, float, int, int]]:
-    """Check the times, then cut [0, max t] at them and at the grid points.
+def _segments(Z: ProcessSpec, Theta: ProcessSpec, times: Sequence[float]):
+    """Check that each time is in [0, end] of both grids, then cut
+    [0, max t] at the grid points.
 
-    Each piece [a, b] comes as (a, b, i, j) with Z.kernels[i] and
+    Each piece [a, b] comes as (a, i, j, ts): Z.kernels[i] and
     Theta.kernels[j] its values, read at the midpoint so an endpoint never
-    picks the next interval.
+    picks the next interval, and ts the distinct times in (a, b) in order,
+    then b (the last time, or where the next piece starts).
     """
-    limit = min(Z.end, Theta.end) + 1e-12
-    bad = [t for t in times if not 0.0 <= t <= limit]
+    end = min(Z.end, Theta.end)
+    bad = [t for t in times if not 0.0 <= t <= end]
     if bad:
         raise ValueError(f"requested times {bad} outside the process grids")
-    t_max = max(times, default=0.0)
-    marks = sorted({0.0, *(float(t) for t in times),
+    ts = sorted({float(t) for t in times})
+    t_max = ts[-1] if ts else 0.0
+    marks = sorted({0.0, t_max,
                     *(g for g in Z.grid + Theta.grid if 0.0 < g < t_max)})
-    pieces = []
-    for a, b in zip(marks, marks[1:]):
-        mid = (a + b) / 2
-        pieces.append((a, b, _piece_index(Z, mid), _piece_index(Theta, mid)))
-    return pieces
+    return [(a, _piece_index(Z, (a + b) / 2), _piece_index(Theta, (a + b) / 2),
+             [*ts[bisect_right(ts, a):bisect_left(ts, b)], b])
+            for a, b in zip(marks, marks[1:])]
 
 
 def _piece_index(P: ProcessSpec, s: float) -> int:
@@ -261,41 +260,34 @@ def _piece_index(P: ProcessSpec, s: float) -> int:
 def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
                times: Sequence[float],
                action: str = ACTION_FUNCTION) -> EvolutionSolution:
-    """Closed-form solution of d Xi/dt = Z(t) * Xi(t) + Theta(t).
+    """Closed-form solution of d Xi/dt = Z(t) . Xi(t) + Theta(t).
 
-    On each piece of `_segments`, of length h, the exact step is
-    Xi <- e^{*hZ} Xi + (int_0^h e^{*uZ} du) Theta, both propagators from
-    `_step_propagators` when there is a source.  The steps compose, as
-    e^{*(A+B)} = e^{*A} * e^{*B} in the truncated ring and both propagator
-    actions (selected by ``action``) are actions of that ring.  Steps with
-    the same Z piece, Theta piece and length h (compared exactly) share
-    their propagators, built on the first of them.
+    On a piece [a, b] of `_segments`, Z = c0 delta_0 + N with N nilpotent
+    in the truncated ring, so at t = a + h in the piece, exactly,
+    Xi(t) = e^{h c0} sum_j h^j/j! N^j . Xi(a)
+            + sum_j h^{j+1} e^{h c0} phi_{j+1}(-h c0) N^j . Theta,
+    the second sum being int_0^h e^{*uZ} . Theta du.  Each piece builds
+    the state basis N^j . Xi(a), and the source basis N^j . Theta when it
+    has a source, once (`_powers`); each of its times is one
+    `_weighted_sum` over both, and no propagator is formed.  Either
+    ``action`` is an action of the truncated ring, so the pieces compose.
     """
-    return _solve_qsde(Z, Theta, xi0, times, action, {})
-
-
-def _solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
-                times: Sequence[float], action: str,
-                propagators: dict) -> EvolutionSolution:
-    """`solve_qsde`, taking each step's propagators from ``propagators``,
-    keyed by (Z piece, Theta piece, h), and adding those it builds.  No key
-    depends on the action, so solves of one problem under both actions can
-    share the dict."""
     _check_processes(Z, Theta, xi0)
-    state = xi0
-    states = {0.0: state}
-    for a, b, i, j in _segments(Z, Theta, times):
-        h = b - a
-        gen, source = Z.kernels[i], Theta.kernels[j]
-        if (i, j, h) not in propagators:
-            propagators[i, j, h] = (_step_propagators(gen, h)
-                                    if len(source.codes) else
-                                    (conv_exp(gen.scale(h)), None))
-        propagator, integral = propagators[i, j, h]
-        state = apply_propagator(propagator, state, action)
-        if integral is not None:
-            state = state.add(apply_propagator(integral, source, action))
-        states[b] = state
+    states = {0.0: xi0}
+    for a, i, j, ts in _segments(Z, Theta, times):
+        c0, N = _split_constant(Z.kernels[i])
+        source = Theta.kernels[j]
+        kmax = N.cutoff1 + N.cutoff2
+        basis = _powers(N, states[a], action)
+        sources = _powers(N, source, action) if len(source.codes) else []
+        for t in ts:
+            h = t - a
+            weights = [w * h ** n for n, w in
+                       enumerate(_exp_weights(h * c0, len(basis) - 1))]
+            if sources:
+                weights += [h ** (n + 1) * d for n, d in enumerate(
+                    _exp_divided_differences(h * c0, kmax + 1))]
+            states[t] = _weighted_sum(basis + sources, weights)
     return EvolutionSolution(tuple(float(t) for t in times),
                              tuple(states[float(t)] for t in times),
                              method="closed_form", action=action)
@@ -369,9 +361,10 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
 
     d sigma/dt = sigma(Z) sigma + sigma(Theta) holds pointwise for the
     distribution-action flow; solving it on the grid of `torus_symbols`,
-    exactly on each piece of `_segments`, gives an oracle independent of
-    the convolution calculus.  Returns the read-only (times, points) symbol
-    values, the points in the order of `_torus`.
+    exactly from the start of each piece of `_segments` to each of its
+    times, gives an oracle independent of the convolution calculus.
+    Returns the read-only (times, points) symbol values, the points in the
+    order of `_torus`.
     """
     _check_processes(Z, Theta, xi0)
     # Every kernel's symbol on the grid: one column for xi0, then one per
@@ -379,17 +372,16 @@ def solve_symbol_ode(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
     _, symbols = torus_symbols([xi0, *Z.kernels, *Theta.kernels])
     sig_Z = symbols[:, 1:1 + len(Z.kernels)]
     sig_T = symbols[:, 1 + len(Z.kernels):]
-    sigma = symbols[:, 0]
-    states = {0.0: sigma}
-    for a, b, i, j in _segments(Z, Theta, times):
-        h = b - a
+    states = {0.0: symbols[:, 0]}
+    for a, i, j, ts in _segments(Z, Theta, times):
         rate = sig_Z[:, i]
-        z = h * rate
-        # h phi_1(z) = expm1(z)/a, which is h where z = 0.
-        gain = np.full_like(z, h)
-        np.divide(np.expm1(z), rate, out=gain, where=z != 0)
-        sigma = np.exp(z) * sigma + gain * sig_T[:, j]
-        states[b] = sigma
+        for t in ts:
+            h = t - a
+            z = h * rate
+            # h phi_1(z) = expm1(z)/a, which is h where z = 0.
+            gain = np.full_like(z, h)
+            np.divide(np.expm1(z), rate, out=gain, where=z != 0)
+            states[t] = np.exp(z) * states[a] + gain * sig_T[:, j]
 
     values = np.array([states[float(t)] for t in times],
                       dtype=complex).reshape(len(times), len(symbols))
@@ -444,8 +436,8 @@ def solve(xi0: Expansion2, times: Sequence[float],
     time.  Z defaults to the heat flow, half the trace distribution, and
     Theta to zero.  Every method runs `solve_qsde` under ``action``;
     "both" also solves the symbol ODE and reports as residual_max the
-    `symbol_gap` of the distribution-action closed form (solved a second
-    time under the function action, with the first pass's propagators).
+    `symbol_gap` of the distribution-action closed form (a second
+    `solve_qsde` when ``action`` is the function action).
     A heat flow with a zero source under the function action reports
     gaussian_gap, its largest distance from Gaussian-moment smoothing at
     GAUSSIAN_CHECK_POINTS points per time drawn with `random.Random(seed)`;
@@ -467,14 +459,12 @@ def solve(xi0: Expansion2, times: Sequence[float],
     if Theta is None:
         Theta = zero_process(*shape, max(t_end, Z.end))
     checks = {}
-    propagators = {}
-    sol = _solve_qsde(Z, Theta, xi0, times, action, propagators)
+    sol = solve_qsde(Z, Theta, xi0, times, action)
     if heat and Theta.is_zero() and action == ACTION_FUNCTION:
         checks["gaussian_gap"] = _gaussian_gap(xi0, sol, seed)
     if method == "both":
         closed = (sol if action == ACTION_DISTRIBUTION else
-                  _solve_qsde(Z, Theta, xi0, times, ACTION_DISTRIBUTION,
-                              propagators))
+                  solve_qsde(Z, Theta, xi0, times, ACTION_DISTRIBUTION))
         checks["residual_max"] = symbol_gap(
             closed, solve_symbol_ode(Z, Theta, xi0, times))
     return replace(sol, method=method, checks=checks)

@@ -80,15 +80,9 @@ def test_evolution_residual_fails_closed_without_the_source(monkeypatch):
     import grosslap.evolution
     import grosslap.verify
 
-    # The closed form loses its source step; the symbol flow keeps it.
-    step = grosslap.evolution._step_propagators
-
-    def without_source(Z, h):
-        propagator, integral = step(Z, h)
-        return propagator, integral.scale(0)
-
-    monkeypatch.setattr(grosslap.evolution, "_step_propagators",
-                        without_source)
+    # The closed form loses its source weights; the symbol flow keeps them.
+    monkeypatch.setattr(grosslap.evolution, "_exp_divided_differences",
+                        lambda z, k: np.zeros(k, dtype=complex))
     assert grosslap.verify.check_evolution_residual().passed is False
 
 
@@ -346,7 +340,7 @@ def test_solve_and_eval_over_size_budget_exit_2(tmp_path, monkeypatch):
 
     # dims (1,1), cutoff 8: 81 keys and a 9 x 9 grid, 81 x 83 = 6,723 cells.
     monkeypatch.setattr(grosslap.chaos, "MAX_EVALUATION_CELLS", 6_722)
-    monkeypatch.setattr(grosslap.evolution, "_solve_qsde", no_work)
+    monkeypatch.setattr(grosslap.evolution, "solve_qsde", no_work)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_heat_input([0.5])))
     res = run_cli(["solve", "--in", str(path)])

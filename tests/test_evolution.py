@@ -1,10 +1,8 @@
 """Tests for convolution exponentials and the evolution solvers."""
 
 import cmath
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +21,11 @@ from grosslap.chaos import (
     multiplicities,
     vacuum,
 )
-from grosslap.cli import _process_from_json
 from grosslap.evolution import (
     ACTION_DISTRIBUTION,
     ACTION_FUNCTION,
     ACTIONS,
     SYMBOL_RADIUS,
-    EvolutionSolution,
     ProcessSpec,
     apply_propagator,
     conv_exp,
@@ -43,12 +39,11 @@ from grosslap.evolution import (
     zero_process,
     _exp_divided_differences,
     _piece_index,
-    _segments,
     _shifted_gauss_moment,
-    _step_propagators,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
-from grosslap.quantum_op import kernel_from_json, symbol
+from grosslap.quantum_op import (apply_operator, multiplication_operator,
+                                 symbol)
 from conftest import (REMOVED_METHOD, SOLVER_CASES, random_expansion,
                       rng_complex, solver_case)
 
@@ -151,40 +146,33 @@ def test_conv_exp_exponentiates_the_transform(rng):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
-def chained_power_series(N, *weights):
-    """sum_j w[j] N^{*j} for each weight list w, one pairwise `add` of
-    w[j] N^{*j} per power."""
+def chained_power_series(N, weights):
+    """sum_j weights[j] N^{*j}, one pairwise `add` of weights[j] N^{*j} per
+    power."""
     power = delta0(N.dim1, N.dim2, N.cutoff1, N.cutoff2)
-    results = [power.scale(w[0]) for w in weights]
-    for j in range(1, len(weights[0])):
+    result = power.scale(weights[0])
+    for w in weights[1:]:
         power = convolve_dist_dist(power, N)
         if not len(power.codes):
             break
-        results = [r.add(power.scale(w[j])) for r, w in zip(results, weights)]
-    return results
+        result = result.add(power.scale(w))
+    return result
 
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
 def test_series_sum_as_chained_adds_do(dims, cutoff):
-    # Each series is one sum over all its powers' terms, which must add
+    # The series is one sum over all its powers' terms, which must add
     # every coefficient in the order a chain of pairwise adds does.
     rng = np.random.default_rng([*dims, cutoff])
     Z = random_expansion(rng, *dims, cutoff, cutoff, cutoff, cutoff,
                          DISTRIBUTION, scale=0.5)
-    h, kmax = 0.37, 2 * cutoff
     c0, N = evolution._split_constant(Z)
-    got = [conv_exp(Z)]
-    want = chained_power_series(N, evolution._exp_weights(c0, kmax))
-    c0, M = evolution._split_constant(Z.scale(h))
-    got += _step_propagators(Z, h)
-    want += chained_power_series(M, evolution._exp_weights(c0, kmax),
-                                 h * _exp_divided_differences(c0, kmax + 1))
-    assert len(got) == len(want) == 3
-    for g, w in zip(got, want):
-        assert len(g.codes) > 1
-        assert g.codes.tolist() == w.codes.tolist()
-        assert g.values.tobytes() == w.values.tobytes()
+    got = conv_exp(Z)
+    want = chained_power_series(N, evolution._exp_weights(c0, 2 * cutoff))
+    assert len(got.codes) > 1
+    assert got.codes.tolist() == want.codes.tolist()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +553,88 @@ def test_heat_equals_qsde_with_half_trace(rng):
         assert ka.coeffs == kb.coeffs
 
 
+def _random_multiplier(seed):
+    """A one-variable distribution Phi at dims 1-3, cutoffs 2-7, and three
+    times in [0, 3]."""
+    rng = np.random.default_rng(seed)
+    d, c = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+    Phi = random_expansion(rng, d, 0, c, 0, c, 0, role=DISTRIBUTION)
+    return Phi, rng.uniform(0.0, 3.0, 3).tolist()
+
+
+def test_quantum_heat_flow_of_a_multiplier_on_the_vacuum_is_classical():
+    """The paper's application: solve's heat flow of M_Phi, applied to the
+    vacuum, is the classical heat flow of Phi, bit for bit.
+
+    sigma(M_Phi)(xi, eta) = L(Phi)(xi + eta), and the distribution-action
+    heat flow multiplies symbols by e^{t(<xi,xi> + <eta,eta>)/2}; at xi = 0
+    that is the classical flow.  The vacuum is the constant 1, so applying
+    an operator to it keeps exactly the kernel's alpha = 0 terms, times 1.
+    Those terms of a product draw only on the alpha = 0 terms of both
+    factors: M_Phi's are Phi's (binomial 1), and the half trace's are the
+    one-variable half trace.  So each power, in the solver's chain, meets
+    the same second-variable pairs in the same key order as the classical
+    chain, and the weights, which depend on h and j alone, are the same.
+    """
+    for seed in range(200):
+        Phi, times = _random_multiplier(seed)
+        quantum = solve(multiplication_operator(Phi), times,
+                        action=ACTION_DISTRIBUTION)
+        classical = solve(Phi, times, action=ACTION_DISTRIBUTION)
+        e0 = vacuum(Phi.dim1, 0, Phi.cutoff1, 0)
+        for kern, exact in zip(quantum.kernels, classical.kernels,
+                               strict=True):
+            on_vacuum = apply_operator(kern, e0)
+            assert np.array_equal(on_vacuum.codes, exact.codes), seed
+            assert on_vacuum.values.tobytes() == exact.values.tobytes(), seed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quantum_heat_flow_of_a_multiplier_is_not_a_multiplier(seed):
+    # M of the classical flow has symbol e^{t<xi+eta,xi+eta>/2} L(Phi)(xi+eta):
+    # the heat flow of M_Phi lacks its 2<xi,eta> term.  Driven by M of the
+    # half trace, whose symbol has that term, the flow of M_Phi is M of the
+    # classical flow on every total degree that M retains.
+    Phi, times = _random_multiplier(seed)
+    d, c = Phi.dim1, Phi.cutoff1
+    M_flow = [multiplication_operator(k) for k in
+              solve(Phi, times, action=ACTION_DISTRIBUTION).kernels]
+    full = ProcessSpec.constant(
+        multiplication_operator(trace_distribution(d, 0, c, 0).scale(0.5)),
+        max(times))
+    for Z, agrees in ((None, False), (full, True)):
+        flow = solve(multiplication_operator(Phi), times, Z,
+                     action=ACTION_DISTRIBUTION)
+        for kern, exact in zip(flow.kernels, M_flow, strict=True):
+            kept = {k for k in kern.coeffs if sum(map(sum, k)) <= c}
+            gap = max(abs(kern[k] - exact[k])
+                      for k in kept | set(exact.coeffs))
+            assert (gap <= 1e-12 * exact.norm_inf()) is agrees, (Z, gap)
+
+
 # ---------------------------------------------------------------------------
-# Steps that share propagators
+# Times read from their piece's start
 
 
 def rebuilt_every_step(Z, Theta, xi0, times, action):
-    """The closed-form kernels at `times`, with the propagators built afresh
-    at every step of `_segments`."""
+    """The closed-form kernels at `times`, stepping from each time or grid
+    point to the next: Xi <- e^{*hZ} . Xi + (int_0^h e^{*uZ} du) . Theta,
+    both propagators built afresh at every step, the integral from the
+    divided differences."""
+    t_max = max(times, default=0.0)
+    marks = sorted({0.0, *map(float, times),
+                    *(g for g in Z.grid + Theta.grid if 0.0 < g < t_max)})
     state = xi0
     states = {0.0: state}
-    for a, b, i, j in _segments(Z, Theta, times):
-        gen, source = Z.kernels[i], Theta.kernels[j]
+    for a, b in zip(marks, marks[1:]):
+        gen, source = value_at(Z, (a + b) / 2), value_at(Theta, (a + b) / 2)
+        state = apply_propagator(conv_exp(gen.scale(b - a)), state, action)
         if len(source.codes):
-            propagator, integral = _step_propagators(gen, b - a)
-            state = apply_propagator(propagator, state, action).add(
-                apply_propagator(integral, source, action))
-        else:
-            state = apply_propagator(conv_exp(gen.scale(b - a)), state,
-                                     action)
+            c0, M = evolution._split_constant(gen.scale(b - a))
+            kmax = gen.cutoff1 + gen.cutoff2
+            integral = chained_power_series(
+                M, (b - a) * _exp_divided_differences(c0, kmax + 1))
+            state = state.add(apply_propagator(integral, source, action))
         states[b] = state
     return [states[float(t)] for t in times]
 
@@ -608,72 +660,55 @@ def assert_same_bits(kernels, expected):
         assert kern.values.tobytes() == exact.values.tobytes()
 
 
+def driven_problem(rng, source):
+    """dims (1,1), cutoff 5: Z with a constant term changes at 0.4, and
+    Theta, when there is one, at 0.7."""
+    def draw(scale):
+        return random_expansion(rng, 1, 1, 5, 5, 5, 5, role=DISTRIBUTION,
+                                scale=scale)
+
+    Z = ProcessSpec((0.0, 0.4, 1.0), (draw(0.5), draw(0.5)))
+    Theta = (ProcessSpec((0.0, 0.7, 1.0), (draw(1.0), draw(1.0))) if source
+             else zero_process(1, 1, 5, 5, 1.0))
+    return Z, Theta, draw(1.0)
+
+
 @pytest.mark.parametrize("action", ACTIONS)
-@pytest.mark.parametrize("times, builds", [
-    pytest.param([0.25, 0.5, 0.75, 1.0], 1, id="equal-steps"),
-    pytest.param([0.25, 0.5, 1.0], 2, id="unequal-steps"),
-])
-def test_heat_steps_of_one_length_share_a_propagator(monkeypatch, rng, times,
-                                                     builds, action):
-    xi0 = random_expansion(rng, 1, 1, 6, 6, 4, 4, role=DISTRIBUTION)
-    Z = half_trace_process(1, 1, 6, 6, 1.0)
-    Theta = zero_process(1, 1, 6, 6, 1.0)
-    expected = rebuilt_every_step(Z, Theta, xi0, times, action)
-    conv_exps = counted_calls(monkeypatch, "conv_exp")
+@pytest.mark.parametrize("source", [False, True], ids=["free", "source"])
+def test_closed_form_matches_rebuilt_every_step(rng, action, source):
+    # Times inside pieces, on a grid point, repeated, zero and out of order.
+    Z, Theta, xi0 = driven_problem(rng, source)
+    times = [0.25, 0.4, 0.9, 0.55, 1.0, 0.25, 0.0, 0.7, 0.1]
     sol = solve_qsde(Z, Theta, xi0, times, action=action)
-    assert len(conv_exps) == builds
-    assert_same_bits(sol.kernels, expected)
+    expected = rebuilt_every_step(Z, Theta, xi0, times, action)
+    for kern, exact in zip(sol.kernels, expected, strict=True):
+        gap = kern.add(exact.scale(-1)).norm_inf()
+        assert gap <= 1e-14 * exact.norm_inf()
+    # "both" runs the same closed form, and checks its distribution-action
+    # kernels against the symbol flow.
+    both = solve(xi0, times, Z, Theta, action=action, method="both")
+    assert_same_bits(both.kernels, sol.kernels)
+    closed = solve_qsde(Z, Theta, xi0, times, action=ACTION_DISTRIBUTION)
+    assert both.checks["residual_max"] == symbol_gap(
+        closed, solve_symbol_ode(Z, Theta, xi0, times))
 
 
-def test_driven_steps_share_propagators_per_piece(monkeypatch):
-    # The benchmark's driven flow: Z and Theta change at t = 1, and the steps
-    # to 0.5, 1.0 and 1.5 all have length 0.5, so the first two share their
-    # propagators.
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    doc = inputs.driven_input(1)
-    xi0 = kernel_from_json(doc["xi0"])
-    Z, Theta = _process_from_json(doc["Z"]), _process_from_json(doc["Theta"])
-    action = doc["action"]
-    expected = rebuilt_every_step(Z, Theta, xi0, doc["times"], action)
-    steps = counted_calls(monkeypatch, "_step_propagators")
-    conv_exps = counted_calls(monkeypatch, "conv_exp")
-    sol = solve_qsde(Z, Theta, xi0, doc["times"], action=action)
-    assert len(_segments(Z, Theta, doc["times"])) == 3
-    assert [h for _, h in steps] == [0.5, 0.5]
-    assert not conv_exps
-    assert_same_bits(sol.kernels, expected)
-
-
-@pytest.mark.parametrize("source", [False, True], ids=["heat", "source"])
-@pytest.mark.parametrize("times", [
-    pytest.param([0.25, 0.5, 0.75, 1.0], id="equal-steps"),
-    pytest.param([0.25, 0.5, 1.0], id="unequal-steps"),
-])
-def test_both_solve_builds_each_steps_propagators_once(monkeypatch, rng,
-                                                       times, source):
-    # The function-action pass and the distribution-action pass of a "both"
-    # solve share propagators: each distinct step builds them once in all.
-    xi0 = random_expansion(rng, 1, 1, 6, 6, 4, 4, role=DISTRIBUTION)
-    Z = half_trace_process(1, 1, 6, 6, 1.0)
-    Theta = (ProcessSpec.constant(random_expansion(
-        rng, 1, 1, 6, 6, 2, 2, role=DISTRIBUTION, scale=0.2), 1.0)
-        if source else zero_process(1, 1, 6, 6, 1.0))
-    expected = {a: rebuilt_every_step(Z, Theta, xi0, times, a)
-                for a in ACTIONS}
-    closed = EvolutionSolution(tuple(times),
-                               tuple(expected[ACTION_DISTRIBUTION]),
-                               method="closed_form")
-    residual = symbol_gap(closed, solve_symbol_ode(Z, Theta, xi0, times))
-    builds = counted_calls(monkeypatch,
-                           "_step_propagators" if source else "conv_exp")
-    sol = solve(xi0, times, Theta=Theta, method="both")
-    assert len(builds) == len({(i, j, b - a) for a, b, i, j
-                               in _segments(Z, Theta, times)})
-    assert_same_bits(sol.kernels, expected[ACTION_FUNCTION])
-    assert sol.checks["residual_max"] == residual
+@pytest.mark.parametrize("action", ACTIONS)
+@pytest.mark.parametrize("source", [False, True], ids=["free", "source"])
+def test_actions_per_piece_do_not_grow_with_the_times(monkeypatch, rng,
+                                                      action, source):
+    # Each piece acts on its start state and on its source c1 + c2 times at
+    # most, however many times are read in it.
+    Z, Theta, xi0 = driven_problem(rng, source)
+    pieces = 3 if source else 2
+    limit = (pieces + pieces * source) * (5 + 5)
+    actions = counted_calls(monkeypatch, "apply_propagator")
+    counts = []
+    for times in ([1.0], np.linspace(0.0, 1.0, 400).tolist()):
+        actions.clear()
+        solve_qsde(Z, Theta, xi0, times, action=action)
+        counts.append(len(actions))
+    assert 0 < counts[0] == counts[1] <= limit
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +830,8 @@ def test_both_solvers_walk_the_same_pieces(times):
     assert symbol_gap(closed, numeric) <= 1e-12
 
 
-@pytest.mark.parametrize("times", [[-0.1], [0.5, 2.5], [float("nan")]])
+@pytest.mark.parametrize("times", [[-0.1], [0.5, 2.5], [float("nan")],
+                                   [math.nextafter(2.0, math.inf)]])
 def test_both_solvers_reject_the_same_times(times):
     Z = scalar_process((0.0, 1.0, 2.0), (0.1, 0.2))
     Theta = scalar_process((0.0, 3.0), (1.0,))
