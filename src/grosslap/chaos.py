@@ -420,7 +420,8 @@ def pairing_weights(degrees, mult):
 
 
 # The largest evaluation an input may ask for, in complex cells of a
-# points x (keys + coordinates) array: 2^22 cells, 64 MiB.  A heat solve at
+# points x (keys + coordinates) array and, where charged, the power table
+# (see `check_evaluation_size`): 2^22 cells, 64 MiB.  A heat solve at
 # dims (2,2), cutoff 6 counts its symbol-ODE grid, 2401 points x
 # (784 keys + 4 coordinates), as 1,891,988.
 MAX_EVALUATION_CELLS = 1 << 22
@@ -466,10 +467,13 @@ def _binomial_up_to(n: int, k: int, limit: int) -> int:
     return out
 
 
-def check_evaluation_size(points: int, keys: int, dim1: int,
-                          dim2: int) -> None:
-    """Reject evaluating `keys` coefficients at `points` points over budget."""
-    cells = points * (keys + dim1 + dim2)
+def check_evaluation_size(points: int, keys: int, dim1: int, dim2: int,
+                          powers: int = 0) -> None:
+    """Reject evaluating `keys` coefficients at `points` points over budget:
+    points x (keys + coordinates) cells, plus coordinates x points x
+    `powers` for a table of each coordinate's powers 0 .. powers - 1, as
+    `monomial_matrix` allocates it."""
+    cells = points * (keys + (dim1 + dim2) * (1 + powers))
     if cells > MAX_EVALUATION_CELLS:
         raise ValueError(
             f"evaluation at {points} points of {keys} coefficients in "
@@ -805,12 +809,26 @@ def expansion_to_json(phi: Expansion2) -> dict:
     }
 
 
+# The largest cutoff an input may give.  170 is the largest n with n!
+# inside the double range (170! < 7.3e306, 171! > 1.2e309 > 1.8e308):
+# the pairing weight n! m! mult(alpha) mult(beta) of every key of degree
+# n > 170 overflows, so a larger cutoff buys only factorial tables, which
+# cost time and memory before any result.
+MAX_CUTOFF = 170
+
+
 def expansion_from_json(obj: dict, field: str = "") -> Expansion2:
     """An expansion from its JSON form, the input's `field` (the input
     itself if empty), whose members are named as `_json_member` names them;
-    a key given twice is rejected."""
+    a cutoff over MAX_CUTOFF is rejected before the terms are read, and a
+    key given twice is rejected."""
     obj = _json_object(obj, field)
     path = f"{field}." if field else ""
+    shape = tuple(_json_count(_json_member(obj, k, field, None), path + k)
+                  for k in ("dim1", "dim2", "cutoff1", "cutoff2"))
+    if max(shape[2:]) > MAX_CUTOFF:
+        raise ValueError(f"{path}cutoffs {shape[2:]} exceed {MAX_CUTOFF}, "
+                         f"past which pairing weights overflow")
     coeffs = {}
     terms = _json_object(obj.get("terms", []), f"{path}terms", list)
     for i, t in enumerate(terms):
@@ -824,10 +842,7 @@ def expansion_from_json(obj: dict, field: str = "") -> Expansion2:
         coeffs[key] = complex(
             _json_number(_json_member(t, "re", where, None), "a real part"),
             _json_number(t.get("im", 0.0), "an imaginary part"))
-    return Expansion2(*(_json_count(_json_member(obj, k, field, None),
-                                    path + k)
-                        for k in ("dim1", "dim2", "cutoff1", "cutoff2")),
-                      coeffs, role=obj.get("role", TEST))
+    return Expansion2(*shape, coeffs, role=obj.get("role", TEST))
 
 
 def _json_object(value, field: str = "", kind: type = dict):

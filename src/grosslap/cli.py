@@ -221,7 +221,7 @@ def eval_cmd(in_path: str, out: Optional[str]) -> None:
             if phi.role != ROLE_OF_OP[op]:
                 raise RoleError(f"{op} needs a {ROLE_OF_OP[op]} expansion")
         check_evaluation_size(len(points), len(phi.codes), phi.dim1,
-                              phi.dim2)
+                              phi.dim2, int(phi.exponents.max(initial=0)) + 1)
         x = point_coordinates(points, phi.dim1, phi.dim2)
         values = coefficient_polynomials([phi], x)[:, 0].tolist()
     except FileNotFoundError as exc:

@@ -166,13 +166,16 @@ class ProcessSpec:
 
     grid has one more point than kernels; kernels[i], an operator kernel
     (a distribution `Expansion2`), is the value on [grid[i], grid[i+1]).
-    Continuous processes must be pre-sampled.
+    Continuous processes must be pre-sampled.  Any sequences may be given;
+    they are stored as tuples.
     """
 
     grid: Tuple[float, ...]
     kernels: Tuple[Expansion2, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", tuple(self.grid))
+        object.__setattr__(self, "kernels", tuple(self.kernels))
         for k in self.kernels:
             require_operator(k)
         if len(self.grid) < 2 or len(self.kernels) != len(self.grid) - 1:

@@ -1,21 +1,19 @@
-"""Occupation-number indexing and the dense oracle for full contraction.
+"""Occupation-number storage and the dense oracle for full contraction.
 
 A symmetric tensor of degree n over C^d is constant on permutation orbits of
 its index tuples, so we store one complex value per occupation vector alpha
 (alpha_i = how many slots carry index i): a one-variable `Expansion2` of
-cutoff n whose terms all have degree n.  This module holds the index
-helpers, whose scalar weights the tests use as oracles, `contract_full` (the
-product kernel read on one homogeneous degree) and the dense oracle that
-certifies it: plain ndarrays, one axis per slot, mapped through one orbit
-table per (d, n), `_orbits`, whose rows the tensor sampler also draws on.
+cutoff n whose terms all have degree n.  This module holds the orbit size
+`multinomial_weight`, `contract_full` (the product kernel read on one
+homogeneous degree) and the dense oracle that certifies it: plain ndarrays,
+one axis per slot, mapped through one orbit table per (d, n), `_orbits`,
+three numpy arrays whose rows the tensor sampler also draws on.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .chaos import (
     Expansion2,
     MultiIndex,
     key_codes,
+    key_rows,
     pair_products,
 )
 
@@ -44,20 +43,6 @@ def multinomial_weight(alpha: MultiIndex) -> int:
     for a in alpha:
         out //= math.factorial(a)
     return out
-
-
-def iter_occupations(dim: int, degree: int) -> Iterable[MultiIndex]:
-    """All occupation vectors of given dim and total degree."""
-    if dim == 0:
-        if degree == 0:
-            yield ()
-        return
-    if dim == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in iter_occupations(dim - 1, degree - first):
-            yield (first,) + rest
 
 
 def contract_full(A, B):
@@ -95,31 +80,25 @@ def contract_full(A, B):
 @functools.lru_cache(maxsize=64)
 def _orbits(dim: int, degree: int):
     """The permutation orbits of the index tuples of a degree-n tensor over
-    C^d, one per occupation vector, built once per (d, n) and read-only:
-    the occupation vectors as rows in code order (`verify`'s sampler draws
-    on them), their codes, each orbit's dense cells as C-order flat
-    indices, listed as `set(itertools.permutations(word))` lists the
-    orbit's tuples, and per dense cell the place of its orbit."""
-    rows = list(iter_occupations(dim, degree))[::-1]
-    place = [dim ** k for k in reversed(range(degree))]
-    orbits = tuple(
-        [sum(i * p for i, p in zip(perm, place)) for perm in
-         set(itertools.permutations(
-             [i for i, a in enumerate(alpha) for _ in range(a)]))]
-        for alpha in rows)
-    owner = np.empty(dim ** degree, dtype=np.int64)
-    for k, cells in enumerate(orbits):
-        owner[cells] = k
-    rows = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    C^d, one per occupation vector, as three read-only arrays built once per
+    (d, n): the occupation vectors of degree n as rows in code order
+    (`verify`'s sampler draws on them), their codes, and per dense cell, in
+    C order, the index of its orbit: its index word (one row per slot) gives
+    its occupation vector, one count of each index over the slots."""
+    rows = key_rows(dim, 0, degree, 0)
+    rows = rows[rows.sum(axis=1) == degree]
     codes = key_codes(rows, dim, 0, degree, 0)
+    words = np.indices((dim,) * degree).reshape(degree, dim ** degree)
+    occupations = (words[:, :, None] == np.arange(dim)).sum(axis=0)
+    owner = np.searchsorted(codes, key_codes(occupations, dim, 0, degree, 0))
     for table in (rows, codes, owner):
         table.flags.writeable = False
-    return rows, codes, orbits, owner
+    return rows, codes, owner
 
 
 def to_dense(T) -> np.ndarray:
     """The dense array of a degree-n tensor `Expansion2(d, 0, n, 0)`."""
-    _, codes, _, owner = _orbits(T.dim1, T.cutoff1)
+    _, codes, owner = _orbits(T.dim1, T.cutoff1)
     at = np.searchsorted(codes, T.codes)
     if not np.array_equal(codes[np.minimum(at, len(codes) - 1)], T.codes):
         raise DegreeError("a tensor has a term of another degree")
@@ -129,16 +108,22 @@ def to_dense(T) -> np.ndarray:
 
 
 def symmetrize(data: np.ndarray, dim: int):
-    """Project a dense array onto its symmetric part, as a degree-n tensor
-    `Expansion2(dim, 0, n, 0)` (dim is given: a degree-0 array has shape
-    ()): each orbit's entries summed in the order `_orbits` lists them,
-    over the orbit's size (repeated indices just repeat the same entry, so
-    this is the orbit average)."""
+    """Project a dense array of shape (dim,) * n onto its symmetric part, as
+    a degree-n tensor `Expansion2(dim, 0, n, 0)` (dim is given: a degree-0
+    array has shape ()): each orbit's entries summed in C order over the
+    orbit's size, the orbit average.  On a contraction of symmetric tensors
+    the cells of one orbit hold one value, so any order of summing them
+    gives the same bits."""
     degree = np.ndim(data)
-    rows, codes, orbits, _ = _orbits(dim, degree)
-    cells = np.ravel(data).tolist()
-    means = np.array([sum(cells[c] for c in orbit) / len(orbit)
-                      for orbit in orbits], dtype=complex)
+    if np.shape(data) != (dim,) * degree:
+        raise DimensionMismatchError(f"shape {np.shape(data)} is not "
+                                     f"({dim},) * {degree}")
+    rows, codes, owner = _orbits(dim, degree)
+    cells = np.ravel(data)
+    sizes = np.bincount(owner, minlength=len(codes))
+    means = np.empty(len(codes), dtype=complex)
+    means.real = np.bincount(owner, cells.real, len(codes)) / sizes
+    means.imag = np.bincount(owner, cells.imag, len(codes)) / sizes
     kept = means != 0
     return Expansion2(dim, 0, degree, 0,
                       (codes[kept], means[kept], rows[kept]))

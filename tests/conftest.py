@@ -27,6 +27,21 @@ from grosslap.verify import (  # noqa: F401
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
+def iter_occupations(dim: int, degree: int):
+    """All occupation vectors of given dim and total degree, in decreasing
+    order: a recursive walk, independent of the library's tables."""
+    if dim == 0:
+        if degree == 0:
+            yield ()
+        return
+    if dim == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in iter_occupations(dim - 1, degree - first):
+            yield (first,) + rest
+
+
 def modulus(phi):
     """phi with each coefficient replaced by its modulus."""
     return phi.with_terms((phi.codes, np.abs(phi.values).astype(complex)))

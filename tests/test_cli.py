@@ -359,6 +359,68 @@ def test_solve_and_eval_over_size_budget_exit_2(tmp_path, monkeypatch):
     assert "budget" in res.output
 
 
+def _one_term(dim1, cutoff, alpha, role):
+    """An expansion's JSON at dims (dim1, 0) and cutoffs (cutoff, 0) with
+    the one term alpha."""
+    return {"dim1": dim1, "dim2": 0, "cutoff1": cutoff, "cutoff2": 0,
+            "role": role, "terms": [{"alpha": alpha, "beta": [], "re": 1.0}]}
+
+
+def test_cutoffs_past_170_exit_2_before_any_work(tmp_path, monkeypatch):
+    import grosslap.chaos
+    import grosslap.evolution
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cutoff check must come before any work")
+
+    # Each passes the cell budget; without the cutoff rule the solve would
+    # build factorial tables for tens of seconds before failing, and the
+    # eval would compute every k! up to 40,000.
+    solve_1400 = {"xi0": {"kernel": _one_term(1, 1400, [1400], DISTRIBUTION)},
+                  "times": [0.5]}
+    inputs = [("solve", solve_1400)] + [
+        ("eval", {"op": "evaluate", "expansion": _one_term(1, c, [c], TEST),
+                  "points": [{"z": [0.5], "t": []}]}) for c in (171, 40_000)]
+    with monkeypatch.context() as patch:
+        for module, name in [(grosslap.chaos, "_factorials"),
+                             (grosslap.chaos, "_falling_factorials"),
+                             (grosslap.chaos, "coefficient_polynomials"),
+                             (grosslap.evolution, "solve_qsde")]:
+            patch.setattr(module, name, no_work)
+        path = tmp_path / "in.json"
+        for command, spec in inputs:
+            path.write_text(json.dumps(spec))
+            res = run_cli([command, "--in", str(path)])
+            assert res.exit_code == 2, res.output
+            assert "exceed 170" in res.output
+    # At the largest cutoff admitted the same solve runs.
+    solve_170 = {"xi0": {"kernel": _one_term(1, 170, [170], DISTRIBUTION)},
+                 "times": [0.5]}
+    path.write_text(json.dumps(solve_170))
+    res = run_cli(["solve", "--in", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["kernels"][0]["kernel"]["cutoff1"] == 170
+
+
+def test_eval_budget_charges_the_power_table(tmp_path, monkeypatch):
+    import grosslap.chaos
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the size check must come before the table")
+
+    # 500 points x (1 key + 200 coordinates) is 100,500 cells, but the
+    # powers 0..170 of 200 coordinates at 500 points are 17,100,000 more.
+    monkeypatch.setattr(grosslap.chaos, "monomial_matrix", no_work)
+    spec = {"op": "evaluate",
+            "expansion": _one_term(200, 170, [170] + [0] * 199, TEST),
+            "points": [{"z": [0.01] * 200, "t": []}] * 500}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    res = run_cli(["eval", "--in", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "17200500 cells, over the budget" in res.output
+
+
 def _add_term(**term):
     return lambda e: e["terms"].append({"alpha": [0], "beta": [0], "re": 5.0,
                                         **term})

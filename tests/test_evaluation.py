@@ -16,7 +16,8 @@ from grosslap.chaos import (
     coefficient_polynomials,
     grid_point_count,
 )
-from grosslap.tensor_core import iter_occupations, multinomial_weight
+from grosslap.tensor_core import multinomial_weight
+from conftest import iter_occupations
 
 
 def _loop_monomial(point, alpha):
@@ -135,6 +136,11 @@ def test_evaluation_budget():
     check_evaluation_size(limit // 4, 3, 1, 0)
     with pytest.raises(ValueError, match="budget"):
         check_evaluation_size(limit // 4 + 1, 3, 1, 0)
+    # A power table of 1,000 coordinates at 4,000 points, powers 0..170:
+    # the points x (keys + coordinates) cells alone are within budget.
+    check_evaluation_size(4000, 1, 1000, 0)
+    with pytest.raises(ValueError, match="688004000 cells"):
+        check_evaluation_size(4000, 1, 1000, 0, 171)
     # Huge dimensions at cutoff 0 have one key but cannot be held.
     with pytest.raises(ValueError, match="budget"):
         check_evaluation_size(grid_point_count(10 ** 9, 0, 0, 0), 1,

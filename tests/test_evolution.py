@@ -25,6 +25,7 @@ from grosslap.evolution import (
     ACTION_DISTRIBUTION,
     ACTION_FUNCTION,
     ACTIONS,
+    METHODS,
     SYMBOL_RADIUS,
     ProcessSpec,
     apply_propagator,
@@ -860,6 +861,25 @@ def test_solve_reports_the_checks_of_its_decision_table(heat, source, action,
     assert set(sol.checks) == expected
     assert (sol.method, sol.action) == (method, action)
     assert all(math.isfinite(v) for v in sol.checks.values())
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("role", ["Z", "Theta"])
+def test_processes_built_from_lists_solve_as_tuples_do(role, method, action):
+    # The other process is a default one, built from tuples: the solver
+    # joins the two grids.
+    xi0, Z, Theta = solver_case(role == "Theta", role == "Theta")
+    given = {"Z": Z, "Theta": Theta}
+    P = given[role]
+    listed = dict(given, **{role: ProcessSpec(list(P.grid), list(P.kernels))})
+    assert listed[role] == P
+    want = solve(xi0, [0.25, 0.5], **given, action=action, method=method)
+    got = solve(xi0, [0.25, 0.5], **listed, action=action, method=method)
+    assert got.checks == want.checks
+    for g, w in zip(got.kernels, want.kernels, strict=True):
+        assert g.codes.tobytes() == w.codes.tobytes()
+        assert g.values.tobytes() == w.values.tobytes()
 
 
 def test_solve_checks_method_and_action_before_any_work(monkeypatch):

@@ -29,7 +29,8 @@ from grosslap.quantum_op import (
     multiplication_operator,
     tensor_expansion,
 )
-from grosslap.tensor_core import iter_occupations, multinomial_weight
+from grosslap.tensor_core import multinomial_weight
+from conftest import iter_occupations
 
 # ---------------------------------------------------------------------------
 # Reference: the dict loops of the old storage.

@@ -20,8 +20,8 @@ from grosslap.gross import (
     convolve_dist_test,
     gross_test,
 )
-from grosslap.tensor_core import iter_occupations, multinomial_weight
-from conftest import gross_parts, random_expansion
+from grosslap.tensor_core import multinomial_weight
+from conftest import gross_parts, iter_occupations, random_expansion
 
 # ---------------------------------------------------------------------------
 # Reference: the per-pair dict loops.  With modulus=True every coefficient

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from grosslap.chaos import Expansion2
 from grosslap.tensor_core import (
     DegreeError,
+    _orbits,
     DimensionMismatchError,
     contract_full,
     dense_contract_full,
-    iter_occupations,
     multinomial_weight,
     symmetrize,
     to_dense,
 )
-from conftest import random_tensor
+from conftest import iter_occupations, random_tensor
 
 
 def test_multinomial_weight():
@@ -34,6 +34,21 @@ def test_iter_occupations_counts():
         for n in range(6):
             got = len(list(iter_occupations(d, n)))
             assert got == math.comb(n + d - 1, d - 1)
+
+
+def test_orbit_table_holds_each_cells_occupation():
+    for d in range(1, 5):
+        for n in range(7):
+            rows, codes, owner = _orbits(d, n)
+            assert rows.tolist() == [list(a) for a in
+                                     reversed(list(iter_occupations(d, n)))]
+            assert len(codes) == len(rows) and (np.diff(codes) > 0).all()
+            for cell, word in enumerate(np.ndindex((d,) * n)):
+                occupation = np.bincount(np.array(word, dtype=int),
+                                         minlength=d)
+                assert rows[owner[cell]].tolist() == occupation.tolist()
+            sizes = np.bincount(owner, minlength=len(rows)).tolist()
+            assert sizes == [multinomial_weight(tuple(r)) for r in rows]
 
 
 def test_contract_full_degrees():
@@ -83,6 +98,13 @@ def test_symmetrize_projects():
     data[0, 1] = 1.0  # non-symmetric input
     S = symmetrize(data, 2)
     assert S[((1, 1), ())] == pytest.approx(0.5)
+
+
+def test_symmetrize_rejects_a_shape_not_of_its_dimension():
+    for data, dim in [(np.arange(9.).reshape(3, 3), 2),
+                      (np.zeros((2, 3)), 2), (np.zeros((2, 2)), 3)]:
+        with pytest.raises(DimensionMismatchError):
+            symmetrize(data, dim)
 
 
 def test_to_dense_rejects_a_term_of_another_degree():
