@@ -5,8 +5,8 @@ output.  Exit codes: 0 success, 1 a verification suite failed, 2 input or
 configuration error (including NaN or infinite numbers in the input, or a
 result that overflows to them, or an input over the size budget).  Usage
 errors (an unknown command or option, a missing or malformed option value,
-a negative `--seed`, an `--out` that names a directory or a file in a
-directory that does not exist) also exit 2, before any work.
+a negative `--seed`, an `--out` that is empty, names a directory or names
+a file in a directory that does not exist) also exit 2, before any work.
 
 `run` is the program: `python -m grosslap.cli` and the `grosslap` console
 script.  It runs `main` with the cyclic garbage collector off and freezes
@@ -56,7 +56,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
     except ValueError:
         _fail(2, "the result holds NaN or infinite numbers; the input "
                  "overflows double precision")
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -258,8 +258,10 @@ def young(family: str, k: Optional[float], op: str, x: Optional[float],
 
 
 def _out_file(path: str) -> str:
-    """An `--out` value: a file path, not a directory, in a directory that
-    exists."""
+    """An `--out` value: a file path, not empty and not a directory, in a
+    directory that exists."""
+    if not path:
+        raise argparse.ArgumentTypeError("the file name is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
     parent = os.path.dirname(path)

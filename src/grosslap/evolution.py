@@ -4,10 +4,13 @@ The closed form is exact on each piece where the driving process and the
 source are constant: there the driving kernel less its constant is
 nilpotent, so the flow from the piece's start is a finite sum of its powers
 acting on the state and the source, weighted by the exponential and the
-phi-functions of exponential integrators.  Two independent oracles check
-it: the same exact flow for the scalar symbol ODE on a torus grid, compared
-with the closed-form kernels' symbols there, and (for the heat flow on
-function-convention kernels) exact Gaussian-moment smoothing.
+phi-functions of exponential integrators.  The convolution exponential
+e^{*Phi} is the one-piece case: the flow of the constant process Phi from
+delta_0 to t = 1.  Two independent oracles check the closed form: the same
+exact flow for the scalar symbol ODE on a torus grid, compared with the
+closed-form kernels' symbols there, and (for the heat flow on
+function-convention kernels) Gaussian smoothing, whose moments come from
+one recurrence in each coordinate.
 
 A distribution can act on the kernel two ways and both appear in the
 theory: "distribution" convolves kernels as distributions, so symbols
@@ -49,43 +52,7 @@ ACTION_DISTRIBUTION = "distribution"
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moments
-
-
-def _shifted_gauss_moment(a: complex, t: float, k: int) -> complex:
-    """E[(a + sqrt(t) X)^k] for standard Gaussian X."""
-    total = 0j
-    for j in range(0, k + 1, 2):
-        total += (math.comb(k, j) * a ** (k - j)
-                  * t ** (j // 2) * math.prod(range(j - 1, 0, -2)))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Convolution exponential
-
-
-def conv_exp(Phi: Expansion2) -> Expansion2:
-    """e^{*Phi}: the distribution whose Laplace transform is exp of Phi's.
-
-    The constant term exponentiates to a scalar factor; the remainder N has
-    positive minimal degree, so its convolution powers terminate at the
-    cutoffs and the series is finite: the chain of `_powers` on delta_0,
-    weighted by `_exp_weights`.
-    """
-    if Phi.role != DISTRIBUTION:
-        raise RoleError("conv_exp needs a distribution")
-    c0, N = _split_constant(Phi)
-    powers = _powers(N, delta0(Phi.dim1, Phi.dim2, Phi.cutoff1, Phi.cutoff2),
-                     ACTION_DISTRIBUTION)
-    return _weighted_sum(powers, _exp_weights(c0, Phi.cutoff1 + Phi.cutoff2))
-
-
-def _exp_weights(c0: complex, kmax: int) -> List[complex]:
-    """e^{c0} / j! for j = 0 .. kmax: e^{*Phi} on the powers of
-    N = Phi - c0 delta_0, whose powers past kmax vanish."""
-    e0 = np.exp(c0)
-    return [e0 / math.factorial(j) for j in range(kmax + 1)]
+# Closed-form pieces
 
 
 def _exp_divided_differences(z: complex, k: int) -> np.ndarray:
@@ -145,15 +112,6 @@ def _powers(N: Expansion2, K: Expansion2, action: str) -> List[Expansion2]:
     while len(powers) <= N.cutoff1 + N.cutoff2 and len(powers[-1].codes):
         powers.append(apply_propagator(N, powers[-1], action))
     return powers
-
-
-def _weighted_sum(terms: Sequence[Expansion2],
-                  weights: Sequence[complex]) -> Expansion2:
-    """sum_j weights[j] terms[j]: one `sum_by_code` over the weighted terms,
-    in their order, so it adds as a chain of pairwise adds does."""
-    codes = np.concatenate([p.codes for p in terms])
-    return terms[0].with_terms(sum_by_code(codes, np.concatenate(
-        [w * p.values for p, w in zip(terms, weights)])))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +229,10 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
             + sum_j h^{j+1} e^{h c0} phi_{j+1}(-h c0) N^j . Theta,
     the second sum being int_0^h e^{*uZ} . Theta du.  Each piece builds
     the state basis N^j . Xi(a), and the source basis N^j . Theta when it
-    has a source, once (`_powers`); each of its times is one
-    `_weighted_sum` over both, and no propagator is formed.  Either
-    ``action`` is an action of the truncated ring, so the pieces compose.
+    has a source, once (`_powers`); each of its times is one `sum_by_code`
+    over both bases' weighted terms, in order, so it adds as a chain of
+    pairwise adds does, and no propagator is formed.  Either ``action`` is
+    an action of the truncated ring, so the pieces compose.
     """
     _check_processes(Z, Theta, xi0)
     states = {0.0: xi0}
@@ -283,14 +242,18 @@ def solve_qsde(Z: ProcessSpec, Theta: ProcessSpec, xi0: Expansion2,
         kmax = N.cutoff1 + N.cutoff2
         basis = _powers(N, states[a], action)
         sources = _powers(N, source, action) if len(source.codes) else []
+        terms = basis + sources
+        codes = np.concatenate([p.codes for p in terms])
         for t in ts:
             h = t - a
-            weights = [w * h ** n for n, w in
-                       enumerate(_exp_weights(h * c0, len(basis) - 1))]
+            e0 = np.exp(h * c0)
+            weights = [e0 / math.factorial(n) * h ** n
+                       for n in range(len(basis))]
             if sources:
                 weights += [h ** (n + 1) * d for n, d in enumerate(
                     _exp_divided_differences(h * c0, kmax + 1))]
-            states[t] = _weighted_sum(basis + sources, weights)
+            states[t] = basis[0].with_terms(sum_by_code(codes, np.concatenate(
+                [w * p.values for p, w in zip(terms, weights)])))
     return EvolutionSolution(tuple(float(t) for t in times),
                              tuple(states[float(t)] for t in times),
                              method="closed_form", action=action)
@@ -303,6 +266,22 @@ def _check_processes(Z: ProcessSpec, Theta: ProcessSpec,
     require_operator(xi0)
     for k in (*Z.kernels, *Theta.kernels):
         _check_compatible(k, xi0)
+
+
+def conv_exp(Phi: Expansion2) -> Expansion2:
+    """e^{*Phi}: the distribution whose Laplace transform is exp of Phi's.
+
+    It is the flow of the constant process Phi from delta_0 to t = 1 under
+    the distribution action, with no source: `solve_qsde` on one piece,
+    whose sum of the convolution powers of N = Phi - c0 delta_0, weighted
+    by e^{c0}/j!, is finite because those powers vanish past the cutoffs.
+    """
+    if Phi.role != DISTRIBUTION:
+        raise RoleError("conv_exp needs a distribution")
+    shape = (Phi.dim1, Phi.dim2, Phi.cutoff1, Phi.cutoff2)
+    return solve_qsde(ProcessSpec.constant(Phi, 1.0),
+                      zero_process(*shape, 1.0), delta0(*shape), (1.0,),
+                      ACTION_DISTRIBUTION).kernels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +477,21 @@ def gaussian_heat_kernel(xi0: Expansion2, t: float, x) -> np.ndarray:
     """Gaussian-integral evaluation of the homogeneous heat solution kernel.
 
     Integrates the initial kernel polynomial shifted by sqrt(t) times a
-    standard Gaussian, coordinate by coordinate, using exact moments.  x
-    holds one row of z then t coordinates per point; returns one value per
-    row.
+    standard Gaussian X, coordinate by coordinate.  The moments
+    m_k = E[(a + sqrt(t) X)^k] of each coordinate a, for all points at
+    once, follow m_0 = 1, m_1 = a and, by Gaussian integration by parts,
+    m_k = a m_{k-1} + (k - 1) t m_{k-2}.  x holds one row of z then t
+    coordinates per point; returns one value per row.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[1] != xi0.dim1 + xi0.dim2:
         raise ValueError("evaluation points do not match kernel dims")
-    base = xi0.multiplicities[1].astype(float) * xi0.values
-    # Contiguous (points, terms) operands: a broadcast (terms,) row would
-    # round the complex products differently.
-    terms = np.repeat(base[None, :], len(x), axis=0)
-    for coords, column in zip(x.T.tolist(), xi0.exponents.T):
-        degree = column.max(initial=0)
-        moments = np.array([[_shifted_gauss_moment(a, t, k)
-                             for k in range(degree + 1)] for a in coords],
-                           dtype=complex).reshape(len(x), degree + 1)
-        terms = terms * moments[:, column]
+    terms = xi0.multiplicities[1].astype(float) * xi0.values
+    for a, column in zip(x.T, xi0.exponents.T):
+        moments = [np.ones_like(a), a]
+        for k in range(2, column.max(initial=0) + 1):
+            moments.append(a * moments[-1] + (k - 1) * t * moments[-2])
+        terms = terms * np.stack(moments, axis=1)[:, column]
     return terms.sum(axis=1)

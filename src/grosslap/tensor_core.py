@@ -4,10 +4,11 @@ A symmetric tensor of degree n over C^d is constant on permutation orbits of
 its index tuples, so we store one complex value per occupation vector alpha
 (alpha_i = how many slots carry index i): a one-variable `Expansion2` of
 cutoff n whose terms all have degree n.  This module holds the orbit size
-`multinomial_weight`, `contract_full` (the product kernel read on one
-homogeneous degree) and the dense oracle that certifies it: plain ndarrays,
-one axis per slot, mapped through one orbit table per (d, n), `_orbits`,
-three numpy arrays whose rows the tensor sampler also draws on.
+`multinomial_weight`, `contract_full` (the solvers' distribution-test
+contraction read on one homogeneous degree) and the dense oracle that
+certifies it: plain ndarrays, one axis per slot, mapped through one orbit
+table per (d, n), `_orbits`, three numpy arrays whose rows the tensor
+sampler also draws on.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import math
 import numpy as np
 
 from .chaos import (
+    DISTRIBUTION,
     DimensionMismatchError,
     Expansion2,
     MultiIndex,
     key_codes,
     key_rows,
-    pair_products,
 )
+from .gross import convolve_dist_test
 
 
 class DegreeError(ValueError):
@@ -50,9 +52,10 @@ def contract_full(A, B):
 
     R_gamma = sum_{|mu| = deg A} mult(mu) A_mu B_{mu+gamma}, of degree
     deg B - deg A (the full pairing <A, B> when the degrees match): the
-    product kernel `chaos.pair_products` on A read in B's shape, divided by
-    the falling factor deg B!/(deg B - deg A)! that the kernel's weight
-    carries.
+    contraction the solvers run, `gross.convolve_dist_test` of A read in
+    B's shape as a distribution against B, divided by the falling factor
+    deg B!/(deg B - deg A)! that the contraction's weight carries.  B
+    needs the test role, the constructor's default.
     """
     if A.dim1 != B.dim1 or A.dim2 or B.dim2:
         raise DimensionMismatchError("contract_full requires one-variable "
@@ -65,8 +68,8 @@ def contract_full(A, B):
     # Codes are lexicographic in the exponent rows, so they stay sorted; the
     # rows and multiplicities do not depend on the cutoff.
     left = B.with_terms((key_codes(A.exponents, d, 0, m, 0),
-                         *A.known_terms()[1:]))
-    product = left.with_terms(pair_products(left, B, contract=True))
+                         *A.known_terms()[1:]), role=DISTRIBUTION)
+    product = convolve_dist_test(left, B)
     rows = product.exponents
     return Expansion2(d, 0, m - n, 0, (key_codes(rows, d, 0, m - n, 0),
                                        product.values / math.perm(m, n),

@@ -106,6 +106,18 @@ def test_criterion_02_fails_on_one_ulp(monkeypatch):
     assert res.passed is False
 
 
+def test_criterion_01_sees_the_solvers_contraction(monkeypatch):
+    # The sparse side is the distribution-test contraction the solvers run,
+    # so a fault in it, here a relative 1e-9, fails the criterion.
+    import grosslap.tensor_core
+    exact = grosslap.tensor_core.convolve_dist_test
+    monkeypatch.setattr(grosslap.tensor_core, "convolve_dist_test",
+                        lambda Phi, phi: exact(Phi, phi).scale(1 + 1e-9))
+    res = check_contraction_oracle(42)
+    assert res.max_error > res.tolerance
+    assert res.passed is False
+
+
 def test_nan_error_fails_and_passed_is_read_only():
     res = CheckResult("s", "identity", math.nan, 1.0, 1)
     assert res.passed is False

@@ -892,6 +892,14 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, monkeypatch, args):
     assert "does not exist" in res.output
 
 
+@pytest.mark.parametrize("args", EVERY_COMMAND)
+def test_empty_out_exits_2(tmp_path, monkeypatch, args):
+    # An empty path names no file; the report must not go to stdout instead.
+    res = run_without_work(tmp_path, monkeypatch, args + ["--out", ""])
+    assert res.exit_code == 2, res.output
+    assert "the file name is empty" in res.output
+
+
 @pytest.mark.parametrize("args", EVERY_COMMAND[:2])  # verify and solve
 def test_negative_seed_exits_2(tmp_path, monkeypatch, args):
     res = run_without_work(tmp_path, monkeypatch, args + ["--seed", "-1"])

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from grosslap.chaos import (
     coefficient_polynomials,
     delta0,
     laplace,
-    multiplicities,
     vacuum,
 )
 from grosslap.evolution import (
@@ -40,7 +40,6 @@ from grosslap.evolution import (
     zero_process,
     _exp_divided_differences,
     _piece_index,
-    _shifted_gauss_moment,
 )
 from grosslap.gross import convolve_dist_dist, trace_distribution
 from grosslap.quantum_op import (apply_operator, multiplication_operator,
@@ -170,7 +169,9 @@ def test_series_sum_as_chained_adds_do(dims, cutoff):
                          DISTRIBUTION, scale=0.5)
     c0, N = evolution._split_constant(Z)
     got = conv_exp(Z)
-    want = chained_power_series(N, evolution._exp_weights(c0, 2 * cutoff))
+    e0 = np.exp(c0)
+    want = chained_power_series(
+        N, [e0 / math.factorial(j) for j in range(2 * cutoff + 1)])
     assert len(got.codes) > 1
     assert got.codes.tolist() == want.codes.tolist()
     assert got.values.tobytes() == want.values.tobytes()
@@ -513,28 +514,60 @@ def test_gaussian_heat_kernel_examples():
         gaussian_heat_kernel(xi0, 1.0, [[0.0]])
 
 
-def _gaussian_heat_kernel_at(xi0, t, z, w):
-    # The one-point loop the row evaluation replaced, kept as its reference.
-    terms = (multiplicities(xi0.exponents, xi0.dim1)[1].astype(float)
-             * xi0.values)
-    for a, column in zip([complex(v) for v in (*z, *w)], xi0.exponents.T):
-        moments = np.array([_shifted_gauss_moment(a, t, k)
-                            for k in range(column.max(initial=0) + 1)])
-        terms = terms * moments[column]
-    return complex(np.sum(terms))
+def shifted_gauss_moment(a, t, k):
+    """E[(a + sqrt(t) X)^k] for a standard Gaussian X: the binomial sum over
+    the even moments E[X^j] = (j - 1)!!, exact on Fractions."""
+    return sum(math.comb(k, j) * a ** (k - j) * t ** (j // 2)
+               * math.prod(range(j - 1, 0, -2)) for j in range(0, k + 1, 2))
+
+
+def moment_moduli(a, t, degree):
+    """M_0..M_degree: the moments' recurrence run on |a|, the sum of the
+    moduli of the exact terms of each moment at a."""
+    M = [1.0, abs(a)]
+    for k in range(2, degree + 1):
+        M.append(abs(a) * M[-1] + (k - 1) * t * M[-2])
+    return M
 
 
 @pytest.mark.parametrize("dims, points", [((1, 1), 5), ((2, 2), 5),
                                           ((2, 0), 3), ((1, 2), 0)])
-def test_gaussian_heat_kernel_rows_match_point_loop(rng, dims, points):
+def test_gaussian_heat_kernel_within_rounding_of_exact_moments(rng, dims,
+                                                               points):
+    # The exact value takes each moment as a Fraction at the float points
+    # and t.  The bound k u M, M the same sum over the moments' moduli,
+    # counts roundings as `rounding_factor` does, 3(F + n) for a sum of n
+    # terms of at most F rounded factors each: a moment of degree e is at
+    # most e two-term steps a m_{k-1} + ((k-1) t) m_{k-2}, two factors a
+    # term, so 12 a step; the value is one sum of T terms, each its
+    # weighted coefficient times one moment per coordinate.
     d1, d2 = dims
     xi0 = random_expansion(rng, d1, d2, 6, 6 if d2 else 0, 4,
                            4 if d2 else 0, role=DISTRIBUTION)
-    x = rng.uniform(-1, 1, (points, d1 + d2))
-    values = gaussian_heat_kernel(xi0, 0.7, x)
-    assert values.shape == (points,)
-    for row, value in zip(x.tolist(), values.tolist()):
-        assert value == _gaussian_heat_kernel_at(xi0, 0.7, row[:d1], row[d1:])
+    x = rng.uniform(-2, 2, (points, d1 + d2))
+    weights = xi0.multiplicities[1].tolist()
+    exponents = xi0.exponents.tolist()
+    degree = int(xi0.exponents.max())
+    k = (12 * max(map(sum, exponents))
+         + 3 * (d1 + d2 + 1 + len(exponents)))
+    for t in (0.0, 0.7, 3.0):
+        values = gaussian_heat_kernel(xi0, t, x)
+        assert values.shape == (points,)
+        for row, value in zip(x.tolist(), values.tolist()):
+            exact = [[shifted_gauss_moment(Fraction(a), Fraction(t), e)
+                      for e in range(degree + 1)] for a in row]
+            moduli = [moment_moduli(a, t, degree) for a in row]
+            re = im = Fraction(0)
+            M = 0.0
+            for w, c, e in zip(weights, xi0.values.tolist(), exponents):
+                product = Fraction(w) * math.prod(
+                    m[n] for m, n in zip(exact, e))
+                re += product * Fraction(c.real)
+                im += product * Fraction(c.imag)
+                M += w * abs(c) * math.prod(m[n] for m, n in zip(moduli, e))
+            error = math.hypot(Fraction(value.real) - re,
+                               Fraction(value.imag) - im)
+            assert error <= k * 2.0 ** -53 * M
 
 
 def test_heat_gaussian_gap_small_for_random_kernel(rng):
