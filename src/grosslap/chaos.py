@@ -123,14 +123,28 @@ def _variable_rows(dim: int, cutoff: int):
     return rows
 
 
-def key_rows(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
-    """The exponent rows of every key of a shape, in code order: each
-    variable's occupation vectors, joined.  Only the per-variable tables
-    are cached: the shapes asked for vary more than their variables do
-    (the trace suite at seed 42 asks for 83 shapes, made of 22 tables), and
-    the join costs less than the walk that builds a table."""
-    return join_rows(_variable_rows(dim1, cutoff1),
-                     _variable_rows(dim2, cutoff2))
+@functools.lru_cache(maxsize=256)
+def key_table(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
+              degree1: int, degree2: int, homogeneous: bool = False):
+    """The keys of a shape of degree at most (degree1, degree2), or exactly
+    that if `homogeneous`, in code order, as terms without values: their
+    codes, exponent rows, degrees and mult, as the constructor takes them.
+
+    Read-only and built once per shape and degrees, by joining the
+    per-variable tables of occupation vectors, so a sampler that keeps some
+    of the keys gathers its terms' data instead of coding and weighing its
+    rows again.
+    """
+    parts = [_variable_rows(dim1, degree1), _variable_rows(dim2, degree2)]
+    if homogeneous:
+        parts = [rows[rows.sum(axis=1) == degree]
+                 for rows, degree in zip(parts, (degree1, degree2))]
+    rows = join_rows(*parts)
+    table = (key_codes(rows, dim1, dim2, cutoff1, cutoff2), rows,
+             *multiplicities(rows, dim1))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
@@ -331,7 +345,8 @@ def _distinct(codes):
 
 def sum_by_code(codes, values):
     """The terms (codes, values) summed per code, in increasing code order:
-    the library's one sum over codes.  Each code's values are added in input
+    the library's one sum over codes, but for the bins of `pair_products`,
+    which give the same bits.  Each code's values are added in input
     order from +0.0 (a stable sort, then `np.bincount` per part), so no sum
     is -0.0 and a prior sum passed first carries on unchanged.  Zero sums
     are dropped.  Returns terms as the `Expansion2` constructor takes them.
@@ -414,8 +429,16 @@ def multiplicities(exponents, dim1: int):
 def pairing_weights(degrees, mult):
     """n! m! mult(alpha) mult(beta) per key, from its degrees (n, m) and its
     multiplicity as `multiplicities` gives them: the weight of the canonical
-    pairing, exact integers, each rounded to a float once."""
-    fact = _factorials(int(degrees.max(initial=0)), False)
+    pairing, exact integers, each rounded to a float once: in int64 while
+    the largest degrees' factorials and the largest mult multiply below
+    2^63, as in `multiplicities`, in Python integers past that."""
+    top = degrees.max(axis=0, initial=0).tolist()
+    bound = (math.factorial(top[0]) * math.factorial(top[1])
+             * int(mult.max(initial=1)))
+    exact = bound < 1 << 63
+    fact = _factorials(max(top), exact)
+    if exact:
+        mult = mult.astype(np.int64, copy=False)
     return (fact[degrees[:, 0]] * fact[degrees[:, 1]] * mult).astype(float)
 
 
@@ -673,6 +696,19 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Expansion2:
 # before the last hands to `sum_by_code`.
 PAIR_BLOCK = 4096
 
+# A product of one block sums in bins, one per code of its box, when the box
+# holds at most BIN_CELLS_PER_PAIR * (landing pairs + SORT_PAIRS) codes, and
+# else sorts.  Measured on a 2-core Xeon with numpy 2.4: a sort costs about
+# 7-12 us plus 30-80 ns per pair, the bins about 2.2 us plus 6.2 ns per cell
+# of the box, so a sort's fixed cost buys about 100 pairs and each pair
+# sorted about 5 cells.  Over the 355 distinct one-block products of the
+# `verify`, `heat` and `driven` benchmark runs, this rule took 14.9 ms, as
+# did the faster path for each product (to 0.3%), the sort alone 19.1 ms
+# and the bins alone 44.2 ms; slopes of 4 to 10 cells with floors of 50 to
+# 200 pairs came within 1.1% of the faster paths.
+BIN_CELLS_PER_PAIR = 5
+SORT_PAIRS = 100
+
 
 @functools.lru_cache(maxsize=64)
 def _falling_factorials(cutoff: int, wtype: type):
@@ -683,6 +719,17 @@ def _falling_factorials(cutoff: int, wtype: type):
                       for K in range(cutoff + 1)], dtype=wtype)
     table.flags.writeable = False
     return table
+
+
+def _sum_in_bins(codes, values, box: int):
+    """`sum_by_code` of codes below `box`, in one bin per code of the box
+    (`np.bincount` per part): each code's values are added in input order
+    from +0.0, as after the sort, so the sums have the same bits."""
+    sums = np.empty(box, dtype=complex)
+    sums.real = np.bincount(codes, values.real, box)
+    sums.imag = np.bincount(codes, values.imag, box)
+    kept = sums.nonzero()[0]
+    return kept, sums[kept]
 
 
 def pair_products(left: Expansion2, right: Expansion2, contract: bool):
@@ -710,11 +757,20 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     operand ends, and then folded in by one `sum_by_code` of the running
     sums followed by the held pairs, so each fold's sort is paid for by the
     pairs it takes in; the first fold has no running sums, and a single
-    held block goes to it as it is, uncopied.  A contraction reads each
-    variable's falling factor with one gather from that cutoff's flat
-    table.
+    held block goes to it as it is, uncopied.  A product of one block whose
+    box (the number of codes of its shape) is small for its landing pairs,
+    as BIN_CELLS_PER_PAIR and SORT_PAIRS set out, sums them in bins
+    instead: one per code of the box, each adding its pairs in input order
+    from +0.0 (`np.bincount`), the order the sort keeps, so either path
+    gives the same bits; a symmetrized product then reads its result's term data
+    from its shape's `key_table`, no larger than the box, instead of
+    decoding and weighing its codes.  Codes past int64 always sort.  A
+    contraction reads each variable's falling factor with one gather from
+    that cutoff's flat table.
     Transient arrays hold O(sums + PAIR_BLOCK + terms of the right)
-    entries, never one per pair of a large product.
+    entries, never one per pair of a large product; the bins hold the box,
+    at most BIN_CELLS_PER_PAIR * (max(PAIR_BLOCK, terms of the right) +
+    SORT_PAIRS) cells, since one block has no more landing pairs.
     """
     if not len(left.codes) or not len(right.codes):
         return left.codes[:0], np.zeros(0, dtype=complex)
@@ -745,6 +801,8 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         need, room = deg_l.T, np.array([[c1], [c2]]) - deg_r.T
     need, room = np.ascontiguousarray(need), np.ascontiguousarray(room)
 
+    radix, place = _box(left.dim1, left.dim2, c1, c2)
+    box = int(radix[0] * place[0])
     sums, held, pairs = None, [], 0
     step = max(1, PAIR_BLOCK // len(c_r))
     for start in range(0, len(c_l), step):
@@ -762,8 +820,13 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         else:
             w = w_l[il] * w_r[ir]
             target = code_l[il] + code_r[ir]
-        held.append((target,
-                     (w.astype(float, copy=False) * c_l[il]) * c_r[ir]))
+        terms = target, (w.astype(float, copy=False) * c_l[il]) * c_r[ir]
+        binned = (step >= len(c_l)
+                  and box <= BIN_CELLS_PER_PAIR * (len(il) + SORT_PAIRS))
+        if binned:
+            sums = _sum_in_bins(*terms, box)
+            break
+        held.append(terms)
         pairs += len(il)
         if (pairs >= max(PAIR_BLOCK, len(sums[0]) if sums else 0)
                 or start + step >= len(c_l)):
@@ -775,8 +838,14 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     codes, values = sums
     if contract:
         return codes, values
-    rows = _decode(codes, left)
-    degrees, mult = multiplicities(rows, left.dim1)
+    if binned:
+        # The box is small, so the table of its keys is too.
+        table = key_table(left.dim1, left.dim2, c1, c2, c1, c2)
+        at = np.searchsorted(table[0], codes)
+        rows, degrees, mult = (array[at] for array in table[1:])
+    else:
+        rows = _decode(codes, left)
+        degrees, mult = multiplicities(rows, left.dim1)
     divisor = mult.astype(float)
     values.real /= divisor
     values.imag /= divisor

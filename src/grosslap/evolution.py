@@ -38,9 +38,7 @@ from .chaos import (
     _check_compatible,
     coefficient_polynomials,
     delta0,
-    key_codes,
-    key_rows,
-    multiplicities,
+    key_table,
     nan_max,
     sum_by_code,
 )
@@ -308,10 +306,10 @@ def _torus(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
     shape = (cutoff1 + 1,) * dim1 + (cutoff2 + 1,) * dim2
     exponents = np.indices(shape).reshape(len(shape), -1).T
     points = SYMBOL_RADIUS * np.exp(2j * np.pi * exponents / np.array(shape))
-    keys = key_rows(dim1, dim2, cutoff1, cutoff2)
-    bins = key_codes(keys, dim1, dim2, cutoff1, cutoff2)
+    bins, keys, _, mult = key_table(dim1, dim2, cutoff1, cutoff2, cutoff1,
+                                    cutoff2)
     scale = np.zeros(len(points))
-    scale[bins] = multiplicities(keys, dim1)[1].astype(float)
+    scale[bins] = mult.astype(float)
     scale[bins] *= SYMBOL_RADIUS ** keys.sum(axis=1)
     for array in (points, scale):
         array.flags.writeable = False

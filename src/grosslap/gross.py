@@ -39,9 +39,13 @@ def trace_distribution(dim1: int, dim2: int, cutoff1: int,
     # its code falls as j grows, so the rows are reversed into code order.
     reach = [cutoff1 >= 2] * dim1 + [cutoff2 >= 2] * dim2
     rows = 2 * np.eye(dim1 + dim2, dtype=np.int64)[reach][::-1]
+    # Each term has degree 2 in one variable and mult 1.
+    degrees = np.column_stack((rows[:, :dim1].sum(axis=1),
+                               rows[:, dim1:].sum(axis=1)))
     return Expansion2(dim1, dim2, cutoff1, cutoff2,
                       (key_codes(rows, dim1, dim2, cutoff1, cutoff2),
-                       np.ones(len(rows), dtype=complex), rows),
+                       np.ones(len(rows), dtype=complex), rows, degrees,
+                       np.ones(len(rows), dtype=np.int64)),
                       role=DISTRIBUTION)
 
 

@@ -7,8 +7,8 @@ cutoff n whose terms all have degree n.  This module holds the orbit size
 `multinomial_weight`, `contract_full` (the solvers' distribution-test
 contraction read on one homogeneous degree) and the dense oracle that
 certifies it: plain ndarrays, one axis per slot, mapped through one orbit
-table per (d, n), `_orbits`, three numpy arrays whose rows the tensor
-sampler also draws on.
+table per (d, n), `_orbits`, three numpy arrays whose rows and codes are
+the homogeneous key table that the tensor sampler also draws on.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .chaos import (
     Expansion2,
     MultiIndex,
     key_codes,
-    key_rows,
+    key_table,
 )
 from .gross import convolve_dist_test
 
@@ -84,18 +84,16 @@ def contract_full(A, B):
 def _orbits(dim: int, degree: int):
     """The permutation orbits of the index tuples of a degree-n tensor over
     C^d, one per occupation vector, as three read-only arrays built once per
-    (d, n): the occupation vectors of degree n as rows in code order
-    (`verify`'s sampler draws on them), their codes, and per dense cell, in
-    C order, the index of its orbit: its index word (one row per slot) gives
-    its occupation vector, one count of each index over the slots."""
-    rows = key_rows(dim, 0, degree, 0)
-    rows = rows[rows.sum(axis=1) == degree]
-    codes = key_codes(rows, dim, 0, degree, 0)
+    (d, n): the occupation vectors of degree n as rows in code order and
+    their codes (the homogeneous `key_table`, which `verify`'s sampler draws
+    on), and per dense cell, in C order, the index of its orbit: its index
+    word (one row per slot) gives its occupation vector, one count of each
+    index over the slots."""
+    codes, rows = key_table(dim, 0, degree, 0, degree, 0, True)[:2]
     words = np.indices((dim,) * degree).reshape(degree, dim ** degree)
     occupations = (words[:, :, None] == np.arange(dim)).sum(axis=0)
     owner = np.searchsorted(codes, key_codes(occupations, dim, 0, degree, 0))
-    for table in (rows, codes, owner):
-        table.flags.writeable = False
+    owner.flags.writeable = False
     return rows, codes, owner
 
 

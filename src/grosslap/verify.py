@@ -5,7 +5,7 @@ tensors, Gaussian moments, the exact piecewise symbol flow, a discrete
 Legendre transform on a grid) and reports the worst observed error.  Each
 suite is a function of its seed alone: its sizes and tolerances are pinned
 at the desk-scale values it is calibrated for.  Random expansions are drawn
-on their keys in code order, three generator calls each (`_random_terms`).
+on their keys in code order, two generator calls each (`_random_terms`).
 A sample's evaluation points are one generator call, its columns in the
 order the per-point draws took the stream (`_random_points`), so a suite
 pays per sample, not per point.
@@ -27,8 +27,7 @@ from .chaos import (
     dual_pair,
     exponential_vector,
     grid_point_count,
-    key_codes,
-    key_rows,
+    key_table,
     nan_max,
 )
 from .evolution import ACTION_DISTRIBUTION, ProcessSpec, solve
@@ -41,7 +40,6 @@ from .gross import (
 )
 from .quantum_op import classical_quantum_bridge, quantum_gross
 from .tensor_core import (
-    _orbits,
     contract_full,
     dense_contract_full,
     symmetrize,
@@ -68,8 +66,12 @@ class CheckResult:
         return bool(self.max_error <= self.tolerance)
 
 
-def _rng_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+def _rng_complex(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count numbers re + i im, re and im uniform on [-1, 1): one generator
+    call, which takes the real parts from the stream, then the imaginary
+    parts."""
+    re, im = rng.uniform(-1, 1, (2, count))
+    return re + 1j * im
 
 
 def _random_points(rng: np.random.Generator, points: int, d1: int,
@@ -88,33 +90,36 @@ def _random_points(rng: np.random.Generator, points: int, d1: int,
     return (parts[:, 0] + 1j * parts[:, 1]) / 2
 
 
-def _random_terms(rng: np.random.Generator, rows: np.ndarray,
+def _random_terms(rng: np.random.Generator, table: tuple,
                   keep_below: float, shape: tuple, role: str,
                   scale: float = 1.0) -> Expansion2:
-    """Seeded terms on the keys of exponent rows listed in code order.
+    """Seeded terms on the keys of a `key_table`, which lists them in code
+    order.
 
-    Three generator calls in all: one keep draw per row, keeping the rows
-    drawn below `keep_below` (the first row if none is); then the real parts
+    Two generator calls in all: one keep draw per key, keeping the keys
+    drawn below `keep_below` (the first key if none is); then the real parts
     and the imaginary parts of the kept terms, uniform on [-1, 1) times
-    `scale`.  The kept rows stay in code order, so their codes are sorted.
+    `scale` (`_rng_complex`).  The kept keys' codes, rows and
+    multiplicities are gathered from the table, in code order.
     """
-    keep = rng.random(len(rows)) < keep_below
+    keep = rng.random(len(table[0])) < keep_below
     if not keep.any():
         keep[0] = True
-    rows = rows[keep]
-    return Expansion2(*shape, (key_codes(rows, *shape),
-                               scale * _rng_complex(rng, len(rows)), rows),
-                      role=role)
+    at = keep.nonzero()[0]
+    codes, rows, degrees, mult = (array[at] for array in table)
+    return Expansion2(*shape, (codes, scale * _rng_complex(rng, len(at)),
+                               rows, degrees, mult), role=role)
 
 
 def _random_sym_tensor(rng: np.random.Generator, dim: int,
                        degree: int) -> Expansion2:
     """A symmetric tensor of the given degree, `Expansion2(dim, 0, degree, 0)`:
-    each occupation vector of that degree, read in code order from the dense
-    oracle's orbit table, is kept with probability 0.8 (see
-    `_random_terms`)."""
-    return _random_terms(rng, _orbits(dim, degree)[0], 0.8,
-                         (dim, 0, degree, 0), TEST)
+    each occupation vector of that degree, read in code order from the
+    homogeneous key table, which the dense oracle's orbit table shares, is
+    kept with probability 0.8 (see `_random_terms`)."""
+    shape = (dim, 0, degree, 0)
+    return _random_terms(rng, key_table(*shape, degree, 0, True), 0.8, shape,
+                         TEST)
 
 
 def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
@@ -124,10 +129,9 @@ def _random_expansion(rng: np.random.Generator, dim1: int, dim2: int,
     """A seeded expansion: terms of degree <= max_deg1 in the first
     variable and <= max_deg2 in the second, each kept with probability 0.6
     (see `_random_terms`)."""
-    rows = key_rows(dim1, dim2, min(max_deg1, cutoff1),
-                    min(max_deg2, cutoff2))
-    return _random_terms(rng, rows, 0.6, (dim1, dim2, cutoff1, cutoff2),
-                         role, scale)
+    shape = (dim1, dim2, cutoff1, cutoff2)
+    table = key_table(*shape, min(max_deg1, cutoff1), min(max_deg2, cutoff2))
+    return _random_terms(rng, table, 0.6, shape, role, scale)
 
 
 def _bilinear(v: Sequence[complex]) -> complex:

@@ -95,6 +95,44 @@ def test_every_suite_passes_at_other_seeds(name, seed):
     assert res.passed
 
 
+# Every suite's max_error at two seeds, as `float.hex`: a change meant to
+# leave the arithmetic alone, such as a faster path to the same sums,
+# must keep each of these bits.
+PINNED_ERRORS = {
+    42: {
+        "contraction-dense-oracle": "0x1.1af7a960ef65cp-50",
+        "trace-convolution-equals-gross": "0x0.0p+0",
+        "exponential-eigenvalue": "0x1.854bfb363dc38p-52",
+        "laplace-convolution-homomorphism": "0x1.b118ea48f71c4p-49",
+        "gross-adjointness": "0x1.8130674a394cdp-50",
+        "quantum-symbol-multiplier": "0x1.7d585d3a6165fp-50",
+        "multiplication-operator-bridge": "0x0.0p+0",
+        "heat-oracle-triangle": "0x1.657e4af98618dp-10",
+        "evolution-symbol-residual": "0x1.2f8864076bbc5p-40",
+        "young-conjugate-diagnostics": "0x0.0p+0",
+    },
+    7: {
+        "contraction-dense-oracle": "0x1.a203e78fc62d4p-51",
+        "trace-convolution-equals-gross": "0x0.0p+0",
+        "exponential-eigenvalue": "0x1.07e0f66afed07p-52",
+        "laplace-convolution-homomorphism": "0x1.23f8fc68ae52ap-49",
+        "gross-adjointness": "0x1.7427e8bd6f401p-50",
+        "quantum-symbol-multiplier": "0x1.6a82fa4113d37p-50",
+        "multiplication-operator-bridge": "0x0.0p+0",
+        "heat-oracle-triangle": "0x1.47bfb7d03668ap-10",
+        "evolution-symbol-residual": "0x1.ced9a2a062d98p-46",
+        "young-conjugate-diagnostics": "0x0.0p+0",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ERRORS))
+def test_suite_errors_keep_their_bits(seed):
+    got = {name: float(check(seed).max_error).hex()
+           for name, check in ALL_CHECKS.items()}
+    assert got == PINNED_ERRORS[seed]
+
+
 def test_criterion_02_fails_on_one_ulp(monkeypatch):
     # Gross Laplacian coefficients scaled by 1 + 2^-52 must count as
     # failures: the suite asks for exact equality.

@@ -166,6 +166,41 @@ def test_pairing_weights_are_exact_integers_rounded_once():
     assert want[0] != float(math.factorial(63)) * multinomial_weight((28, 35))
 
 
+@pytest.mark.parametrize("degrees,mult,exact", [
+    # The largest degrees' factorials times the largest mult: 2! 1! times
+    # 2^62 - 3 is below 2^63, so every weight is computed in int64, and
+    # 2^63 - 1, the largest int64, is too; 2! 1! 2^62 and 2^63 are past it.
+    ([[0, 0], [1, 0], [2, 1]], [2 ** 61 + 1, 3 * 2 ** 58 + 5, 2 ** 62 - 3],
+     True),
+    ([[0, 0], [0, 0]], [2 ** 63 - 1, 2 ** 62 + 1], True),
+    ([[0, 0], [1, 0], [2, 1]], [2 ** 61 + 1, 3 * 2 ** 58 + 5, 2 ** 62],
+     False),
+    ([[0, 0], [0, 0]], [2 ** 63, 2 ** 62 + 1], False),
+])
+def test_pairing_weights_in_int64_have_the_bytes_of_python_integers(
+        degrees, mult, exact, monkeypatch):
+    degrees = np.array(degrees)
+    weights = [math.factorial(n) * math.factorial(m) * k
+               for (n, m), k in zip(degrees.tolist(), mult)]
+    want = np.array(weights, dtype=object).astype(float).tobytes()
+    # Past 2^53, so rounding each weight to a float is not trivial.
+    assert [int(w) for w in np.frombuffer(want).tolist()] != weights
+    tables = []
+    original = chaos._factorials
+
+    def recorded(top, exact):
+        tables.append(exact)
+        return original(top, exact)
+
+    monkeypatch.setattr(chaos, "_factorials", recorded)
+    # `multiplicities` gives int64 or, past 2^63, Python integers.
+    for dtype in (np.int64, object)[max(mult) >= 1 << 63:]:
+        tables.clear()
+        got = pairing_weights(degrees, np.array(mult, dtype=dtype))
+        assert got.tobytes() == want
+        assert tables == [exact]
+
+
 # ---------------------------------------------------------------------------
 # `multiplicities` reduces across the columns; the reduction along the rows
 # it replaced is the reference.
@@ -308,6 +343,46 @@ def test_block_size_does_not_change_a_bit(case, block, monkeypatch):
         assert min(len(left.codes), len(right.codes)) > max(1, block // inner)
 
 
+def _all_terms(left, right):
+    """Both products' terms: the values as bytes, so a zero that changed
+    sign is caught, and every other array as a list."""
+    return [[a.tobytes() if i == 1 else a.tolist() for i, a in
+             enumerate(pair_products(left, right, contract=contract))]
+            for contract in (False, True)]
+
+
+@pytest.mark.parametrize("case", ["past_int64", "past_2_to_53",
+                                  "signed_zeros"])
+def test_bin_and_sort_sums_agree_bit_for_bit(case, monkeypatch):
+    pairs = {"past_int64": [_past_int64()], "past_2_to_53": _past_2_to_53(),
+             "signed_zeros": [_signed_zeros()]}[case]
+    paths = dict.fromkeys(("sum_by_code", "_sum_in_bins"), 0)
+    for name in paths:
+        def counted(*args, _name=name, _original=getattr(chaos, name)):
+            paths[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(chaos, name, counted)
+    # Only a product of one block may sum in bins: each of these is one.
+    monkeypatch.setattr(chaos, "PAIR_BLOCK", 1 << 20)
+    got, taken = {}, {}
+    # No box is small for 0 cells per pair; at 10^4 each of these boxes is,
+    # but for the shape past int64, whose codes only the sort can sum.
+    for cells in (0, 10 ** 4):
+        monkeypatch.setattr(chaos, "BIN_CELLS_PER_PAIR", cells)
+        paths.update(dict.fromkeys(paths, 0))
+        got[cells] = [_all_terms(a, b) for left, right in pairs
+                      for a, b in ((left, right), (right, left))]
+        taken[cells] = dict(paths)
+    assert got[0] == got[10 ** 4]
+    assert taken[0]["_sum_in_bins"] == 0 < taken[0]["sum_by_code"]
+    if case == "past_int64":
+        assert taken[10 ** 4] == taken[0]
+    else:
+        assert taken[10 ** 4]["sum_by_code"] == 0 < taken[10 ** 4][
+            "_sum_in_bins"]
+
+
 @pytest.mark.parametrize("contract", [False, True])
 def test_folds_are_paid_for_by_their_pairs(contract, monkeypatch):
     # Each fold but the last takes in at least PAIR_BLOCK landing pairs, so
@@ -355,9 +430,10 @@ WORK_BOUNDS = {
 MODULES = (grosslap, chaos, evolution, gross, quantum_op, tensor_core, verify)
 
 
-@pytest.mark.parametrize("suite", sorted(WORK_BOUNDS))
-def test_suites_decode_no_more_than_measured(suite, monkeypatch):
-    counts = dict.fromkeys(WORK_BOUNDS[suite], 0)
+def count_calls(monkeypatch, names):
+    """Counts of the calls to these `chaos` functions from every module,
+    by name, as they happen."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         original = getattr(chaos, name)
 
@@ -368,6 +444,28 @@ def test_suites_decode_no_more_than_measured(suite, monkeypatch):
         for module in MODULES:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("suite", sorted(WORK_BOUNDS))
+def test_suites_decode_no_more_than_measured(suite, monkeypatch):
+    counts = count_calls(monkeypatch, WORK_BOUNDS[suite])
     assert verify.ALL_CHECKS[suite](42).passed
     for name, bound in WORK_BOUNDS[suite].items():
         assert counts[name] <= bound, (name, counts[name])
+
+
+# One pass of every suite at seed 42 made 1,367 `multiplicities` calls
+# while each drawn expansion and each symmetrized product weighed its own
+# terms; drawing from per-shape key tables, and reading a product's terms
+# from its shape's table when its box is small, leaves 385, from a fresh
+# process.
+PASS_MULTIPLICITIES = 385
+
+
+def test_a_pass_of_the_suites_weighs_no_more_terms_than_measured(
+        monkeypatch):
+    counts = count_calls(monkeypatch, ["multiplicities"])
+    for check in verify.ALL_CHECKS.values():
+        assert check(42).passed
+    assert 0 < counts["multiplicities"] <= PASS_MULTIPLICITIES

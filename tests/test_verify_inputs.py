@@ -1,4 +1,4 @@
-"""The suites' seeded inputs: terms in code order, drawn in three generator
+"""The suites' seeded inputs: terms in code order, drawn in two generator
 calls whatever the number of keys, and evaluation points, one generator
 call per sample's points."""
 
@@ -96,16 +96,17 @@ class CountingGenerator:
 
 
 def test_draw_calls_do_not_grow_with_keys():
-    # dims (3, 3) at cutoff 8: 165 x 165 = 27,225 keys, drawn in a few
-    # calls, each kept with probability 0.6.
+    # dims (3, 3) at cutoff 8: 165 x 165 = 27,225 keys, each kept with
+    # probability 0.6, drawn in two calls: the keep draws, then the kept
+    # terms' real parts and imaginary parts in one.
     counting = CountingGenerator(np.random.default_rng(5))
     got = _random_expansion(counting, 3, 3, 8, 8, 8, 8, DISTRIBUTION)
-    assert counting.calls <= 3
+    assert counting.calls == 2
     assert abs(len(got.codes) / 165 ** 2 - 0.6) < 0.02
 
     counting = CountingGenerator(np.random.default_rng(5))
     _random_sym_tensor(counting, 3, 8)
-    assert counting.calls <= 3
+    assert counting.calls == 2
 
 
 def per_point_draws(rng, points, d1, d2):
