@@ -71,12 +71,22 @@ def _box(dim1: int, dim2: int, cutoff1: int, cutoff2: int):
 
 
 def _decode(codes, phi: "Expansion2"):
-    """The exponent rows alpha + beta of codes of phi's shape.
+    """The term data of codes of phi's shape, as the constructor takes it:
+    the exponent rows alpha + beta (the inverse of `key_codes`), then the
+    degrees and mult as `multiplicities` gives them.
 
-    The inverse of `key_codes`.
+    Gathered from the shape's full `key_table` when that table is small for
+    the codes, as `sum_by_code` decides between bins and a sort; else the
+    codes are decoded and weighed.
     """
-    radix, place = _box(phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2)
-    return (codes[:, None] // place % radix).astype(np.int64, copy=False)
+    shape = phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2
+    if _few_cells(coefficient_count(*shape), len(codes)):
+        table = key_table(*shape, phi.cutoff1, phi.cutoff2)
+        at = np.searchsorted(table[0], codes)
+        return tuple(array[at] for array in table[1:])
+    radix, place = _box(*shape)
+    rows = (codes[:, None] // place % radix).astype(np.int64, copy=False)
+    return (rows, *multiplicities(rows, phi.dim1))
 
 
 def key_codes(rows, dim1: int, dim2: int, cutoff1: int, cutoff2: int):
@@ -149,8 +159,8 @@ def key_table(dim1: int, dim2: int, cutoff1: int, cutoff2: int,
 
 def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
             cutoff2: int):
-    """Sorted codes, values and exponent rows of a mapping (alpha, beta) ->
-    coefficient.
+    """The terms of a mapping (alpha, beta) -> coefficient, sorted, with
+    their term data, as the constructor takes them.
 
     Every key is checked: its lengths, then, for all keys at once, the
     signs and each variable's degree against its cutoff (summed in floats,
@@ -180,7 +190,9 @@ def _encode(coeffs: Mapping, dim1: int, dim2: int, cutoff1: int,
     codes = key_codes(rows, dim1, dim2, cutoff1, cutoff2)
     order = np.argsort(codes, kind="stable")
     values = np.fromiter(coeffs.values(), dtype=complex, count=n)
-    return codes[order], values[order], rows[order]
+    rows = rows[order]
+    return (codes[order], values[order], rows,
+            *multiplicities(rows, dim1))
 
 
 class _Coefficients(Mapping):
@@ -210,11 +222,11 @@ class Expansion2:
     included); alpha indexes the first variable (dimension dim1), beta the
     second (dimension dim2, possibly 0).  Degrees above (cutoff1, cutoff2)
     are never stored.  The library's own operations pass the terms in the
-    stored layout instead of the mapping: a tuple (codes, values), which may
-    go on with the terms' exponent rows and then their degrees and mult as
-    `multiplicities` gives them, each None when not known.  What is given
-    becomes the expansion's `exponents` and `multiplicities`, so they are
-    not computed again.
+    stored layout instead of the mapping: a tuple (codes, values), or
+    (codes, values, rows, degrees, mult) with the terms' exponent rows and
+    their degrees and mult as `multiplicities` gives them.  Given term data
+    becomes the expansion's `term_data`; else `_decode` derives it from the
+    codes when it is first read.
     Immutable: every array is read-only, `coeffs` a read-only mapping view.
     """
 
@@ -228,19 +240,17 @@ class Expansion2:
             raise ValueError(f"unknown role {role!r}")
         if not isinstance(coeffs, tuple):
             coeffs = _encode(coeffs or {}, dim1, dim2, cutoff1, cutoff2)
-        codes, values, rows, degrees, mult = coeffs + (None,) * (
-            5 - len(coeffs))
+        if len(coeffs) not in (2, 5):
+            raise ValueError("terms are (codes, values) or (codes, values, "
+                             "rows, degrees, mult)")
         fields = vars(self)
         fields.update(dim1=dim1, dim2=dim2, cutoff1=cutoff1, cutoff2=cutoff2,
-                      role=role, codes=codes, values=values)
-        # The cached properties read these entries first.
-        if rows is not None:
-            fields["exponents"] = rows
-        if mult is not None:
-            fields["multiplicities"] = degrees, mult
-        for array in (codes, values, rows, degrees, mult):
-            if array is not None:
-                array.setflags(write=False)
+                      role=role, codes=coeffs[0], values=coeffs[1])
+        if len(coeffs) == 5:
+            # The cached property reads this entry first.
+            fields["term_data"] = coeffs[2:]
+        for array in coeffs:
+            array.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -260,30 +270,32 @@ class Expansion2:
                 zip(self.exponents.tolist(), self.values.tolist())}
 
     @functools.cached_property
+    def term_data(self) -> tuple:
+        """Read-only (rows, degrees, mult) of the stored terms, as
+        `_decode` gives them: one row alpha + beta per term, its degrees
+        (|alpha|, |beta|) and mult(alpha) mult(beta)."""
+        data = _decode(self.codes, self)
+        for array in data:
+            array.flags.writeable = False
+        return data
+
+    @property
     def exponents(self):
         """One read-only row alpha + beta per stored term."""
-        rows = _decode(self.codes, self)
-        rows.flags.writeable = False
-        return rows
+        return self.term_data[0]
 
-    @functools.cached_property
+    @property
     def multiplicities(self):
-        """Read-only `multiplicities` of the stored terms: per term its
-        degrees (|alpha|, |beta|) and mult(alpha) mult(beta)."""
-        degrees, mult = multiplicities(self.exponents, self.dim1)
-        degrees.flags.writeable = mult.flags.writeable = False
-        return degrees, mult
+        """Per stored term its degrees (|alpha|, |beta|) and mult(alpha)
+        mult(beta), read-only."""
+        return self.term_data[1:]
 
     def known_terms(self, index=None) -> tuple:
-        """The terms as the constructor takes them, with the exponent rows
-        and multiplicities computed so far (None where not), all of them or
-        those at `index` (a slice, a mask or increasing positions)."""
-        known = vars(self)
-        terms = (self.codes, self.values, known.get("exponents"),
-                 *known.get("multiplicities", (None, None)))
-        if index is None:
-            return terms
-        return tuple(None if a is None else a[index] for a in terms)
+        """The terms as the constructor takes them, with their term data if
+        it is known, all of them or those at `index` (a slice, a mask or
+        increasing positions)."""
+        terms = (self.codes, self.values, *vars(self).get("term_data", ()))
+        return terms if index is None else tuple(a[index] for a in terms)
 
     def take(self, index) -> "Expansion2":
         """The terms at `index`, as in `known_terms`, in this shape and
@@ -293,7 +305,7 @@ class Expansion2:
     def with_terms(self, terms: tuple, role: str = None) -> "Expansion2":
         """This shape with other terms, a tuple as the constructor takes;
         role kept unless given.  A (codes, values) pair on this expansion's
-        own `codes` array keeps its rows and multiplicities."""
+        own `codes` array keeps its term data."""
         if len(terms) == 2 and terms[0] is self.codes:
             terms += self.known_terms()[2:]
         return Expansion2(self.dim1, self.dim2, self.cutoff1, self.cutoff2,
@@ -343,25 +355,56 @@ def _distinct(codes):
     return order, ordered, first
 
 
+# A sum over codes takes one bin per code of its range when the range holds
+# at most BIN_CELLS_PER_TERM * (terms + SORT_TERMS) codes, and else sorts;
+# `_decode` reads a shape's key table by the same rule.  On a 2-core Xeon
+# with numpy 2.4, one core, a sort costs 7-12 us plus 30-80 ns per term and
+# the bins 2.2 us plus 6.2 ns per cell.  Timed alone down both paths, the
+# 1,104 distinct sums of the `heat`, `driven` (seed 1) and `verify` (seed
+# 42) benchmark runs took 10.7 ms by the rule, 10.4 ms by the faster path
+# of each (`heat` and `driven` alike to 0.1%), 17.5 ms sorted and 35.8 ms
+# binned; the worst, 8,307 terms over 41,513 codes, took 1.6 times its
+# sort.  Their 473 distinct decodes, tables built, took 7.2 ms by the rule,
+# 6.7 ms read from tables and 12.2 ms decoded.
+BIN_CELLS_PER_TERM = 5
+SORT_TERMS = 100
+
+
+def _few_cells(cells: int, terms: int) -> bool:
+    """Whether `cells` bins, or rows of a key table, are few for `terms`
+    terms, so that reading them beats sorting or decoding the terms."""
+    return cells <= BIN_CELLS_PER_TERM * (terms + SORT_TERMS)
+
+
 def sum_by_code(codes, values):
     """The terms (codes, values) summed per code, in increasing code order:
-    the library's one sum over codes, but for the bins of `pair_products`,
-    which give the same bits.  Each code's values are added in input
-    order from +0.0 (a stable sort, then `np.bincount` per part), so no sum
-    is -0.0 and a prior sum passed first carries on unchanged.  Zero sums
-    are dropped.  Returns terms as the `Expansion2` constructor takes them.
+    the library's one sum over codes.  Int64 codes whose range (largest
+    code + 1) is few cells for the terms, as `_few_cells` decides, sum in
+    one bin per code of the range; other codes are sorted (stably) and
+    summed per distinct code.  Either way each code's values are added in
+    input order from +0.0 (`np.bincount` per part), so both paths give the
+    same bits, no sum is -0.0 and a prior sum passed first carries on
+    unchanged.  Zero sums are dropped.  Returns terms as the `Expansion2`
+    constructor takes them.
     """
-    order, ordered, first = _distinct(codes)
-    slot = first.cumsum()
-    slot -= 1
-    # Positions, not masks, index the arrays: numpy gathers by position
-    # several times faster than it selects by a boolean mask.
-    codes = ordered[first.nonzero()[0]]
-    sums = np.empty(len(codes), dtype=complex)
-    sums.real = np.bincount(slot, values.real[order], len(codes))
-    sums.imag = np.bincount(slot, values.imag[order], len(codes))
+    cells = int(codes.max(initial=-1)) + 1 if codes.dtype == np.int64 else 0
+    binned = codes.dtype == np.int64 and _few_cells(cells, len(codes))
+    if binned:
+        slot = codes
+    else:
+        order, ordered, first = _distinct(codes)
+        slot = first.cumsum()
+        slot -= 1
+        # Positions, not masks, index the arrays: numpy gathers by position
+        # several times faster than it selects by a boolean mask.
+        codes = ordered[first.nonzero()[0]]
+        cells = len(codes)
+        values = values[order]
+    sums = np.empty(cells, dtype=complex)
+    sums.real = np.bincount(slot, values.real, cells)
+    sums.imag = np.bincount(slot, values.imag, cells)
     kept = sums.nonzero()[0]
-    return codes[kept], sums[kept]
+    return (kept if binned else codes[kept]), sums[kept]
 
 
 def nan_max(a: float, b: float) -> float:
@@ -504,16 +547,17 @@ def check_evaluation_size(points: int, keys: int, dim1: int, dim2: int,
             f"of {MAX_EVALUATION_CELLS}")
 
 
-def monomial_matrix(exponents, dim1: int, x):
+def monomial_matrix(exponents, mult, x):
     """The complex points x keys matrix of mult(alpha) mult(beta)
     z^alpha t^beta.
 
-    `exponents` holds one row alpha + beta per key, x one row per point:
-    its z coordinates, then its t coordinates.  The powers of every
-    coordinate, up to the largest exponent among the keys, come from one
-    cumulative product over all points (so 0^0 = 1), and the matrix gathers
-    its factors from that table.  An expansion's values at the points are
-    this matrix times its coefficient vector.
+    `exponents` holds one row alpha + beta per key and `mult` its
+    mult(alpha) mult(beta), as in an expansion's `term_data`; x holds one
+    row per point: its z coordinates, then its t coordinates.  The powers
+    of every coordinate, up to the largest exponent among the keys, come
+    from one cumulative product over all points (so 0^0 = 1), and the
+    matrix gathers its factors from that table.  An expansion's values at
+    the points are this matrix times its coefficient vector.
     """
     npoints, ncoords = x.shape
     powers = np.ones((ncoords, npoints, int(exponents.max(initial=0)) + 1),
@@ -521,7 +565,7 @@ def monomial_matrix(exponents, dim1: int, x):
     powers[:, :, 1:] = x.T[:, :, None]
     np.cumprod(powers, axis=2, out=powers)
     out = np.empty((npoints, len(exponents)), dtype=complex)
-    out[:] = multiplicities(exponents, dim1)[1].astype(float)
+    out[:] = mult.astype(float)
     for i in range(ncoords):
         out *= powers[i][:, exponents[:, i]]
     return out
@@ -531,15 +575,16 @@ def coefficient_polynomials(phis: Sequence[Expansion2], x):
     """Values of expansions of one shape at many points, (points, len(phis)).
 
     x holds one row of coordinates per point, as in `monomial_matrix`; the
-    keys are the union of the expansions' codes.
+    keys are the union of the expansions' codes, with their term data from
+    `_decode`.
     """
-    ref = phis[0]
     _, ordered, first = _distinct(np.concatenate([phi.codes for phi in phis]))
     codes = ordered[first]
     coef = np.zeros((len(codes), len(phis)), dtype=complex)
     for j, phi in enumerate(phis):
         coef[np.searchsorted(codes, phi.codes), j] = phi.values
-    return monomial_matrix(_decode(codes, ref), ref.dim1, x) @ coef
+    rows, _, mult = _decode(codes, phis[0])
+    return monomial_matrix(rows, mult, x) @ coef
 
 
 def point_coordinates(points: Sequence, dim1: int, dim2: int):
@@ -599,20 +644,16 @@ def exponential_vector(xi: Sequence[complex], eta: Sequence[complex],
         kept = (monomial != 0) | ~rows.any(axis=1)
         parts.append((rows[kept], monomial[kept]))
     (rows1, mono1), (rows2, mono2) = parts
-    # n! m!, exact (in int64 while the cutoffs' factorials multiply below
-    # 2^63, else in Python integers) and rounded once.
-    exact = (math.factorial(max(cutoff1, 0)) * math.factorial(max(cutoff2, 0))
-             < 1 << 63)
-    fact = _factorials(max(cutoff1, cutoff2, 0), exact)
-    n, m = rows1.sum(axis=1), rows2.sum(axis=1)
-    denominator = np.multiply.outer(fact[n], fact[m]).ravel().astype(float)
+    rows = join_rows(rows1, rows2)
+    degrees, mult = multiplicities(rows, len(xi))
+    # n! m!, the pairing weight of mult 1: exact, then rounded once.
+    denominator = pairing_weights(degrees, np.ones(len(rows), np.int64))
     values = complex_product(mono1[:, None], mono2[None, :]).ravel()
     values.real /= denominator
     values.imag /= denominator
     shape = (len(xi), len(eta), cutoff1, cutoff2)
-    rows = join_rows(rows1, rows2)
-    return Expansion2(*shape, (key_codes(rows, *shape), values, rows),
-                      role=TEST)
+    return Expansion2(*shape, (key_codes(rows, *shape), values, rows,
+                               degrees, mult), role=TEST)
 
 
 def _unit(dim1: int, dim2: int, cutoff1: int, cutoff2: int) -> tuple:
@@ -696,20 +737,6 @@ def sym_convolve_coeffs(f: Expansion2, g: Expansion2) -> Expansion2:
 # before the last hands to `sum_by_code`.
 PAIR_BLOCK = 4096
 
-# A product of one block sums in bins, one per code of its box, when the box
-# holds at most BIN_CELLS_PER_PAIR * (landing pairs + SORT_PAIRS) codes, and
-# else sorts.  Measured on a 2-core Xeon with numpy 2.4: a sort costs about
-# 7-12 us plus 30-80 ns per pair, the bins about 2.2 us plus 6.2 ns per cell
-# of the box, so a sort's fixed cost buys about 100 pairs and each pair
-# sorted about 5 cells.  Over the 355 distinct one-block products of the
-# `verify`, `heat` and `driven` benchmark runs, this rule took 14.9 ms, as
-# did the faster path for each product (to 0.3%), the sort alone 19.1 ms
-# and the bins alone 44.2 ms; slopes of 4 to 10 cells with floors of 50 to
-# 200 pairs came within 1.1% of the faster paths.
-BIN_CELLS_PER_PAIR = 5
-SORT_PAIRS = 100
-
-
 @functools.lru_cache(maxsize=64)
 def _falling_factorials(cutoff: int, wtype: type):
     """Read-only flat table of K!/(K - n)! at n (cutoff + 1) + K for n,
@@ -719,17 +746,6 @@ def _falling_factorials(cutoff: int, wtype: type):
                       for K in range(cutoff + 1)], dtype=wtype)
     table.flags.writeable = False
     return table
-
-
-def _sum_in_bins(codes, values, box: int):
-    """`sum_by_code` of codes below `box`, in one bin per code of the box
-    (`np.bincount` per part): each code's values are added in input order
-    from +0.0, as after the sort, so the sums have the same bits."""
-    sums = np.empty(box, dtype=complex)
-    sums.real = np.bincount(codes, values.real, box)
-    sums.imag = np.bincount(codes, values.imag, box)
-    kept = sums.nonzero()[0]
-    return kept, sums[kept]
 
 
 def pair_products(left: Expansion2, right: Expansion2, contract: bool):
@@ -746,8 +762,8 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     added in the left operand's key order, whatever the operands' sizes or
     cutoffs.  Sums that come out zero are dropped.  Returns the result's
     terms, as the `Expansion2` constructor takes them; a symmetrized
-    product's terms carry the exponent rows and multiplicities its division
-    needed.
+    product's terms carry the term data its division needed, from
+    `_decode`.
 
     The operands' codes are read as they are stored: a shift by a term of
     the left operand is an integer add (or subtract) on the right operand's
@@ -755,22 +771,13 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     the right) at a time, at least one.  Each block's landing pairs are
     held until they number max(PAIR_BLOCK, running sums), or the left
     operand ends, and then folded in by one `sum_by_code` of the running
-    sums followed by the held pairs, so each fold's sort is paid for by the
-    pairs it takes in; the first fold has no running sums, and a single
-    held block goes to it as it is, uncopied.  A product of one block whose
-    box (the number of codes of its shape) is small for its landing pairs,
-    as BIN_CELLS_PER_PAIR and SORT_PAIRS set out, sums them in bins
-    instead: one per code of the box, each adding its pairs in input order
-    from +0.0 (`np.bincount`), the order the sort keeps, so either path
-    gives the same bits; a symmetrized product then reads its result's term data
-    from its shape's `key_table`, no larger than the box, instead of
-    decoding and weighing its codes.  Codes past int64 always sort.  A
-    contraction reads each variable's falling factor with one gather from
-    that cutoff's flat table.
+    sums followed by the held pairs, so each fold's sum (bins or a sort, as
+    `sum_by_code` chooses) is paid for by the pairs it takes in; the first
+    fold has no running sums, and a single held block goes to it as it is,
+    uncopied.  A contraction reads each variable's falling factor with one
+    gather from that cutoff's flat table.
     Transient arrays hold O(sums + PAIR_BLOCK + terms of the right)
-    entries, never one per pair of a large product; the bins hold the box,
-    at most BIN_CELLS_PER_PAIR * (max(PAIR_BLOCK, terms of the right) +
-    SORT_PAIRS) cells, since one block has no more landing pairs.
+    entries, never one per pair of a large product.
     """
     if not len(left.codes) or not len(right.codes):
         return left.codes[:0], np.zeros(0, dtype=complex)
@@ -801,8 +808,6 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         need, room = deg_l.T, np.array([[c1], [c2]]) - deg_r.T
     need, room = np.ascontiguousarray(need), np.ascontiguousarray(room)
 
-    radix, place = _box(left.dim1, left.dim2, c1, c2)
-    box = int(radix[0] * place[0])
     sums, held, pairs = None, [], 0
     step = max(1, PAIR_BLOCK // len(c_r))
     for start in range(0, len(c_l), step):
@@ -820,13 +825,8 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
         else:
             w = w_l[il] * w_r[ir]
             target = code_l[il] + code_r[ir]
-        terms = target, (w.astype(float, copy=False) * c_l[il]) * c_r[ir]
-        binned = (step >= len(c_l)
-                  and box <= BIN_CELLS_PER_PAIR * (len(il) + SORT_PAIRS))
-        if binned:
-            sums = _sum_in_bins(*terms, box)
-            break
-        held.append(terms)
+        held.append((target,
+                     (w.astype(float, copy=False) * c_l[il]) * c_r[ir]))
         pairs += len(il)
         if (pairs >= max(PAIR_BLOCK, len(sums[0]) if sums else 0)
                 or start + step >= len(c_l)):
@@ -838,14 +838,7 @@ def pair_products(left: Expansion2, right: Expansion2, contract: bool):
     codes, values = sums
     if contract:
         return codes, values
-    if binned:
-        # The box is small, so the table of its keys is too.
-        table = key_table(left.dim1, left.dim2, c1, c2, c1, c2)
-        at = np.searchsorted(table[0], codes)
-        rows, degrees, mult = (array[at] for array in table[1:])
-    else:
-        rows = _decode(codes, left)
-        degrees, mult = multiplicities(rows, left.dim1)
+    rows, degrees, mult = _decode(codes, left)
     divisor = mult.astype(float)
     values.real /= divisor
     values.imag /= divisor

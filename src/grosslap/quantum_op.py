@@ -90,8 +90,8 @@ def tensor_expansion(f: Expansion2, g: Expansion2) -> Expansion2:
     shape = (f.dim1, g.dim1, f.cutoff1, g.cutoff1)
     rows = join_rows(f.exponents, g.exponents)
     values = complex_product(f.values[:, None], g.values[None, :]).ravel()
-    return Expansion2(*shape, (key_codes(rows, *shape), values, rows),
-                      role=f.role)
+    return Expansion2(*shape, (key_codes(rows, *shape), values, rows,
+                               *multiplicities(rows, f.dim1)), role=f.role)
 
 
 def quantum_gross(K: Expansion2) -> Expansion2:

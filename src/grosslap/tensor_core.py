@@ -73,7 +73,7 @@ def contract_full(A, B):
     rows = product.exponents
     return Expansion2(d, 0, m - n, 0, (key_codes(rows, d, 0, m - n, 0),
                                        product.values / math.perm(m, n),
-                                       rows))
+                                       *product.term_data))
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +119,18 @@ def symmetrize(data: np.ndarray, dim: int):
     if np.shape(data) != (dim,) * degree:
         raise DimensionMismatchError(f"shape {np.shape(data)} is not "
                                      f"({dim},) * {degree}")
-    rows, codes, owner = _orbits(dim, degree)
+    codes, rows, degrees, mult = key_table(dim, 0, degree, 0, degree, 0,
+                                           True)
+    owner = _orbits(dim, degree)[2]
     cells = np.ravel(data)
     sizes = np.bincount(owner, minlength=len(codes))
     means = np.empty(len(codes), dtype=complex)
     means.real = np.bincount(owner, cells.real, len(codes)) / sizes
     means.imag = np.bincount(owner, cells.imag, len(codes)) / sizes
     kept = means != 0
-    return Expansion2(dim, 0, degree, 0,
-                      (codes[kept], means[kept], rows[kept]))
+    return Expansion2(dim, 0, degree, 0, (codes[kept], means[kept],
+                                          rows[kept], degrees[kept],
+                                          mult[kept]))
 
 
 def dense_contract_full(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, no library
-module imports scipy or calls `np.unique` or `np.add.at`, the code layout
+module imports scipy or calls `np.unique` or `np.add.at`, terms are summed
+by weighted `np.bincount` in `chaos.sum_by_code` alone, the code layout
 of expansions stays in `chaos`, and the package loads each exported name
 from its home module on first use."""
 
@@ -102,6 +103,47 @@ def test_unique_and_add_at_calls_are_found():
                      "sorted(set(c))\n")
     assert _unique_and_add_at_calls(tree) == [(2, "np.unique"),
                                               (3, "numpy.add.at")]
+
+
+def _weighted_bincounts(tree: ast.Module, module: str) -> list:
+    """`module.function` of every `bincount` call given weights, as the
+    second argument or by keyword, under any name numpy is bound to."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "bincount"
+                    and (len(node.args) > 1 or any(
+                        k.arg == "weights" for k in node.keywords))):
+                found.append(f"{module}.{function.name}")
+    return found
+
+
+# Terms are summed per code by `chaos.sum_by_code` alone; the dense oracle
+# sums each orbit's cells, which are not terms.
+WEIGHTED_BINCOUNTS = {"chaos.sum_by_code", "tensor_core.symmetrize"}
+
+
+def test_weighted_bincount_only_in_the_one_sum():
+    found = set()
+    for path in MODULES:
+        found.update(_weighted_bincounts(ast.parse(path.read_text()),
+                                         path.stem))
+    assert found == WEIGHTED_BINCOUNTS
+
+
+def test_weighted_bincounts_are_found():
+    tree = ast.parse("import numpy\n"
+                     "def f(a, w):\n"
+                     "    numpy.bincount(a, w)\n"
+                     "    np.bincount(a, minlength=3)\n"
+                     "def g(a, w):\n"
+                     "    return np.bincount(a, weights=w, minlength=2)\n"
+                     "def h(a):\n"
+                     "    return np.bincount(a)\n")
+    assert _weighted_bincounts(tree, "m") == ["m.f", "m.g"]
 
 
 # The code layout of expansions stays behind `chaos`; `.coeffs`, the dict

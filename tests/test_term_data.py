@@ -1,8 +1,10 @@
 """Term data carried from birth: the exponent rows and multiplicities an
-expansion is built with are the ones decoding would give, the product
-kernel's block folding is exact whatever the block size and is paid for by
-the pairs it takes in, and the suites do not decode or re-derive term data
-more often than they did when this was measured."""
+expansion is built with are the ones decoding would give, all or none of
+them, and `_decode` gives the same data from a key table as by decoding;
+the one sum's bins and sort agree bit for bit; the product kernel's block
+folding is exact whatever the block size and is paid for by the pairs it
+takes in; and the suites do not decode or re-derive term data more often
+than they did when this was measured."""
 
 import math
 
@@ -20,6 +22,7 @@ from grosslap.chaos import (
     _decode,
     delta0,
     exponential_vector,
+    key_codes,
     multiplicities,
     pair_products,
     pairing_weights,
@@ -35,14 +38,16 @@ from conftest import gross_parts, random_expansion, random_tensor
 
 
 def assert_term_data(phi, seeded=False):
-    """phi's rows and multiplicities equal what its codes decode to, and
-    every array it holds is read-only; with `seeded`, phi was built with
-    its rows, so reading them decoded nothing."""
+    """phi's rows code to its codes, its degrees and multiplicities are
+    what `multiplicities` gives for those rows, and every array it holds is
+    read-only; with `seeded`, phi was built with its term data, so reading
+    it derived nothing."""
     if seeded:
-        assert "exponents" in vars(phi)
+        assert "term_data" in vars(phi)
     rows = phi.exponents
     assert rows.dtype == np.int64
-    assert np.array_equal(rows, _decode(phi.codes, phi))
+    assert np.array_equal(key_codes(rows, phi.dim1, phi.dim2, phi.cutoff1,
+                                    phi.cutoff2), phi.codes)
     degrees, mult = phi.multiplicities
     want_degrees, want_mult = multiplicities(rows, phi.dim1)
     assert np.array_equal(degrees, want_degrees)
@@ -145,6 +150,19 @@ def test_units_match_the_dict_built_ones():
                 Expansion2(1, 1, 2, -1, {((0,), (0,)): 1 + 0j})
             with pytest.raises(ValueError):
                 unit(1, 1, 2, -1)
+
+
+def test_the_constructor_takes_all_term_data_or_none():
+    phi = Expansion2(2, 1, 3, 2, {((1, 0), (1,)): 1j, ((0, 2), (0,)): 2.0})
+    terms = phi.known_terms()
+    assert len(terms) == 5
+    for size in (2, 5):
+        built = Expansion2(2, 1, 3, 2, terms[:size])
+        assert ("term_data" in vars(built)) == (size == 5)
+        assert_term_data(built)
+    for size in (1, 3, 4):
+        with pytest.raises(ValueError, match="terms are"):
+            Expansion2(2, 1, 3, 2, terms[:size])
 
 
 def test_trace_distribution_is_built_once_per_shape():
@@ -351,36 +369,75 @@ def _all_terms(left, right):
             for contract in (False, True)]
 
 
+# No range of codes, not even the empty one, is few cells for -1 cells per
+# term; for 10^4 each range below is, but for the shape past int64, whose
+# codes only the sort sums.
+SORT_ONLY, BINS_ONLY = -1, 10 ** 4
+
+
 @pytest.mark.parametrize("case", ["past_int64", "past_2_to_53",
                                   "signed_zeros"])
 def test_bin_and_sort_sums_agree_bit_for_bit(case, monkeypatch):
     pairs = {"past_int64": [_past_int64()], "past_2_to_53": _past_2_to_53(),
              "signed_zeros": [_signed_zeros()]}[case]
-    paths = dict.fromkeys(("sum_by_code", "_sum_in_bins"), 0)
-    for name in paths:
-        def counted(*args, _name=name, _original=getattr(chaos, name)):
-            paths[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(chaos, name, counted)
-    # Only a product of one block may sum in bins: each of these is one.
-    monkeypatch.setattr(chaos, "PAIR_BLOCK", 1 << 20)
-    got, taken = {}, {}
-    # No box is small for 0 cells per pair; at 10^4 each of these boxes is,
-    # but for the shape past int64, whose codes only the sort can sum.
-    for cells in (0, 10 ** 4):
-        monkeypatch.setattr(chaos, "BIN_CELLS_PER_PAIR", cells)
-        paths.update(dict.fromkeys(paths, 0))
+    calls = count_calls(monkeypatch, ["sum_by_code", "_distinct"])
+    got, sorts = {}, {}
+    for cells in (SORT_ONLY, BINS_ONLY):
+        monkeypatch.setattr(chaos, "BIN_CELLS_PER_TERM", cells)
+        calls.update(dict.fromkeys(calls, 0))
         got[cells] = [_all_terms(a, b) for left, right in pairs
                       for a, b in ((left, right), (right, left))]
-        taken[cells] = dict(paths)
-    assert got[0] == got[10 ** 4]
-    assert taken[0]["_sum_in_bins"] == 0 < taken[0]["sum_by_code"]
-    if case == "past_int64":
-        assert taken[10 ** 4] == taken[0]
-    else:
-        assert taken[10 ** 4]["sum_by_code"] == 0 < taken[10 ** 4][
-            "_sum_in_bins"]
+        sums = [a.add(b.with_role(a.role)) for left, right in pairs
+                for a, b in ((left, right), (right, left))]
+        got[cells] += [[s.codes.tolist(), s.values.tobytes()] for s in sums]
+        sorts[cells] = calls["_distinct"]
+        assert calls["sum_by_code"] > 0
+    assert got[SORT_ONLY] == got[BINS_ONLY]
+    assert sorts[SORT_ONLY] == calls["sum_by_code"]
+    assert sorts[BINS_ONLY] == (calls["sum_by_code"]
+                                if case == "past_int64" else 0)
+
+
+def test_a_product_of_several_blocks_sums_in_bins(monkeypatch):
+    left, right = _signed_zeros()
+    calls = count_calls(monkeypatch, ["sum_by_code", "_distinct"])
+    monkeypatch.setattr(chaos, "PAIR_BLOCK", 7)
+    got = {}
+    for cells in (SORT_ONLY, chaos.BIN_CELLS_PER_TERM):
+        monkeypatch.setattr(chaos, "BIN_CELLS_PER_TERM", cells)
+        calls.update(dict.fromkeys(calls, 0))
+        got[cells] = _all_terms(left, right)
+        # Each product folds more than once; with the measured constant
+        # every fold of this shape (180 codes) takes the bins.
+        assert calls["sum_by_code"] > 2
+        assert calls["_distinct"] == (calls["sum_by_code"]
+                                      if cells == SORT_ONLY else 0)
+    assert got[SORT_ONLY] == got[chaos.BIN_CELLS_PER_TERM]
+
+
+@pytest.mark.parametrize("case", ["past_int64", "past_2_to_53",
+                                  "signed_zeros"])
+def test_table_and_decoded_term_data_agree(case, monkeypatch):
+    pairs = {"past_int64": [_past_int64()], "past_2_to_53": _past_2_to_53(),
+             "signed_zeros": [_signed_zeros()]}[case]
+    tables = []
+    original = chaos.key_table
+
+    def recorded(*args):
+        tables.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chaos, "key_table", recorded)
+    got = {}
+    for cells in (SORT_ONLY, BINS_ONLY):
+        monkeypatch.setattr(chaos, "BIN_CELLS_PER_TERM", cells)
+        tables.clear()
+        got[cells] = [[a.tolist() for a in _decode(phi.codes, phi)]
+                      for pair in pairs for phi in pair]
+        # At 10^4 cells per term every table here is small, even the
+        # 46,376 keys past int64.
+        assert len(tables) == (0 if cells == SORT_ONLY else 2 * len(pairs))
+    assert got[SORT_ONLY] == got[BINS_ONLY]
 
 
 @pytest.mark.parametrize("contract", [False, True])
