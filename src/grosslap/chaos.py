@@ -75,12 +75,12 @@ def _decode(codes, phi: "Expansion2"):
     the exponent rows alpha + beta (the inverse of `key_codes`), then the
     degrees and mult as `multiplicities` gives them.
 
-    Gathered from the shape's full `key_table` when that table is small for
-    the codes, as `sum_by_code` decides between bins and a sort; else the
-    codes are decoded and weighed.
+    Gathered from the shape's full `key_table` when it is small for the
+    codes (`_table_is_small`); else the codes are decoded and weighed.
+    Both paths give the same exact integers.
     """
     shape = phi.dim1, phi.dim2, phi.cutoff1, phi.cutoff2
-    if _few_cells(coefficient_count(*shape), len(codes)):
+    if _table_is_small(phi, len(codes)):
         table = key_table(*shape, phi.cutoff1, phi.cutoff2)
         at = np.searchsorted(table[0], codes)
         return tuple(array[at] for array in table[1:])
@@ -356,55 +356,58 @@ def _distinct(codes):
 
 
 # A sum over codes takes one bin per code of its range when the range holds
-# at most BIN_CELLS_PER_TERM * (terms + SORT_TERMS) codes, and else sorts;
-# `_decode` reads a shape's key table by the same rule.  On a 2-core Xeon
-# with numpy 2.4, one core, a sort costs 7-12 us plus 30-80 ns per term and
-# the bins 2.2 us plus 6.2 ns per cell.  Timed alone down both paths, the
-# 1,104 distinct sums of the `heat`, `driven` (seed 1) and `verify` (seed
-# 42) benchmark runs took 10.7 ms by the rule, 10.4 ms by the faster path
-# of each (`heat` and `driven` alike to 0.1%), 17.5 ms sorted and 35.8 ms
-# binned; the worst, 8,307 terms over 41,513 codes, took 1.6 times its
-# sort.  Their 473 distinct decodes, tables built, took 7.2 ms by the rule,
-# 6.7 ms read from tables and 12.2 ms decoded.
+# at most BIN_CELLS_PER_TERM * (terms + SORT_TERMS) codes, and else sorts.
+# On a 2-core Xeon with numpy 2.4, one core, a sort costs 7-12 us plus
+# 30-80 ns per term and the bins 2.2 us plus 6.2 ns per cell.  Timed alone
+# down both paths, the 1,104 distinct sums of the `heat`, `driven` (seed 1)
+# and `verify` (seed 42) benchmark runs took 10.7 ms by the rule, 10.4 ms by
+# the faster path of each, 17.5 ms sorted and 35.8 ms binned; the worst,
+# 8,307 terms over 41,513 codes, took 1.6 times its sort.
 BIN_CELLS_PER_TERM = 5
 SORT_TERMS = 100
 
+# `_decode` reads a shape's key table (built once, cached) only while its
+# exact row count is at most TABLE_ROWS_PER_CODE * (codes + TABLE_ROWS): a
+# memory bound, linear in the codes.  With tables built, the 473 distinct
+# decodes above took 6.7 ms read and 12.2 ms decoded.
+TABLE_ROWS_PER_CODE = 5
+TABLE_ROWS = 100
 
-def _few_cells(cells: int, terms: int) -> bool:
-    """Whether `cells` bins, or rows of a key table, are few for `terms`
-    terms, so that reading them beats sorting or decoding the terms."""
-    return cells <= BIN_CELLS_PER_TERM * (terms + SORT_TERMS)
+
+def _table_is_small(phi: "Expansion2", codes: int) -> bool:
+    """Whether the key table of phi's shape is small for `codes` codes."""
+    bound = TABLE_ROWS_PER_CODE * (codes + TABLE_ROWS)
+    return (_binomial_up_to(phi.cutoff1 + phi.dim1, phi.dim1, bound)
+            * _binomial_up_to(phi.cutoff2 + phi.dim2, phi.dim2, bound)
+            <= bound)
 
 
 def sum_by_code(codes, values):
     """The terms (codes, values) summed per code, in increasing code order:
     the library's one sum over codes.  Int64 codes whose range (largest
-    code + 1) is few cells for the terms, as `_few_cells` decides, sum in
-    one bin per code of the range; other codes are sorted (stably) and
-    summed per distinct code.  Either way each code's values are added in
-    input order from +0.0 (`np.bincount` per part), so both paths give the
-    same bits, no sum is -0.0 and a prior sum passed first carries on
-    unchanged.  Zero sums are dropped.  Returns terms as the `Expansion2`
-    constructor takes them.
+    code + 1) is few cells for the terms, by the constants above, sum in one
+    bin per code; other codes are sorted (stably) and summed per distinct
+    code.  Either way each code's values are added in input order from +0.0
+    (`np.bincount`), so both paths give the same bits, no sum is -0.0 and a
+    prior sum passed first carries on unchanged.  Zero sums are dropped.
+    Returns terms as the `Expansion2` constructor takes them.
     """
-    cells = int(codes.max(initial=-1)) + 1 if codes.dtype == np.int64 else 0
-    binned = codes.dtype == np.int64 and _few_cells(cells, len(codes))
-    if binned:
-        slot = codes
+    if (codes.dtype == np.int64 and codes.max(initial=-1)
+            < BIN_CELLS_PER_TERM * (len(codes) + SORT_TERMS)):
+        slot, distinct = codes, None
     else:
         order, ordered, first = _distinct(codes)
-        slot = first.cumsum()
-        slot -= 1
+        slot = first.cumsum() - 1
+        values = values[order]
         # Positions, not masks, index the arrays: numpy gathers by position
         # several times faster than it selects by a boolean mask.
-        codes = ordered[first.nonzero()[0]]
-        cells = len(codes)
-        values = values[order]
-    sums = np.empty(cells, dtype=complex)
-    sums.real = np.bincount(slot, values.real, cells)
-    sums.imag = np.bincount(slot, values.imag, cells)
+        distinct = ordered[first.nonzero()[0]]
+    real = np.bincount(slot, values.real)
+    sums = np.empty(len(real), dtype=complex)
+    sums.real = real
+    sums.imag = np.bincount(slot, values.imag, len(real))
     kept = sums.nonzero()[0]
-    return (kept if binned else codes[kept]), sums[kept]
+    return (kept if distinct is None else distinct[kept]), sums[kept]
 
 
 def nan_max(a: float, b: float) -> float:

@@ -448,10 +448,10 @@ def test_shapes_too_large_to_code_are_refused(dims, cutoffs):
 
 def assert_matches_loop(phi, loop, role):
     """phi holds the loop's keys in strictly increasing codes of the shape's
-    code type, and each value within both sides' rounding of it: k u M, k
-    from `rounding_factor` for one sum on each side of the n terms summed
-    into the key (one, unless the loop counts them), M the sum of their
-    moduli."""
+    code type, and each value within 4e-16 M of the loop's, M the sum of
+    its terms' moduli; a key the loop counts n > 1 terms summed into is
+    within both sides' rounding, k u M with k from `rounding_factor` for
+    one sum of n terms on each side."""
     want, moduli, *counts = loop
     assert phi.role == role
     assert set(phi.coeffs) == set(want)
@@ -460,8 +460,8 @@ def assert_matches_loop(phi, loop, role):
     assert all(a < b for a, b in zip(phi.codes, phi.codes[1:]))
     for key, v in want.items():
         n = counts[0][key] if counts else 1
-        bound = rounding_factor(phi, n, n) * UNIT_ROUNDOFF * moduli[key]
-        assert abs(phi[key] - v) <= bound
+        k = rounding_factor(phi, n, n) * UNIT_ROUNDOFF if n > 1 else 4e-16
+        assert abs(phi[key] - v) <= k * moduli[key]
 
 
 @st.composite

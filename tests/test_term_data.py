@@ -429,15 +429,45 @@ def test_table_and_decoded_term_data_agree(case, monkeypatch):
 
     monkeypatch.setattr(chaos, "key_table", recorded)
     got = {}
-    for cells in (SORT_ONLY, BINS_ONLY):
-        monkeypatch.setattr(chaos, "BIN_CELLS_PER_TERM", cells)
+    # No table is small at -1 rows per code; at 10^4 every table here is,
+    # even the 46,376 keys past int64.
+    for rows in (-1, 10 ** 4):
+        monkeypatch.setattr(chaos, "TABLE_ROWS_PER_CODE", rows)
         tables.clear()
-        got[cells] = [[a.tolist() for a in _decode(phi.codes, phi)]
-                      for pair in pairs for phi in pair]
-        # At 10^4 cells per term every table here is small, even the
-        # 46,376 keys past int64.
-        assert len(tables) == (0 if cells == SORT_ONLY else 2 * len(pairs))
-    assert got[SORT_ONLY] == got[BINS_ONLY]
+        got[rows] = [[a.tolist() for a in _decode(phi.codes, phi)]
+                     for pair in pairs for phi in pair]
+        assert len(tables) == (0 if rows < 0 else 2 * len(pairs))
+    assert got[-1] == got[10 ** 4]
+
+
+def test_a_large_shape_is_decoded_without_its_key_table(monkeypatch):
+    # Dims (10, 10) at cutoffs (8, 8) have C(18, 10)^2 = 1,914,762,564
+    # keys, counted exactly however many codes there are: from 838,761
+    # codes on, 5 (codes + 100) passes the evaluation budget at which
+    # `coefficient_count` stops.
+    big, small = Expansion2(10, 10, 8, 8, {}), Expansion2(2, 2, 6, 6, {})
+    for codes in (838_761, 10 ** 8, 382_952_412):
+        assert not chaos._table_is_small(big, codes)
+    assert chaos._table_is_small(big, 382_952_413)
+    # 28^2 = 784 keys: small from 57 codes on.
+    assert not chaos._table_is_small(small, 56)
+    assert chaos._table_is_small(small, 57)
+
+    # The count is not read from `coefficient_count`, which stops at the
+    # evaluation budget: shrunk to 10 cells here, so that its saturated
+    # count would be small for the few codes below.
+    phi = random_expansion(np.random.default_rng(3), 10, 10, 8, 8, 2, 2)
+    bare = Expansion2(10, 10, 8, 8, (phi.codes, phi.values))
+
+    def refused(*args):
+        raise AssertionError(f"key_table{args} built")
+
+    monkeypatch.setattr(chaos, "MAX_EVALUATION_CELLS", 10)
+    monkeypatch.setattr(chaos, "key_table", refused)
+    assert len(bare.codes) > 2_000
+    for got, want in zip(bare.term_data, phi.term_data):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("contract", [False, True])
